@@ -272,7 +272,8 @@ def cmd_spectrum(config: RunConfig) -> str:
         nus = config.nus
     else:
         frame = build_frame(params, mode=config.mode)
-        half = 2.2 * frame.rabi_tilde
+        # keep the lowest of the 1101 probe points above nu = 0
+        half = min(2.2 * frame.rabi_tilde, config.omega * 1100.0 / 1101.0)
         nus = np.linspace(config.omega - half, config.omega + half, 1101)
     trace = spectrum(params, nus, mode=config.mode, n_max=config.n_max)
     sep = config.sep

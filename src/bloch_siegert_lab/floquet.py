@@ -5,8 +5,8 @@ sigma_x is mapped onto the static block-tridiagonal Floquet matrix in the
 basis |gamma, l> (gamma the bare level, l the Fourier index): diagonal blocks
 (omega0/2) sigma_z + l*omega*I, off-diagonal blocks (A/4) sigma_x between
 adjacent l.  Quasienergies, their omega0-derivative (which encodes the
-time-averaged transition probability) and a one-period propagator oracle all
-live here.
+time-averaged transition probability), the same derivative on one
+tridiagonal parity chain, and a one-period propagator oracle all live here.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .chrw import ModelParams
 from .errors import BranchAmbiguityError, NonUnitaryError, TruncationWarning
@@ -199,6 +200,27 @@ def pbar(params: ModelParams, n_trunc: Optional[int] = None) -> float:
     mean is FloquetSolution.pbar_coherent.
     """
     return solve_floquet(params, n_trunc).pbar
+
+
+def chain_slope(omega0: float, amplitude: float, s: float, n_trunc: int) -> float:
+    """dq/domega0 of the lower resonant branch at drive omega = omega0 + s.
+
+    The Floquet matrix couples |up,l> only to |down,l+-1>, so the sites
+    |up, even l>, |down, odd l> (l in [-n_trunc, n_trunc]) form an exact
+    tridiagonal block; the other parity chain has the negated spectrum.
+    With the diagonal shifted by -omega0/2 it reads l*omega on up sites and
+    (l-1)*omega + s on down sites, so the resonant pair |up,0>, |down,1>
+    is detuned by exactly s.  A tridiagonal matrix with nonzero
+    off-diagonals has no crossings, so eigenvalue n_trunc is always the
+    lower member of that pair and its slope changes sign at resonance.
+    """
+    omega = omega0 + s
+    ls = np.arange(-n_trunc, n_trunc + 1)
+    up = ls % 2 == 0
+    diag = np.where(up, ls * omega, (ls - 1) * omega + s)
+    off = np.full(2 * n_trunc, 0.25 * amplitude)
+    _, vec = eigh_tridiagonal(diag, off, select="i", select_range=(n_trunc, n_trunc))
+    return float(np.sum(vec[up, 0] ** 2)) - 0.5
 
 
 def branch_gap(params: ModelParams, n_trunc: Optional[int] = None) -> float:

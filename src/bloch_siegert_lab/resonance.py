@@ -5,7 +5,8 @@ time-averaged transition probability at fixed drive amplitude.  Routes:
 
 * chrw        -- stationarity of the squared counter-rotating hybridized
                  Rabi frequency with respect to omega0,
-* floquet     -- minimum of |d q / d omega0| on the tracked Floquet branch,
+* floquet     -- sign change of d q / d omega0 on the resonant branch of one
+                 tridiagonal parity chain of the Floquet matrix,
 * shirley     -- self-consistent iteration of the sixth-order quasienergy
                  crossing condition,
 * pert6       -- closed sixth-order series in A/4,
@@ -27,14 +28,13 @@ import numpy as np
 
 from .chrw import ModelParams, solve_xi
 from .errors import ConvergenceError, NoSignChangeError
-from .floquet import default_truncation, solve_floquet
+from .floquet import chain_slope, default_truncation
 from .numerics import (
     Tolerance,
     bessel_j,
     bessel_j0_minus_1,
     find_root_bracketed,
     first_bessel_j0_zero,
-    minimize_scalar_bracketed,
 )
 
 
@@ -71,11 +71,11 @@ class ShiftResult:
         return self.amplitude / self.omega0
 
 
-# tight scalar tolerances: the chrw root is smooth and cheap, so run the
-# bracketing solver essentially to machine width in the shift variable.
+# tight scalar tolerances: the chrw and floquet roots are smooth and cheap,
+# so run the bracketing solver to machine width in the shift variable.
 # abs_tol sits far below any representable shift so the stopping rule is
 # purely relative; weak drives (shift ~ A^2/16) stay fully resolved.
-_CHRW_TOL = Tolerance(abs_tol=1e-18, rel_tol=1e-14, max_iter=300)
+_SHIFT_TOL = Tolerance(abs_tol=1e-18, rel_tol=1e-14, max_iter=300)
 _XI_TOL = Tolerance(abs_tol=1e-22, rel_tol=2e-16, max_iter=200)
 
 
@@ -88,6 +88,12 @@ def _trivial_result(method: Method, omega0: float) -> ShiftResult:
         residual=0.0,
         iterations=0,
     )
+
+
+def _shift_bracket(omega0: float, amplitude: float) -> tuple[float, float]:
+    # s = omega - omega0 runs from just below the strong-drive asymptote
+    # (never below the bare resonance) up to A
+    return max(0.0, 0.9 * amplitude / first_bessel_j0_zero() - omega0), amplitude
 
 
 def _chrw_stationarity(omega0: float, amplitude: float) -> Callable[[float], float]:
@@ -123,7 +129,7 @@ def bs_chrw(
     if amplitude == 0.0:
         return _trivial_result(Method.CHRW, omega0)
     if tol is None:
-        tol = _CHRW_TOL
+        tol = _SHIFT_TOL
     evals = 0
     raw = _chrw_stationarity(omega0, amplitude)
 
@@ -132,9 +138,7 @@ def bs_chrw(
         evals += 1
         return raw(s)
 
-    j01 = first_bessel_j0_zero()
-    s_lo = max(0.0, 0.9 * amplitude / j01 - omega0)
-    s_hi = amplitude
+    s_lo, s_hi = _shift_bracket(omega0, amplitude)
     f_lo, f_hi = f(s_lo), f(s_hi)
     if f_lo == 0.0:
         root = s_lo
@@ -302,67 +306,35 @@ def bs_shirley_iterative(
     )
 
 
-def bs_floquet_numeric(
-    omega0: float,
-    amplitude: float,
-    tol: Optional[Tolerance] = None,
-    n_trunc: Optional[int] = None,
-) -> ShiftResult:
-    """Resonance from the Floquet spectrum: |dq/domega0| minimum over omega.
+def bs_floquet_numeric(omega0: float, amplitude: float) -> ShiftResult:
+    """Resonance from the Floquet spectrum: the root of dq/domega0.
 
-    At resonance the tracked quasienergy branch becomes stationary in
-    omega0, so the derivative (computed exactly from eigenvector weights)
-    passes through zero.  Because the branch choice keeps the derivative
-    sign-definite near the crossing, the zero is located by minimizing its
-    square: coarse scan, then golden-section refinement.  The truncation is
-    frozen across the search so the objective stays smooth.
+    At resonance the resonant quasienergy branch is stationary in omega0.
+    Its slope, taken from eigenvector weights on one parity chain of the
+    Floquet matrix, changes sign there, so the shift s = omega - omega0 is
+    one Brent root on the chrw bracket, with the truncation frozen at its
+    lower end so the slope stays smooth.
     """
     if amplitude == 0.0:
         return _trivial_result(Method.FLOQUET, omega0)
-    if tol is None:
-        tol = Tolerance(abs_tol=1e-11 * omega0, rel_tol=1e-13, max_iter=200)
-    guess = bs_chrw(omega0, amplitude)
-    half = max(0.06 * abs(guess.shift), 0.01 * omega0)
-    lo = max(guess.omega_res - half, 0.25 * guess.omega_res)
-    hi = guess.omega_res + half
-    if n_trunc is None:
-        n_trunc = default_truncation(
-            ModelParams(omega0=omega0, amplitude=amplitude, omega=lo)
-        )
+    s_lo, s_hi = _shift_bracket(omega0, amplitude)
+    n_trunc = default_truncation(
+        ModelParams(omega0=omega0, amplitude=amplitude, omega=omega0 + s_lo)
+    )
     evals = 0
 
-    def dq(omega: float) -> float:
+    def f(s: float) -> float:
         nonlocal evals
         evals += 1
-        params = ModelParams(omega0=omega0, amplitude=amplitude, omega=omega)
-        return solve_floquet(params, n_trunc).dq_domega0
+        return chain_slope(omega0, amplitude, s, n_trunc)
 
-    for _expand in range(4):
-        grid = np.linspace(lo, hi, 25)
-        vals = np.array([abs(dq(float(w))) for w in grid])
-        k = int(np.argmin(vals))
-        if 0 < k < len(grid) - 1:
-            break
-        width = hi - lo
-        if k == 0:
-            lo, hi = max(lo - width, 0.25 * lo), lo + 0.25 * width
-        else:
-            lo, hi = hi - 0.25 * width, hi + width
-    else:
-        raise ConvergenceError(
-            f"|dq/domega0| minimum kept escaping the bracket for "
-            f"omega0={omega0}, A={amplitude}"
-        )
-
-    omega_res = minimize_scalar_bracketed(
-        lambda w: dq(w) ** 2, float(grid[k - 1]), float(grid[k + 1]), tol
-    )
+    root = find_root_bracketed(f, s_lo, s_hi, _SHIFT_TOL)
     return ShiftResult(
         method=Method.FLOQUET,
         omega0=omega0,
         amplitude=amplitude,
-        shift=omega_res - omega0,
-        residual=abs(dq(omega_res)),
+        shift=root,
+        residual=abs(chain_slope(omega0, amplitude, root, n_trunc)),
         iterations=evals,
     )
 

@@ -218,10 +218,11 @@ def spectrum(
 def asymmetry_metric(trace: SpectrumTrace, center: float) -> float:
     """Mirror asymmetry of a trace about center, over the sideband window.
 
-    Integrates |S(center+d) - S(center-d)| against |S(center+d) + S(center-d)|
+    Integrates |S(center+d) - S(center-d)| against |S(center+d)| + |S(center-d)|
     for offsets d between half and one-and-a-half dressed splittings: the
     band where the sidebands live, excluding the central feature.  Zero for
-    a perfectly mirror-symmetric trace, one for a single-sided one.
+    a perfectly mirror-symmetric trace, one for a single-sided one, and
+    never outside [0, 1], also where S changes sign.
     """
     nu = np.asarray(trace.nu_grid, dtype=float)
     s = np.asarray(trace.values, dtype=float)
@@ -249,7 +250,7 @@ def asymmetry_metric(trace: SpectrumTrace, center: float) -> float:
     upper = s[idx_center + k]
     lower = s[idx_center - k]
     num = np.trapezoid(np.abs(upper - lower), dx=h)
-    den = np.trapezoid(np.abs(upper + lower), dx=h)
+    den = np.trapezoid(np.abs(upper) + np.abs(lower), dx=h)
     if den <= 0.0:
         return 0.0
     return float(num / den)

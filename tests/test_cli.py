@@ -161,6 +161,17 @@ class TestSpectrum:
         values = np.array([float(r[1]) for r in body])
         assert np.max(np.abs(values)) == pytest.approx(1.0, abs=1e-9)
 
+    def test_strong_drive_default_grid_stays_positive(self, capsys):
+        # 2.2 dressed splittings below the pump would reach nu <= 0 at A = 1
+        code, out = _run(capsys, ["spectrum", "--A", "1"])
+        assert code == 0
+        body = [line.split(",") for line in out.strip().split("\n")[2:-1]]
+        assert len(body) == 1101
+        nu = np.array([float(r[0]) for r in body])
+        values = np.array([float(r[1]) for r in body])
+        assert nu[0] > 0.0
+        assert np.all(np.isfinite(values))
+
     def test_explicit_grid_without_center_reports_reason(self, capsys):
         # a probe grid that misses the pump frequency cannot be scored; the
         # footer must say why instead of failing the whole trace

@@ -19,6 +19,7 @@ from bloch_siegert_lab.floquet import (
     average_transition_probability,
     branch_gap,
     build_floquet_matrix,
+    chain_slope,
     circle_gap,
     default_truncation,
     fold_to_zone,
@@ -203,6 +204,26 @@ class TestHellmannFeynmanSlope:
             dn = solve_floquet(p.replace(omega0=1.0 - h), reference=sol.branch_vector)
             fd = (up.quasienergies[up.branch_index] - dn.quasienergies[dn.branch_index]) / (2.0 * h)
             assert sol.dq_domega0 == pytest.approx(fd, abs=1e-6)
+
+
+class TestParityChain:
+    @pytest.mark.parametrize("a, w", [(0.5, 1.0), (0.5, 1.02), (3.5, 1.7), (8.0, 3.0), (6.0, 2.5)])
+    def test_slope_matches_dense_matrix(self, a, w):
+        # the dense solve tracks a branch of either chain, so only the
+        # magnitude of the slope is shared
+        p = ModelParams(omega0=1.0, amplitude=a, omega=w)
+        n = default_truncation(p)
+        dense = solve_floquet(p, n).dq_domega0
+        assert abs(chain_slope(1.0, a, w - 1.0, n)) == pytest.approx(abs(dense), abs=1e-12)
+
+    def test_slope_changes_sign_at_resonance(self):
+        # frozen Floquet shift at A = 6
+        s_res = 1.6418085520328152
+        n = default_truncation(ModelParams(omega0=1.0, amplitude=6.0, omega=1.0 + s_res))
+        below = chain_slope(1.0, 6.0, s_res - 1e-3, n)
+        above = chain_slope(1.0, 6.0, s_res + 1e-3, n)
+        assert below < 0.0 < above
+        assert abs(chain_slope(1.0, 6.0, s_res, n)) < 1e-8
 
 
 class TestAverages:

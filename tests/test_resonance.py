@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from bloch_siegert_lab import resonance
 from bloch_siegert_lab.errors import NoSignChangeError
 from bloch_siegert_lab.numerics import first_bessel_j0_zero
 from bloch_siegert_lab.resonance import (
@@ -82,6 +83,26 @@ class TestFloquetNumeric:
     def test_monotone_in_amplitude(self):
         shifts = [fl for _, fl, _, _, _ in SHIFT_TABLE]
         assert all(b > a for a, b in zip(shifts, shifts[1:]))
+
+    @pytest.mark.parametrize("a", [1e-4, 1e-3, 1e-2])
+    def test_weak_drive_matches_series(self, a):
+        # the series is off by O((A/4)^8) here, far below the bound
+        want = bs_perturbative6(1.0, a).shift
+        assert bs_floquet_numeric(1.0, a).shift == pytest.approx(want, rel=1e-9)
+
+    def test_independent_of_chrw(self, monkeypatch):
+        # the reference must not lean on the method it judges
+        def fail(*args, **kwargs):
+            raise AssertionError("bs_floquet_numeric called bs_chrw")
+
+        monkeypatch.setattr(resonance, "bs_chrw", fail)
+        assert bs_floquet_numeric(1.0, 6.0).shift == pytest.approx(SHIFT_TABLE[2][1], abs=1e-9)
+
+    @pytest.mark.parametrize("a", [0.1, 1.0, 6.0, 21.0, 100.0])
+    def test_few_evaluations(self, a):
+        r = bs_floquet_numeric(1.0, a)
+        assert 0 < r.iterations <= 20
+        assert r.residual < 1e-9
 
 
 class TestShirley:

@@ -274,6 +274,15 @@ class TestSpectrum:
             metrics.append(asymmetry_metric(spectrum(p, grid), 1.0))
         assert all(b > a for a, b in zip(metrics, metrics[1:]))
 
+    def test_asymmetry_bounded_where_trace_changes_sign(self):
+        # at A = 0.4 pumped at omega0 the trace dips below zero; the metric
+        # must still read between 0 and 1
+        p = ModelParams(omega0=1.0, amplitude=0.4, omega=1.0, kappa=2e-3)
+        fr = build_frame(p)
+        tr = spectrum(p, _trace_grid(1.0, fr.rabi_tilde))
+        assert np.min(tr.values) < 0.0
+        assert 0.0 <= asymmetry_metric(tr, 1.0) <= 1.0
+
     def test_sideband_count_converged(self):
         p = ModelParams(omega0=1.0, amplitude=0.3, omega=1.0, kappa=2e-3)
         fr = build_frame(p)
