@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from scipy.special import jv
 
 from .errors import DegenerateInputError, DomainError, NoSignChangeError
 from .numerics import (
@@ -122,23 +123,24 @@ def solve_xi(params: ModelParams, tol: Tolerance = DEFAULT_TOL) -> float:
     if a == 0.0:
         raise DegenerateInputError("xi fixed point is undefined at A=0; use xi = omega/(omega+omega0)")
 
-    def g(xi: float) -> float:
-        return xi_fixed_point_residual(params, xi)
-
     # J1(A xi / omega) oscillates in xi with period 2*pi*omega/A; sample it
-    # well enough that the first upward crossing cannot be stepped over
+    # well enough that the first upward crossing cannot be stepped over.
+    # The residual starts at -A/2, so the first non-negative sample closes
+    # the bracket.  The scan uses jv, as the residual does, so the polish
+    # sees the same endpoint signs
     n = max(128, int(8.0 * a / w) + 128)
     grid = np.linspace(0.0, 1.0, n + 1)
-    prev_x, prev_g = 0.0, -0.5 * a
-    for x in grid[1:]:
-        cur = g(float(x))
-        if cur == 0.0:
-            return float(x)
-        if prev_g < 0.0 and cur > 0.0:
-            return find_root_bracketed(g, prev_x, float(x), tol)
-        prev_x, prev_g = float(x), cur
-    raise NoSignChangeError(
-        f"xi fixed point not bracketed in [0, 1] for A={a}, omega={w} (residual stays negative)"
+    residual = params.omega0 * jv(1, a * grid / w) - 0.5 * a * (1.0 - grid)
+    up = np.flatnonzero(residual[1:] >= 0.0)
+    if up.size == 0:
+        raise NoSignChangeError(
+            f"xi fixed point not bracketed in [0, 1] for A={a}, omega={w} (residual stays negative)"
+        )
+    i = int(up[0]) + 1
+    if residual[i] == 0.0:
+        return float(grid[i])
+    return find_root_bracketed(
+        lambda xi: xi_fixed_point_residual(params, xi), float(grid[i - 1]), float(grid[i]), tol
     )
 
 

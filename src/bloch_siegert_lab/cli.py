@@ -4,20 +4,16 @@ Every command writes one delimited text block (CSV by default, TSV on
 request) whose first line names the package version, the command, and the
 parameters, and states that all quantities are in units of omega0.  Inputs
 given with a different omega0 are rescaled internally so the outputs stay
-in those units.  Sweep points are dispatched to a thread pool (size from
-BSL_THREADS) and collected in input order, so identical configurations
-produce byte-identical files at any worker count.
+in those units.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,7 +65,7 @@ _METHOD_ORDER = (
 
 
 class ConfigError(ValueError):
-    """A flag value or environment variable does not parse or make sense."""
+    """A flag value does not parse or make sense."""
 
 
 @dataclass(frozen=True)
@@ -116,24 +112,6 @@ def _parse_range(text: str) -> np.ndarray:
     return lo + step * np.arange(count)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("BSL_THREADS")
-    if raw is None:
-        return min(8, os.cpu_count() or 1)
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"BSL_THREADS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ConfigError(f"BSL_THREADS must be >= 1, got {n}")
-    return n
-
-
-def _map_ordered(worker: Callable, points: Sequence) -> List:
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        return list(pool.map(worker, points))
-
-
 def _header(config: RunConfig, detail: str) -> str:
     return (
         f"# bloch-siegert-lab v{__version__}, {config.command}, "
@@ -172,7 +150,7 @@ def cmd_shift_table(config: RunConfig) -> str:
         cells.append("; ".join(notes))
         return cells
 
-    rows = _map_ordered(row, [float(a) for a in amps])
+    rows = [row(float(a)) for a in amps]
     sep = config.sep
     lines = [
         _header(config, f"A-grid={_grid_note(np.asarray(amps))}"),
@@ -217,7 +195,7 @@ def cmd_shift_sweep(config: RunConfig) -> str:
         cells.append("; ".join(notes))
         return cells
 
-    rows = _map_ordered(row, [float(a) for a in amps])
+    rows = [row(float(a)) for a in amps]
     sep = config.sep
     columns = ["a_over_omega0", "shift_floquet"]
     for method in methods:
@@ -249,7 +227,7 @@ def cmd_population(config: RunConfig) -> str:
         except BslError as exc:
             return [_num(w), "", str(exc)]
 
-    rows = _map_ordered(row, [float(w) for w in omegas])
+    rows = [row(float(w)) for w in omegas]
     sep = config.sep
     lines = [
         _header(
@@ -503,6 +481,8 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         kwargs["kappa"] = args.kappa / omega0
         kwargs["omega"] = args.omega / omega0
         kwargs["nus"] = scaled_grid(None, args.nu_range)
+        if args.n_max is not None and (args.n_max < 1 or args.n_max % 2 == 0):
+            raise ConfigError(f"--n-max must be positive and odd, got {args.n_max}")
         kwargs["n_max"] = args.n_max
         kwargs["mode"] = FrameMode(args.mode)
     elif args.command == "validate":
@@ -539,8 +519,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             text, code = cmd_validate(config)
             _write(text, config.out)
             return code
-    except ConfigError as exc:
-        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     except (BslError, ValueError) as exc:
         sys.stderr.write(f"{parser.prog}: numerical failure: {exc}\n")
         return 1

@@ -20,14 +20,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .chrw import ChrwFrame, ModelParams, bessel_argument, dressed_states
 from .errors import ConvergenceError, DegenerateInputError, ValidityWarning
-from .numerics import bessel_j
+from .numerics import bessel_j, bessel_j_sequence
 
 TRUNCATION_EPS = 1e-14
 TRUNCATION_CAP = 61
@@ -41,29 +40,47 @@ def truncation_order(z: float, eps: float = TRUNCATION_EPS, cap: int = TRUNCATIO
     once three consecutive orders are negligible.  Capped because arguments
     this large (z ~ 50) sit far outside the frame's validity anyway.
     """
-    z = abs(z)
-    order = 1
-    while order < cap:
-        tail = max(abs(bessel_j(order - 1, z)), abs(bessel_j(order, z)), abs(bessel_j(order + 1, z)))
-        if tail < eps:
-            return order
-        order += 2
-    return cap
+    j = np.abs(bessel_j_sequence(cap + 1, abs(z)))
+    orders = np.arange(1, cap, 2)
+    tail = np.maximum(np.maximum(j[orders - 1], j[orders]), j[orders + 1])
+    clear = np.flatnonzero(tail < eps)
+    return int(orders[clear[0]]) if clear.size else cap
 
 
 @dataclass(frozen=True)
 class FourierCoefficients:
     """Harmonic coefficients of the transformed raising operator.
 
-    Keys of the three maps are (l, sign) with l positive odd and sign +-1;
-    values are real.  max_order is the truncation: every l beyond it
+    Each map is a real array indexed [sign, harmonic]: row 0 holds
+    signature +1 and row 1 signature -1, column k holds the odd harmonic
+    l = 2k + 1.  max_order is the truncation: every l beyond it
     contributes below TRUNCATION_EPS.
     """
 
     max_order: int
-    f_plus: Dict[Tuple[int, int], float]
-    f_minus: Dict[Tuple[int, int], float]
-    f_z: Dict[Tuple[int, int], float]
+    f_plus: np.ndarray
+    f_minus: np.ndarray
+    f_z: np.ndarray
+
+
+def _harmonic_weights(
+    frame: ChrwFrame, l: np.ndarray, j: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # (f_plus, f_minus, f_z) over odd harmonics l (columns) and signatures
+    # +1, -1 (rows), from j = [J_0(z), J_1(z), ...] reaching order max(l) + 1
+    s = np.array([[1.0], [-1.0]])
+    delta_l1 = np.where(l == 1, 1.0, 0.0)
+    j_lm1 = j[l - 1]
+    j_l = j[l]
+    j_lp1 = j[l + 1]
+    cos2 = math.cos(frame.theta) ** 2
+    sin2 = math.sin(frame.theta) ** 2
+    sin_2t = frame.sin_2theta
+    cos_2t = frame.cos_2theta
+    f_p = -(delta_l1 + s * j_lm1) * cos2 - s * j_lp1 * sin2 - s * j_l * sin_2t
+    f_m = (delta_l1 + s * j_lm1) * sin2 + s * j_lp1 * cos2 - s * j_l * sin_2t
+    f_z = 0.5 * (delta_l1 + s * j_lm1 - s * j_lp1) * sin_2t - s * j_l * cos_2t
+    return f_p, f_m, f_z
 
 
 def fourier_f(frame: ChrwFrame, params: ModelParams, l: int, sign: int) -> Tuple[float, float, float]:
@@ -76,36 +93,34 @@ def fourier_f(frame: ChrwFrame, params: ModelParams, l: int, sign: int) -> Tuple
         raise ValueError(f"harmonic index must be positive odd, got {l}")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    z = bessel_argument(params, frame)
-    s = float(sign)
-    delta_l1 = 1.0 if l == 1 else 0.0
-    j_lm1 = bessel_j(l - 1, z)
-    j_l = bessel_j(l, z)
-    j_lp1 = bessel_j(l + 1, z)
-    cos2 = math.cos(frame.theta) ** 2
-    sin2 = math.sin(frame.theta) ** 2
-    sin_2t = frame.sin_2theta
-    cos_2t = frame.cos_2theta
-    f_p = -(delta_l1 + s * j_lm1) * cos2 - s * j_lp1 * sin2 - s * j_l * sin_2t
-    f_m = (delta_l1 + s * j_lm1) * sin2 + s * j_lp1 * cos2 - s * j_l * sin_2t
-    f_z = 0.5 * (delta_l1 + s * j_lm1 - s * j_lp1) * sin_2t - s * j_l * cos_2t
-    return f_p, f_m, f_z
+    j = bessel_j_sequence(l + 1, bessel_argument(params, frame))
+    row = 0 if sign == 1 else 1
+    f_p, f_m, f_z = _harmonic_weights(frame, np.array([l]), j)
+    return float(f_p[row, 0]), float(f_m[row, 0]), float(f_z[row, 0])
 
 
 def fourier_coefficients(frame: ChrwFrame, params: ModelParams) -> FourierCoefficients:
-    """Tabulate fourier_f over all odd l up to the truncation order."""
+    """Tabulate the harmonic weights over all odd l up to the truncation order."""
     z = bessel_argument(params, frame)
     l_max = truncation_order(z)
-    f_plus: Dict[Tuple[int, int], float] = {}
-    f_minus: Dict[Tuple[int, int], float] = {}
-    f_z: Dict[Tuple[int, int], float] = {}
-    for l in range(1, l_max + 1, 2):
-        for sign in (1, -1):
-            fp, fm, fz = fourier_f(frame, params, l, sign)
-            f_plus[(l, sign)] = fp
-            f_minus[(l, sign)] = fm
-            f_z[(l, sign)] = fz
-    return FourierCoefficients(max_order=l_max, f_plus=f_plus, f_minus=f_minus, f_z=f_z)
+    l = np.arange(1, l_max + 1, 2)
+    f_p, f_m, f_z = _harmonic_weights(frame, l, bessel_j_sequence(l_max + 1, z))
+    return FourierCoefficients(max_order=l_max, f_plus=f_p, f_minus=f_m, f_z=f_z)
+
+
+def _blocks(table: FourierCoefficients) -> np.ndarray:
+    # 2x2 harmonic blocks for n = -L, -L+2, ..., L (L = max_order) in that
+    # order; n > 0 reads signature +1, n < 0 signature -1 with the raising
+    # and lowering weights trading places
+    fz = np.concatenate([table.f_z[1, ::-1], table.f_z[0]])
+    upper = np.concatenate([table.f_minus[1, ::-1], table.f_plus[0]])
+    lower = np.concatenate([table.f_plus[1, ::-1], table.f_minus[0]])
+    stack = np.empty((fz.size, 2, 2), dtype=np.complex128)
+    stack[:, 0, 0] = 0.5 * fz
+    stack[:, 0, 1] = 0.5 * upper
+    stack[:, 1, 0] = 0.5 * lower
+    stack[:, 1, 1] = -0.5 * fz
+    return stack
 
 
 def x_coefficients(
@@ -122,33 +137,9 @@ def x_coefficients(
     """
     if table is None:
         table = fourier_coefficients(frame, params)
-    block = np.zeros((2, 2), dtype=np.complex128)
-    if n == 0 or n % 2 == 0 or abs(n) > table.max_order:
-        return block
-    l = abs(n)
-    if n > 0:
-        fz = table.f_z[(l, 1)]
-        upper = table.f_plus[(l, 1)]
-        lower = table.f_minus[(l, 1)]
-    else:
-        fz = table.f_z[(l, -1)]
-        upper = table.f_minus[(l, -1)]
-        lower = table.f_plus[(l, -1)]
-    block[0, 0] = 0.5 * fz
-    block[0, 1] = 0.5 * upper
-    block[1, 0] = 0.5 * lower
-    block[1, 1] = -0.5 * fz
-    return block
-
-
-def x_minus_coefficients(
-    frame: ChrwFrame,
-    params: ModelParams,
-    n: int,
-    table: Optional[FourierCoefficients] = None,
-) -> np.ndarray:
-    """Transformed sigma_- harmonic: the adjoint relation to x_coefficients."""
-    return x_coefficients(frame, params, -n, table=table).conj().T
+    if n % 2 == 0 or abs(n) > table.max_order:
+        return np.zeros((2, 2), dtype=np.complex128)
+    return _blocks(table)[(n + table.max_order) // 2]
 
 
 def lindblad_tensor(frame: ChrwFrame, params: ModelParams) -> np.ndarray:
@@ -160,12 +151,7 @@ def lindblad_tensor(frame: ChrwFrame, params: ModelParams) -> np.ndarray:
     tensor = np.zeros((2, 2, 2, 2), dtype=np.complex128)
     if params.kappa == 0.0:
         return tensor
-    table = fourier_coefficients(frame, params)
-    blocks = []
-    for n in range(-table.max_order, table.max_order + 1):
-        if n % 2 != 0:
-            blocks.append(x_coefficients(frame, params, n, table=table))
-    stack = np.array(blocks)
+    stack = _blocks(fourier_coefficients(frame, params))
     # with real harmonics the sigma_- blocks are transposes, so the three
     # dissipator contractions reduce to two reusable sums over harmonics
     gram = np.einsum("kal,kml->am", stack, stack)
@@ -374,15 +360,13 @@ def population_time(
     t_arr = np.asarray(t, dtype=float)
     z = bessel_argument(params, frame)
     l_max = truncation_order(z)
+    j = bessel_j_sequence(l_max, z)
+    n = np.arange(1, l_max // 2 + 1)
     cos_2t = frame.cos_2theta
     sin_2t = frame.sin_2theta
-    base = cos_2t * bessel_j(0, z) + sin_2t * bessel_j(1, z)
-    total = np.full(t_arr.shape, base, dtype=float)
-    for n in range(1, l_max // 2 + 1):
-        weight = 2.0 * cos_2t * bessel_j(2 * n, z) + sin_2t * (
-            bessel_j(2 * n + 1, z) - bessel_j(2 * n - 1, z)
-        )
-        total += weight * np.cos(2.0 * n * params.omega * t_arr)
+    base = cos_2t * j[0] + sin_2t * j[1]
+    weight = 2.0 * cos_2t * j[2 * n] + sin_2t * (j[2 * n + 1] - j[2 * n - 1])
+    total = base + np.cos(np.multiply.outer(t_arr, 2.0 * n * params.omega)) @ weight
     return 0.5 * (1.0 + steady.sz_ss * total)
 
 
@@ -478,6 +462,8 @@ def oracle_lindblad(
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size == 0 or np.any(np.diff(t) <= 0.0) or t[0] < 0.0:
         raise ValueError("t_grid must be strictly increasing and non-negative")
+
+    from scipy.integrate import solve_ivp  # the only user; keeps it out of the package import
 
     omega0, amp, omega, kappa = params.omega0, params.amplitude, params.omega, params.kappa
     v0 = np.array(

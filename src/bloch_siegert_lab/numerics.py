@@ -1,9 +1,11 @@
-"""Self-contained special functions and scalar solvers.
+"""Bessel functions and bracketed scalar solvers.
 
-Everything downstream (frame construction, resonance searches, rate
-tensors) funnels through the Bessel evaluator and the two bracketed
-scalar solvers defined here, so they are kept dependency-free and are
-cross-checked against scipy in the test suite.
+Every J_n in the package comes from scipy.special, through bessel_j and
+bessel_j_sequence here or through scipy.special.jv over an array.  The one
+exception is bessel_j0_minus_1, whose small-argument series keeps J_0 - 1
+free of cancellation, which scipy does not offer.  The root finder is a
+plain Brent's method: scipy.optimize would do the same work but costs a
+noticeable import on every start-up.
 """
 
 from __future__ import annotations
@@ -14,14 +16,11 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from scipy.special import jn_zeros, jv
 
 from .errors import ConvergenceError, DomainError, NoSignChangeError
 
 _EPS = float(np.finfo(float).eps)
-
-# series/recurrence crossover for |x|; below this the alternating power
-# series converges without destructive cancellation
-_SERIES_CUTOFF = 8.0
 
 
 @dataclass(frozen=True)
@@ -49,81 +48,22 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def _bessel_series(n: int, x: float) -> float:
-    # ascending series sum_k (-1)^k (x/2)^(n+2k) / (k! (n+k)!), |x| < 8
-    half = 0.5 * x
-    if half == 0.0:  # includes subnormal x that underflows the halving
-        return 1.0 if n == 0 else 0.0
-    # leading term via logs so large n cannot overflow the intermediate power
-    log_t0 = n * math.log(half) - math.lgamma(n + 1.0)
-    if log_t0 < -745.0:  # underflows to zero in double precision
-        return 0.0
-    term = math.exp(log_t0)
-    total = term
-    q = half * half
-    for k in range(400):
-        term *= -q / ((k + 1.0) * (n + k + 1.0))
-        total += term
-        if abs(term) <= 1e-17 * abs(total) + 5e-324:
-            return total
-    raise ConvergenceError(f"Bessel series stalled at n={n}, x={x}")
-
-
-def _bessel_downward(n_max: int, x: float) -> np.ndarray:
-    # Miller's algorithm: recur J_{k-1} = (2k/x) J_k - J_{k+1} downward from
-    # a seed far above max(n_max, x), then scale with 1 = J0 + 2 sum J_{2m}
-    m = max(n_max, int(math.ceil(x))) + 50
-    m += m & 1
-    out = np.zeros(n_max + 1)
-    jp = 0.0
-    jc = 1e-30
-    norm = 0.0
-    for k in range(m, 0, -1):
-        jm = (2.0 * k / x) * jc - jp
-        jp = jc
-        jc = jm
-        order = k - 1
-        if order <= n_max:
-            out[order] = jc
-        if order >= 2 and order % 2 == 0:
-            norm += 2.0 * jc
-        if abs(jc) > 1e250:
-            jc *= 1e-250
-            jp *= 1e-250
-            norm *= 1e-250
-            out *= 1e-250
-    norm += jc  # jc now holds the unscaled J0
-    return out / norm
-
-
 def bessel_j_sequence(n_max: int, x: float) -> np.ndarray:
     """Return ``array([J_0(x), ..., J_{n_max}(x)])`` in one pass."""
     if n_max < 0:
         raise DomainError(f"order must be >= 0, got {n_max}")
     if not math.isfinite(x):
         raise DomainError(f"argument must be finite, got {x}")
-    ax = abs(x)
-    if ax < _SERIES_CUTOFF:
-        vals = np.array([_bessel_series(n, ax) for n in range(n_max + 1)])
-    else:
-        vals = _bessel_downward(n_max, ax)
-    if x < 0.0:
-        vals = vals * np.where(np.arange(n_max + 1) % 2 == 0, 1.0, -1.0)
-    return vals
+    return jv(np.arange(n_max + 1), x)
 
 
 def bessel_j(n: int, x: float) -> float:
     """Bessel function of the first kind J_n(x) for integer n >= 0."""
     if n != int(n) or n < 0:
         raise DomainError(f"order must be a nonnegative integer, got {n}")
-    n = int(n)
     if not math.isfinite(x):
         raise DomainError(f"argument must be finite, got {x}")
-    sign = -1.0 if (x < 0.0 and n % 2 == 1) else 1.0
-    ax = abs(x)
-    if ax < _SERIES_CUTOFF:
-        return sign * _bessel_series(n, ax)
-    return sign * float(_bessel_downward(n, ax)[n])
+    return float(jv(int(n), x))
 
 
 def bessel_j0_minus_1(x: float) -> float:
@@ -153,10 +93,8 @@ def bessel_j0_minus_1(x: float) -> float:
 
 @lru_cache(maxsize=1)
 def first_bessel_j0_zero() -> float:
-    """Smallest positive zero of J_0, found by root bracketing on [2, 3]."""
-    return find_root_bracketed(
-        lambda t: bessel_j(0, t), 2.0, 3.0, Tolerance(1e-15, 1e-15, 200)
-    )
+    """Smallest positive zero of J_0."""
+    return float(jn_zeros(0, 1)[0])
 
 
 def find_root_bracketed(

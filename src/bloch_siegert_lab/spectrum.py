@@ -69,7 +69,13 @@ def initial_conditions(
     state: a saturated steady state (all components zero) gives zero weight
     and the sideband family disappears.
     """
-    f_p, f_m, f_z = chat_coefficients(frame, params, n)
+    return _commutator_seed(chat_coefficients(frame, params, n), steady)
+
+
+def _commutator_seed(
+    weights: Tuple[float, float, float], steady: SteadyState
+) -> Tuple[complex, complex, complex]:
+    f_p, f_m, f_z = weights
     sz = steady.sz_ss
     sp = steady.splus_ss
     sm = steady.sminus_ss
@@ -195,9 +201,10 @@ def spectrum(
     rate_set = rates(frame, params)
     steady = steady_state(rate_set, frame.rabi_tilde)
     values = np.zeros_like(nu)
-    for n in range(1, n_max + 1, 2):
-        f_p, f_m, f_z = chat_coefficients(frame, params, n)
-        init = initial_conditions(frame, params, steady, n)
+    for k, n in enumerate(range(1, n_max + 1, 2)):
+        # positive-signature weights of harmonic n, as chat_coefficients gives them
+        f_p, f_m, f_z = table.f_plus[0, k], table.f_minus[0, k], table.f_z[0, k]
+        init = _commutator_seed((f_p, f_m, f_z), steady)
         p = -1j * (nu - n * params.omega)
         g_plus, g_minus, g_z = laplace_g(rate_set, frame.rabi_tilde, init, p)
         values += 0.25 * np.real(f_p * g_minus + f_m * g_plus + f_z * g_z)

@@ -33,7 +33,6 @@ from bloch_siegert_lab.dissipative import (
     steady_state,
     truncation_order,
     x_coefficients,
-    x_minus_coefficients,
 )
 from bloch_siegert_lab.errors import DegenerateInputError, ValidityWarning
 from bloch_siegert_lab.numerics import bessel_j
@@ -42,6 +41,10 @@ from bloch_siegert_lab.resonance import bs_chrw
 # a moderately strong working point used for most frozen pins: drive as large
 # as the splitting, frequency near the shifted resonance for this amplitude
 P_STRONG = ModelParams(omega0=1.0, amplitude=1.0, omega=1.063268, kappa=2e-3)
+
+# a much stronger drive pumped at omega0: Bessel argument z ~ 14.6 and
+# truncation L = 43, where every harmonic table column carries weight
+P_STRONGEST = ModelParams(omega0=1.0, amplitude=15.0, omega=1.0, kappa=2e-3)
 
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -118,8 +121,20 @@ class TestFourierF:
         table = fourier_coefficients(fr, P_STRONG)
         assert table.max_order == 13
         assert bessel_argument(P_STRONG, fr) == pytest.approx(0.4918022766296485, abs=1e-12)
-        keys = set(table.f_plus)
-        assert keys == {(l, s) for l in range(1, 14, 2) for s in (1, -1)}
+        # rows: signature +1, -1; columns: l = 1, 3, ..., 13
+        for weights in (table.f_plus, table.f_minus, table.f_z):
+            assert weights.shape == (2, 7)
+
+    def test_table_matches_single_harmonics_at_strong_drive(self):
+        fr = build_frame(P_STRONGEST)
+        table = fourier_coefficients(fr, P_STRONGEST)
+        assert table.max_order == 43
+        assert bessel_argument(P_STRONGEST, fr) == pytest.approx(14.6, abs=1e-3)
+        for l in range(1, table.max_order + 1, 2):
+            for row, sign in enumerate((1, -1)):
+                k = (l - 1) // 2
+                want = (table.f_plus[row, k], table.f_minus[row, k], table.f_z[row, k])
+                assert fourier_f(fr, P_STRONGEST, l, sign) == want, (l, sign)
 
     @pytest.mark.parametrize("l,sign", [(0, 1), (2, 1), (-1, 1), (1, 0), (1, 2)])
     def test_rejects_bad_indices(self, l, sign):
@@ -154,12 +169,18 @@ class TestXCoefficients:
     def test_against_harmonic_integral(self):
         # the analytic blocks against a brute-force Fourier integral of the
         # conjugated operator, every relevant index class: positive,
-        # negative, beyond-leading, and the even ones that must vanish
-        fr = build_frame(P_STRONG)
-        for n in (1, -1, 3, -3, 5, 0, 2, -4):
-            block = x_coefficients(fr, P_STRONG, n)
-            oracle = _harmonic_integral(P_STRONG, fr, n)
-            np.testing.assert_allclose(block, oracle, atol=1e-10)
+        # negative, beyond-leading, and the even ones that must vanish; at
+        # the strongest drive also high harmonics up to the truncation
+        low = (1, -1, 3, -3, 5, 0, 2, -4)
+        for params, harmonics in (
+            (P_STRONG, low),
+            (P_STRONGEST, low + (15, -15, 21, -29, 43, -43)),
+        ):
+            fr = build_frame(params)
+            for n in harmonics:
+                block = x_coefficients(fr, params, n)
+                oracle = _harmonic_integral(params, fr, n)
+                np.testing.assert_allclose(block, oracle, atol=1e-10, err_msg=f"n={n}")
 
     def test_completeness(self):
         # summing the harmonic series back up must reproduce the operator
@@ -182,13 +203,6 @@ class TestXCoefficients:
         table = fourier_coefficients(fr, P_STRONG)
         for n in (0, 2, -6, table.max_order + 2, -(table.max_order + 2)):
             assert np.all(x_coefficients(fr, P_STRONG, n, table=table) == 0.0)
-
-    def test_lowering_blocks_are_adjoints(self):
-        fr = build_frame(P_STRONG)
-        for n in (1, -1, 3, -5):
-            lower = x_minus_coefficients(fr, P_STRONG, n)
-            raise_opp = x_coefficients(fr, P_STRONG, -n)
-            np.testing.assert_allclose(lower, raise_opp.conj().T, atol=0.0)
 
     def test_rwa_single_block(self):
         p = ModelParams(omega0=1.0, amplitude=0.3, omega=1.1, kappa=1e-3)

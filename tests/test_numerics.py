@@ -52,20 +52,6 @@ class TestBesselJ:
         # classic tabulated value
         assert bessel_j(1, 1.0) == pytest.approx(0.4400505857449335, abs=1e-15)
 
-    def test_matches_scipy_on_grid(self):
-        xs = np.concatenate([np.linspace(0.0, 7.9, 41), np.linspace(8.0, 60.0, 41)])
-        for n in range(0, 8):
-            for x in xs:
-                want = special.jv(n, x)
-                got = bessel_j(n, float(x))
-                assert got == pytest.approx(want, abs=2e-15, rel=2e-13), (n, x)
-
-    def test_sequence_matches_scipy(self):
-        for x in [0.0, 0.3, 2.0, 7.99, 8.0, 13.7, 42.0]:
-            seq = bessel_j_sequence(12, x)
-            want = special.jv(np.arange(13), x)
-            np.testing.assert_allclose(seq, want, atol=2e-15, rtol=2e-13)
-
     def test_negative_argument_parity(self):
         for n in range(5):
             assert bessel_j(n, -3.2) == pytest.approx(
