@@ -41,6 +41,9 @@ from .spectrum import (
 
 TABLE_GRID = (1.0, 3.5, 6.0, 8.5, 11.0, 13.5, 16.0, 18.5, 21.0)
 
+# largest grid a range flag may ask for
+MAX_GRID_POINTS = 1_000_000
+
 # frozen regression reference for the shift table: (floquet, chrw, shirley,
 # asymptotic) per drive amplitude.  cmd_validate recomputes and compares.
 REFERENCE_SHIFTS = {
@@ -106,9 +109,15 @@ def _parse_range(text: str) -> np.ndarray:
         lo, hi, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"range {text!r} has non-numeric parts") from exc
+    if not all(math.isfinite(x) for x in (lo, hi, step)):
+        raise ConfigError(f"range {text!r} must be finite")
     if step <= 0.0 or hi < lo:
         raise ConfigError(f"range {text!r} needs step > 0 and hi >= lo")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    span = (hi - lo) / step
+    if not span < MAX_GRID_POINTS:
+        # also an overflowed span; refuse before allocating the grid
+        raise ConfigError(f"range {text!r} has more than {MAX_GRID_POINTS} points")
+    count = int(math.floor(span + 1e-9)) + 1
     return lo + step * np.arange(count)
 
 
@@ -253,6 +262,11 @@ def cmd_spectrum(config: RunConfig) -> str:
         # keep the lowest of the 1101 probe points above nu = 0
         half = min(2.2 * frame.rabi_tilde, config.omega * 1100.0 / 1101.0)
         nus = np.linspace(config.omega - half, config.omega + half, 1101)
+        if not np.all(np.diff(nus) > 0.0):
+            raise ConfigError(
+                f"the default probe window, pump +- 2.2 dressed splittings, is empty "
+                f"(splitting {_num(frame.rabi_tilde)}); give the probe grid with --nu-range"
+            )
     trace = spectrum(params, nus, mode=config.mode, n_max=config.n_max)
     sep = config.sep
     lines = [
@@ -459,6 +473,11 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
             return _parse_range(rng) / omega0
         return None
 
+    for flag in ("A", "kappa", "omega"):
+        value = getattr(args, flag, None)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"--{flag} must be finite, got {value}")
+
     kwargs = dict(command=args.command, omega0=omega0, out=args.out, fmt=args.format)
     if args.command in ("shift-table", "shift-sweep"):
         kwargs["amplitudes"] = scaled_grid(args.A, args.A_range)
@@ -475,8 +494,8 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         kwargs["omegas"] = scaled_grid(None, args.omega_range)
         kwargs["mode"] = FrameMode(args.mode)
     elif args.command == "spectrum":
-        if args.A < 0.0 or args.kappa <= 0.0:
-            raise ConfigError("spectrum needs A >= 0 and kappa > 0")
+        if args.A < 0.0 or args.kappa <= 0.0 or args.omega <= 0.0:
+            raise ConfigError("spectrum needs A >= 0, kappa > 0 and omega > 0")
         kwargs["amplitude"] = args.A / omega0
         kwargs["kappa"] = args.kappa / omega0
         kwargs["omega"] = args.omega / omega0
@@ -504,9 +523,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _config_from(args)
-    except ConfigError as exc:
-        parser.exit(2, f"{parser.prog}: error: {exc}\n")
-    try:
         if config.command == "shift-table":
             _write(cmd_shift_table(config), config.out)
         elif config.command == "shift-sweep":
@@ -519,6 +535,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             text, code = cmd_validate(config)
             _write(text, config.out)
             return code
+    except ConfigError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     except (BslError, ValueError) as exc:
         sys.stderr.write(f"{parser.prog}: numerical failure: {exc}\n")
         return 1

@@ -7,8 +7,10 @@ dissipator becomes time-dependent through the transformed lowering operator.
 Expanding that operator in drive harmonics and keeping only the co-rotating
 (n + n' = 0) pairs leaves a constant-coefficient master equation whose whole
 content is a rank-4 tensor over the dressed indices, and ultimately six
-scalar rates.  Validity requires the dressed splitting to dominate the decay
-(rabi_tilde >> kappa); callers get a ValidityWarning when it does not.
+scalar rates.  rates sums those six directly over the harmonic table;
+lindblad_tensor keeps the full tensor as their reference.  Validity
+requires the dressed splitting to dominate the decay (rabi_tilde >>
+kappa); callers get a ValidityWarning when it does not.
 
 oracle_lindblad integrates the untransformed lab-frame equation directly and
 serves as the module's ground truth in tests; it shares no code with the
@@ -108,18 +110,24 @@ def fourier_coefficients(frame: ChrwFrame, params: ModelParams) -> FourierCoeffi
     return FourierCoefficients(max_order=l_max, f_plus=f_p, f_minus=f_m, f_z=f_z)
 
 
-def _blocks(table: FourierCoefficients) -> np.ndarray:
-    # 2x2 harmonic blocks for n = -L, -L+2, ..., L (L = max_order) in that
+def _block_entries(table: FourierCoefficients) -> np.ndarray:
+    # rows (u, p, q) = (f_z, upper, lower) / 2 of the 2x2 harmonic blocks
+    # [[u, p], [q, -u]] for n = -L, -L+2, ..., L (L = max_order) in that
     # order; n > 0 reads signature +1, n < 0 signature -1 with the raising
     # and lowering weights trading places
     fz = np.concatenate([table.f_z[1, ::-1], table.f_z[0]])
     upper = np.concatenate([table.f_minus[1, ::-1], table.f_plus[0]])
     lower = np.concatenate([table.f_plus[1, ::-1], table.f_minus[0]])
-    stack = np.empty((fz.size, 2, 2), dtype=np.complex128)
-    stack[:, 0, 0] = 0.5 * fz
-    stack[:, 0, 1] = 0.5 * upper
-    stack[:, 1, 0] = 0.5 * lower
-    stack[:, 1, 1] = -0.5 * fz
+    return 0.5 * np.stack([fz, upper, lower])
+
+
+def _blocks(table: FourierCoefficients) -> np.ndarray:
+    u, p, q = _block_entries(table)
+    stack = np.empty((u.size, 2, 2), dtype=np.complex128)
+    stack[:, 0, 0] = u
+    stack[:, 0, 1] = p
+    stack[:, 1, 0] = q
+    stack[:, 1, 1] = -u
     return stack
 
 
@@ -196,8 +204,25 @@ class RateSet:
 
 
 def rates(frame: ChrwFrame, params: ModelParams) -> RateSet:
-    """Rate constants of the transformed master equation."""
-    return RateSet.from_tensor(lindblad_tensor(frame, params))
+    """Rate constants of the transformed master equation, as closed harmonic sums."""
+    return _rates_from_table(fourier_coefficients(frame, params), params.kappa)
+
+
+def _rates_from_table(table: FourierCoefficients, kappa: float) -> RateSet:
+    # RateSet.from_tensor(lindblad_tensor(...)) as closed sums: each rate is
+    # kappa times harmonic sums of products of two block entries, so one Gram
+    # matrix of the block rows (u, p, q) holds them all
+    entries = _block_entries(table)
+    gram = kappa * (entries @ entries.T)
+    (uu, up, uq), (_, pp, pq), (_, _, qq) = gram
+    return RateSet(
+        gamma_z=complex(pp + qq),
+        gamma_0=complex(pp - qq),
+        gamma_1=complex(-0.5 * (up + uq)),
+        gamma_2=complex(uq - up),
+        gamma_minus=complex(-pq),
+        gamma_plus=complex(0.5 * (4.0 * uu + pp + qq)),
+    )
 
 
 def bloch_generator(rate_set: RateSet, rabi_tilde: float) -> Tuple[np.ndarray, np.ndarray]:

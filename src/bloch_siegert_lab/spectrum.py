@@ -6,8 +6,10 @@ two-time commutator, and the regression theorem turns that into the same
 dressed Bloch equations that give the populations, now with commutator
 initial data and no source term.  The Laplace-domain solution is a trio of
 rational functions g_+/g_-/g_z sharing one cubic denominator; the spectrum
-sums their real parts over the odd sideband families, the n-th family
-centered at n times the pump frequency.
+sums their weighted real parts over the odd sideband families, the n-th
+family centered at n times the pump frequency.  Each family's weights are
+applied to the numerator coefficients first, so a trace evaluates one
+rational per family.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ from .chrw import ChrwFrame, FrameMode, ModelParams, build_frame
 from .dissipative import (
     RateSet,
     SteadyState,
+    _rates_from_table,
+    bloch_generator,
     fourier_coefficients,
     fourier_f,
-    rates,
     steady_state,
 )
 from .errors import GridError, PoleError, ValidityWarning
@@ -85,21 +88,72 @@ def _commutator_seed(
     return complex(x0), complex(y0), complex(z0)
 
 
+def _response_coefficients(
+    rate_set: RateSet, rabi_tilde: float, init: Tuple[complex, complex, complex]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Coefficients of the response rationals, highest power of p first.
+
+    (g_+, g_-, g_z) = adj(p - M) init / det(p - M) for the dressed Bloch
+    generator M.  Returns the cubic det(p - M) (four coefficients, leading
+    one) and a 3x3 array of quadratic numerators, one row each for g_+,
+    g_-, g_z.
+    """
+    m, _ = bloch_generator(rate_set, rabi_tilde)
+    # Faddeev-LeVerrier: det(p - M) = p^3 + c2 p^2 + c1 p + c0 from the power
+    # sums t_k = tr M^k, and adj(p - M) init = init p^2 + v1 p + v0
+    m2 = m @ m
+    t1, t2, t3 = m.trace(), m2.trace(), np.sum(m2 * m.T)
+    c2 = -t1
+    c1 = -0.5 * (t2 + c2 * t1)
+    c0 = -(t3 + c2 * t2 + c1 * t1) / 3.0
+    y0 = np.array(init, dtype=np.complex128)
+    v1 = m @ y0 + c2 * y0
+    v0 = m @ v1 + c1 * y0
+    return np.array([1.0, c2, c1, c0]), np.array([y0, v1, v0]).T
+
+
+def _horner(coeffs: np.ndarray, p: np.ndarray) -> np.ndarray:
+    # in place: on long probe grids fresh temporaries cost more than the arithmetic
+    acc = coeffs[0] * p
+    acc += coeffs[1]
+    for c in coeffs[2:]:
+        acc *= p
+        acc += c
+    return acc
+
+
+def _checked_denominator(
+    den: np.ndarray, rate_set: RateSet, rabi_tilde: float, p: np.ndarray
+) -> np.ndarray:
+    """The cubic denominator at p; PoleError where it vanishes on its own scale.
+
+    Every pole sits strictly in the left half-plane once kappa > 0, so the
+    error can only be tripped by probing an undamped system exactly on its
+    free-precession pole.
+    """
+    values = _horner(den, p)
+    rate_scale = (
+        abs(rate_set.gamma_1)
+        + abs(rate_set.gamma_minus)
+        + abs(rate_set.gamma_plus)
+        + abs(rate_set.gamma_z)
+    )
+    # cube by multiplication: an array ** 3 goes through pow() point by point
+    bound = np.abs(p)
+    bound += abs(rabi_tilde) + rate_scale
+    bound *= bound * bound
+    bound *= 1e-14
+    bad = np.abs(values) < bound
+    if np.any(bad):
+        where = p[bad].ravel()[0] if np.ndim(p) else p
+        raise PoleError(f"response denominator vanishes at p = {where}")
+    return values
+
+
 def response_denominator(rate_set: RateSet, rabi_tilde: float, p: np.ndarray) -> np.ndarray:
     """Cubic characteristic polynomial of the dressed Bloch generator at p."""
-    g1 = rate_set.gamma_1
-    gm = rate_set.gamma_minus
-    gp = rate_set.gamma_plus
-    gz = rate_set.gamma_z
-    r2 = rabi_tilde * rabi_tilde
-    p = np.asarray(p, dtype=np.complex128)
-    return (
-        p**3
-        + p**2 * (gz + 2.0 * gp)
-        + p * (r2 - 4.0 * g1 * g1 - gm * gm + gp * gp + 2.0 * gp * gz)
-        + 4.0 * g1 * g1 * (gm - gp)
-        + (r2 - gm * gm + gp * gp) * gz
-    )
+    den, _ = _response_coefficients(rate_set, rabi_tilde, (0j, 0j, 0j))
+    return _horner(den, np.asarray(p, dtype=np.complex128))
 
 
 def laplace_g(
@@ -110,41 +164,15 @@ def laplace_g(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Laplace-domain homogeneous Bloch response (g_+, g_-, g_z) at p.
 
-    Closed-form rationals over the shared cubic denominator; vectorized over
-    p.  Every pole sits strictly in the left half-plane once kappa > 0, so a
-    PoleError can only be tripped by probing an undamped system exactly on
-    its free-precession pole.
+    Three quadratics over the shared cubic denominator, each evaluated by
+    Horner's rule; vectorized over p.  Raises PoleError only for an
+    undamped system probed exactly on its free-precession pole.
     """
-    x0, y0, z0 = init
-    g1 = rate_set.gamma_1
-    gm = rate_set.gamma_minus
-    gp = rate_set.gamma_plus
-    gz = rate_set.gamma_z
     p = np.asarray(p, dtype=np.complex128)
-    denom = response_denominator(rate_set, rabi_tilde, p)
-    rate_scale = abs(g1) + abs(gm) + abs(gp) + abs(gz)
-    scale = (np.abs(p) + abs(rabi_tilde) + rate_scale) ** 3
-    bad = np.abs(denom) < 1e-14 * scale
-    if np.any(bad):
-        where = p[bad].ravel()[0] if np.ndim(p) else p
-        raise PoleError(f"response denominator vanishes at p = {where}")
-    iw = 1j * rabi_tilde
-    num_plus = (
-        x0 * ((p + gp + iw) * (p + gz) - 2.0 * g1 * g1)
-        + y0 * (2.0 * g1 * g1 - gm * (p + gz))
-        - g1 * z0 * (p + iw - gm + gp)
-    )
-    num_minus = (
-        y0 * ((p + gp - iw) * (p + gz) - 2.0 * g1 * g1)
-        + x0 * (2.0 * g1 * g1 - gm * (p + gz))
-        - g1 * z0 * (p - iw - gm + gp)
-    )
-    num_z = (
-        z0 * ((p + gp) ** 2 + rabi_tilde * rabi_tilde - gm * gm)
-        - 2.0 * g1 * x0 * (p + iw - gm + gp)
-        - 2.0 * g1 * y0 * (p - iw - gm + gp)
-    )
-    return num_plus / denom, num_minus / denom, num_z / denom
+    den, num = _response_coefficients(rate_set, rabi_tilde, init)
+    denom = _checked_denominator(den, rate_set, rabi_tilde, p)
+    g_plus, g_minus, g_z = (_horner(row, p) / denom for row in num)
+    return g_plus, g_minus, g_z
 
 
 def default_sideband_count(nu_max: float, omega: float, l_max: int) -> int:
@@ -198,16 +226,20 @@ def spectrum(
             f"nu_grid extends to {np.max(nu):.4g}, beyond the coverage "
             f"(n_max + 2) * omega = {(n_max + 2) * params.omega:.4g}"
         )
-    rate_set = rates(frame, params)
+    rate_set = _rates_from_table(table, params.kappa)
     steady = steady_state(rate_set, frame.rabi_tilde)
     values = np.zeros_like(nu)
     for k, n in enumerate(range(1, n_max + 1, 2)):
         # positive-signature weights of harmonic n, as chat_coefficients gives them
         f_p, f_m, f_z = table.f_plus[0, k], table.f_minus[0, k], table.f_z[0, k]
         init = _commutator_seed((f_p, f_m, f_z), steady)
+        den, num = _response_coefficients(rate_set, frame.rabi_tilde, init)
+        # f_p g_- + f_m g_+ + f_z g_z is one rational: contract the numerators first
+        weighted = np.array([f_m, f_p, f_z]) @ num
         p = -1j * (nu - n * params.omega)
-        g_plus, g_minus, g_z = laplace_g(rate_set, frame.rabi_tilde, init, p)
-        values += 0.25 * np.real(f_p * g_minus + f_m * g_plus + f_z * g_z)
+        response = _horner(weighted, p)
+        response /= _checked_denominator(den, rate_set, frame.rabi_tilde, p)
+        values += 0.25 * response.real
     if normalization is Normalization.PEAK_UNIT:
         peak = float(np.max(np.abs(values)))
         if peak > 0.0:

@@ -33,7 +33,15 @@ class TestParseRange:
         assert len(grid) == 11
         assert grid[-1] == pytest.approx(2.0, abs=1e-12)
 
-    @pytest.mark.parametrize("text", ["1:2", "1:2:0", "2:1:0.5", "a:b:c", "1:2:-0.1", ""])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1:2", "1:2:0", "2:1:0.5", "a:b:c", "1:2:-0.1", "",
+            "nan:1:0.5", "0:inf:0.5", "1:1.1:nan",
+            # too many points, the first by overflow: rejected before allocating
+            "0:1e300:1e-300", "0:1:1e-7",
+        ],
+    )
     def test_rejects_malformed(self, text):
         with pytest.raises(ConfigError):
             _parse_range(text)
@@ -172,6 +180,19 @@ class TestSpectrum:
         assert nu[0] > 0.0
         assert np.all(np.isfinite(values))
 
+    def test_printed_cells_pinned(self, capsys):
+        # four printed cells of the strong-drive trace at omega0, frozen at
+        # nine digits: first, peak (row 800 of 1101), last, and the footer
+        code, out = _run(capsys, ["spectrum", "--A", "0.4"])
+        assert code == 0
+        lines = out.strip().split("\n")
+        body = lines[2:-1]
+        assert len(body) == 1101
+        assert body[0] == "0.560552652,0.00031853957"
+        assert body[800] == "1.19974879,1"
+        assert body[-1] == "1.43944735,0.000395456407"
+        assert lines[-1] == "# asymmetry_metric(center=1) = 0.933022532"
+
     def test_explicit_grid_without_center_reports_reason(self, capsys):
         # a probe grid that misses the pump frequency cannot be scored; the
         # footer must say why instead of failing the whole trace
@@ -220,12 +241,34 @@ class TestExitCodes:
             ["spectrum", "--A", "0.1", "--kappa", "0"],
             ["spectrum", "--n-max", "2"],
             ["spectrum", "--n-max", "0"],
+            # the default window of 2.2 dressed splittings is empty here
+            ["spectrum", "--A", "0"],
+            ["shift-table", "--A-range", "nan:1:0.5"],
+            ["shift-table", "--A-range", "0:inf:0.5"],
+            ["shift-table", "--A-range", "0:1e300:1e-300"],
+            ["population", "--omega-range", "1:1.1:nan"],
+            ["shift-table", "--A", "nan"],
+            ["population", "--A", "nan"],
+            ["spectrum", "--A", "nan"],
+            ["population", "--kappa", "inf"],
+            ["spectrum", "--kappa", "inf"],
+            ["spectrum", "--omega", "nan"],
+            ["spectrum", "--omega", "0"],
+            ["spectrum", "--omega", "-1"],
         ],
     )
-    def test_bad_arguments_exit_two(self, argv):
+    def test_bad_arguments_exit_two(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+    def test_empty_default_window_asks_for_probe_grid(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["spectrum", "--A", "0"])
+        assert "--nu-range" in capsys.readouterr().err
 
     def test_per_point_failure_becomes_diagnostic(self, capsys):
         # drive inside a band where the frame fixed point does not exist:

@@ -297,6 +297,31 @@ class TestRates:
             vals.append(rates(fr, p).gamma_0.real)
         assert vals[0] * vals[1] < 0.0
 
+    @pytest.mark.parametrize("mode", [FrameMode.CHRW, FrameMode.RWA])
+    @pytest.mark.parametrize(
+        "p",
+        [ModelParams(omega0=1.0, amplitude=0.1, omega=1.0, kappa=2e-3), P_STRONG, P_STRONGEST],
+        ids=["A0.1", "A1", "A15"],
+    )
+    def test_closed_sums_match_tensor(self, p, mode):
+        # the closed-sum rates against the full rank-4 dissipator they reduce;
+        # A = 15 at omega0 runs every harmonic up to L = 43
+        fr = build_frame(p, mode=mode)
+        got = rates(fr, p)
+        want = RateSet.from_tensor(lindblad_tensor(fr, p))
+        tol = 1e-15 * abs(want.gamma_z)
+        for name in ("gamma_z", "gamma_0", "gamma_1", "gamma_2", "gamma_minus", "gamma_plus"):
+            assert abs(getattr(got, name) - getattr(want, name)) <= tol, name
+
+    def test_closed_sums_vanish_without_decay(self):
+        for amp in (0.1, 15.0):
+            p = ModelParams(omega0=1.0, amplitude=amp, omega=1.0, kappa=0.0)
+            rs = rates(build_frame(p), p)
+            assert all(
+                getattr(rs, name) == 0.0
+                for name in ("gamma_z", "gamma_0", "gamma_1", "gamma_2", "gamma_minus", "gamma_plus")
+            )
+
     def test_from_tensor_roundtrip(self):
         fr = build_frame(P_STRONG)
         tensor = lindblad_tensor(fr, P_STRONG)

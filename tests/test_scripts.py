@@ -1,0 +1,31 @@
+"""Smoke runs of the experiment scripts at small sizes."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("population_peak_scan", ["--points", "21", "--amps", "0.1"]),
+        ("spectrum_panel", ["--points", "201"]),
+        ("shift_methods_scan", ["--amp-min", "1", "--amp-max", "2", "--amp-step", "1"]),
+    ],
+)
+def test_script_writes_csv(name, argv, tmp_path, capsys):
+    out = tmp_path / f"{name}.csv"
+    assert _load(name).main(argv + ["--out", str(out)]) == 0
+    rows = out.read_text(encoding="utf-8").strip().split("\n")
+    assert len(rows) > 1
+    assert "wrote" in capsys.readouterr().out

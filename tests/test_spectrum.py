@@ -292,6 +292,29 @@ class TestSpectrum:
         rel = np.max(np.abs(tr1.values - tr2.values)) / np.max(np.abs(tr1.values))
         assert rel < 1e-8
 
+    @pytest.mark.parametrize("mode", [FrameMode.CHRW, FrameMode.RWA])
+    @pytest.mark.parametrize("amp", [0.05, 0.1, 0.2, 0.4, 1.0, 2.0])
+    def test_raw_trace_is_sum_of_laplace_kernels(self, amp, mode):
+        # the trace contracts each sideband's three rationals into one; the
+        # per-sideband sum of the separate kernels, written out here, must agree
+        shift = bs_chrw(1.0, amp).shift
+        for pump in (1.0, 1.0 + shift, 1.0 + 2.0 * shift):
+            p = ModelParams(omega0=1.0, amplitude=amp, omega=pump, kappa=2e-3)
+            fr = build_frame(p, mode=mode)
+            half = min(2.2 * fr.rabi_tilde, 0.9 * pump)
+            grid = np.linspace(pump - half, pump + half, 801)
+            tr = spectrum(p, grid, mode=mode, normalization=Normalization.RAW)
+            rs = rates(fr, p)
+            ss = steady_state(rs, fr.rabi_tilde)
+            expected = np.zeros_like(grid)
+            for n in range(1, tr.n_max + 1, 2):
+                f_p, f_m, f_z = chat_coefficients(fr, p, n)
+                init = initial_conditions(fr, p, ss, n)
+                g_plus, g_minus, g_z = laplace_g(rs, fr.rabi_tilde, init, -1j * (grid - n * pump))
+                expected += 0.25 * np.real(f_p * g_minus + f_m * g_plus + f_z * g_z)
+            peak = np.max(np.abs(expected))
+            assert np.max(np.abs(tr.values - expected)) <= 1e-12 * peak
+
     def test_default_sideband_count(self):
         assert default_sideband_count(1.2, 1.0, 13) == 3
         assert default_sideband_count(4.5, 1.0, 13) == 7
