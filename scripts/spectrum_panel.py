@@ -12,20 +12,22 @@ import argparse
 import csv
 from pathlib import Path
 
-import numpy as np
-
 from bloch_siegert_lab.chrw import ModelParams, build_frame
+from bloch_siegert_lab.errors import BslError
 from bloch_siegert_lab.resonance import bs_chrw
-from bloch_siegert_lab.spectrum import asymmetry_metric, spectrum
+from bloch_siegert_lab.spectrum import asymmetry_metric, default_probe_grid, spectrum
 
 
 def trace_at(amp: float, pump: float, kappa: float, n: int):
+    """Trace on the probe window `bsl spectrum` uses by default, and its
+    asymmetry metric, or None and the reason where it cannot be computed."""
     params = ModelParams(omega0=1.0, amplitude=amp, omega=pump, kappa=kappa)
     frame = build_frame(params)
-    half = 2.2 * frame.rabi_tilde
-    nus = np.linspace(pump - half, pump + half, n)
-    tr = spectrum(params, nus, mode=frame.mode)
-    return tr, asymmetry_metric(tr, pump)
+    tr = spectrum(params, default_probe_grid(pump, frame.rabi_tilde, n), mode=frame.mode)
+    try:
+        return tr, asymmetry_metric(tr, pump), ""
+    except BslError as exc:
+        return tr, None, str(exc)
 
 
 def main(argv=None) -> int:
@@ -53,11 +55,12 @@ def main(argv=None) -> int:
         writer = csv.writer(fh)
         writer.writerow(["setting", "pump", "nu", "S"])
         for label, pump in settings:
-            tr, metric = trace_at(args.amplitude, pump, args.kappa, args.points)
+            tr, metric, why = trace_at(args.amplitude, pump, args.kappa, args.points)
             panels.append((label, pump, tr, metric))
             for nu, val in zip(tr.nu_grid, tr.values):
                 writer.writerow([label, f"{pump:.9g}", f"{nu:.9g}", f"{val:.9g}"])
-            print(f"{label:>13}: pump {pump:.7f}, asymmetry {metric:.3e}")
+            summary = f"{metric:.3e}" if metric is not None else f"unavailable: {why}"
+            print(f"{label:>13}: pump {pump:.7f}, asymmetry {summary}")
     print(f"wrote traces to {args.out}")
 
     if args.plot:
@@ -72,7 +75,8 @@ def main(argv=None) -> int:
         for ax, (label, pump, tr, metric) in zip(axes, panels):
             ax.plot(tr.nu_grid - pump, tr.values)
             ax.axvline(0.0, color="0.7", lw=0.8)
-            ax.set_title(f"{label} ({metric:.2e})", fontsize=10)
+            note = f"{metric:.2e}" if metric is not None else "unavailable"
+            ax.set_title(f"{label} ({note})", fontsize=10)
             ax.set_xlabel("nu - pump")
         axes[0].set_ylabel("S (peak-normalized)")
         fig.tight_layout()

@@ -19,16 +19,10 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import jv
+from scipy.special import j1
 
 from .errors import DegenerateInputError, DomainError, NoSignChangeError
-from .numerics import (
-    DEFAULT_TOL,
-    Tolerance,
-    bessel_j,
-    bessel_j0_minus_1,
-    find_root_bracketed,
-)
+from .numerics import DEFAULT_TOL, Tolerance, bessel_j0_minus_1, find_root_bracketed
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -102,7 +96,7 @@ class ChrwFrame:
 
 def xi_fixed_point_residual(params: ModelParams, xi: float) -> float:
     """Residual omega0*J1(A xi/omega) - (A/2)(1 - xi) of the xi equation."""
-    return params.omega0 * bessel_j(1, params.amplitude * xi / params.omega) - 0.5 * params.amplitude * (1.0 - xi)
+    return params.omega0 * float(j1(params.amplitude * xi / params.omega)) - 0.5 * params.amplitude * (1.0 - xi)
 
 
 def solve_xi(params: ModelParams, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -126,11 +120,11 @@ def solve_xi(params: ModelParams, tol: Tolerance = DEFAULT_TOL) -> float:
     # J1(A xi / omega) oscillates in xi with period 2*pi*omega/A; sample it
     # well enough that the first upward crossing cannot be stepped over.
     # The residual starts at -A/2, so the first non-negative sample closes
-    # the bracket.  The scan uses jv, as the residual does, so the polish
+    # the bracket.  The scan uses j1, as the residual does, so the polish
     # sees the same endpoint signs
     n = max(128, int(8.0 * a / w) + 128)
     grid = np.linspace(0.0, 1.0, n + 1)
-    residual = params.omega0 * jv(1, a * grid / w) - 0.5 * a * (1.0 - grid)
+    residual = params.omega0 * j1(a * grid / w) - 0.5 * a * (1.0 - grid)
     up = np.flatnonzero(residual[1:] >= 0.0)
     if up.size == 0:
         raise NoSignChangeError(

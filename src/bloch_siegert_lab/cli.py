@@ -34,6 +34,7 @@ from .resonance import Method, bs_chrw, resonance_shift
 from .spectrum import (
     Normalization,
     asymmetry_metric,
+    default_probe_grid,
     initial_conditions,
     laplace_g,
     spectrum,
@@ -259,9 +260,7 @@ def cmd_spectrum(config: RunConfig) -> str:
         nus = config.nus
     else:
         frame = build_frame(params, mode=config.mode)
-        # keep the lowest of the 1101 probe points above nu = 0
-        half = min(2.2 * frame.rabi_tilde, config.omega * 1100.0 / 1101.0)
-        nus = np.linspace(config.omega - half, config.omega + half, 1101)
+        nus = default_probe_grid(config.omega, frame.rabi_tilde, 1101)
         if not np.all(np.diff(nus) > 0.0):
             raise ConfigError(
                 f"the default probe window, pump +- 2.2 dressed splittings, is empty "

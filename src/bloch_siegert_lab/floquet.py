@@ -14,13 +14,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz, dstein
 
 from .chrw import ModelParams
-from .errors import BranchAmbiguityError, NonUnitaryError, TruncationWarning
+from .errors import BranchAmbiguityError, ConvergenceError, NonUnitaryError, TruncationWarning
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -202,6 +202,43 @@ def pbar(params: ModelParams, n_trunc: Optional[int] = None) -> float:
     return solve_floquet(params, n_trunc).pbar
 
 
+def _chain_eigenpair(diag: np.ndarray, off: np.ndarray, index: int) -> tuple[float, np.ndarray]:
+    """Eigenvalue number index (ascending, from 0) of a symmetric tridiagonal
+    matrix and its unit eigenvector.
+
+    Calls the two LAPACK routines eigh_tridiagonal(select='i') runs, dstebz
+    bisection (range 'I', block order, abstol 0) then dstein inverse
+    iteration, with the same arguments, so the results are bitwise the
+    same without its argument checks and driver lookup.
+    """
+    m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, index + 1, index + 1, 0.0, "B")
+    if info != 0:
+        raise ConvergenceError(f"dstebz bisection for eigenvalue {index} failed (info={info})")
+    vecs, info = dstein(diag, off, w[:m], iblock, isplit)
+    if info != 0:
+        raise ConvergenceError(f"dstein inverse iteration for eigenvalue {index} failed (info={info})")
+    return float(w[0]), vecs[:, 0]
+
+
+def _chain_slope_fn(omega0: float, amplitude: float, n_trunc: int) -> Callable[[float], float]:
+    """chain_slope as a function of s, with the parts that do not depend on
+    s built once."""
+    # site i holds l = i - n_trunc: up sites (even l) start at i = n_trunc % 2
+    up = n_trunc % 2
+    down = 1 - up
+    base = np.arange(-n_trunc, n_trunc + 1, dtype=float)
+    base[down::2] -= 1.0
+    off = np.full(2 * n_trunc, 0.25 * amplitude)
+
+    def slope(s: float) -> float:
+        diag = base * (omega0 + s)
+        diag[down::2] += s
+        _, vec = _chain_eigenpair(diag, off, n_trunc)
+        return float(np.sum(vec[up::2] ** 2)) - 0.5
+
+    return slope
+
+
 def chain_slope(omega0: float, amplitude: float, s: float, n_trunc: int) -> float:
     """dq/domega0 of the lower resonant branch at drive omega = omega0 + s.
 
@@ -213,14 +250,10 @@ def chain_slope(omega0: float, amplitude: float, s: float, n_trunc: int) -> floa
     is detuned by exactly s.  A tridiagonal matrix with nonzero
     off-diagonals has no crossings, so eigenvalue n_trunc is always the
     lower member of that pair and its slope changes sign at resonance.
+    That one eigenpair comes from LAPACK dstebz bisection and dstein
+    inverse iteration; a failure of either raises ConvergenceError.
     """
-    omega = omega0 + s
-    ls = np.arange(-n_trunc, n_trunc + 1)
-    up = ls % 2 == 0
-    diag = np.where(up, ls * omega, (ls - 1) * omega + s)
-    off = np.full(2 * n_trunc, 0.25 * amplitude)
-    _, vec = eigh_tridiagonal(diag, off, select="i", select_range=(n_trunc, n_trunc))
-    return float(np.sum(vec[up, 0] ** 2)) - 0.5
+    return _chain_slope_fn(omega0, amplitude, n_trunc)(s)
 
 
 def branch_gap(params: ModelParams, n_trunc: Optional[int] = None) -> float:

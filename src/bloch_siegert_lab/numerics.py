@@ -1,9 +1,12 @@
 """Bessel functions and bracketed scalar solvers.
 
 Every J_n in the package comes from scipy.special, through bessel_j and
-bessel_j_sequence here or through scipy.special.jv over an array.  The one
-exception is bessel_j0_minus_1, whose small-argument series keeps J_0 - 1
-free of cancellation, which scipy does not offer.  The root finder is a
+bessel_j_sequence here or through scipy.special.jv over an array, except in
+the CHRW xi equation: chrw evaluates its J_1 with the Cephes
+scipy.special.j1, some twenty times cheaper than the AMOS jv, in both its
+grid scan and its residual so the two agree on every sign.  The one value
+scipy does not offer is bessel_j0_minus_1, whose small-argument series
+keeps J_0 - 1 free of cancellation.  The root finder is a
 plain Brent's method: scipy.optimize would do the same work but costs a
 noticeable import on every start-up.
 """

@@ -28,7 +28,7 @@ import numpy as np
 
 from .chrw import ModelParams, solve_xi
 from .errors import ConvergenceError, NoSignChangeError
-from .floquet import chain_slope, default_truncation
+from .floquet import _chain_slope_fn, default_truncation
 from .numerics import (
     Tolerance,
     bessel_j,
@@ -77,6 +77,9 @@ class ShiftResult:
 # purely relative; weak drives (shift ~ A^2/16) stay fully resolved.
 _SHIFT_TOL = Tolerance(abs_tol=1e-18, rel_tol=1e-14, max_iter=300)
 _XI_TOL = Tolerance(abs_tol=1e-22, rel_tol=2e-16, max_iter=200)
+# the Shirley iteration stops on the same relative rule; its sweep budget
+# is what ends the map's slow contraction at strong drive (A ~ 100)
+_SHIRLEY_TOL = Tolerance(abs_tol=1e-18, rel_tol=1e-14, max_iter=200)
 
 
 def _trivial_result(method: Method, omega0: float) -> ShiftResult:
@@ -213,7 +216,10 @@ def bs_asymptotic(omega0: float, amplitude: float) -> ShiftResult:
     )
 
 
-def _shirley_rhs(omega0: float, amplitude: float, omega: float) -> float:
+def _shirley_shift_rhs(omega0: float, amplitude: float, shift: float) -> float:
+    """Right-hand side of the crossing condition minus omega0, at
+    omega = omega0 + shift; its fixed point is the shift itself."""
+    omega = omega0 + shift
     a2 = amplitude * amplitude
     s = omega + omega0
     term2 = omega * a2 / (4.0 * s * s)
@@ -227,44 +233,44 @@ def _shirley_rhs(omega0: float, amplitude: float, omega: float) -> float:
         - 8.0 * omega0**5
     )
     term6 = poly * a2**3 / (256.0 * s**6 * (9.0 * omega * omega - omega0 * omega0) ** 2)
-    return omega0 + term2 + term4 + term6
+    return term2 + term4 + term6
 
 
 def _damped_fixed_point(
-    g: Callable[[float], float], start: float, tol: Tolerance
+    g: Callable[[float], float], omega0: float, start: float, tol: Tolerance
 ) -> tuple[float, int]:
-    """Fixed point of g by damped iteration with backtracking.
+    """Fixed point shift = g(shift) by damped iteration with backtracking.
 
-    Full steps omega <- g(omega) whenever they shrink the defect
-    |g(omega) - omega|; otherwise the update is halved, restarting from
+    Full steps shift <- g(shift) whenever they shrink the defect
+    |g(shift) - shift|; otherwise the update is halved, restarting from
     the current iterate, until the defect decreases.  Monotone in the
-    defect, so it cannot orbit.
+    defect, so it cannot orbit.  Iterates stay at omega0 + shift > 0.
     """
-    omega = start
+    shift = start
     evals = 0
     for _ in range(tol.max_iter):
-        target = g(omega)
+        target = g(shift)
         evals += 1
-        defect = target - omega
-        if abs(defect) <= tol.abs_tol + tol.rel_tol * abs(omega):
+        defect = target - shift
+        if abs(defect) <= tol.abs_tol + tol.rel_tol * abs(shift):
             return target, evals
         alpha = 1.0
         for _ in range(60):
-            cand = omega + alpha * defect
+            cand = shift + alpha * defect
             cand_defect = g(cand) - cand
             evals += 1
-            if cand > 0.0 and math.isfinite(cand_defect) and abs(cand_defect) < abs(defect):
-                omega = cand
+            if omega0 + cand > 0.0 and math.isfinite(cand_defect) and abs(cand_defect) < abs(defect):
+                shift = cand
                 break
             alpha *= 0.5
         else:
             raise ConvergenceError(
-                f"fixed-point backtracking stalled at omega={omega:.6g} "
+                f"fixed-point backtracking stalled at omega={omega0 + shift:.6g} "
                 f"(defect {defect:.3e})"
             )
     raise ConvergenceError(
         f"fixed-point iteration did not settle in {tol.max_iter} sweeps "
-        f"(omega={omega:.6g})"
+        f"(omega={omega0 + shift:.6g})"
     )
 
 
@@ -278,30 +284,34 @@ def bs_shirley_iterative(
     quadratic truncation (globally tame) is iterated from omega0 to get
     into the basin, then the full sixth-order map is iterated from there.
     Both stages damp with backtracking whenever a step grows the defect.
+    Both iterate the shift s = omega - omega0 rather than omega, so a weak
+    drive's shift (~A^2/16) is not rounded to the ulp of omega0, and the
+    default stopping rule is relative to the shift.
     """
     if amplitude == 0.0:
         return _trivial_result(Method.SHIRLEY, omega0)
     if tol is None:
-        tol = Tolerance(abs_tol=1e-14, rel_tol=1e-14, max_iter=200)
+        tol = _SHIRLEY_TOL
 
-    def g_quadratic(omega: float) -> float:
+    def g_quadratic(shift: float) -> float:
+        omega = omega0 + shift
         s = omega + omega0
-        return omega0 + omega * amplitude * amplitude / (4.0 * s * s)
+        return omega * amplitude * amplitude / (4.0 * s * s)
 
-    def g_full(omega: float) -> float:
-        return _shirley_rhs(omega0, amplitude, omega)
+    def g_full(shift: float) -> float:
+        return _shirley_shift_rhs(omega0, amplitude, shift)
 
     seed_tol = Tolerance(
         abs_tol=1e-6 * omega0, rel_tol=1e-6, max_iter=tol.max_iter
     )
-    seed, it1 = _damped_fixed_point(g_quadratic, omega0, seed_tol)
-    omega_res, it2 = _damped_fixed_point(g_full, seed, tol)
+    seed, it1 = _damped_fixed_point(g_quadratic, omega0, 0.0, seed_tol)
+    shift, it2 = _damped_fixed_point(g_full, omega0, seed, tol)
     return ShiftResult(
         method=Method.SHIRLEY,
         omega0=omega0,
         amplitude=amplitude,
-        shift=omega_res - omega0,
-        residual=abs(_shirley_rhs(omega0, amplitude, omega_res) - omega_res),
+        shift=shift,
+        residual=abs(g_full(shift) - shift),
         iterations=it1 + it2,
     )
 
@@ -321,12 +331,13 @@ def bs_floquet_numeric(omega0: float, amplitude: float) -> ShiftResult:
     n_trunc = default_truncation(
         ModelParams(omega0=omega0, amplitude=amplitude, omega=omega0 + s_lo)
     )
+    slope = _chain_slope_fn(omega0, amplitude, n_trunc)
     evals = 0
 
     def f(s: float) -> float:
         nonlocal evals
         evals += 1
-        return chain_slope(omega0, amplitude, s, n_trunc)
+        return slope(s)
 
     root = find_root_bracketed(f, s_lo, s_hi, _SHIFT_TOL)
     return ShiftResult(
@@ -334,7 +345,7 @@ def bs_floquet_numeric(omega0: float, amplitude: float) -> ShiftResult:
         omega0=omega0,
         amplitude=amplitude,
         shift=root,
-        residual=abs(chain_slope(omega0, amplitude, root, n_trunc)),
+        residual=abs(slope(root)),
         iterations=evals,
     )
 

@@ -184,6 +184,17 @@ def default_sideband_count(nu_max: float, omega: float, l_max: int) -> int:
     return min(n, l_max)
 
 
+def default_probe_grid(pump: float, rabi_tilde: float, n_points: int) -> np.ndarray:
+    """Probe grid of n_points over pump +- 2.2 dressed splittings.
+
+    Past a splitting of pump/2.2 the window is narrowed so that its lowest
+    point stays at nu = pump/n_points > 0, where spectrum is defined.  A
+    zero splitting gives an empty window: every point sits at the pump.
+    """
+    half = min(2.2 * rabi_tilde, pump * (n_points - 1) / n_points)
+    return np.linspace(pump - half, pump + half, n_points)
+
+
 def spectrum(
     params: ModelParams,
     nu_grid: np.ndarray,

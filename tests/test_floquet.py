@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from bloch_siegert_lab.chrw import ModelParams, build_frame
-from bloch_siegert_lab.errors import TruncationWarning
+from bloch_siegert_lab import floquet
+from bloch_siegert_lab.errors import ConvergenceError, TruncationWarning
 from bloch_siegert_lab.floquet import (
     average_transition_probability,
     branch_gap,
@@ -224,6 +226,34 @@ class TestParityChain:
         above = chain_slope(1.0, 6.0, s_res + 1e-3, n)
         assert below < 0.0 < above
         assert abs(chain_slope(1.0, 6.0, s_res, n)) < 1e-8
+
+    @pytest.mark.parametrize("n", [25, 45, 120])
+    @pytest.mark.parametrize(
+        "a, s", [(0.1, 0.0), (0.1, 1e-3), (6.0, 1.6), (6.0, 1.7), (21.0, 7.0), (21.0, 8.5)]
+    )
+    def test_slope_equals_eigh_tridiagonal(self, n, a, s):
+        # the direct LAPACK calls are the ones eigh_tridiagonal(select='i')
+        # makes, so the slope must match it bit for bit on both sides of
+        # resonance
+        omega = 1.0 + s
+        ls = np.arange(-n, n + 1)
+        up = ls % 2 == 0
+        diag = np.where(up, ls * omega, (ls - 1) * omega + s)
+        off = np.full(2 * n, 0.25 * a)
+        _, vec = eigh_tridiagonal(diag, off, select="i", select_range=(n, n))
+        assert chain_slope(1.0, a, s, n) == float(np.sum(vec[up, 0] ** 2)) - 0.5
+
+    @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+    def test_lapack_failure_raises_convergence_error(self, monkeypatch, routine):
+        real = getattr(floquet, routine)
+
+        def failing(*args):
+            *out, _ = real(*args)
+            return (*out, 1)
+
+        monkeypatch.setattr(floquet, routine, failing)
+        with pytest.raises(ConvergenceError, match=routine):
+            chain_slope(1.0, 6.0, 1.6, 25)
 
 
 class TestAverages:

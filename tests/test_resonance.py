@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from bloch_siegert_lab import resonance
@@ -74,6 +75,18 @@ class TestChrw:
         assert abs(r.residual) < 1e-9
         assert r.iterations > 0
 
+    def test_whole_drive_range(self):
+        # every A from weak to strong drive finds its root.  At weak drive
+        # the CHRW shift and the series differ by O((A/4)^4) relative, below
+        # 1e-15; what remains is the root search stopping at |f| <= 1e-18,
+        # measured at up to 9.0e-12 relative (A = 8.3e-4)
+        for a in np.logspace(-6.0, 3.0, 300):
+            shift = bs_chrw(1.0, float(a)).shift
+            assert math.isfinite(shift) and shift > -1.0
+            if a <= 1e-3:
+                want = bs_perturbative6(1.0, float(a)).shift
+                assert shift == pytest.approx(want, rel=2e-11, abs=0.0)
+
 
 class TestFloquetNumeric:
     @pytest.mark.parametrize("a, want", [(a, fl) for a, fl, _, _, _ in SHIFT_TABLE])
@@ -88,7 +101,7 @@ class TestFloquetNumeric:
     def test_weak_drive_matches_series(self, a):
         # the series is off by O((A/4)^8) here, far below the bound
         want = bs_perturbative6(1.0, a).shift
-        assert bs_floquet_numeric(1.0, a).shift == pytest.approx(want, rel=1e-9)
+        assert bs_floquet_numeric(1.0, a).shift == pytest.approx(want, rel=1e-9, abs=0.0)
 
     def test_independent_of_chrw(self, monkeypatch):
         # the reference must not lean on the method it judges
@@ -113,6 +126,13 @@ class TestShirley:
     def test_iteration_count_reported(self):
         r = bs_shirley_iterative(1.0, 11.0)
         assert r.iterations > 0
+
+    @pytest.mark.parametrize("a", [1e-6, 1e-5, 1e-4, 1e-3, 1e-2])
+    def test_weak_drive_matches_series(self, a):
+        # both are sixth order in A/4, so they differ by O((A/4)^8): far
+        # below the bound, which catches a shift rounded to ulp(omega0)
+        want = bs_perturbative6(1.0, a).shift
+        assert bs_shirley_iterative(1.0, a).shift == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 class TestPerturbative6:
