@@ -12,52 +12,22 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, validation
 from .chrw import FrameMode, ModelParams, build_frame
-from .dissipative import (
-    bloch_generator,
-    observation_grid,
-    oracle_lindblad,
-    population_avg,
-    rates,
-    steady_state,
-)
+from .dissipative import population_avg, rates
 from .errors import BslError
-from .floquet import branch_gap, monodromy_gap
-from .resonance import Method, bs_chrw, resonance_shift
-from .spectrum import (
-    Normalization,
-    asymmetry_metric,
-    default_probe_grid,
-    initial_conditions,
-    laplace_g,
-    spectrum,
-)
+from .resonance import Method, resonance_shift
+from .spectrum import asymmetry_metric, default_probe_grid, spectrum
 
-TABLE_GRID = (1.0, 3.5, 6.0, 8.5, 11.0, 13.5, 16.0, 18.5, 21.0)
+TABLE_GRID = tuple(validation.PAPER_TABLE)
 
 # largest grid a range flag may ask for
 MAX_GRID_POINTS = 1_000_000
-
-# frozen regression reference for the shift table: (floquet, chrw, shirley,
-# asymptotic) per drive amplitude.  cmd_validate recomputes and compares.
-REFERENCE_SHIFTS = {
-    1.0: (0.06322372370711205, 0.06326799039042291, 0.06322785032109457, None),
-    3.5: (0.707959029458106, 0.7161996572978351, 0.7123198932197092, 0.45540702060468297),
-    6.0: (1.6418085520328152, 1.6499237876137913, 1.6504821228482558, 1.4949834638937425),
-    8.5: (2.637786768883715, 2.6400751009745655, 2.639255307082245, 2.5345599071828016),
-    11.0: (3.653739766630732, 3.652351276608821, 3.64137332547707, 3.5741363504718606),
-    13.5: (4.6785024677789515, 4.675270524830445, 4.650383951314492, 4.61371279376092),
-    16.0: (5.7079191676937535, 5.703825196728453, 5.664601976513379, 5.65328923704998),
-    18.5: (6.740093092435891, 6.735636870353876, 6.6831903922562015, 6.692865680339039),
-    21.0: (7.774035265640546, 7.769473873711136, 7.705491929626756, 7.732442123628099),
-}
 
 _METHOD_ORDER = (
     Method.FLOQUET,
@@ -290,111 +260,15 @@ def cmd_spectrum(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_table_regression(quick: bool) -> Tuple[bool, str]:
-    amps = (1.0, 6.0) if quick else tuple(REFERENCE_SHIFTS)
-    worst = 0.0
-    for amp in amps:
-        ref_floquet, ref_chrw, ref_shirley, ref_asym = REFERENCE_SHIFTS[amp]
-        checks = [
-            (Method.FLOQUET, ref_floquet),
-            (Method.CHRW, ref_chrw),
-            (Method.SHIRLEY, ref_shirley),
-        ]
-        if ref_asym is not None:
-            checks.append((Method.ASYMPTOTIC, ref_asym))
-        for method, ref in checks:
-            got = resonance_shift(method, 1.0, amp).shift
-            worst = max(worst, abs(got - ref))
-    return worst < 2e-5, f"worst |shift - reference| = {worst:.3e} (tol 2e-05)"
-
-
-def _check_floquet_convergence(floquet_n: Optional[int]) -> Tuple[bool, str]:
-    params = ModelParams(omega0=1.0, amplitude=10.0, omega=1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        matrix_gap = branch_gap(params, n_trunc=floquet_n)
-    reference = monodromy_gap(params, steps_per_period=3000)
-    diff = abs(matrix_gap - reference)
-    label = "default truncation" if floquet_n is None else f"injected truncation N={floquet_n}"
-    return diff < 1e-6, f"{label}: |matrix gap - monodromy gap| = {diff:.3e} (tol 1e-06)"
-
-
-def _check_monodromy(quick: bool) -> Tuple[bool, str]:
-    points = [(2.0, 1.3)] if quick else [(1.0, 1.0), (4.0, 1.5), (8.0, 2.0)]
-    worst = 0.0
-    for amp, w in points:
-        params = ModelParams(omega0=1.0, amplitude=amp, omega=w)
-        diff = abs(branch_gap(params) - monodromy_gap(params))
-        worst = max(worst, diff)
-    return worst < 1e-8, f"worst |matrix gap - monodromy gap| = {worst:.3e} (tol 1e-08)"
-
-
-def _check_lindblad_oracle() -> Tuple[bool, str]:
-    shift = bs_chrw(1.0, 0.1)
-    params = ModelParams(omega0=1.0, amplitude=0.1, omega=shift.omega_res, kappa=2e-3)
-    frame = build_frame(params)
-    closed = population_avg(frame, params, rates(frame, params))
-    grid = observation_grid(params, settle_factor=25.0, periods=10)
-    ground = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-    rho = oracle_lindblad(params, ground, grid)
-    direct = float(np.trapezoid(rho[:, 0, 0].real, grid) / (grid[-1] - grid[0]))
-    rel = abs(direct - closed) / closed
-    return rel < 0.02, f"averaged population: closed {closed:.6f} vs oracle {direct:.6f}, rel {rel:.2e} (tol 2e-02)"
-
-
-def _check_laplace_quadrature(quick: bool) -> Tuple[bool, str]:
-    shift = bs_chrw(1.0, 0.1)
-    params = ModelParams(omega0=1.0, amplitude=0.1, omega=shift.omega_res, kappa=2e-3)
-    frame = build_frame(params)
-    rate_set = rates(frame, params)
-    steady = steady_state(rate_set, frame.rabi_tilde)
-    init = initial_conditions(frame, params, steady, 1)
-    generator, _ = bloch_generator(rate_set, frame.rabi_tilde)
-    dt = 0.25
-    horizon = 25.0 / min(rate_set.gamma_plus.real, rate_set.gamma_z.real)
-    steps = int(round(horizon / dt))
-    if steps % 2:
-        steps += 1
-    ts = np.arange(steps + 1) * dt
-    traj = np.empty((steps + 1, 3), dtype=complex)
-    y = np.array(init, dtype=complex)
-    traj[0] = y
-    for i in range(steps):
-        k1 = generator @ y
-        k2 = generator @ (y + 0.5 * dt * k1)
-        k3 = generator @ (y + 0.5 * dt * k2)
-        k4 = generator @ (y + dt * k3)
-        y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        traj[i + 1] = y
-    simpson = np.ones(steps + 1)
-    simpson[1:-1:2] = 4.0
-    simpson[2:-1:2] = 2.0
-    rng = np.random.default_rng(20240817)
-    worst = 0.0
-    for _ in range(3 if quick else 8):
-        nu = params.omega + rng.uniform(-0.1, 0.1)
-        p = -1j * (nu - params.omega)
-        quad = (dt / 3.0) * ((simpson * np.exp(-p * ts))[:, None] * traj).sum(axis=0)
-        closed = np.array(laplace_g(rate_set, frame.rabi_tilde, init, p))
-        worst = max(worst, float(np.max(np.abs(quad - closed)) / np.max(np.abs(closed))))
-    return worst < 1e-6, f"worst quadrature-vs-closed rel = {worst:.3e} (tol 1e-06)"
-
-
 def cmd_validate(config: RunConfig) -> Tuple[str, int]:
-    """Cross-check the independent computation routes; report pass/fail."""
-    checks: List[Tuple[str, Callable[[], Tuple[bool, str]]]] = [
-        ("table-regression", lambda: _check_table_regression(config.quick)),
-        ("floquet-convergence", lambda: _check_floquet_convergence(config.floquet_n)),
-        ("laplace-vs-quadrature", lambda: _check_laplace_quadrature(config.quick)),
-    ]
-    if not config.quick:
-        checks.insert(2, ("monodromy-vs-matrix", lambda: _check_monodromy(False)))
-        checks.append(("lindblad-oracle", _check_lindblad_oracle))
+    """Run the check registry; report pass/fail per check."""
+    checks = validation.checks(config.quick, config.floquet_n)
     lines = [f"# bloch-siegert-lab v{__version__}, validate, quick={config.quick}"]
     failures = 0
-    for name, runner in checks:
+    for name, run in checks:
         try:
-            ok, detail = runner()
+            result = run()
+            ok, detail = result.ok, result.report()
         except BslError as exc:
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
@@ -451,7 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run the oracle cross-checks and regression table")
     _add_common(p)
-    p.add_argument("--quick", action="store_true", help="subset finishing in under a minute")
+    p.add_argument("--quick", action="store_true",
+                   help="run only table-regression, floquet-convergence and "
+                        "laplace-vs-quadrature, at reduced size")
     p.add_argument("--floquet-N", type=int, default=None, dest="floquet_n",
                    help="override the Floquet truncation in the convergence check")
 
@@ -504,6 +380,8 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         kwargs["n_max"] = args.n_max
         kwargs["mode"] = FrameMode(args.mode)
     elif args.command == "validate":
+        if args.floquet_n is not None and args.floquet_n < 0:
+            raise ConfigError(f"--floquet-N must be non-negative, got {args.floquet_n}")
         kwargs["quick"] = args.quick
         kwargs["floquet_n"] = args.floquet_n
     return RunConfig(**kwargs)

@@ -13,8 +13,9 @@ requires the dressed splitting to dominate the decay (rabi_tilde >>
 kappa); callers get a ValidityWarning when it does not.
 
 oracle_lindblad integrates the untransformed lab-frame equation directly and
-serves as the module's ground truth in tests; it shares no code with the
-rate construction.
+serves as the module's ground truth for transients; it shares no code with
+the rate construction.  The steady-state ground truth is
+floquet.periodic_steady_state.
 """
 
 from __future__ import annotations
@@ -293,9 +294,8 @@ def bloch_evolve(
     """Dressed Bloch trajectory, rows (sz, s_plus, s_minus) per grid time.
 
     The generator is constant, so the trajectory is the exact affine
-    propagation by eigendecomposition; there is no stepper and no
-    accumulation of local error.  `initial` is ordered (sz, s_plus,
-    s_minus) and so are the output rows.
+    propagation by eigendecomposition (_affine_trajectory).  `initial` is
+    ordered (sz, s_plus, s_minus) and so are the output rows.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
@@ -320,31 +320,34 @@ def bloch_evolve(
                 stacklevel=2,
             )
     sz0, sp0, sm0 = initial
-    y0 = np.array([sp0, sm0, sz0], dtype=np.complex128)
     m, b = bloch_generator(rate_set, rabi_tilde)
+    traj = _affine_trajectory(m, b, np.array([sp0, sm0, sz0], dtype=np.complex128), t)
+    return traj[:, [2, 0, 1]]
+
+
+def _affine_trajectory(m: np.ndarray, b: np.ndarray, y0: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Exact solution of dy/dt = M y + b from y(0) = y0, one row per time in t.
+
+    M is constant, so the trajectory follows from one eigendecomposition of
+    M: there is no stepper and no accumulation of local error.
+    """
     evals, evecs = np.linalg.eig(m)
     if np.min(np.abs(evals)) > 1e-300:
         y_fix = np.linalg.solve(m, -b)
         coeffs = np.linalg.solve(evecs, y0 - y_fix)
         modes = np.exp(np.outer(t, evals)) * coeffs
-        traj = modes @ evecs.T + y_fix
-    else:
-        # singular generator (kappa = 0 edge): propagate the homogeneous
-        # part exactly and add the drift integral mode by mode
-        coeffs = np.linalg.solve(evecs, y0)
-        beta = np.linalg.solve(evecs, b)
-        phases = np.exp(np.outer(t, evals))
-        drift = np.where(
-            np.abs(evals) > 1e-300,
-            (phases - 1.0) / np.where(np.abs(evals) > 1e-300, evals, 1.0),
-            t[:, None],
-        )
-        traj = (phases * coeffs + drift * beta) @ evecs.T
-    out = np.empty((t.size, 3), dtype=np.complex128)
-    out[:, 0] = traj[:, 2]
-    out[:, 1] = traj[:, 0]
-    out[:, 2] = traj[:, 1]
-    return out
+        return modes @ evecs.T + y_fix
+    # singular generator (kappa = 0 edge): propagate the homogeneous part
+    # exactly and add the drift integral mode by mode
+    coeffs = np.linalg.solve(evecs, y0)
+    beta = np.linalg.solve(evecs, b)
+    phases = np.exp(np.outer(t, evals))
+    drift = np.where(
+        np.abs(evals) > 1e-300,
+        (phases - 1.0) / np.where(np.abs(evals) > 1e-300, evals, 1.0),
+        t[:, None],
+    )
+    return (phases * coeffs + drift * beta) @ evecs.T
 
 
 def population_avg(frame: ChrwFrame, params: ModelParams, rate_set: RateSet) -> float:
@@ -441,24 +444,6 @@ def dressed_to_lab_population(
     u = _transform(params, frame, t)
     rho_lab = u.conj().T @ rho_tilde @ u
     return float(rho_lab[0, 0].real)
-
-
-def observation_grid(
-    params: ModelParams,
-    settle_factor: float = 25.0,
-    periods: int = 20,
-    samples_per_period: int = 96,
-) -> np.ndarray:
-    """Time grid spanning an integer number of cycles after transients die.
-
-    Starts at settle_factor decay times, rounded up to a period boundary so
-    that windowed averages over the grid cover whole cycles.
-    """
-    if params.kappa <= 0.0:
-        raise DegenerateInputError("observation window needs kappa > 0")
-    period = 2.0 * math.pi / params.omega
-    start = math.ceil(settle_factor / (params.kappa * period)) * period
-    return np.linspace(start, start + periods * period, periods * samples_per_period + 1)
 
 
 def oracle_lindblad(

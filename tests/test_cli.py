@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from bloch_siegert_lab.cli import (
-    REFERENCE_SHIFTS,
     TABLE_GRID,
     ConfigError,
     RunConfig,
@@ -12,6 +11,7 @@ from bloch_siegert_lab.cli import (
     cmd_shift_table,
     main,
 )
+from bloch_siegert_lab.validation import PAPER_TABLE
 
 
 def _run(capsys, argv):
@@ -80,7 +80,7 @@ class TestShiftTable:
         assert "," not in out.split("\n")[2]
 
     def test_default_grid_matches_reference_amplitudes(self):
-        assert TABLE_GRID == tuple(sorted(REFERENCE_SHIFTS))
+        assert TABLE_GRID == tuple(sorted(PAPER_TABLE))
         config = RunConfig(command="shift-table")
         table = cmd_shift_table(config)
         rows = table.strip().split("\n")[2:]
@@ -91,7 +91,7 @@ class TestShiftTable:
             cells = row.split(",")
             assert cells[0] == f"{amp:.9g}"
             assert all(cells[i] for i in (1, 2, 3))
-            assert bool(cells[4]) == (REFERENCE_SHIFTS[amp][3] is not None)
+            assert bool(cells[4]) == (PAPER_TABLE[amp][3] is not None)
 
 
 class TestShiftSweep:
@@ -213,10 +213,11 @@ class TestValidate:
         assert all(line.startswith("PASS") for line in lines[1:-1])
 
     def test_injected_bad_truncation_fails(self, capsys):
-        code, out = _run(capsys, ["validate", "--quick", "--floquet-N", "2"])
-        assert code == 1
-        assert "FAIL floquet-convergence" in out
-        assert "2/3 checks passed" in out
+        for n in ("0", "2"):
+            code, out = _run(capsys, ["validate", "--quick", "--floquet-N", n])
+            assert code == 1
+            assert "FAIL floquet-convergence" in out
+            assert "2/3 checks passed" in out
 
 
 class TestIO:
@@ -255,6 +256,7 @@ class TestExitCodes:
             ["spectrum", "--omega", "nan"],
             ["spectrum", "--omega", "0"],
             ["spectrum", "--omega", "-1"],
+            ["validate", "--floquet-N", "-1"],
         ],
     )
     def test_bad_arguments_exit_two(self, argv, capsys):

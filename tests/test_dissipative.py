@@ -24,7 +24,6 @@ from bloch_siegert_lab.dissipative import (
     fourier_coefficients,
     fourier_f,
     lindblad_tensor,
-    observation_grid,
     oracle_lindblad,
     population_avg,
     population_avg_approx,
@@ -536,19 +535,6 @@ class TestFrameMaps:
             a = dressed_to_lab_population(fr, P_STRONG, state, t)
             b = dressed_to_lab_population(fr, P_STRONG, state, t + period)
             assert a == pytest.approx(b, abs=1e-12)
-
-    def test_observation_grid_whole_periods(self):
-        p = ModelParams(omega0=1.0, amplitude=0.1, omega=1.0006, kappa=2e-3)
-        grid = observation_grid(p, periods=20, samples_per_period=96)
-        period = 2.0 * math.pi / p.omega
-        assert grid[0] >= 25.0 / p.kappa
-        assert grid[0] / period == pytest.approx(round(grid[0] / period), abs=1e-9)
-        assert (grid[-1] - grid[0]) / period == pytest.approx(20.0, abs=1e-9)
-        assert len(grid) == 20 * 96 + 1
-
-    def test_observation_grid_needs_decay(self):
-        with pytest.raises(DegenerateInputError):
-            observation_grid(ModelParams(omega0=1.0, amplitude=0.1, omega=1.0, kappa=0.0))
 
 
 class TestOracleLindblad:

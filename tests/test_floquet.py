@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from bloch_siegert_lab.chrw import ModelParams, build_frame
+from bloch_siegert_lab.resonance import bs_chrw, bs_floquet_numeric
 from bloch_siegert_lab import floquet
-from bloch_siegert_lab.errors import ConvergenceError, TruncationWarning
+from bloch_siegert_lab.errors import ConvergenceError, DegenerateInputError, TruncationWarning
 from bloch_siegert_lab.floquet import (
     average_transition_probability,
     branch_gap,
@@ -27,6 +28,7 @@ from bloch_siegert_lab.floquet import (
     fold_to_zone,
     monodromy_gap,
     monodromy_quasienergies,
+    periodic_steady_state,
     propagator_samples,
     solve_floquet,
 )
@@ -254,6 +256,60 @@ class TestParityChain:
         monkeypatch.setattr(floquet, routine, failing)
         with pytest.raises(ConvergenceError, match=routine):
             chain_slope(1.0, 6.0, 1.6, 25)
+
+
+def _solve_ivp_population(params: ModelParams) -> float:
+    # period map of the lab-frame Bloch equation from the fundamental matrix
+    # of (x, y, z, 1) and the running integral of z, by an adaptive
+    # integrator; then the fixed point and the mean of z over the period
+    from scipy.integrate import solve_ivp
+
+    w0, amp, omega, kappa = params.omega0, params.amplitude, params.omega, params.kappa
+    period = 2.0 * math.pi / omega
+
+    def rhs(t, flat):
+        y = flat.reshape(5, 4)
+        a = amp * math.cos(omega * t)
+        x, yy, z, one = y[0], y[1], y[2], y[3]
+        return np.stack([
+            -0.5 * kappa * x - w0 * yy,
+            w0 * x - 0.5 * kappa * yy - a * z,
+            a * yy - kappa * z - kappa * one,
+            np.zeros(4),
+            z,
+        ]).ravel()
+
+    start = np.vstack([np.eye(4), np.zeros((1, 4))]).ravel()
+    sol = solve_ivp(rhs, (0.0, period), start, method="DOP853", rtol=1e-13, atol=1e-15)
+    assert sol.success, sol.message
+    phi = sol.y[:, -1].reshape(5, 4)
+    r0 = np.linalg.solve(np.eye(3) - phi[:3, :3], phi[:3, 3])
+    return 0.5 * (1.0 + (phi[4, :3] @ r0 + phi[4, 3]) / period)
+
+
+class TestPeriodicSteadyState:
+    @pytest.mark.parametrize("amp", [0.1, 0.5, 2.0, 8.5])
+    def test_matches_adaptive_period_map(self, amp):
+        params = ModelParams(omega0=1.0, amplitude=amp, omega=bs_chrw(1.0, amp).omega_res, kappa=2e-3)
+        assert periodic_steady_state(params) == pytest.approx(_solve_ivp_population(params), rel=0.0, abs=1e-12)
+
+    def test_population_peaks_at_floquet_resonance(self):
+        # the paper's population signature with no transformed frame: the
+        # exact steady population, scanned in 1e-5 steps, peaks within one
+        # step of 1 + the Floquet shift (about 1.000625 at A = 0.1)
+        omega_res = 1.0 + bs_floquet_numeric(1.0, 0.1).shift
+        omegas = 1.0005 + 1e-5 * np.arange(25)
+        pops = [
+            periodic_steady_state(ModelParams(omega0=1.0, amplitude=0.1, omega=w, kappa=2e-3))
+            for w in omegas
+        ]
+        peak = int(np.argmax(pops))
+        assert 0 < peak < len(omegas) - 1
+        assert abs(omegas[peak] - omega_res) <= 1e-5
+
+    def test_needs_decay(self):
+        with pytest.raises(DegenerateInputError):
+            periodic_steady_state(ModelParams(omega0=1.0, amplitude=0.1, omega=1.0, kappa=0.0))
 
 
 class TestAverages:

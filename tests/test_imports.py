@@ -8,17 +8,24 @@ from pathlib import Path
 import bloch_siegert_lab
 
 
-def test_import_leaves_integrate_and_optimize_unloaded():
-    # the root finder is the package's own Brent and scipy.integrate is
-    # imported only where an oracle needs it, so neither pays at start-up
+def _loaded_by_fresh_import(modules):
     src = str(Path(bloch_siegert_lab.__file__).resolve().parent.parent)
-    code = (
-        "import sys, bloch_siegert_lab; "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
-    )
+    code = f"import sys, bloch_siegert_lab; print(sorted(m for m in {modules!r} if m in sys.modules))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    return run.stdout.strip()
+
+
+def test_import_leaves_integrate_and_optimize_unloaded():
+    # the root finder is the package's own Brent and scipy.integrate is
+    # imported only where an oracle needs it, so neither pays at start-up
+    assert _loaded_by_fresh_import(("scipy.integrate", "scipy.optimize")) == "[]"
+
+
+def test_import_leaves_cli_and_validation_unloaded():
+    # the check registry and the command line are loaded by `bsl` only
+    modules = ("bloch_siegert_lab.cli", "bloch_siegert_lab.validation")
+    assert _loaded_by_fresh_import(modules) == "[]"

@@ -95,7 +95,7 @@ class TestBesselJ0Minus1:
         # keeps full relative precision: J0(x) - 1 = -x^2/4 (1 - x^2/16 ...)
         x = 1e-6
         want = -x * x / 4.0 * (1.0 - x * x / 16.0)
-        assert bessel_j0_minus_1(x) == pytest.approx(want, rel=1e-14)
+        assert bessel_j0_minus_1(x) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_even_in_x(self):
         assert bessel_j0_minus_1(-0.37) == bessel_j0_minus_1(0.37)

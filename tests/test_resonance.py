@@ -51,7 +51,7 @@ class TestShiftResult:
         # be quantized to ulp(omega0) by storing omega_res and subtracting
         r = bs_chrw(1.0, 0.01)
         assert 0.0 < r.shift < 1e-5
-        assert r.omega_res - r.omega0 == pytest.approx(r.shift, rel=1e-10)
+        assert r.omega_res - r.omega0 == pytest.approx(r.shift, rel=1e-10, abs=0.0)
 
 
 class TestChrw:
