@@ -21,10 +21,6 @@ class DegenerateInputError(BslError, ValueError):
     """Inputs degenerate to the point that the requested quantity is undefined."""
 
 
-class BranchAmbiguityError(BslError):
-    """Two Floquet branches are indistinguishable but give conflicting answers."""
-
-
 class NonUnitaryError(BslError):
     """A propagator drifted measurably away from unitarity."""
 

@@ -4,11 +4,13 @@ The time-periodic Hamiltonian H(t) = (omega0/2) sigma_z + (A/2) cos(omega t)
 sigma_x is mapped onto the static block-tridiagonal Floquet matrix in the
 basis |gamma, l> (gamma the bare level, l the Fourier index): diagonal blocks
 (omega0/2) sigma_z + l*omega*I, off-diagonal blocks (A/4) sigma_x between
-adjacent l.  Quasienergies, their omega0-derivative (which encodes the
-time-averaged transition probability), the same derivative on one
-tridiagonal parity chain, and a one-period propagator oracle all live here,
-together with the period map of the damped lab-frame Bloch equation, which
-gives the exact periodic steady state.
+adjacent l.  That matrix splits into two tridiagonal parity chains with
+mirrored spectra, and one of them is the only Floquet eigensolver here: it
+gives the resonant quasienergy pair, their omega0-derivative (which encodes
+the time-averaged transition probability) and their gap.  A one-period
+propagator oracle lives here too, together with the period map of the
+damped lab-frame Bloch equation, which gives the exact periodic steady
+state.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from scipy.linalg.lapack import dstebz, dstein
 
 from .chrw import ModelParams
 from .errors import (
-    BranchAmbiguityError,
     ConvergenceError,
     DegenerateInputError,
     NonUnitaryError,
@@ -32,11 +33,6 @@ from .errors import (
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-# two top-l0 candidates closer than this in weight count as tied
-_TIE_TOL = 1e-9
-# tied candidates whose |dq| differ by more than this are truly ambiguous
-_DQ_SPLIT_TOL = 1e-6
 
 
 def default_truncation(params: ModelParams) -> int:
@@ -55,11 +51,30 @@ def circle_gap(q1: float, q2: float, omega: float) -> float:
     return min(d, omega - d)
 
 
-def build_floquet_matrix(params: ModelParams, n_trunc: int) -> np.ndarray:
-    """Real symmetric Floquet matrix of size 2*(2*n_trunc + 1).
+def _chain_layout(n_trunc: int) -> tuple[np.ndarray, int]:
+    """Site map of the parity chain {|up, even l>, |down, odd l>}.
 
-    Basis index 2*(l + n_trunc) + s with s = 0 for the upper level and
-    s = 1 for the lower one, l in [-n_trunc, n_trunc].
+    Site i holds l = i - n_trunc, and the up sites are [up::2] with up =
+    n_trunc % 2.  base is l on up sites and l - 1 on down sites, so the
+    shifted diagonal at drive omega = omega0 + s is base*omega, plus s on
+    the down sites.
+    """
+    up = n_trunc % 2
+    base = np.arange(-n_trunc, n_trunc + 1, dtype=float)
+    base[1 - up :: 2] -= 1.0
+    return base, up
+
+
+def build_floquet_matrix(params: ModelParams, n_trunc: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the parity chain, 2*n_trunc + 1 sites.
+
+    The Floquet matrix in the basis |gamma, l> has diagonal
+    (omega0/2) sigma_z + l*omega and couples |up,l> only to |down,l+-1>
+    with A/4, so the sites |up, even l>, |down, odd l> (l in [-n_trunc,
+    n_trunc]) form an exact tridiagonal block; the other parity chain has
+    the negated spectrum.  With the diagonal shifted by -omega0/2 it reads
+    l*omega on up sites and (l-1)*omega + s on down sites, s = omega -
+    omega0, so the resonant pair |up,0>, |down,1> is detuned by exactly s.
     """
     if n_trunc < 0:
         raise ValueError(f"truncation must be >= 0, got {n_trunc}")
@@ -71,148 +86,69 @@ def build_floquet_matrix(params: ModelParams, n_trunc: int) -> np.ndarray:
             TruncationWarning,
             stacklevel=2,
         )
-    nblock = 2 * n_trunc + 1
-    size = 2 * nblock
-    h = np.zeros((size, size))
-    ls = np.arange(-n_trunc, n_trunc + 1, dtype=float)
-    diag = np.empty(size)
-    diag[0::2] = ls * params.omega + 0.5 * params.omega0
-    diag[1::2] = ls * params.omega - 0.5 * params.omega0
-    np.fill_diagonal(h, diag)
-    v = 0.25 * params.amplitude
-    for b in range(nblock - 1):
-        i, j = 2 * b, 2 * (b + 1)
-        h[i, j + 1] = v
-        h[i + 1, j] = v
-        h[j + 1, i] = v
-        h[j, i + 1] = v
-    return h
+    base, up = _chain_layout(n_trunc)
+    diag = base * params.omega
+    diag[1 - up :: 2] += params.omega - params.omega0
+    return diag, np.full(2 * n_trunc, 0.25 * params.amplitude)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FloquetSolution:
-    """Diagonalized Floquet problem plus the tracked resonant branch."""
+    """The lower resonant branch of the parity chain.
+
+    quasienergy is q = e_N + omega0/2 from chain eigenvalue N (ascending,
+    from 0), the lower member of the resonant pair; the mirror chain holds
+    -q.  dq_domega0 = sum over up sites of |v|^2 - 1/2 is its slope in
+    omega0 at fixed omega.
+    """
 
     params: ModelParams
     n_trunc: int
-    eigenvalues: np.ndarray  # raw, ascending
-    quasienergies: np.ndarray  # folded into (-omega/2, omega/2]
-    eigenvectors: np.ndarray  # columns align with eigenvalues
-    branch_index: int
+    quasienergy: float
     dq_domega0: float
-    pbar: float
 
     @property
-    def branch_eigenvalue(self) -> float:
-        return float(self.eigenvalues[self.branch_index])
+    def pbar(self) -> float:
+        """Transition-probability average in the form (1 - 4 (dq/domega0)^2)/2.
 
-    @property
-    def branch_vector(self) -> np.ndarray:
-        return self.eigenvectors[:, self.branch_index]
-
-    @property
-    def pbar_coherent(self) -> float:
-        """Exact infinite-time average of the transition probability.
-
-        Weights each physical branch by the coherent Fourier sum
-        |sum_l <gamma l|v>|^2 of its lower-level components, which keeps
-        the cross terms between zone copies that the (1 - 4 dq^2)/2 form
-        drops.  The two agree exactly at resonance and differ at first
-        order in A/omega away from it.
+        This is the standard resonance diagnostic: it peaks at exactly 1/2
+        when the drive hits the shifted resonance.  Away from resonance it
+        keeps only the incoherent part of the time average.
         """
-        n = self.n_trunc
-        resh = self.eigenvectors.reshape(2 * n + 1, 2, self.eigenvectors.shape[1])
-        w_l0 = (resh[n] ** 2).sum(axis=0)
-        order = np.argsort(w_l0)
-        total = 0.0
-        for i in (int(order[-1]), int(order[-2])):
-            v = resh[:, :, i]
-            total += float(v[:, 1].sum()) ** 2 * float((v[:, 0] ** 2).sum())
-        return total
+        return 0.5 * (1.0 - 4.0 * self.dq_domega0 * self.dq_domega0)
+
+    @property
+    def gap(self) -> float:
+        """Zone-circle distance between the branch pair q and -q."""
+        return circle_gap(self.quasienergy, -self.quasienergy, self.params.omega)
 
 
-def _weights(vecs: np.ndarray, n_trunc: int) -> tuple[np.ndarray, np.ndarray]:
-    # returns (weight on the l=0 block, weight on the upper bare level)
-    nvec = vecs.shape[1]
-    resh = (vecs * vecs).reshape(2 * n_trunc + 1, 2, nvec)
-    w_l0 = resh[n_trunc].sum(axis=0)
-    w_up = resh[:, 0, :].sum(axis=0)
-    return w_l0, w_up
+def solve_floquet(params: ModelParams, n_trunc: Optional[int] = None) -> FloquetSolution:
+    """Eigenpair n_trunc of the parity chain: quasienergy and its slope.
 
-
-def solve_floquet(
-    params: ModelParams,
-    n_trunc: Optional[int] = None,
-    reference: Optional[np.ndarray] = None,
-) -> FloquetSolution:
-    """Diagonalize the Floquet matrix and track the resonant branch.
-
-    The branch is the eigenvector with maximal weight on the l=0 Fourier
-    block; a reference vector (from a neighbouring parameter point)
-    overrides that choice by maximal overlap, which keeps the branch
-    identity stable across closely spaced sweeps.  dq_domega0 is the
-    sandwich sum_gamma,l a_gamma |<gamma l|v>|^2 with a = +1/2 (-1/2) on
-    the upper (lower) level, and pbar = (1 - 4 dq^2)/2.
+    A tridiagonal matrix with nonzero off-diagonals has no crossings, so
+    eigenvalue n_trunc is always the lower member of the resonant pair and
+    needs no tracking.  At n_trunc = 0 the chain is the single site |up,0>.
     """
     if n_trunc is None:
         n_trunc = default_truncation(params)
-    h = build_floquet_matrix(params, n_trunc)
-    vals, vecs = np.linalg.eigh(h)
-    w_l0, w_up = _weights(vecs, n_trunc)
-    dq_all = w_up - 0.5
-
-    if reference is not None:
-        idx = int(np.argmax(np.abs(reference @ vecs)))
+    diag, off = build_floquet_matrix(params, n_trunc)
+    if n_trunc == 0:
+        e, vec = float(diag[0]), np.ones(1)
     else:
-        order = np.argsort(w_l0)
-        i1, i2 = int(order[-1]), int(order[-2])
-        if w_l0[i1] - w_l0[i2] <= _TIE_TOL:
-            d1, d2 = float(dq_all[i1]), float(dq_all[i2])
-            if abs(abs(d1) - abs(d2)) > _DQ_SPLIT_TOL:
-                raise BranchAmbiguityError(
-                    f"two Floquet branches share the l=0 weight ({w_l0[i1]:.12f}) "
-                    f"but disagree on dq/domega0: {d1:.3e} vs {d2:.3e}"
-                )
-            idx = i1 if d1 >= d2 else i2
-        else:
-            idx = i1
-    dq = float(dq_all[idx])
-    folded = np.array([fold_to_zone(float(q), params.omega) for q in vals])
+        e, vec = _chain_eigenpair(diag, off, n_trunc)
+    up = n_trunc % 2
     return FloquetSolution(
         params=params,
         n_trunc=n_trunc,
-        eigenvalues=vals,
-        quasienergies=folded,
-        eigenvectors=vecs,
-        branch_index=idx,
-        dq_domega0=dq,
-        pbar=0.5 * (1.0 - 4.0 * dq * dq),
+        quasienergy=e + 0.5 * params.omega0,
+        dq_domega0=float(np.sum(vec[up::2] ** 2)) - 0.5,
     )
-
-
-def dq_domega0(
-    params: ModelParams,
-    n_trunc: Optional[int] = None,
-    reference: Optional[np.ndarray] = None,
-) -> float:
-    """Quasienergy derivative with respect to omega0 on the tracked branch."""
-    return solve_floquet(params, n_trunc, reference).dq_domega0
-
-
-def pbar(params: ModelParams, n_trunc: Optional[int] = None) -> float:
-    """Transition-probability average in the form (1 - 4 (dq/domega0)^2)/2.
-
-    This is the standard resonance diagnostic: it peaks at exactly 1/2
-    when the drive hits the shifted resonance.  Away from resonance it
-    keeps only the incoherent part of the average; the exact infinite-time
-    mean is FloquetSolution.pbar_coherent.
-    """
-    return solve_floquet(params, n_trunc).pbar
 
 
 def _chain_eigenpair(diag: np.ndarray, off: np.ndarray, index: int) -> tuple[float, np.ndarray]:
     """Eigenvalue number index (ascending, from 0) of a symmetric tridiagonal
-    matrix and its unit eigenvector.
+    matrix of at least two sites and its unit eigenvector.
 
     Calls the two LAPACK routines eigh_tridiagonal(select='i') runs, dstebz
     bisection (range 'I', block order, abstol 0) then dstein inverse
@@ -231,11 +167,8 @@ def _chain_eigenpair(diag: np.ndarray, off: np.ndarray, index: int) -> tuple[flo
 def _chain_slope_fn(omega0: float, amplitude: float, n_trunc: int) -> Callable[[float], float]:
     """chain_slope as a function of s, with the parts that do not depend on
     s built once."""
-    # site i holds l = i - n_trunc: up sites (even l) start at i = n_trunc % 2
-    up = n_trunc % 2
+    base, up = _chain_layout(n_trunc)
     down = 1 - up
-    base = np.arange(-n_trunc, n_trunc + 1, dtype=float)
-    base[down::2] -= 1.0
     off = np.full(2 * n_trunc, 0.25 * amplitude)
 
     def slope(s: float) -> float:
@@ -250,28 +183,17 @@ def _chain_slope_fn(omega0: float, amplitude: float, n_trunc: int) -> Callable[[
 def chain_slope(omega0: float, amplitude: float, s: float, n_trunc: int) -> float:
     """dq/domega0 of the lower resonant branch at drive omega = omega0 + s.
 
-    The Floquet matrix couples |up,l> only to |down,l+-1>, so the sites
-    |up, even l>, |down, odd l> (l in [-n_trunc, n_trunc]) form an exact
-    tridiagonal block; the other parity chain has the negated spectrum.
-    With the diagonal shifted by -omega0/2 it reads l*omega on up sites and
-    (l-1)*omega + s on down sites, so the resonant pair |up,0>, |down,1>
-    is detuned by exactly s.  A tridiagonal matrix with nonzero
-    off-diagonals has no crossings, so eigenvalue n_trunc is always the
-    lower member of that pair and its slope changes sign at resonance.
-    That one eigenpair comes from LAPACK dstebz bisection and dstein
-    inverse iteration; a failure of either raises ConvergenceError.
+    The same slope as solve_floquet, on the chain build_floquet_matrix
+    describes, for n_trunc >= 1; its sign changes at resonance.  The
+    eigenpair comes from LAPACK dstebz bisection and dstein inverse
+    iteration; a failure of either raises ConvergenceError.
     """
     return _chain_slope_fn(omega0, amplitude, n_trunc)(s)
 
 
 def branch_gap(params: ModelParams, n_trunc: Optional[int] = None) -> float:
-    """Zone-circle distance between the two strongest-l0 branches."""
-    sol = solve_floquet(params, n_trunc)
-    w_l0, _ = _weights(sol.eigenvectors, sol.n_trunc)
-    order = np.argsort(w_l0)
-    q1 = float(sol.eigenvalues[int(order[-1])])
-    q2 = float(sol.eigenvalues[int(order[-2])])
-    return circle_gap(q1, q2, params.omega)
+    """Zone-circle distance between the two resonant branches q and -q."""
+    return solve_floquet(params, n_trunc).gap
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,7 @@ def table_regression(quick: bool = False) -> CheckResult:
 
 
 def floquet_convergence(n_trunc: Optional[int] = None) -> CheckResult:
-    """Truncated Floquet-matrix gap against a finely stepped monodromy at A = 10."""
+    """Truncated parity-chain gap against a finely stepped monodromy at A = 10."""
     params = ModelParams(omega0=1.0, amplitude=10.0, omega=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -95,7 +95,7 @@ def floquet_convergence(n_trunc: Optional[int] = None) -> CheckResult:
 
 
 def monodromy_vs_matrix() -> CheckResult:
-    """Floquet-matrix gap against the monodromy gap at three drive points."""
+    """Parity-chain gap against the monodromy gap at three drive points."""
     errs = []
     for amp, w in ((1.0, 1.0), (4.0, 1.5), (8.0, 2.0)):
         params = ModelParams(omega0=1.0, amplitude=amp, omega=w)

@@ -26,7 +26,6 @@ from bloch_siegert_lab.floquet import (
     fold_to_zone,
     monodromy_gap,
     monodromy_quasienergies,
-    pbar,
     solve_floquet,
 )
 from bloch_siegert_lab.numerics import first_bessel_j0_zero
@@ -99,32 +98,33 @@ def test_criterion_05_floquet_self_consistency():
             sol = solve_floquet(params)
             mono = monodromy_quasienergies(params)
             worst_gap = max(worst_gap, abs(branch_gap(params) - monodromy_gap(params)))
-            folded = fold_to_zone(sol.branch_eigenvalue, w)
+            folded = fold_to_zone(sol.quasienergy, w)
             worst_q = max(
                 worst_q,
                 min(circle_gap(folded, mono[0], w), circle_gap(folded, mono[1], w)),
             )
     assert worst_gap < 1e-8
     assert worst_q < 1e-8
-    # eigenvalue derivative against a central difference on the tracked branch
+    # eigenvalue derivative against a central difference of chain
+    # eigenvalue N, whose index is fixed, so no branch is tracked
     worst_hf = 0.0
     for amp, w in [(2.0, 1.0), (6.0, 1.5), (10.0, 2.5)]:
         params = ModelParams(omega0=1.0, amplitude=amp, omega=w)
         base = solve_floquet(params)
         h = 1e-5
-        up = solve_floquet(params.replace(omega0=1.0 + h), reference=base.branch_vector)
-        dn = solve_floquet(params.replace(omega0=1.0 - h), reference=base.branch_vector)
-        fd = (up.branch_eigenvalue - dn.branch_eigenvalue) / (2.0 * h)
+        up = solve_floquet(params.replace(omega0=1.0 + h), n_trunc=base.n_trunc)
+        dn = solve_floquet(params.replace(omega0=1.0 - h), n_trunc=base.n_trunc)
+        fd = (up.quasienergy - dn.quasienergy) / (2.0 * h)
         worst_hf = max(worst_hf, abs(base.dq_domega0 - fd))
     assert worst_hf < 1e-6
-    _stamp(5, "matrix vs monodromy vs derivative", t0, 60.0)
+    _stamp(5, "chain vs monodromy vs derivative", t0, 60.0)
 
 
 def test_criterion_06_resonance_maximizes_pbar():
     t0 = time.perf_counter()
     for amp in validation.PAPER_TABLE:
         omega_res = 1.0 + resonance_shift(Method.FLOQUET, 1.0, amp).shift
-        value = pbar(ModelParams(omega0=1.0, amplitude=amp, omega=omega_res))
+        value = solve_floquet(ModelParams(omega0=1.0, amplitude=amp, omega=omega_res)).pbar
         assert value >= 0.5 - 1e-8, f"A={amp}: pbar {value}"
     _stamp(6, "pbar saturates at resonance", t0, 30.0)
 

@@ -1,8 +1,9 @@
-"""Floquet machinery: matrix route, monodromy route, and their agreement.
+"""Floquet machinery: parity-chain route, monodromy route, and their agreement.
 
 The two quasienergy routes are kept deliberately independent (eigenproblem
-of the extended-zone matrix vs eigenphases of the one-period propagator) so
-each one can serve as the other's oracle.
+of one parity chain of the extended-zone matrix vs eigenphases of the
+one-period propagator) so each one can serve as the other's oracle.  The
+chain is also checked against the full extended-zone matrix, built here.
 """
 
 import math
@@ -74,25 +75,24 @@ class TestZoneFolding:
 class TestMatrixStructure:
     def test_minimal_block_is_diagonal(self):
         # with no photon sidebands there is nothing for the drive to couple:
-        # the drive enters only through the l -> l +- 1 blocks
+        # the drive enters only through the l -> l +- 1 couplings, and the
+        # chain is the single site |up, 0> at 0 (diagonal shifted by -omega0/2)
         p = ModelParams(omega0=1.0, amplitude=1.0, omega=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            m = build_floquet_matrix(p, n_trunc=0)
-        np.testing.assert_allclose(m, np.diag([0.5, -0.5]), atol=0.0)
+            diag, off = build_floquet_matrix(p, n_trunc=0)
+        np.testing.assert_array_equal(diag, [0.0])
+        assert off.shape == (0,)
 
     def test_one_sideband_structure(self):
+        # sites |down,-1>, |up,0>, |down,1>: l*omega - omega0/2 on down
+        # sites and l*omega + omega0/2 on up sites, all shifted by -omega0/2
         p = ModelParams(omega0=0.8, amplitude=1.2, omega=1.5)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            m = build_floquet_matrix(p, n_trunc=1)
-        assert m.shape == (6, 6)
-        np.testing.assert_allclose(np.diag(m), [-1.1, -1.9, 0.4, -0.4, 1.9, 1.1], atol=1e-15)
-        quarter = 0.3  # A/4
-        np.testing.assert_allclose(m[2:4, 0:2], quarter * np.array([[0.0, 1.0], [1.0, 0.0]]), atol=0.0)
-        np.testing.assert_allclose(m[4:6, 2:4], quarter * np.array([[0.0, 1.0], [1.0, 0.0]]), atol=0.0)
-        assert np.count_nonzero(m[4:6, 0:2]) == 0  # no l -> l+2 coupling
-        np.testing.assert_allclose(m, m.T, atol=0.0)
+            diag, off = build_floquet_matrix(p, n_trunc=1)
+        np.testing.assert_allclose(diag, [-2.3, 0.0, 0.7], atol=1e-15)
+        np.testing.assert_array_equal(off, [0.3, 0.3])  # A/4
 
     def test_low_truncation_warns(self):
         p = ModelParams(omega0=1.0, amplitude=20.0, omega=1.0)
@@ -108,42 +108,29 @@ class TestMatrixStructure:
 
 
 class TestBrillouinReplication:
-    def test_eigenvalue_ladder(self):
-        # every quasienergy appears replicated at integer multiples of omega;
-        # check the central copies of the branch eigenvalue
-        p = ModelParams(omega0=1.0, amplitude=0.8, omega=1.1)
-        sol = solve_floquet(p)
-        q0 = sol.branch_eigenvalue
-        for ell in range(-2, 3):
-            target = q0 + ell * p.omega
-            dist = np.min(np.abs(sol.eigenvalues - target))
-            assert dist < 1e-9
-
     def test_truncation_convergence(self):
         p = ModelParams(omega0=1.0, amplitude=6.0, omega=2.2)
         n = default_truncation(p)
         a = solve_floquet(p, n_trunc=n)
         b = solve_floquet(p, n_trunc=n + 10)
-        assert abs(a.quasienergies[a.branch_index] - b.quasienergies[b.branch_index]) < 1e-10
+        assert abs(a.quasienergy - b.quasienergy) < 1e-10
         assert abs(a.dq_domega0 - b.dq_domega0) < 1e-10
 
 
 class TestSolveFloquet:
     def test_frozen_point(self):
-        # all four observables at one interior point, frozen from the
-        # cross-checked implementation (monodromy and matrix agree here)
+        # observables at one interior point, frozen from the cross-checked
+        # implementation (monodromy and matrix agree here)
         sol = solve_floquet(ModelParams(omega0=1.0, amplitude=2.0, omega=1.3))
         assert sol.pbar == pytest.approx(0.49867206828780447, abs=1e-12)
-        assert sol.pbar_coherent == pytest.approx(0.4862257502153238, abs=1e-12)
         assert sol.dq_domega0 == pytest.approx(0.025767534924741264, abs=1e-12)
 
     def test_frozen_unit_point(self):
         sol = solve_floquet(ModelParams(omega0=1.0, amplitude=1.0, omega=1.0))
         assert sol.pbar == pytest.approx(0.49181465184149936, abs=1e-12)
-        assert sol.dq_domega0 == pytest.approx(0.06397401096734756, abs=1e-12)
-        # the coherent infinite-time mean may exceed 1/2 off resonance; the
-        # (1 - 4 dq^2)/2 diagnostic never does
-        assert sol.pbar_coherent == pytest.approx(0.5085871268117266, abs=1e-12)
+        # the chain's lower branch: the mirror branch has slope +0.0639...
+        assert sol.dq_domega0 == pytest.approx(-0.06397401096734756, abs=1e-12)
+        # the (1 - 4 dq^2)/2 diagnostic never exceeds 1/2
         assert sol.pbar <= 0.5
 
     def test_undriven_limit(self):
@@ -154,14 +141,10 @@ class TestSolveFloquet:
             0.3, abs=1e-12
         )
 
-    def test_reference_vector_reproduces_branch(self):
-        p = ModelParams(omega0=1.0, amplitude=2.0, omega=1.3)
-        sol = solve_floquet(p)
-        again = solve_floquet(p, reference=sol.branch_vector)
-        assert again.branch_index == sol.branch_index
-        # and the reference tracks across a small parameter step
-        nearby = solve_floquet(p.replace(omega=1.301), reference=sol.branch_vector)
-        assert abs(nearby.dq_domega0 - sol.dq_domega0) < 1e-2
+    def test_solution_is_frozen(self):
+        sol = solve_floquet(ModelParams(omega0=1.0, amplitude=2.0, omega=1.3))
+        with pytest.raises(AttributeError):
+            sol.quasienergy = 0.0
 
 
 class TestMonodromy:
@@ -198,27 +181,92 @@ class TestMonodromy:
 
 class TestHellmannFeynmanSlope:
     def test_matches_finite_difference(self):
-        # dq/domega0 from eigenvector weights vs a centered difference with
-        # reference-vector branch tracking across the two shifted solves
+        # dq/domega0 from eigenvector weights vs a centered difference of
+        # chain eigenvalue N, whose index is fixed, so nothing is tracked
         h = 1e-6
         for a, w in [(0.5, 1.0), (3.5, 1.7), (8.0, 3.0)]:
             p = ModelParams(omega0=1.0, amplitude=a, omega=w)
             sol = solve_floquet(p)
-            up = solve_floquet(p.replace(omega0=1.0 + h), reference=sol.branch_vector)
-            dn = solve_floquet(p.replace(omega0=1.0 - h), reference=sol.branch_vector)
-            fd = (up.quasienergies[up.branch_index] - dn.quasienergies[dn.branch_index]) / (2.0 * h)
+            up = solve_floquet(p.replace(omega0=1.0 + h), n_trunc=sol.n_trunc)
+            dn = solve_floquet(p.replace(omega0=1.0 - h), n_trunc=sol.n_trunc)
+            fd = (up.quasienergy - dn.quasienergy) / (2.0 * h)
             assert sol.dq_domega0 == pytest.approx(fd, abs=1e-6)
+
+
+def _dense_floquet_matrix(params: ModelParams, n: int) -> np.ndarray:
+    # the full 2(2n+1)-square Floquet matrix, index 2(l + n) + gamma with
+    # gamma = 0 (up) or 1 (down): diagonal l*omega +- omega0/2 and A/4
+    # between |up,l> and |down,l+-1>; written out here so the oracle shares
+    # no code with the package
+    ls = np.arange(-n, n + 1)
+    h = np.diag((ls[:, None] * params.omega + [0.5 * params.omega0, -0.5 * params.omega0]).ravel())
+    ups = 2 * np.arange(2 * n)
+    for i, j in ((ups, ups + 3), (ups + 1, ups + 2)):
+        h[i, j] = h[j, i] = 0.25 * params.amplitude
+    return h
+
+
+def _dense_solve(params: ModelParams, n: int) -> tuple[np.ndarray, float, float]:
+    # spectrum of the full matrix, the zone-circle gap between its two
+    # eigenvectors of largest weight on the l = 0 block, and the slope
+    # (upper-level weight - 1/2) of the strongest one
+    vals, vecs = np.linalg.eigh(_dense_floquet_matrix(params, n))
+    w_l0 = (vecs[2 * n : 2 * n + 2] ** 2).sum(axis=0)
+    i2, i1 = np.argsort(w_l0)[-2:]
+    gap = circle_gap(float(vals[i1]), float(vals[i2]), params.omega)
+    return vals, gap, float((vecs[0::2, i1] ** 2).sum()) - 0.5
+
+
+CRITERION5_GRID = [(a, w) for a in (0.5, 2.5, 5.0, 7.5, 10.0) for w in (0.7, 1.0, 1.5, 2.2, 3.0)]
+
+
+class TestChainIsBlockOfFloquetMatrix:
+    @pytest.mark.parametrize("a, w", CRITERION5_GRID)
+    def test_pair_and_gap_match_full_matrix(self, a, w):
+        p = ModelParams(omega0=1.0, amplitude=a, omega=w)
+        sol = solve_floquet(p)
+        vals, gap, _ = _dense_solve(p, sol.n_trunc)
+        assert np.min(np.abs(vals - sol.quasienergy)) < 1e-12
+        assert np.min(np.abs(vals + sol.quasienergy)) < 1e-12
+        assert branch_gap(p) == pytest.approx(gap, rel=0.0, abs=1e-12)
+
+    def test_zero_truncation(self):
+        # one site per chain: q = omega0/2 against the 2 x 2 matrix
+        p = ModelParams(omega0=1.0, amplitude=10.0, omega=1.0)
+        with pytest.warns(TruncationWarning):
+            sol = solve_floquet(p, n_trunc=0)
+        vals, gap, _ = _dense_solve(p, 0)
+        assert sol.quasienergy == 0.5
+        assert np.min(np.abs(vals - sol.quasienergy)) == 0.0
+        assert sol.dq_domega0 == 0.5
+        assert sol.gap == gap
+
+    @pytest.mark.parametrize("w", [0.7, 1.3, 1.9])
+    def test_undriven_limit(self, w):
+        # A = 0: eigenvalue N is the lower bare site of the resonant pair,
+        # |up,0> (q = omega0/2) above resonance or |down,1> (q = omega -
+        # omega0/2) below it
+        p = ModelParams(omega0=1.0, amplitude=0.0, omega=w)
+        sol = solve_floquet(p)
+        vals, gap, _ = _dense_solve(p, sol.n_trunc)
+        assert sol.quasienergy == pytest.approx(0.5 if w > 1.0 else w - 0.5, abs=1e-15)
+        assert np.min(np.abs(vals - sol.quasienergy)) < 1e-12
+        assert sol.dq_domega0 == math.copysign(0.5, w - 1.0)
+        assert sol.gap == pytest.approx(abs(w - 1.0), rel=0.0, abs=1e-12)
+        assert sol.gap == pytest.approx(gap, rel=0.0, abs=1e-12)
 
 
 class TestParityChain:
     @pytest.mark.parametrize("a, w", [(0.5, 1.0), (0.5, 1.02), (3.5, 1.7), (8.0, 3.0), (6.0, 2.5)])
     def test_slope_matches_dense_matrix(self, a, w):
-        # the dense solve tracks a branch of either chain, so only the
-        # magnitude of the slope is shared
+        # the full matrix's strongest-l0 branch may sit on either chain, so
+        # only the magnitude of the slope is shared; the root finder's slope
+        # and solve_floquet read the same eigenpair
         p = ModelParams(omega0=1.0, amplitude=a, omega=w)
         n = default_truncation(p)
-        dense = solve_floquet(p, n).dq_domega0
-        assert abs(chain_slope(1.0, a, w - 1.0, n)) == pytest.approx(abs(dense), abs=1e-12)
+        slope = chain_slope(1.0, a, w - 1.0, n)
+        assert abs(slope) == pytest.approx(abs(_dense_solve(p, n)[2]), abs=1e-12)
+        assert slope == pytest.approx(solve_floquet(p, n).dq_domega0, abs=1e-12)
 
     def test_slope_changes_sign_at_resonance(self):
         # frozen Floquet shift at A = 6
@@ -313,12 +361,6 @@ class TestPeriodicSteadyState:
 
 
 class TestAverages:
-    def test_coherent_mean_matches_windowed_average(self):
-        p = ModelParams(omega0=1.0, amplitude=2.0, omega=1.3)
-        sol = solve_floquet(p)
-        direct = average_transition_probability(p, periods=200)
-        assert abs(direct - sol.pbar_coherent) < 5e-7
-
     def test_diagnostic_equals_half_at_resonance(self):
         # at the A = 3.5 resonance (frozen from the shift table) both the
         # diagnostic and the true mean hit 1/2
