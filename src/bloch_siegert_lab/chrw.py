@@ -99,6 +99,10 @@ def xi_fixed_point_residual(params: ModelParams, xi: float) -> float:
     return params.omega0 * float(j1(params.amplitude * xi / params.omega)) - 0.5 * params.amplitude * (1.0 - xi)
 
 
+# grid samples solve_xi takes one by one before it scans the rest as an array
+_SCALAR_SAMPLES = 24
+
+
 def solve_xi(params: ModelParams, tol: Tolerance = DEFAULT_TOL) -> float:
     """Solve the CHRW fixed point for xi on [0, 1].
 
@@ -113,29 +117,49 @@ def solve_xi(params: ModelParams, tol: Tolerance = DEFAULT_TOL) -> float:
     NoSignChangeError
         if no root can be bracketed inside [0, 1].
     """
-    a, w = params.amplitude, params.omega
+    a, w, w0 = params.amplitude, params.omega, params.omega0
     if a == 0.0:
         raise DegenerateInputError("xi fixed point is undefined at A=0; use xi = omega/(omega+omega0)")
 
     # J1(A xi / omega) oscillates in xi with period 2*pi*omega/A; sample it
+    # on the grid np.linspace(0, 1, n + 1), k*(1/n) with the last point 1.0,
     # well enough that the first upward crossing cannot be stepped over.
     # The residual starts at -A/2, so the first non-negative sample closes
-    # the bracket.  The scan uses j1, as the residual does, so the polish
-    # sees the same endpoint signs
+    # the bracket.  No root lies below xi* = omega/(omega + omega0): there
+    # |J1(x)| <= x/2 bounds the residual by (A/2)(xi/xi* - 1) < 0, so the
+    # scan starts one step below floor(xi* n), a margin of order A/n.  The
+    # scan uses j1, as the residual does, so an array sample is bitwise the
+    # scalar one and the polish can take both bracket-end values from it
     n = max(128, int(8.0 * a / w) + 128)
-    grid = np.linspace(0.0, 1.0, n + 1)
-    residual = params.omega0 * j1(a * grid / w) - 0.5 * a * (1.0 - grid)
-    up = np.flatnonzero(residual[1:] >= 0.0)
-    if up.size == 0:
-        raise NoSignChangeError(
-            f"xi fixed point not bracketed in [0, 1] for A={a}, omega={w} (residual stays negative)"
-        )
-    i = int(up[0]) + 1
-    if residual[i] == 0.0:
-        return float(grid[i])
-    return find_root_bracketed(
-        lambda xi: xi_fixed_point_residual(params, xi), float(grid[i - 1]), float(grid[i]), tol
-    )
+    step = 1.0 / n
+
+    def residual(xi: float) -> float:
+        return xi_fixed_point_residual(params, xi)
+
+    # the crossing is usually a few steps above xi*: walk the first samples
+    # one by one, then scan the rest of the grid, which ends at 1.0, as one
+    # array; each sample is evaluated once
+    i = max(int(n * (w / (w + w0))) - 1, 1)
+    head = min(i + _SCALAR_SAMPLES, n)
+    r_lo, r = None, residual(i * step)
+    while r < 0.0 and i + 1 < head:
+        i += 1
+        r_lo, r = r, residual(i * step)
+    if r < 0.0:
+        tail = np.arange(head, n + 1) * step
+        tail[-1] = 1.0
+        values = w0 * j1(a * tail / w) - 0.5 * a * (1.0 - tail)
+        j = int(np.argmax(values >= 0.0))
+        if values[j] < 0.0:
+            raise NoSignChangeError(
+                f"xi fixed point not bracketed in [0, 1] for A={a}, omega={w} (residual stays negative)"
+            )
+        r_lo = float(values[j - 1]) if j else r
+        i, r = head + j, float(values[j])
+    hi = i * step if i < n else 1.0
+    if r == 0.0:
+        return hi
+    return find_root_bracketed(residual, (i - 1) * step, hi, tol, fa=r_lo, fb=r)
 
 
 def _theta_from(delta: float, half_a: float) -> float:

@@ -65,6 +65,11 @@ def _chain_layout(n_trunc: int) -> tuple[np.ndarray, int]:
     return base, up
 
 
+def _check_truncation(n_trunc: int) -> None:
+    if n_trunc < 0:
+        raise ValueError(f"truncation must be >= 0, got {n_trunc}")
+
+
 def build_floquet_matrix(params: ModelParams, n_trunc: int) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of the parity chain, 2*n_trunc + 1 sites.
 
@@ -76,8 +81,7 @@ def build_floquet_matrix(params: ModelParams, n_trunc: int) -> tuple[np.ndarray,
     l*omega on up sites and (l-1)*omega + s on down sites, s = omega -
     omega0, so the resonant pair |up,0>, |down,1> is detuned by exactly s.
     """
-    if n_trunc < 0:
-        raise ValueError(f"truncation must be >= 0, got {n_trunc}")
+    _check_truncation(n_trunc)
     needed = int(math.ceil(params.amplitude / params.omega)) + 10
     if n_trunc < needed and params.amplitude > 0.0:
         warnings.warn(
@@ -184,10 +188,14 @@ def chain_slope(omega0: float, amplitude: float, s: float, n_trunc: int) -> floa
     """dq/domega0 of the lower resonant branch at drive omega = omega0 + s.
 
     The same slope as solve_floquet, on the chain build_floquet_matrix
-    describes, for n_trunc >= 1; its sign changes at resonance.  The
-    eigenpair comes from LAPACK dstebz bisection and dstein inverse
-    iteration; a failure of either raises ConvergenceError.
+    describes; its sign changes at resonance.  At n_trunc = 0 the chain is
+    the single site |up,0> and the slope is 1/2.  The eigenpair comes from
+    LAPACK dstebz bisection and dstein inverse iteration; a failure of
+    either raises ConvergenceError.
     """
+    _check_truncation(n_trunc)
+    if n_trunc == 0:
+        return 0.5
     return _chain_slope_fn(omega0, amplitude, n_trunc)(s)
 
 

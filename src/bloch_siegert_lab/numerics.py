@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import jn_zeros, jv
@@ -105,16 +105,21 @@ def find_root_bracketed(
     a: float,
     b: float,
     tol: Tolerance = DEFAULT_TOL,
+    fa: Optional[float] = None,
+    fb: Optional[float] = None,
 ) -> float:
     """Brent's method on a sign-changing bracket [a, b].
 
     Combines inverse quadratic interpolation and secant steps with a
     bisection fallback, so convergence is guaranteed for any continuous f
     with f(a)*f(b) <= 0.  Stops when |f| <= abs_tol or the bracket has
-    shrunk to rel_tol*|x| + abs_tol.
+    shrunk to rel_tol*|x| + abs_tol.  fa and fb, when given, are f(a) and
+    f(b) already evaluated by the caller, and f is not called there again.
     """
-    fa = f(a)
-    fb = f(b)
+    if fa is None:
+        fa = f(a)
+    if fb is None:
+        fb = f(b)
     if not (math.isfinite(fa) and math.isfinite(fb)):
         raise DomainError(f"f is not finite at the bracket endpoints: f({a})={fa}, f({b})={fb}")
     if fa == 0.0:

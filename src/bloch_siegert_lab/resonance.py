@@ -20,6 +20,7 @@ range of validity, which is the point of keeping all of them.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -52,7 +53,10 @@ class ShiftResult:
 
     The shift is the stored quantity; omega_res = omega0 + shift is
     derived.  Storing omega_res instead would quantize weak-drive shifts
-    (~1e-6 omega0) to the ulp of omega0 on the round trip.
+    (~1e-6 omega0) to the ulp of omega0 on the round trip.  iterations
+    counts evaluations of the method's function.  chrw and floquet
+    evaluate each point once, so for them it is the number of distinct
+    points, and residual reuses the value at the root at no cost.
     """
 
     method: Method
@@ -137,14 +141,9 @@ def bs_chrw(
         return _trivial_result(Method.CHRW, omega0)
     if tol is None:
         tol = _SHIFT_TOL
-    evals = 0
-    raw = _chrw_stationarity(omega0, amplitude)
-
-    def f(s: float) -> float:
-        nonlocal evals
-        evals += 1
-        return raw(s)
-
+    # memoised: find_root_bracketed and the scan ask again for the bracket
+    # ends, and the residual for the root, all evaluated already
+    f = functools.cache(_chrw_stationarity(omega0, amplitude))
     s_lo, s_hi = _shift_bracket(omega0, amplitude)
     f_lo, f_hi = f(s_lo), f(s_hi)
     if f_lo == 0.0:
@@ -176,8 +175,8 @@ def bs_chrw(
         omega0=omega0,
         amplitude=amplitude,
         shift=root,
-        residual=abs(raw(root)),
-        iterations=evals,
+        residual=abs(f(root)),
+        iterations=f.cache_info().misses,
     )
 
 
@@ -335,22 +334,16 @@ def bs_floquet_numeric(omega0: float, amplitude: float) -> ShiftResult:
     n_trunc = default_truncation(
         ModelParams(omega0=omega0, amplitude=amplitude, omega=omega0 + s_lo)
     )
-    slope = _chain_slope_fn(omega0, amplitude, n_trunc)
-    evals = 0
-
-    def f(s: float) -> float:
-        nonlocal evals
-        evals += 1
-        return slope(s)
-
+    # memoised, so the residual at the root costs no second eigensolve
+    f = functools.cache(_chain_slope_fn(omega0, amplitude, n_trunc))
     root = find_root_bracketed(f, s_lo, s_hi, _SHIFT_TOL)
     return ShiftResult(
         method=Method.FLOQUET,
         omega0=omega0,
         amplitude=amplitude,
         shift=root,
-        residual=abs(slope(root)),
-        iterations=evals,
+        residual=abs(f(root)),
+        iterations=f.cache_info().misses,
     )
 
 

@@ -24,7 +24,6 @@ from bloch_siegert_lab.floquet import (
     branch_gap,
     circle_gap,
     fold_to_zone,
-    monodromy_gap,
     monodromy_quasienergies,
     solve_floquet,
 )
@@ -97,7 +96,7 @@ def test_criterion_05_floquet_self_consistency():
             params = ModelParams(omega0=1.0, amplitude=amp, omega=w)
             sol = solve_floquet(params)
             mono = monodromy_quasienergies(params)
-            worst_gap = max(worst_gap, abs(branch_gap(params) - monodromy_gap(params)))
+            worst_gap = max(worst_gap, abs(branch_gap(params) - circle_gap(*mono, w)))
             folded = fold_to_zone(sol.quasienergy, w)
             worst_q = max(
                 worst_q,

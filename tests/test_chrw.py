@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import j1, jn_zeros
 
 from bloch_siegert_lab.chrw import (
     ChrwFrame,
@@ -19,7 +20,35 @@ from bloch_siegert_lab.chrw import (
     xi_fixed_point_residual,
 )
 from bloch_siegert_lab.errors import DegenerateInputError, NoSignChangeError
-from bloch_siegert_lab.numerics import Tolerance, bessel_j
+from bloch_siegert_lab.numerics import DEFAULT_TOL, Tolerance, bessel_j, find_root_bracketed
+from bloch_siegert_lab.resonance import _XI_TOL
+
+
+def _full_scan_xi(p: ModelParams, tol: Tolerance) -> float:
+    """Reference xi: the J1 residual on all of np.linspace(0, 1, n + 1),
+    the first upward crossing after xi = 0, then the Brent polish."""
+    a, w = p.amplitude, p.omega
+    n = max(128, int(8.0 * a / w) + 128)
+    grid = np.linspace(0.0, 1.0, n + 1)
+    residual = p.omega0 * j1(a * grid / w) - 0.5 * a * (1.0 - grid)
+    up = np.flatnonzero(residual[1:] >= 0.0)
+    if up.size == 0:
+        raise NoSignChangeError(
+            f"xi fixed point not bracketed in [0, 1] for A={a}, omega={w} (residual stays negative)"
+        )
+    i = int(up[0]) + 1
+    if residual[i] == 0.0:
+        return float(grid[i])
+    return find_root_bracketed(
+        lambda xi: xi_fixed_point_residual(p, xi), float(grid[i - 1]), float(grid[i]), tol
+    )
+
+
+def _xi_or_message(p: ModelParams, tol: Tolerance, solver) -> str:
+    try:
+        return solver(p, tol).hex()
+    except NoSignChangeError as exc:
+        return f"NoSignChangeError: {exc}"
 
 
 class TestModelParams:
@@ -45,6 +74,47 @@ class TestModelParams:
 
 
 class TestSolveXi:
+    @pytest.mark.parametrize("a", np.logspace(-6, 3, 37))
+    def test_bitwise_equal_to_full_scan(self, a):
+        # the scan starts just below xi* = omega/(omega + omega0) instead of
+        # at 0; the root, or the error message, must not change by one bit
+        for w in (0.3, 0.9, 1.0, 1.0 + a * a / 16.0, 1.0 + a):
+            p = ModelParams(omega0=1.0, amplitude=float(a), omega=w)
+            for tol in (DEFAULT_TOL, _XI_TOL):
+                assert _xi_or_message(p, tol, solve_xi) == _xi_or_message(p, tol, _full_scan_xi)
+
+    @pytest.mark.parametrize("w, min_steps", [(0.3, 20000), (1.0, 4000)])
+    def test_far_crossing_bitwise_equal(self, w, min_steps):
+        # at A = 1000 the crossing lies thousands of grid steps above xi*
+        p = ModelParams(omega0=1.0, amplitude=1000.0, omega=w)
+        xi = solve_xi(p, _XI_TOL)
+        n = int(8.0 * 1000.0 / w) + 128
+        assert (xi - w / (w + 1.0)) * n > min_steps
+        assert xi.hex() == _full_scan_xi(p, _XI_TOL).hex()
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-6])
+    def test_crossing_in_last_interval_bitwise_equal(self, eps):
+        # A/omega just above the 24th zero of J1: the line outweighs J1 up to
+        # xi = 1, where J1 turns positive.  n = 737 and 737*(1/737) != 1.0,
+        # so the bracket needs the grid's last point to be exactly 1.0
+        w = 1000.0 / (float(jn_zeros(1, 24)[23]) * (1.0 + eps))
+        p = ModelParams(omega0=1.0, amplitude=1000.0, omega=w)
+        n = int(8.0 * 1000.0 / w) + 128
+        assert n * (1.0 / n) != 1.0
+        xi = solve_xi(p, _XI_TOL)
+        assert xi > (n - 1) / n
+        assert xi.hex() == _full_scan_xi(p, _XI_TOL).hex()
+
+    @pytest.mark.parametrize("a", [5.0, 200.0])
+    def test_no_sign_change_message_unchanged(self, a):
+        p = ModelParams(omega0=1.0, amplitude=a, omega=1.0)
+        with pytest.raises(NoSignChangeError) as exc:
+            solve_xi(p)
+        assert str(exc.value) == (
+            f"xi fixed point not bracketed in [0, 1] for A={a}, omega=1.0 (residual stays negative)"
+        )
+        assert _xi_or_message(p, DEFAULT_TOL, _full_scan_xi) == f"NoSignChangeError: {exc.value}"
+
     def test_frozen_weak_drive_pin(self):
         # omega = omega0, A = 0.1: the fixed point sits just above 1/2,
         # xi = 1/2 + A^2/128 + O(A^4); value frozen from a 60-digit solve

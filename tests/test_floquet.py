@@ -293,6 +293,19 @@ class TestParityChain:
         _, vec = eigh_tridiagonal(diag, off, select="i", select_range=(n, n))
         assert chain_slope(1.0, a, s, n) == float(np.sum(vec[up, 0] ** 2)) - 0.5
 
+    @pytest.mark.parametrize("a, s", [(0.0, 0.0), (0.5, 0.02), (6.0, 1.6)])
+    def test_single_site_chain(self, a, s):
+        # N = 0 leaves only |up,0>: the slope is that of solve_floquet there
+        p = ModelParams(omega0=1.0, amplitude=a, omega=1.0 + s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            want = solve_floquet(p, n_trunc=0).dq_domega0
+        assert chain_slope(1.0, a, s, 0) == want == 0.5
+
+    def test_negative_truncation_rejected(self):
+        with pytest.raises(ValueError, match="truncation must be >= 0, got -1"):
+            chain_slope(1.0, 6.0, 1.6, -1)
+
     @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
     def test_lapack_failure_raises_convergence_error(self, monkeypatch, routine):
         real = getattr(floquet, routine)

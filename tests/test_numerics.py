@@ -131,6 +131,19 @@ class TestFindRootBracketed:
     def test_exact_endpoint_root(self):
         assert find_root_bracketed(lambda x: x - 1.0, 1.0, 3.0) == 1.0
 
+    def test_given_endpoint_values_are_not_evaluated_again(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x * x - 2.0
+
+        want = find_root_bracketed(f, 0.0, 2.0)
+        assert calls[:2] == [0.0, 2.0]
+        calls.clear()
+        assert find_root_bracketed(f, 0.0, 2.0, fa=-2.0, fb=2.0) == want
+        assert 0.0 not in calls and 2.0 not in calls
+
     def test_no_sign_change_raises(self):
         with pytest.raises(NoSignChangeError):
             find_root_bracketed(lambda x: x * x + 1.0, -1.0, 1.0)

@@ -135,6 +135,56 @@ class TestShirley:
         assert bs_shirley_iterative(1.0, a).shift == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
+class TestEvaluationCounts:
+    """Each root-found shift evaluates its function once per distinct s:
+    the bracket ends, the scan samples and the residual at the root are
+    reused, and iterations counts the distinct evaluations."""
+
+    @pytest.mark.parametrize("a", [1e-3, 0.1, 1.0, 6.0, 21.0, 100.0])
+    def test_chrw(self, monkeypatch, a):
+        points, xi_calls = [], []
+        stationarity, solve_xi = resonance._chrw_stationarity, resonance.solve_xi
+
+        def recording_stationarity(omega0, amplitude):
+            f = stationarity(omega0, amplitude)
+
+            def g(s):
+                points.append(s)
+                return f(s)
+
+            return g
+
+        def counting_solve_xi(*args, **kwargs):
+            xi_calls.append(args)
+            return solve_xi(*args, **kwargs)
+
+        monkeypatch.setattr(resonance, "_chrw_stationarity", recording_stationarity)
+        monkeypatch.setattr(resonance, "solve_xi", counting_solve_xi)
+        r = bs_chrw(1.0, a)
+        assert len(set(points)) == len(points) == r.iterations
+        # one xi per evaluation and none for the residual
+        assert len(xi_calls) == r.iterations
+
+    @pytest.mark.parametrize("a", [1e-3, 0.1, 1.0, 6.0, 21.0, 100.0])
+    def test_floquet(self, monkeypatch, a):
+        points = []
+        slope_fn = resonance._chain_slope_fn
+
+        def counting_slope_fn(*args):
+            slope = slope_fn(*args)
+
+            def g(s):
+                points.append(s)
+                return slope(s)
+
+            return g
+
+        monkeypatch.setattr(resonance, "_chain_slope_fn", counting_slope_fn)
+        r = bs_floquet_numeric(1.0, a)
+        assert len(set(points)) == len(points) == r.iterations
+        assert r.residual < 1e-9
+
+
 class TestPerturbative6:
     def test_exact_rational_values(self):
         # closed form delta = x^2 + x^4/4 - 35 x^6/32 at omega0 = 1, x = A/4;
