@@ -16,15 +16,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 from scipy.special import j1
 
-from .errors import DegenerateInputError, DomainError, NoSignChangeError
+from .errors import DegenerateInputError, NoSignChangeError
 from .numerics import DEFAULT_TOL, Tolerance, bessel_j0_minus_1, find_root_bracketed
-
-ArrayLike = Union[float, np.ndarray]
 
 
 class FrameMode(enum.Enum):
@@ -174,11 +171,7 @@ def _theta_from(delta: float, half_a: float) -> float:
     return 0.25 * math.pi
 
 
-def build_frame(
-    params: ModelParams,
-    mode: FrameMode = FrameMode.CHRW,
-    tol: Tolerance = DEFAULT_TOL,
-) -> ChrwFrame:
+def build_frame(params: ModelParams, mode: FrameMode = FrameMode.CHRW) -> ChrwFrame:
     """Construct the static transformed frame in the requested mode.
 
     CHRW solves the xi fixed point (A=0 falls back to the analytic limit
@@ -196,7 +189,7 @@ def build_frame(
             delta = w0 - w
             a_tilde = 0.0
         else:
-            xi = solve_xi(params, tol)
+            xi = solve_xi(params)
             z = a * xi / w
             # J0(z)*omega0 - omega, with the J0-1 series keeping the near-
             # resonant cancellation at full precision
@@ -213,39 +206,6 @@ def build_frame(
 def bessel_argument(params: ModelParams, frame: ChrwFrame) -> float:
     """Argument A*xi/omega entering every Bessel factor of the frame."""
     return params.amplitude * frame.xi / params.omega
-
-
-@dataclass(frozen=True)
-class LabPopulationMap:
-    """Coefficients mapping the transformed-frame <s_z> to the lab-frame
-    excited population: rho_++ = constant + 0.5*<s_z>*(cos_term + sin_term).
-    """
-
-    constant: float
-    cos_term: ArrayLike
-    sin_term: ArrayLike
-
-    def population(self, sz: float) -> ArrayLike:
-        return self.constant + 0.5 * sz * (self.cos_term + self.sin_term)
-
-
-def lab_population_map(params: ModelParams, frame: ChrwFrame, t: ArrayLike) -> LabPopulationMap:
-    """Time-dependent weights of <s_z> in the lab-frame excited population.
-
-    cos_term = cos(2 theta) cos(z sin(omega t)) and
-    sin_term = sin(2 theta) sin(omega t) sin(z sin(omega t)) with
-    z = A xi / omega; both reduce at z=0 (RWA or A=0) to the static
-    dressing weights.  Accepts scalar or array t.
-    """
-    z = bessel_argument(params, frame)
-    wt = params.omega * np.asarray(t, dtype=float)
-    phase = z * np.sin(wt)
-    cos_term = frame.cos_2theta * np.cos(phase)
-    sin_term = frame.sin_2theta * np.sin(wt) * np.sin(phase)
-    if np.ndim(t) == 0:
-        cos_term = float(cos_term)
-        sin_term = float(sin_term)
-    return LabPopulationMap(constant=0.5, cos_term=cos_term, sin_term=sin_term)
 
 
 def dressed_states(frame: ChrwFrame) -> tuple[np.ndarray, np.ndarray]:

@@ -106,6 +106,24 @@ def _grid_note(grid: np.ndarray) -> str:
     return f"{_num(float(grid[0]))}:{_num(float(grid[-1]))}:{_num(step)}"
 
 
+def _shift_or_blank(method: Method, amp: float, notes: List[str]) -> Optional[float]:
+    """Shift by one method at amp, or None where its cells stay blank.
+
+    A BslError blanks the cells and adds a note for the diagnostics column.
+    An asymptotic shift <= 0 is blank without a note: below the crossover
+    the strong-drive branch has not opened yet, as the blank in the
+    paper's table shows.
+    """
+    try:
+        shift = resonance_shift(method, 1.0, amp).shift
+    except BslError as exc:
+        notes.append(f"{method.value}: {exc}")
+        return None
+    if method is Method.ASYMPTOTIC and shift <= 0.0:
+        return None
+    return shift
+
+
 def cmd_shift_table(config: RunConfig) -> str:
     """Resonance shifts by all methods over a drive-amplitude grid."""
     amps = config.amplitudes if config.amplitudes is not None else np.array(TABLE_GRID)
@@ -114,19 +132,8 @@ def cmd_shift_table(config: RunConfig) -> str:
         cells = [_num(amp)]
         notes: List[str] = []
         for method in _METHOD_ORDER:
-            try:
-                result = resonance_shift(method, 1.0, float(amp))
-            except BslError as exc:
-                cells.append("")
-                notes.append(f"{method.value}: {exc}")
-                continue
-            if method is Method.ASYMPTOTIC and result.shift <= 0.0:
-                # below the crossover the strong-drive branch has not opened
-                # yet; leave the cell empty like the blank in the reference
-                # comparison this table mirrors
-                cells.append("")
-            else:
-                cells.append(_num(result.shift))
+            shift = _shift_or_blank(method, amp, notes)
+            cells.append("" if shift is None else _num(shift))
         cells.append("; ".join(notes))
         return cells
 
@@ -150,28 +157,16 @@ def cmd_shift_sweep(config: RunConfig) -> str:
     def row(amp: float) -> List[str]:
         cells = [_num(amp)]
         notes: List[str] = []
-        try:
-            reference = resonance_shift(Method.FLOQUET, 1.0, amp).shift
-            cells.append(_num(reference))
-        except BslError as exc:
-            reference = math.nan
-            cells.append("")
-            notes.append(f"floquet: {exc}")
+        reference = _shift_or_blank(Method.FLOQUET, amp, notes)
+        cells.append("" if reference is None else _num(reference))
         for method in methods:
-            try:
-                shift = resonance_shift(method, 1.0, amp).shift
-            except BslError as exc:
+            shift = _shift_or_blank(method, amp, notes)
+            if shift is None:
                 cells.extend(["", ""])
-                notes.append(f"{method.value}: {exc}")
-                continue
-            if method is Method.ASYMPTOTIC and shift <= 0.0:
-                cells.extend(["", ""])
-                continue
-            cells.append(_num(shift))
-            if math.isfinite(reference) and reference != 0.0:
-                cells.append(_num(abs(shift - reference) / reference))
+            elif reference is None or reference == 0.0:
+                cells.extend([_num(shift), ""])
             else:
-                cells.append("")
+                cells.extend([_num(shift), _num(abs(shift - reference) / reference)])
         cells.append("; ".join(notes))
         return cells
 

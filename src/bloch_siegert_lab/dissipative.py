@@ -35,19 +35,20 @@ TRUNCATION_EPS = 1e-14
 TRUNCATION_CAP = 61
 
 
-def truncation_order(z: float, eps: float = TRUNCATION_EPS, cap: int = TRUNCATION_CAP) -> int:
-    """Smallest odd order L with |J_{L-1}|, |J_L|, |J_{L+1}| all below eps at z.
+def truncation_order(z: float) -> int:
+    """Smallest odd order L with |J_{L-1}|, |J_L|, |J_{L+1}| all below
+    TRUNCATION_EPS at z, at most TRUNCATION_CAP.
 
     Bessel functions of order beyond their argument decay super-exponentially,
     so the harmonic expansion of the transformed lowering operator can be cut
     once three consecutive orders are negligible.  Capped because arguments
     this large (z ~ 50) sit far outside the frame's validity anyway.
     """
-    j = np.abs(bessel_j_sequence(cap + 1, abs(z)))
-    orders = np.arange(1, cap, 2)
+    j = np.abs(bessel_j_sequence(TRUNCATION_CAP + 1, abs(z)))
+    orders = np.arange(1, TRUNCATION_CAP, 2)
     tail = np.maximum(np.maximum(j[orders - 1], j[orders]), j[orders + 1])
-    clear = np.flatnonzero(tail < eps)
-    return int(orders[clear[0]]) if clear.size else cap
+    clear = np.flatnonzero(tail < TRUNCATION_EPS)
+    return int(orders[clear[0]]) if clear.size else TRUNCATION_CAP
 
 
 @dataclass(frozen=True)
@@ -254,10 +255,6 @@ class SteadyState:
     def sminus_ss(self) -> complex:
         return self.splus_ss.conjugate()
 
-    def as_initial(self) -> Tuple[float, complex, complex]:
-        """(sz, s_plus, s_minus) tuple in the order bloch_evolve expects."""
-        return (self.sz_ss, self.splus_ss, self.sminus_ss)
-
 
 def steady_state(rate_set: RateSet, rabi_tilde: float) -> SteadyState:
     """Closed-form fixed point of the dressed Bloch equations."""
@@ -362,20 +359,6 @@ def population_avg(frame: ChrwFrame, params: ModelParams, rate_set: RateSet) -> 
     return 0.5 * (1.0 + ss.sz_ss * bracket)
 
 
-def population_avg_approx(frame: ChrwFrame, params: ModelParams, rate_set: RateSet) -> float:
-    """Weak-decay shortcut for the averaged population.
-
-    Uses the leading relations between gamma_0, gamma_z, and the projector
-    bracket; kept as the diagnostic partner of population_avg, which is the
-    one to quote.
-    """
-    if params.kappa == 0.0:
-        raise DegenerateInputError("approximate population needs kappa > 0")
-    g0 = rate_set.gamma_0.real
-    gz = rate_set.gamma_z.real
-    return 0.5 - g0 * g0 / (2.0 * params.kappa * gz)
-
-
 def population_time(
     frame: ChrwFrame, params: ModelParams, steady: SteadyState, t: np.ndarray
 ) -> np.ndarray:
@@ -446,13 +429,12 @@ def dressed_to_lab_population(
     return float(rho_lab[0, 0].real)
 
 
-def oracle_lindblad(
-    params: ModelParams,
-    rho0: np.ndarray,
-    t_grid: np.ndarray,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> np.ndarray:
+# DOP853 tolerances of oracle_lindblad; its Bloch-ball check allows 2e-10
+_ORACLE_RTOL = 1e-10
+_ORACLE_ATOL = 1e-12
+
+
+def oracle_lindblad(params: ModelParams, rho0: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     """Direct lab-frame integration of the driven, damped two-level system.
 
     Ground truth for everything above: no frame, no harmonic expansion, no
@@ -497,8 +479,8 @@ def oracle_lindblad(
         v0,
         method="DOP853",
         t_eval=t,
-        rtol=rtol,
-        atol=atol,
+        rtol=_ORACLE_RTOL,
+        atol=_ORACLE_ATOL,
         dense_output=False,
     )
     if not sol.success:

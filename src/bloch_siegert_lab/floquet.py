@@ -287,36 +287,27 @@ def monodromy_gap(params: ModelParams, steps_per_period: int = 2000) -> float:
     return circle_gap(q1, q2, params.omega)
 
 
-def average_transition_probability(
-    params: ModelParams,
-    periods: int = 200,
-    steps_per_period: int = 2000,
-    window: str = "hann",
-) -> float:
-    """Direct time average of |<up|U(t)|down>|^2 over many periods.
+_AVERAGE_PERIODS = 200
+
+
+def average_transition_probability(params: ModelParams) -> float:
+    """Direct time average of |<up|U(t)|down>|^2 over _AVERAGE_PERIODS periods.
 
     Independent cross-check of pbar: samples the transition probability on
     a dense grid built from one-period propagator samples and powers of the
     monodromy matrix.  A Hann window suppresses the finite-span leakage of
-    the slow Rabi beat; window="flat" gives the plain mean.
+    the slow Rabi beat.
     """
-    if periods < 1:
-        raise ValueError(f"periods must be >= 1, got {periods}")
-    _, us = propagator_samples(params, steps_per_period)
+    _, us = propagator_samples(params)
     u_period = us[-1]
     base = us[:-1]  # drop duplicate endpoint
-    n = steps_per_period
-    total = periods * n
-    if window == "hann":
-        j = np.arange(total)
-        weights = 0.5 * (1.0 - np.cos(2.0 * math.pi * (j + 0.5) / total))
-    elif window == "flat":
-        weights = np.ones(total)
-    else:
-        raise ValueError(f"unknown window {window!r}")
+    n = len(base)
+    total = _AVERAGE_PERIODS * n
+    j = np.arange(total)
+    weights = 0.5 * (1.0 - np.cos(2.0 * math.pi * (j + 0.5) / total))
     acc = 0.0
     uk = np.eye(2, dtype=complex)
-    for k in range(periods):
+    for k in range(_AVERAGE_PERIODS):
         block = base @ uk
         p = np.abs(block[:, 0, 1]) ** 2
         acc += float(p @ weights[k * n : (k + 1) * n])

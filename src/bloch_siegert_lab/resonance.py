@@ -23,12 +23,10 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
-
-import numpy as np
+from typing import Callable
 
 from .chrw import ModelParams, solve_xi
-from .errors import ConvergenceError, NoSignChangeError
+from .errors import ConvergenceError
 from .floquet import _chain_slope_fn, default_truncation
 from .numerics import (
     Tolerance,
@@ -54,9 +52,11 @@ class ShiftResult:
     The shift is the stored quantity; omega_res = omega0 + shift is
     derived.  Storing omega_res instead would quantize weak-drive shifts
     (~1e-6 omega0) to the ulp of omega0 on the round trip.  iterations
-    counts evaluations of the method's function.  chrw and floquet
-    evaluate each point once, so for them it is the number of distinct
-    points, and residual reuses the value at the root at no cost.
+    counts the distinct points at which the method evaluated its function,
+    each evaluated once; pert6 and asymptotic evaluate none.  chrw and
+    floquet take residual from the value at the root at no cost; shirley
+    evaluates its map once more, at the returned shift, and does not count
+    that evaluation.
     """
 
     method: Method
@@ -133,50 +133,42 @@ def _chrw_stationarity(omega0: float, amplitude: float) -> Callable[[float], flo
     return f
 
 
-def bs_chrw(
-    omega0: float, amplitude: float, tol: Optional[Tolerance] = None
+def _root_shift(
+    method: Method,
+    omega0: float,
+    amplitude: float,
+    f: Callable[[float], float],
+    s_lo: float,
+    s_hi: float,
 ) -> ShiftResult:
-    """Resonance from the counter-rotating hybridized rotating frame."""
-    if amplitude == 0.0:
-        return _trivial_result(Method.CHRW, omega0)
-    if tol is None:
-        tol = _SHIFT_TOL
-    # memoised: find_root_bracketed and the scan ask again for the bracket
-    # ends, and the residual for the root, all evaluated already
-    f = functools.cache(_chrw_stationarity(omega0, amplitude))
-    s_lo, s_hi = _shift_bracket(omega0, amplitude)
-    f_lo, f_hi = f(s_lo), f(s_hi)
-    if f_lo == 0.0:
-        root = s_lo
-    elif f_hi == 0.0:
-        root = s_hi
-    elif f_lo * f_hi < 0.0:
-        root = find_root_bracketed(f, s_lo, s_hi, tol)
-    else:
-        # scan for the first crossing; the stationarity curve is smooth and
-        # has a single sign change on physical brackets
-        grid = np.linspace(s_lo, s_hi, 257)
-        vals = [f(float(s)) for s in grid]
-        root = None
-        for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:]):
-            if fa == 0.0:
-                root = float(a)
-                break
-            if fa * fb < 0.0:
-                root = find_root_bracketed(f, float(a), float(b), tol)
-                break
-        if root is None:
-            raise NoSignChangeError(
-                f"no stationarity crossing in s = [{s_lo:.6g}, {s_hi:.6g}] "
-                f"for omega0={omega0}, A={amplitude}"
-            )
+    """Brent root of f(s) on the shift bracket [s_lo, s_hi].
+
+    f is memoised, so the residual at the root costs no second evaluation
+    and iterations counts distinct points.
+    """
+    f = functools.cache(f)
+    root = find_root_bracketed(f, s_lo, s_hi, _SHIFT_TOL)
     return ShiftResult(
-        method=Method.CHRW,
+        method=method,
         omega0=omega0,
         amplitude=amplitude,
         shift=root,
         residual=abs(f(root)),
         iterations=f.cache_info().misses,
+    )
+
+
+def bs_chrw(omega0: float, amplitude: float) -> ShiftResult:
+    """Resonance from the counter-rotating hybridized rotating frame.
+
+    The stationarity residual changes sign on the shift bracket from the
+    weakest to the strongest drive, so it is one Brent root there.
+    """
+    if amplitude == 0.0:
+        return _trivial_result(Method.CHRW, omega0)
+    s_lo, s_hi = _shift_bracket(omega0, amplitude)
+    return _root_shift(
+        Method.CHRW, omega0, amplitude, _chrw_stationarity(omega0, amplitude), s_lo, s_hi
     )
 
 
@@ -201,7 +193,13 @@ def bs_perturbative6(omega0: float, amplitude: float) -> ShiftResult:
 
 
 def bs_asymptotic(omega0: float, amplitude: float) -> ShiftResult:
-    """Strong-drive limit: the resonance tracks the first zero of J0."""
+    """Strong-drive limit: the resonance tracks the first zero of J0.
+
+    omega_res = A / j01 holds on the strong-drive branch only.  A shift
+    <= 0 (A <= j01 omega0) means that branch has not opened yet, not a
+    resonance at or below omega0; `bsl shift-table` and `bsl shift-sweep`
+    leave such cells blank.
+    """
     if not (math.isfinite(omega0) and omega0 > 0.0):
         raise ValueError(f"omega0 must be positive and finite, got {omega0}")
     if not (math.isfinite(amplitude) and amplitude >= 0.0):
@@ -248,22 +246,25 @@ def _damped_fixed_point(
     |g(shift) - shift|; otherwise the update is halved, restarting from
     the current iterate, until the defect decreases.  Monotone in the
     defect, so it cannot orbit.  Iterates stay at omega0 + shift > 0.
+    The value of g at an accepted step is carried into the next sweep, so
+    g is evaluated once per point and the count returned is the number of
+    points.
     """
     shift = start
-    evals = 0
+    target = g(shift)
+    evals = 1
     for _ in range(tol.max_iter):
-        target = g(shift)
-        evals += 1
         defect = target - shift
         if abs(defect) <= tol.abs_tol + tol.rel_tol * abs(shift):
             return target, evals
         alpha = 1.0
         for _ in range(60):
             cand = shift + alpha * defect
-            cand_defect = g(cand) - cand
+            g_cand = g(cand)
             evals += 1
+            cand_defect = g_cand - cand
             if omega0 + cand > 0.0 and math.isfinite(cand_defect) and abs(cand_defect) < abs(defect):
-                shift = cand
+                shift, target = cand, g_cand
                 break
             alpha *= 0.5
         else:
@@ -277,9 +278,7 @@ def _damped_fixed_point(
     )
 
 
-def bs_shirley_iterative(
-    omega0: float, amplitude: float, tol: Optional[Tolerance] = None
-) -> ShiftResult:
+def bs_shirley_iterative(omega0: float, amplitude: float) -> ShiftResult:
     """Self-consistent solution of the sixth-order crossing condition.
 
     The full map has a pole at omega = omega0/3 and is violently repulsive
@@ -289,12 +288,10 @@ def bs_shirley_iterative(
     Both stages damp with backtracking whenever a step grows the defect.
     Both iterate the shift s = omega - omega0 rather than omega, so a weak
     drive's shift (~A^2/16) is not rounded to the ulp of omega0, and the
-    default stopping rule is relative to the shift.
+    stopping rule is relative to the shift.
     """
     if amplitude == 0.0:
         return _trivial_result(Method.SHIRLEY, omega0)
-    if tol is None:
-        tol = _SHIRLEY_TOL
 
     def g_quadratic(shift: float) -> float:
         omega = omega0 + shift
@@ -305,10 +302,10 @@ def bs_shirley_iterative(
         return _shirley_shift_rhs(omega0, amplitude, shift)
 
     seed_tol = Tolerance(
-        abs_tol=1e-6 * omega0, rel_tol=1e-6, max_iter=tol.max_iter
+        abs_tol=1e-6 * omega0, rel_tol=1e-6, max_iter=_SHIRLEY_TOL.max_iter
     )
     seed, it1 = _damped_fixed_point(g_quadratic, omega0, 0.0, seed_tol)
-    shift, it2 = _damped_fixed_point(g_full, omega0, seed, tol)
+    shift, it2 = _damped_fixed_point(g_full, omega0, seed, _SHIRLEY_TOL)
     return ShiftResult(
         method=Method.SHIRLEY,
         omega0=omega0,
@@ -334,16 +331,8 @@ def bs_floquet_numeric(omega0: float, amplitude: float) -> ShiftResult:
     n_trunc = default_truncation(
         ModelParams(omega0=omega0, amplitude=amplitude, omega=omega0 + s_lo)
     )
-    # memoised, so the residual at the root costs no second eigensolve
-    f = functools.cache(_chain_slope_fn(omega0, amplitude, n_trunc))
-    root = find_root_bracketed(f, s_lo, s_hi, _SHIFT_TOL)
-    return ShiftResult(
-        method=Method.FLOQUET,
-        omega0=omega0,
-        amplitude=amplitude,
-        shift=root,
-        residual=abs(f(root)),
-        iterations=f.cache_info().misses,
+    return _root_shift(
+        Method.FLOQUET, omega0, amplitude, _chain_slope_fn(omega0, amplitude, n_trunc), s_lo, s_hi
     )
 
 
@@ -359,48 +348,3 @@ _DISPATCH = {
 def resonance_shift(method: Method, omega0: float, amplitude: float) -> ShiftResult:
     """Dispatch a single shift computation by method tag."""
     return _DISPATCH[method](omega0, amplitude)
-
-
-@dataclass(frozen=True)
-class DeviationRow:
-    """Shifts of all methods at one amplitude, with relative deviations.
-
-    Deviations are measured against the numerical Floquet shift, which is
-    the reference: dev_x = |shift_x - shift_floquet| / shift_floquet.
-    """
-
-    a_over_omega0: float
-    shift_floquet: float
-    shift_chrw: float
-    shift_shirley: float
-    shift_pert6: float
-    shift_asymptotic: float
-    dev_chrw: float
-    dev_shirley: float
-    dev_asymptotic: float
-
-
-def deviation_table(omega0: float, amplitudes: "np.ndarray | list[float]") -> list[DeviationRow]:
-    """Shift comparison across methods for a grid of drive amplitudes."""
-    rows = []
-    for amp in amplitudes:
-        amp = float(amp)
-        num = bs_floquet_numeric(omega0, amp).shift
-        chrw = bs_chrw(omega0, amp).shift
-        shir = bs_shirley_iterative(omega0, amp).shift
-        pert = bs_perturbative6(omega0, amp).shift
-        asym = bs_asymptotic(omega0, amp).shift
-        rows.append(
-            DeviationRow(
-                a_over_omega0=amp / omega0,
-                shift_floquet=num,
-                shift_chrw=chrw,
-                shift_shirley=shir,
-                shift_pert6=pert,
-                shift_asymptotic=asym,
-                dev_chrw=abs(chrw - num) / num if num != 0.0 else math.nan,
-                dev_shirley=abs(shir - num) / num if num != 0.0 else math.nan,
-                dev_asymptotic=abs(asym - num) / num if num != 0.0 else math.nan,
-            )
-        )
-    return rows

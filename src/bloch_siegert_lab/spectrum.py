@@ -150,12 +150,6 @@ def _checked_denominator(
     return values
 
 
-def response_denominator(rate_set: RateSet, rabi_tilde: float, p: np.ndarray) -> np.ndarray:
-    """Cubic characteristic polynomial of the dressed Bloch generator at p."""
-    den, _ = _response_coefficients(rate_set, rabi_tilde, (0j, 0j, 0j))
-    return _horner(den, np.asarray(p, dtype=np.complex128))
-
-
 def laplace_g(
     rate_set: RateSet,
     rabi_tilde: float,

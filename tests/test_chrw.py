@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 from scipy.special import j1, jn_zeros
 
 from bloch_siegert_lab.chrw import (
-    ChrwFrame,
     FrameMode,
     ModelParams,
     bessel_argument,
     build_frame,
     dressed_states,
-    lab_population_map,
     solve_xi,
     xi_fixed_point_residual,
 )
@@ -262,33 +260,3 @@ class TestDressedStates:
         )
         np.testing.assert_allclose(h @ up, 0.5 * fr.rabi_tilde * up, atol=1e-12)
         np.testing.assert_allclose(h @ dn, -0.5 * fr.rabi_tilde * dn, atol=1e-12)
-
-
-class TestLabPopulationMap:
-    def test_period_start_reduces_to_cos2theta(self):
-        p = ModelParams(omega0=1.0, amplitude=1.0, omega=1.0)
-        fr = build_frame(p)
-        m = lab_population_map(p, fr, 0.0)
-        assert m.cos_term == pytest.approx(fr.cos_2theta, abs=1e-15)
-        assert m.sin_term == 0.0
-        # fully inverted dressed state at t=0
-        assert m.population(1.0) == pytest.approx(0.5 + 0.5 * fr.cos_2theta, abs=1e-14)
-
-    def test_periodicity(self):
-        p = ModelParams(omega0=1.0, amplitude=2.0, omega=1.1)
-        fr = build_frame(p)
-        period = 2.0 * math.pi / p.omega
-        t = np.array([0.1, 0.4, 1.9])
-        a = lab_population_map(p, fr, t)
-        b = lab_population_map(p, fr, t + period)
-        np.testing.assert_allclose(a.cos_term, b.cos_term, atol=1e-12)
-        np.testing.assert_allclose(a.sin_term, b.sin_term, atol=1e-12)
-
-    def test_population_bounds(self):
-        p = ModelParams(omega0=1.0, amplitude=3.0, omega=1.4)
-        fr = build_frame(p)
-        t = np.linspace(0.0, 6.0, 200)
-        m = lab_population_map(p, fr, t)
-        for sz in [-1.0, -0.3, 0.0, 0.8, 1.0]:
-            pop = m.population(sz)
-            assert np.all(pop >= -1e-12) and np.all(pop <= 1.0 + 1e-12)

@@ -26,7 +26,6 @@ from bloch_siegert_lab.dissipative import (
     lindblad_tensor,
     oracle_lindblad,
     population_avg,
-    population_avg_approx,
     population_time,
     rates,
     steady_state,
@@ -34,6 +33,7 @@ from bloch_siegert_lab.dissipative import (
     x_coefficients,
 )
 from bloch_siegert_lab.errors import DegenerateInputError, ValidityWarning
+from bloch_siegert_lab.floquet import periodic_steady_state
 from bloch_siegert_lab.numerics import bessel_j
 from bloch_siegert_lab.resonance import bs_chrw
 
@@ -447,17 +447,17 @@ class TestPopulation:
             0.499685418376324, abs=1e-12
         )
 
-    def test_approximation_agrees_with_average(self):
-        p = ModelParams(omega0=1.0, amplitude=0.5, omega=1.02, kappa=2e-3)
+    def test_intermediate_drive_against_exact_steady_state(self):
+        # A = 4 pumped at its CHRW resonance with kappa = 1e-2 rabi_tilde,
+        # where the closed form is least accurate: measured relative error
+        # 2.31e-3 against the exact periodic steady state, bound twice that
+        w = bs_chrw(1.0, 4.0).omega_res
+        rabi = build_frame(ModelParams(omega0=1.0, amplitude=4.0, omega=w)).rabi_tilde
+        p = ModelParams(omega0=1.0, amplitude=4.0, omega=w, kappa=1e-2 * rabi)
         fr = build_frame(p)
-        rs = rates(fr, p)
-        assert abs(population_avg(fr, p, rs) - population_avg_approx(fr, p, rs)) < 1e-7
-
-    def test_approximation_needs_decay(self):
-        p = ModelParams(omega0=1.0, amplitude=0.5, omega=1.02, kappa=0.0)
-        fr = build_frame(p)
-        with pytest.raises(DegenerateInputError):
-            population_avg_approx(fr, p, RateSet(0j, 0j, 0j, 0j, 0j, 0j))
+        closed = population_avg(fr, p, rates(fr, p))
+        exact = periodic_steady_state(p)
+        assert abs(closed - exact) / exact < 4.6e-3
 
     def test_average_bounded_by_half(self):
         # the steady inversion always opposes the projector bracket, so the

@@ -381,7 +381,7 @@ class TestAverages:
         sol = solve_floquet(p)
         assert 0.5 - sol.pbar < 1e-8
         assert sol.pbar <= 0.5
-        direct = average_transition_probability(p, periods=200)
+        direct = average_transition_probability(p)
         assert abs(direct - 0.5) < 1e-6
 
 

@@ -1,0 +1,91 @@
+"""Every exported name has a caller besides its own definition and tests.
+
+The sources under src/, scripts/ and bench/ are read with `ast`; nothing
+there is imported or executed.  A name counts as used where the code reads
+it (a bare name or an attribute) outside its own definition, or where a
+bench/ file spells it as a string, since the benchmark looks functions up
+by name.  The package `__init__` only re-exports, so it is not read.  The
+reference implementations that tests compare the package against have no
+caller by design; each is listed with the test that needs it.
+"""
+
+import ast
+from pathlib import Path
+
+import bloch_siegert_lab
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# name -> what the name is the reference for
+REFERENCES = {
+    "average_transition_probability": "direct time average of the transition probability, "
+    "the oracle for FloquetSolution.pbar at resonance",
+    "bloch_evolve": "exact dressed Bloch trajectory, compared with oracle_lindblad for transients",
+    "dressed_components": "maps a lab density matrix onto the dressed Bloch state for bloch_evolve",
+    "dressed_to_lab_population": "maps a dressed Bloch trajectory back to the lab population",
+    "population_time": "in-period population whose period mean must equal population_avg",
+}
+
+
+def _sources():
+    pkg = ROOT / "src" / "bloch_siegert_lab"
+    files = [f for f in sorted(pkg.glob("*.py")) if f.name != "__init__.py"]
+    files += sorted((ROOT / "scripts").glob("*.py"))
+    files += [f for f in sorted((ROOT / "bench").glob("*.py")) if not f.name.startswith("test_")]
+    assert len(files) >= 12, files  # the scan cannot pass vacuously
+    return files
+
+
+class _Uses(ast.NodeVisitor):
+    """Names read in one module, skipping reads inside the definition that
+    binds the same name (a recursive call or a self-reference)."""
+
+    def __init__(self, strings: bool):
+        self.strings = strings
+        self.used = set()
+        self.inside = []
+
+    def _definition(self, node):
+        self.inside.append(node.name)
+        self.generic_visit(node)
+        self.inside.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _definition
+
+    def _use(self, name):
+        if name not in self.inside:
+            self.used.add(name)
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self._use(node.id)
+
+    def visit_Attribute(self, node):
+        self._use(node.attr)
+        self.generic_visit(node)
+
+    def visit_Constant(self, node):
+        if self.strings and isinstance(node.value, str):
+            self._use(node.value)
+
+
+def _used_names():
+    used = set()
+    for path in _sources():
+        visitor = _Uses(strings=path.parent.name == "bench")
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        used |= visitor.used
+    return used
+
+
+def test_every_export_has_a_caller():
+    used = _used_names()
+    exported = set(bloch_siegert_lab.__all__)
+    assert set(REFERENCES) <= exported
+    uncalled = sorted(exported - used - set(REFERENCES))
+    assert uncalled == []
+
+
+def test_references_have_no_caller():
+    # an entry whose name gained a caller is stale and must go
+    assert sorted(set(REFERENCES) & _used_names()) == []

@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from bloch_siegert_lab import resonance
-from bloch_siegert_lab.errors import NoSignChangeError
 from bloch_siegert_lab.numerics import first_bessel_j0_zero
 from bloch_siegert_lab.resonance import (
-    DeviationRow,
     Method,
     ShiftResult,
     bs_asymptotic,
@@ -17,7 +15,6 @@ from bloch_siegert_lab.resonance import (
     bs_floquet_numeric,
     bs_perturbative6,
     bs_shirley_iterative,
-    deviation_table,
     resonance_shift,
 )
 
@@ -76,16 +73,19 @@ class TestChrw:
         assert r.iterations > 0
 
     def test_whole_drive_range(self):
-        # every A from weak to strong drive finds its root.  At weak drive
-        # the CHRW shift and the series differ by O((A/4)^4) relative, below
-        # 1e-15; what remains is the root search stopping at |f| <= 1e-18,
-        # measured at up to 9.0e-12 relative (A = 8.3e-4)
-        for a in np.logspace(-6.0, 3.0, 300):
-            shift = bs_chrw(1.0, float(a)).shift
-            assert math.isfinite(shift) and shift > -1.0
-            if a <= 1e-3:
-                want = bs_perturbative6(1.0, float(a)).shift
-                assert shift == pytest.approx(want, rel=2e-11, abs=0.0)
+        # every A from weak to strong drive finds its root on the first
+        # bracket, at three level splittings.  At weak drive the CHRW shift
+        # and the series differ by O((A/4)^4) relative, below 1e-15; what
+        # remains is the root search stopping at |f| <= 1e-18, measured at
+        # up to 9.0e-12 relative (A = 8.3e-4 omega0)
+        for omega0 in (1.0, 0.3, 7.0):
+            for ratio in np.logspace(-6.0, 3.0, 300):
+                a = float(ratio) * omega0
+                shift = bs_chrw(omega0, a).shift
+                assert math.isfinite(shift) and shift > -omega0
+                if ratio <= 1e-3:
+                    want = bs_perturbative6(omega0, a).shift
+                    assert shift == pytest.approx(want, rel=2e-11, abs=0.0)
 
 
 class TestFloquetNumeric:
@@ -185,6 +185,33 @@ class TestEvaluationCounts:
         assert r.residual < 1e-9
 
 
+class TestShirleyEvaluationCounts:
+    """The Shirley iteration evaluates its map once per point in each stage:
+    the value at an accepted step is carried into the next sweep, and
+    iterations counts the evaluations of both stages."""
+
+    @pytest.mark.parametrize("a", [1e-6, 0.1, 1.0, 6.0, 21.0])
+    def test_each_point_once(self, monkeypatch, a):
+        stages = []
+        fixed_point = resonance._damped_fixed_point
+
+        def recording_fixed_point(g, omega0, start, tol):
+            points = []
+            stages.append(points)
+
+            def h(shift):
+                points.append(shift)
+                return g(shift)
+
+            return fixed_point(h, omega0, start, tol)
+
+        monkeypatch.setattr(resonance, "_damped_fixed_point", recording_fixed_point)
+        r = bs_shirley_iterative(1.0, a)
+        assert len(stages) == 2
+        assert all(len(set(points)) == len(points) > 0 for points in stages)
+        assert r.iterations == sum(len(points) for points in stages)
+
+
 class TestPerturbative6:
     def test_exact_rational_values(self):
         # closed form delta = x^2 + x^4/4 - 35 x^6/32 at omega0 = 1, x = A/4;
@@ -241,31 +268,3 @@ class TestTrivialAndDispatch:
     def test_bad_inputs_rejected(self, omega0, amplitude):
         with pytest.raises(ValueError):
             bs_chrw(omega0, amplitude)
-
-
-class TestDeviationTable:
-    def test_rows_carry_all_columns(self):
-        rows = deviation_table(1.0, [1.0, 3.5])
-        assert [r.a_over_omega0 for r in rows] == [1.0, 3.5]
-        r = rows[1]
-        assert r.shift_floquet == pytest.approx(0.707959029458106, abs=1e-9)
-        assert r.dev_chrw == pytest.approx(
-            abs(r.shift_chrw - r.shift_floquet) / r.shift_floquet, rel=1e-12
-        )
-        assert r.dev_shirley == pytest.approx(
-            abs(r.shift_shirley - r.shift_floquet) / r.shift_floquet, rel=1e-12
-        )
-
-    def test_asymptotic_negative_shift_is_kept(self):
-        # the A = omega0 row has omega_res below omega0 on the strong-drive
-        # formula; the row keeps the raw value (formatting layers decide how
-        # to display it) and the deviation is honestly huge
-        row = deviation_table(1.0, [1.0])[0]
-        assert row.shift_asymptotic < 0.0
-        assert row.dev_asymptotic > 1.0
-
-    def test_percent_level_agreement_at_moderate_drive(self):
-        row = deviation_table(1.0, [6.0])[0]
-        assert row.dev_chrw < 0.012
-        assert row.dev_shirley < 0.012
-        assert row.dev_asymptotic < 0.12

@@ -20,7 +20,6 @@ def _load(name):
     [
         ("population_peak_scan", ["--points", "21", "--amps", "0.1"]),
         ("spectrum_panel", ["--points", "201"]),
-        ("shift_methods_scan", ["--amp-min", "1", "--amp-max", "2", "--amp-step", "1"]),
         # the default probe window must stay above nu = 0 at strong drive
         ("spectrum_panel", ["--amplitude", "1", "--points", "201"]),
     ],

@@ -12,12 +12,12 @@ from bloch_siegert_lab.resonance import bs_chrw
 from bloch_siegert_lab.spectrum import (
     Normalization,
     SpectrumTrace,
+    _response_coefficients,
     asymmetry_metric,
     chat_coefficients,
     default_sideband_count,
     initial_conditions,
     laplace_g,
-    response_denominator,
     spectrum,
 )
 from bloch_siegert_lab.validation import laplace_vs_quadrature
@@ -90,13 +90,12 @@ class TestResponseDenominator:
     def test_matches_characteristic_polynomial(self):
         p, fr, rs, ss = _resonant_point()
         m, _ = bloch_generator(rs, fr.rabi_tilde)
+        den, _ = _response_coefficients(rs, fr.rabi_tilde, (0j, 0j, 0j))
         rng = np.random.default_rng(11)
         for _ in range(10):
             pv = complex(rng.normal(scale=0.1), rng.normal(scale=0.5))
             det = np.linalg.det(pv * np.eye(3) - m)
-            assert response_denominator(rs, fr.rabi_tilde, pv) == pytest.approx(
-                det, rel=1e-12
-            )
+            assert np.polyval(den, pv) == pytest.approx(det, rel=1e-12)
 
     def test_generator_is_stable(self):
         # with kappa > 0 every mode of the dressed generator decays, which
