@@ -7,8 +7,10 @@ dissipator becomes time-dependent through the transformed lowering operator.
 Expanding that operator in drive harmonics and keeping only the co-rotating
 (n + n' = 0) pairs leaves a constant-coefficient master equation whose whole
 content is a rank-4 tensor over the dressed indices, and ultimately six
-scalar rates.  rates sums those six directly over the harmonic table;
-lindblad_tensor keeps the full tensor as their reference.  Validity
+scalar rates.  Neumann's addition theorem sums the harmonic products
+exactly, so rates gives the six in closed form from J_0, J_1 and J_2 at the
+Bessel argument z and at 2z; lindblad_tensor sums the truncated harmonic
+table term by term and is their independent reference.  Validity
 requires the dressed splitting to dominate the decay (rabi_tilde >>
 kappa); callers get a ValidityWarning when it does not.
 
@@ -26,10 +28,11 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy.special import j0, j1
 
 from .chrw import ChrwFrame, ModelParams, bessel_argument, dressed_states
 from .errors import ConvergenceError, DegenerateInputError, ValidityWarning
-from .numerics import bessel_j, bessel_j_sequence
+from .numerics import bessel_j, bessel_j0_minus_1, bessel_j_sequence
 
 TRUNCATION_EPS = 1e-14
 TRUNCATION_CAP = 61
@@ -112,24 +115,16 @@ def fourier_coefficients(frame: ChrwFrame, params: ModelParams) -> FourierCoeffi
     return FourierCoefficients(max_order=l_max, f_plus=f_p, f_minus=f_m, f_z=f_z)
 
 
-def _block_entries(table: FourierCoefficients) -> np.ndarray:
-    # rows (u, p, q) = (f_z, upper, lower) / 2 of the 2x2 harmonic blocks
-    # [[u, p], [q, -u]] for n = -L, -L+2, ..., L (L = max_order) in that
-    # order; n > 0 reads signature +1, n < 0 signature -1 with the raising
-    # and lowering weights trading places
-    fz = np.concatenate([table.f_z[1, ::-1], table.f_z[0]])
-    upper = np.concatenate([table.f_minus[1, ::-1], table.f_plus[0]])
-    lower = np.concatenate([table.f_plus[1, ::-1], table.f_minus[0]])
-    return 0.5 * np.stack([fz, upper, lower])
-
-
 def _blocks(table: FourierCoefficients) -> np.ndarray:
-    u, p, q = _block_entries(table)
-    stack = np.empty((u.size, 2, 2), dtype=np.complex128)
-    stack[:, 0, 0] = u
-    stack[:, 0, 1] = p
-    stack[:, 1, 0] = q
-    stack[:, 1, 1] = -u
+    # 2x2 harmonic blocks [[f_z, upper], [lower, -f_z]] / 2 for n = -L,
+    # -L+2, ..., L (L = max_order) in that order; n > 0 reads signature +1,
+    # n < 0 signature -1 with the raising and lowering weights trading places
+    fz = np.concatenate([table.f_z[1, ::-1], table.f_z[0]])
+    stack = np.empty((fz.size, 2, 2), dtype=np.complex128)
+    stack[:, 0, 0] = 0.5 * fz
+    stack[:, 0, 1] = 0.5 * np.concatenate([table.f_minus[1, ::-1], table.f_plus[0]])
+    stack[:, 1, 0] = 0.5 * np.concatenate([table.f_plus[1, ::-1], table.f_minus[0]])
+    stack[:, 1, 1] = -0.5 * fz
     return stack
 
 
@@ -206,24 +201,42 @@ class RateSet:
 
 
 def rates(frame: ChrwFrame, params: ModelParams) -> RateSet:
-    """Rate constants of the transformed master equation, as closed harmonic sums."""
-    return _rates_from_table(fourier_coefficients(frame, params), params.kappa)
+    """Rate constants of the transformed master equation, in closed form.
 
-
-def _rates_from_table(table: FourierCoefficients, kappa: float) -> RateSet:
-    # RateSet.from_tensor(lindblad_tensor(...)) as closed sums: each rate is
-    # kappa times harmonic sums of products of two block entries, so one Gram
-    # matrix of the block rows (u, p, q) holds them all
-    entries = _block_entries(table)
-    gram = kappa * (entries @ entries.T)
-    (uu, up, uq), (_, pp, pq), (_, _, qq) = gram
+    Neumann's addition theorem sums the harmonic products exactly,
+    sum_{n odd} J_{n+j}(z) J_{n+k}(z) = [delta_jk - (-1)^j J_{k-j}(2z)] / 2,
+    so no harmonic table is built.  lindblad_tensor sums the truncated table
+    term by term and is the reference this is checked against.
+    """
+    z = bessel_argument(params, frame)
+    kappa, s, c = params.kappa, frame.sin_2theta, frame.cos_2theta
+    # The rates are kappa times gamma_z = pp + qq, gamma_0 = pp - qq,
+    # gamma_1 = -(up + uq) / 2, gamma_2 = uq - up, gamma_minus = -pq and
+    # gamma_plus = 2 uu + (pp + qq) / 2, where xy sums x y over odd n of the
+    # block entries (u, p, q).  With s, c = sin 2theta, cos 2theta, they
+    # combine into
+    #   u             = [s (J_{n-1} - J_{n+1}) - 2c J_n] / 4 + s/4 [n = +-1]
+    #   sigma = p + q = -[c (J_{n-1} - J_{n+1}) + 2s J_n] / 2 - c/2 [n = +-1]
+    #   delta = q - p = (J_{n-1} + J_{n+1}) / 2 +- 1/2 [n = +-1]
+    # so that pp + qq = (sigma sigma + delta delta) / 2, pp - qq = -sigma
+    # delta, and so on.  The identity sums each product, with m = 1 - J_0(2z)
+    # from the cancellation-free series; only the [n = +-1] terms pair delta
+    # with u or sigma, which leaves J_0 and J_1 at z in gamma_0 and gamma_2.
+    m = -bessel_j0_minus_1(2.0 * z)
+    y1, y2 = float(j1(2.0 * z)), bessel_j(2, 2.0 * z)
+    big = 4.0 - m - y2  # 3 + J_0(2z) - J_2(2z)
+    uu = (s * s * big + 2.0 * c * c * m - 4.0 * s * c * y1) / 16.0
+    u_sigma = (2.0 * (c * c - s * s) * y1 - s * c * (big - 2.0 * m)) / 8.0
+    sigma_sigma = (c * c * big + 2.0 * s * s * m + 4.0 * s * c * y1) / 4.0
+    delta_delta = (4.0 - m + y2) / 4.0
+    x0, x1 = float(j0(z)), float(j1(z))
     return RateSet(
-        gamma_z=complex(pp + qq),
-        gamma_0=complex(pp - qq),
-        gamma_1=complex(-0.5 * (up + uq)),
-        gamma_2=complex(uq - up),
-        gamma_minus=complex(-pq),
-        gamma_plus=complex(0.5 * (4.0 * uu + pp + qq)),
+        gamma_z=complex(0.5 * kappa * (sigma_sigma + delta_delta)),
+        gamma_0=complex(kappa * (c * x0 + s * x1)),
+        gamma_1=complex(-0.5 * kappa * u_sigma),
+        gamma_2=complex(0.5 * kappa * (s * x0 - c * x1)),
+        gamma_minus=complex(0.25 * kappa * (delta_delta - sigma_sigma)),
+        gamma_plus=complex(kappa * (2.0 * uu + 0.25 * (sigma_sigma + delta_delta))),
     )
 
 
@@ -355,7 +368,7 @@ def population_avg(frame: ChrwFrame, params: ModelParams, rate_set: RateSet) -> 
     """
     ss = steady_state(rate_set, frame.rabi_tilde)
     z = bessel_argument(params, frame)
-    bracket = frame.cos_2theta * bessel_j(0, z) + frame.sin_2theta * bessel_j(1, z)
+    bracket = frame.cos_2theta * float(j0(z)) + frame.sin_2theta * float(j1(z))
     return 0.5 * (1.0 + ss.sz_ss * bracket)
 
 

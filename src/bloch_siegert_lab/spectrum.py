@@ -26,10 +26,10 @@ from .chrw import ChrwFrame, FrameMode, ModelParams, build_frame
 from .dissipative import (
     RateSet,
     SteadyState,
-    _rates_from_table,
     bloch_generator,
     fourier_coefficients,
     fourier_f,
+    rates,
     steady_state,
 )
 from .errors import GridError, PoleError, ValidityWarning
@@ -123,13 +123,14 @@ def _horner(coeffs: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _checked_denominator(
-    den: np.ndarray, rate_set: RateSet, rabi_tilde: float, p: np.ndarray
+    den: np.ndarray, rate_set: RateSet, rabi_tilde: float, p: np.ndarray, p_abs: np.ndarray
 ) -> np.ndarray:
     """The cubic denominator at p; PoleError where it vanishes on its own scale.
 
-    Every pole sits strictly in the left half-plane once kappa > 0, so the
-    error can only be tripped by probing an undamped system exactly on its
-    free-precession pole.
+    p_abs is |p|, which the caller may have without a complex abs, in an
+    array the bound is then built in.  Every pole sits strictly in the left
+    half-plane once kappa > 0, so the error can only be tripped by probing
+    an undamped system exactly on its free-precession pole.
     """
     values = _horner(den, p)
     rate_scale = (
@@ -139,7 +140,7 @@ def _checked_denominator(
         + abs(rate_set.gamma_z)
     )
     # cube by multiplication: an array ** 3 goes through pow() point by point
-    bound = np.abs(p)
+    bound = p_abs
     bound += abs(rabi_tilde) + rate_scale
     bound *= bound * bound
     bound *= 1e-14
@@ -164,7 +165,7 @@ def laplace_g(
     """
     p = np.asarray(p, dtype=np.complex128)
     den, num = _response_coefficients(rate_set, rabi_tilde, init)
-    denom = _checked_denominator(den, rate_set, rabi_tilde, p)
+    denom = _checked_denominator(den, rate_set, rabi_tilde, p, np.abs(p))
     g_plus, g_minus, g_z = (_horner(row, p) / denom for row in num)
     return g_plus, g_minus, g_z
 
@@ -231,7 +232,7 @@ def spectrum(
             f"nu_grid extends to {np.max(nu):.4g}, beyond the coverage "
             f"(n_max + 2) * omega = {(n_max + 2) * params.omega:.4g}"
         )
-    rate_set = _rates_from_table(table, params.kappa)
+    rate_set = rates(frame, params)
     steady = steady_state(rate_set, frame.rabi_tilde)
     values = np.zeros_like(nu)
     for k, n in enumerate(range(1, n_max + 1, 2)):
@@ -243,7 +244,8 @@ def spectrum(
         weighted = np.array([f_m, f_p, f_z]) @ num
         p = -1j * (nu - n * params.omega)
         response = _horner(weighted, p)
-        response /= _checked_denominator(den, rate_set, frame.rabi_tilde, p)
+        # p is purely imaginary, so |p| is |Im p|, bit for bit
+        response /= _checked_denominator(den, rate_set, frame.rabi_tilde, p, np.abs(p.imag))
         values += 0.25 * response.real
     if normalization is Normalization.PEAK_UNIT:
         peak = float(np.max(np.abs(values)))

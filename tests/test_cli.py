@@ -146,6 +146,23 @@ class TestPopulation:
         assert peak_omega == pytest.approx(1.0006, abs=1e-9)
         assert np.max(pops) < 0.5
 
+    def test_printed_cells_pinned(self, capsys):
+        # the default weak-drive sweep (first, peak at row 56 of 101, last)
+        # and the strong-drive sweep (peak, last), frozen at nine digits
+        code, out = _run(capsys, ["population", "--A", "0.1"])
+        assert code == 0
+        body = out.strip().split("\n")[2:]
+        assert len(body) == 101
+        assert body[0] == "0.995,0.487661476,"
+        assert body[56] == "1.0006,0.499999752,"
+        assert body[-1] == "1.005,0.492461862,"
+        code, out = _run(capsys, ["population", "--A", "8.5", "--omega-range", "0.9:1.1:0.01"])
+        assert code == 0
+        body = out.strip().split("\n")[2:]
+        assert len(body) == 21
+        assert body[9] == "0.99,0.499980699,"
+        assert body[-1] == "1.1,0.467163909,"
+
     def test_zero_drive_populations_vanish(self, capsys):
         code, out = _run(
             capsys, ["population", "--A", "0", "--omega-range", "0.99:1.01:0.01"]

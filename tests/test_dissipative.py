@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bloch_siegert_lab import dissipative
 from bloch_siegert_lab.chrw import (
     FrameMode,
     ModelParams,
@@ -32,7 +33,7 @@ from bloch_siegert_lab.dissipative import (
     truncation_order,
     x_coefficients,
 )
-from bloch_siegert_lab.errors import DegenerateInputError, ValidityWarning
+from bloch_siegert_lab.errors import DegenerateInputError, NoSignChangeError, ValidityWarning
 from bloch_siegert_lab.floquet import periodic_steady_state
 from bloch_siegert_lab.numerics import bessel_j
 from bloch_siegert_lab.resonance import bs_chrw
@@ -306,14 +307,52 @@ class TestRates:
         ids=["A0.1", "A1", "A15"],
     )
     def test_closed_sums_match_tensor(self, p, mode):
-        # the closed-sum rates against the full rank-4 dissipator they reduce;
-        # A = 15 at omega0 runs every harmonic up to L = 43
+        # the closed-form rates against the full rank-4 dissipator, which sums
+        # the truncated harmonic table term by term; A = 15 at omega0 runs
+        # every harmonic up to L = 43
         fr = build_frame(p, mode=mode)
         got = rates(fr, p)
         want = RateSet.from_tensor(lindblad_tensor(fr, p))
         tol = 1e-15 * abs(want.gamma_z)
         for name in ("gamma_z", "gamma_0", "gamma_1", "gamma_2", "gamma_minus", "gamma_plus"):
             assert abs(getattr(got, name) - getattr(want, name)) <= tol, name
+
+    @pytest.mark.parametrize("mode", [FrameMode.CHRW, FrameMode.RWA])
+    @pytest.mark.parametrize("omega0", [0.3, 1.0, 7.0])
+    def test_closed_sums_match_tensor_on_grid(self, omega0, mode):
+        # the same comparison over A/omega0 in [1e-4, 16] (up to L = 43),
+        # below, at and above resonance, with the same bound.  gamma_z
+        # lies between kappa/2 and kappa, so the bound is at most 1e-15
+        # kappa; the measured worst is 6.8e-16 kappa (8.7e-16 gamma_z)
+        checked = 0
+        for amp in omega0 * np.geomspace(1e-4, 16.0, 30):
+            res = bs_chrw(omega0, amp).omega_res
+            for w in (0.9 * omega0, omega0, res, 1.1 * omega0):
+                p = ModelParams(omega0=omega0, amplitude=amp, omega=w, kappa=2e-3)
+                try:
+                    fr = build_frame(p, mode=mode)
+                except NoSignChangeError:
+                    continue  # inside a negative lobe of J1 the frame does not exist
+                got = rates(fr, p)
+                want = RateSet.from_tensor(lindblad_tensor(fr, p))
+                tol = 1e-15 * abs(want.gamma_z)
+                for name in ("gamma_z", "gamma_0", "gamma_1", "gamma_2", "gamma_minus", "gamma_plus"):
+                    assert abs(getattr(got, name) - getattr(want, name)) <= tol, (amp, w, name)
+                checked += 1
+        assert checked >= 110
+
+    def test_closed_form_builds_no_harmonic_table(self, monkeypatch):
+        # rates needs J_0, J_1, J_2 at z and 2z only: no truncation order
+        # and no Bessel sequence
+        def forbidden(*args):
+            raise AssertionError("rates built the harmonic table")
+
+        monkeypatch.setattr(dissipative, "truncation_order", forbidden)
+        monkeypatch.setattr(dissipative, "bessel_j_sequence", forbidden)
+        for p in (P_STRONG, P_STRONGEST):
+            for mode in (FrameMode.CHRW, FrameMode.RWA):
+                fr = build_frame(p, mode=mode)
+                assert rates(fr, p).gamma_z.real > 0.0
 
     def test_closed_sums_vanish_without_decay(self):
         for amp in (0.1, 15.0):

@@ -16,6 +16,7 @@ def test_registry_order_and_quick_subset():
         "monodromy-vs-matrix",
         "laplace-vs-quadrature",
         "lindblad-oracle",
+        "rates-vs-tensor",
     ]
     quick = [name for name, _ in validation.checks(quick=True)]
     assert quick == ["table-regression", "floquet-convergence", "laplace-vs-quadrature"]
@@ -77,3 +78,18 @@ def test_population_outside_weak_damping_fails(monkeypatch):
     result = validation.lindblad_oracle()
     assert not result.ok
     assert "rabi_tilde / kappa" in result.detail
+
+
+def test_rate_off_by_2e15_kappa_fails(monkeypatch):
+    # the measured worst is 4.5e-16 kappa; a closed form off by a few
+    # roundings in one rate must not pass
+    closed_form = validation.rates
+
+    def shifted(frame, params):
+        result = closed_form(frame, params)
+        return dataclasses.replace(result, gamma_1=result.gamma_1 + 2e-15 * params.kappa)
+
+    monkeypatch.setattr(validation, "rates", shifted)
+    result = validation.rates_vs_tensor()
+    assert not result.ok
+    assert result.value < 3e-15
