@@ -141,12 +141,12 @@ def solve_floquet(params: ModelParams, n_trunc: Optional[int] = None) -> Floquet
         e, vec = float(diag[0]), np.ones(1)
     else:
         e, vec = _chain_eigenpair(diag, off, n_trunc)
-    up = n_trunc % 2
+    v = vec[n_trunc % 2 :: 2]
     return FloquetSolution(
         params=params,
         n_trunc=n_trunc,
         quasienergy=e + 0.5 * params.omega0,
-        dq_domega0=float(np.sum(vec[up::2] ** 2)) - 0.5,
+        dq_domega0=float(np.add.reduce(v * v)) - 0.5,
     )
 
 
@@ -179,7 +179,8 @@ def _chain_slope_fn(omega0: float, amplitude: float, n_trunc: int) -> Callable[[
         diag = base * (omega0 + s)
         diag[down::2] += s
         _, vec = _chain_eigenpair(diag, off, n_trunc)
-        return float(np.sum(vec[up::2] ** 2)) - 0.5
+        v = vec[up::2]
+        return float(np.add.reduce(v * v)) - 0.5
 
     return slope
 

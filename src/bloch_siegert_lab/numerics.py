@@ -1,15 +1,16 @@
 """Bessel functions and bracketed scalar solvers.
 
 Every J_n in the package comes from scipy.special, through bessel_j and
-bessel_j_sequence here or through scipy.special.jv over an array.  Two
+bessel_j_sequence here or through scipy.special.jv over an array.  Three
 places take J_0 and J_1 from the Cephes scipy.special.j0 and j1 instead,
 an order of magnitude cheaper than the AMOS jv for one argument: the CHRW
 xi equation in chrw, whose grid scan and residual both use j1 so the two
-agree on every sign, and the closed-form rates and population_avg in
-dissipative.  The one value scipy does not offer is bessel_j0_minus_1,
-whose small-argument series keeps J_0 - 1 free of cancellation.  The root
-finder is a plain Brent's method: scipy.optimize would do the same work but
-costs a noticeable import on every start-up.
+agree on every sign, the chrw stationarity residual in resonance, and the
+closed-form rates and population_avg in dissipative.  The one value scipy
+does not offer is bessel_j0_minus_1, whose small-argument series keeps
+J_0 - 1 free of cancellation.  The root finder is a plain Brent's method:
+scipy.optimize would do the same work but costs a noticeable import on
+every start-up.
 """
 
 from __future__ import annotations

@@ -25,8 +25,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from scipy.special import j1 as bessel_j1
+
 from .chrw import ModelParams, solve_xi
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DomainError
 from .floquet import _chain_slope_fn, default_truncation
 from .numerics import (
     Tolerance,
@@ -76,14 +78,16 @@ class ShiftResult:
 
 
 # tight scalar tolerances: the chrw and floquet roots are smooth and cheap,
-# so run the bracketing solver to machine width in the shift variable.
-# abs_tol sits far below any shift, so the bracket-width stop is relative,
-# but find_root_bracketed also stops once |f| <= abs_tol.  The chrw
-# residual has slope about -2 in s, so that stop can end up to 5e-19 from
-# the root: 9.0e-12 relative at A = 8.3e-4 (shift ~ A^2/16), the floor
-# against pert6.  Without it the floquet root at A = 1e-3 takes 14
-# evaluations instead of 6.
+# so run the bracketing solver to machine width.  The floquet root in the
+# shift variable also stops once |slope| <= abs_tol; without that stop its
+# root at A = 1e-3 takes 14 evaluations instead of 6.  The chrw root in
+# t = A/z - 2 omega0 keeps rel_tol but scales abs_tol with its bracket, by
+# _CHRW_ABS_SCALE: at the root t lies between s/2 and s, so the relative
+# rule alone gives the shift to 1e-14 from A = 1e-9 omega0 up, where the
+# root is 3e-11 of the bracket, far above that floor.  A fixed |f| stop
+# would not do: the residual is of order A^2 everywhere on the bracket.
 _SHIFT_TOL = Tolerance(abs_tol=1e-18, rel_tol=1e-14, max_iter=300)
+_CHRW_ABS_SCALE = math.ulp(1.0) ** 2
 _XI_TOL = Tolerance(abs_tol=1e-22, rel_tol=2e-16, max_iter=200)
 # the Shirley iteration stops on the same relative rule; its sweep budget
 # is what ends the map's slow contraction at strong drive (A ~ 100)
@@ -107,68 +111,82 @@ def _shift_bracket(omega0: float, amplitude: float) -> tuple[float, float]:
     return max(0.0, 0.9 * amplitude / first_bessel_j0_zero() - omega0), amplitude
 
 
-def _chrw_stationarity(omega0: float, amplitude: float) -> Callable[[float], float]:
-    """Residual of d(Rabi^2)/d omega0 = 0 as a function of s = omega - omega0.
+def _chrw_stationarity(omega0: float, amplitude: float) -> Callable[[float], tuple[float, float]]:
+    """Residual of d(Rabi^2)/d omega0 = 0 and the shift s = omega - omega0,
+    both as functions of t = A/z - 2 omega0.
 
-    Working in the shift variable keeps the near-cancellation
-    J0(z)*omega0 - omega = (J0(z) - 1)*omega0 - s free of subtractive
-    error, so the root is resolved to machine precision even when the
-    shift is ~1e-4 omega0.
+    z = A xi/omega parametrises the xi fixed point: with 2 J1 = z (J0 + J2)
+    it reads omega = A/z - omega0 (J0 + J2), so an evaluation needs no xi
+    solve.  Taking t as the variable leaves z = A/(2 omega0 + t), the shift
+    s = t - omega0 ((J0 - 1) + J2) and the detuning (J0 - 1) omega0 - s free
+    of subtractive error, so the root is resolved to machine precision even
+    at A = 1e-9 omega0, where the shift is ~6e-20 omega0.  J1 comes from
+    Cephes j1, as in the xi equation.  Every point must lie on the fixed
+    point's first-root branch, where omega + omega0 (J0 - J2) > 0 and omega
+    falls as z grows; DomainError otherwise.
     """
 
-    def f(s: float) -> float:
-        omega = omega0 + s
-        params = ModelParams(omega0=omega0, amplitude=amplitude, omega=omega)
-        xi = solve_xi(params, tol=_XI_TOL)
-        z = amplitude * xi / omega
+    def f(t: float) -> tuple[float, float]:
+        z = amplitude / (2.0 * omega0 + t)
         j0m1 = bessel_j0_minus_1(z)
         j0 = 1.0 + j0m1
-        j1 = bessel_j(1, z)
+        j1 = float(bessel_j1(z))
         j2 = bessel_j(2, z)
+        s = t - omega0 * (j0m1 + j2)
+        omega = omega0 + s
+        slope = omega + omega0 * (j0 - j2)
+        if not slope > 0.0:
+            raise DomainError(
+                f"xi fixed point left its first-root branch at z={z:.6g}, omega={omega:.6g}"
+            )
+        xi = z * omega / amplitude
         delta = j0m1 * omega0 - s
-        dxi = -2.0 * omega * j1 / (amplitude * (omega + omega0 * (j0 - j2)))
+        dxi = -2.0 * omega * j1 / (amplitude * slope)
         ddelta = j0 - omega0 * (amplitude / omega) * j1 * dxi
-        return 2.0 * delta * ddelta - 2.0 * amplitude * amplitude * (1.0 - xi) * dxi
+        return 2.0 * delta * ddelta - 2.0 * amplitude * amplitude * (1.0 - xi) * dxi, s
 
     return f
 
 
-def _root_shift(
-    method: Method,
-    omega0: float,
-    amplitude: float,
-    f: Callable[[float], float],
-    s_lo: float,
-    s_hi: float,
-) -> ShiftResult:
-    """Brent root of f(s) on the shift bracket [s_lo, s_hi].
+def _chrw_bracket(omega0: float, amplitude: float) -> tuple[float, float]:
+    """Bracket [t_lo, t_hi] of the chrw root in t = A/z - 2 omega0.
 
-    f is memoised, so the residual at the root costs no second evaluation
-    and iterations counts distinct points.
+    t_hi = A is explicit: J1(z) <= z/2 gives s >= t, so the shift there is
+    at or above A, the top of the shift bracket.  t_lo is the point at the
+    bottom of the shift bracket, from one xi solve.
     """
-    f = functools.cache(f)
-    root = find_root_bracketed(f, s_lo, s_hi, _SHIFT_TOL)
-    return ShiftResult(
-        method=method,
-        omega0=omega0,
-        amplitude=amplitude,
-        shift=root,
-        residual=abs(f(root)),
-        iterations=f.cache_info().misses,
-    )
+    s_lo, _ = _shift_bracket(omega0, amplitude)
+    params = ModelParams(omega0=omega0, amplitude=amplitude, omega=omega0 + s_lo)
+    z = amplitude * solve_xi(params, tol=_XI_TOL) / params.omega
+    return s_lo + omega0 * (bessel_j0_minus_1(z) + bessel_j(2, z)), amplitude
 
 
 def bs_chrw(omega0: float, amplitude: float) -> ShiftResult:
     """Resonance from the counter-rotating hybridized rotating frame.
 
-    The stationarity residual changes sign on the shift bracket from the
-    weakest to the strongest drive, so it is one Brent root there.
+    The stationarity residual changes sign on the t bracket from the
+    weakest to the strongest drive, so it is one Brent root there.  The
+    residual and the shift are memoised together, so the shift at the root
+    costs no second evaluation and iterations counts distinct points.
     """
     if amplitude == 0.0:
         return _trivial_result(Method.CHRW, omega0)
-    s_lo, s_hi = _shift_bracket(omega0, amplitude)
-    return _root_shift(
-        Method.CHRW, omega0, amplitude, _chrw_stationarity(omega0, amplitude), s_lo, s_hi
+    t_lo, t_hi = _chrw_bracket(omega0, amplitude)
+    point = functools.cache(_chrw_stationarity(omega0, amplitude))
+    tol = Tolerance(
+        abs_tol=_CHRW_ABS_SCALE * abs(t_hi - t_lo),
+        rel_tol=_SHIFT_TOL.rel_tol,
+        max_iter=_SHIFT_TOL.max_iter,
+    )
+    root = find_root_bracketed(lambda t: point(t)[0], t_lo, t_hi, tol)
+    residual, shift = point(root)
+    return ShiftResult(
+        method=Method.CHRW,
+        omega0=omega0,
+        amplitude=amplitude,
+        shift=shift,
+        residual=abs(residual),
+        iterations=point.cache_info().misses,
     )
 
 
@@ -331,8 +349,17 @@ def bs_floquet_numeric(omega0: float, amplitude: float) -> ShiftResult:
     n_trunc = default_truncation(
         ModelParams(omega0=omega0, amplitude=amplitude, omega=omega0 + s_lo)
     )
-    return _root_shift(
-        Method.FLOQUET, omega0, amplitude, _chain_slope_fn(omega0, amplitude, n_trunc), s_lo, s_hi
+    # memoised, so the slope at the root costs no second evaluation and
+    # iterations counts distinct points
+    slope = functools.cache(_chain_slope_fn(omega0, amplitude, n_trunc))
+    root = find_root_bracketed(slope, s_lo, s_hi, _SHIFT_TOL)
+    return ShiftResult(
+        method=Method.FLOQUET,
+        omega0=omega0,
+        amplitude=amplitude,
+        shift=root,
+        residual=abs(slope(root)),
+        iterations=slope.cache_info().misses,
     )
 
 

@@ -22,17 +22,19 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .chrw import ChrwFrame, FrameMode, ModelParams, build_frame
+from .chrw import ChrwFrame, FrameMode, ModelParams, bessel_argument, build_frame
 from .dissipative import (
     RateSet,
     SteadyState,
+    _harmonic_weights,
     bloch_generator,
-    fourier_coefficients,
     fourier_f,
     rates,
     steady_state,
+    truncation_order,
 )
 from .errors import GridError, PoleError, ValidityWarning
+from .numerics import bessel_j_sequence
 
 
 class Normalization(Enum):
@@ -42,12 +44,16 @@ class Normalization(Enum):
 
 @dataclass(frozen=True)
 class SpectrumTrace:
-    """One absorption trace: S over nu_grid, with the context that made it."""
+    """One absorption trace: S over nu_grid, with the context that made it.
+
+    rabi_tilde is the dressed splitting of the frame the trace was built in.
+    """
 
     nu_grid: np.ndarray
     values: np.ndarray
     params: ModelParams
     mode: FrameMode
+    rabi_tilde: float
     n_max: int
     normalization: Normalization
 
@@ -88,28 +94,42 @@ def _commutator_seed(
     return complex(x0), complex(y0), complex(z0)
 
 
+def _generator_cubic(rate_set: RateSet, rabi_tilde: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The dressed Bloch generator M and det(p - M), highest power first.
+
+    Faddeev-LeVerrier: det(p - M) = p^3 + c2 p^2 + c1 p + c0 from the power
+    sums t_k = tr M^k; returns M and the four coefficients (1, c2, c1, c0).
+    """
+    m, _ = bloch_generator(rate_set, rabi_tilde)
+    m2 = m @ m
+    t1, t2, t3 = m.trace(), m2.trace(), np.sum(m2 * m.T)
+    c2 = -t1
+    c1 = -0.5 * (t2 + c2 * t1)
+    c0 = -(t3 + c2 * t2 + c1 * t1) / 3.0
+    return m, np.array([1.0, c2, c1, c0])
+
+
+def _numerators(
+    m: np.ndarray, den: np.ndarray, init: Tuple[complex, complex, complex]
+) -> np.ndarray:
+    """adj(p - M) init = init p^2 + v1 p + v0 as a 3x3 array of quadratic
+    numerators, highest power first, one row each for g_+, g_-, g_z."""
+    y0 = np.array(init, dtype=np.complex128)
+    v1 = m @ y0 + den[1] * y0
+    v0 = m @ v1 + den[2] * y0
+    return np.array([y0, v1, v0]).T
+
+
 def _response_coefficients(
     rate_set: RateSet, rabi_tilde: float, init: Tuple[complex, complex, complex]
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Coefficients of the response rationals, highest power of p first.
 
     (g_+, g_-, g_z) = adj(p - M) init / det(p - M) for the dressed Bloch
-    generator M.  Returns the cubic det(p - M) (four coefficients, leading
-    one) and a 3x3 array of quadratic numerators, one row each for g_+,
-    g_-, g_z.
+    generator M: the cubic det(p - M) and the numerators of _numerators.
     """
-    m, _ = bloch_generator(rate_set, rabi_tilde)
-    # Faddeev-LeVerrier: det(p - M) = p^3 + c2 p^2 + c1 p + c0 from the power
-    # sums t_k = tr M^k, and adj(p - M) init = init p^2 + v1 p + v0
-    m2 = m @ m
-    t1, t2, t3 = m.trace(), m2.trace(), np.sum(m2 * m.T)
-    c2 = -t1
-    c1 = -0.5 * (t2 + c2 * t1)
-    c0 = -(t3 + c2 * t2 + c1 * t1) / 3.0
-    y0 = np.array(init, dtype=np.complex128)
-    v1 = m @ y0 + c2 * y0
-    v0 = m @ v1 + c1 * y0
-    return np.array([1.0, c2, c1, c0]), np.array([y0, v1, v0]).T
+    m, den = _generator_cubic(rate_set, rabi_tilde)
+    return den, _numerators(m, den, init)
 
 
 def _horner(coeffs: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -220,13 +240,14 @@ def spectrum(
             ValidityWarning,
             stacklevel=2,
         )
-    table = fourier_coefficients(frame, params)
+    z = bessel_argument(params, frame)
+    l_max = truncation_order(z)
     if n_max is None:
-        n_max = default_sideband_count(float(np.max(nu)), params.omega, table.max_order)
+        n_max = default_sideband_count(float(np.max(nu)), params.omega, l_max)
     else:
         if n_max < 1 or n_max % 2 == 0:
             raise ValueError(f"n_max must be positive odd, got {n_max}")
-        n_max = min(n_max, table.max_order)
+        n_max = min(n_max, l_max)
     if np.max(nu) > (n_max + 2) * params.omega:
         raise ValueError(
             f"nu_grid extends to {np.max(nu):.4g}, beyond the coverage "
@@ -234,12 +255,13 @@ def spectrum(
         )
     rate_set = rates(frame, params)
     steady = steady_state(rate_set, frame.rabi_tilde)
+    # positive-signature weights of the summed harmonics, as chat_coefficients gives them
+    harmonics = np.arange(1, n_max + 1, 2)
+    plus, minus, pop = _harmonic_weights(frame, harmonics, bessel_j_sequence(n_max + 1, z))
+    m, den = _generator_cubic(rate_set, frame.rabi_tilde)
     values = np.zeros_like(nu)
-    for k, n in enumerate(range(1, n_max + 1, 2)):
-        # positive-signature weights of harmonic n, as chat_coefficients gives them
-        f_p, f_m, f_z = table.f_plus[0, k], table.f_minus[0, k], table.f_z[0, k]
-        init = _commutator_seed((f_p, f_m, f_z), steady)
-        den, num = _response_coefficients(rate_set, frame.rabi_tilde, init)
+    for n, f_p, f_m, f_z in zip(harmonics.tolist(), plus[0], minus[0], pop[0]):
+        num = _numerators(m, den, _commutator_seed((f_p, f_m, f_z), steady))
         # f_p g_- + f_m g_+ + f_z g_z is one rational: contract the numerators first
         weighted = np.array([f_m, f_p, f_z]) @ num
         p = -1j * (nu - n * params.omega)
@@ -256,6 +278,7 @@ def spectrum(
         values=values,
         params=params,
         mode=mode,
+        rabi_tilde=frame.rabi_tilde,
         n_max=n_max,
         normalization=normalization,
     )
@@ -281,9 +304,8 @@ def asymmetry_metric(trace: SpectrumTrace, center: float) -> float:
     idx_center = int(np.argmin(np.abs(nu - center)))
     if abs(nu[idx_center] - center) > 1e-9 * h:
         raise GridError(f"center {center} is not a grid point")
-    frame = build_frame(trace.params, mode=trace.mode)
-    lo = 0.5 * frame.rabi_tilde
-    hi = 1.5 * frame.rabi_tilde
+    lo = 0.5 * trace.rabi_tilde
+    hi = 1.5 * trace.rabi_tilde
     k_lo = math.ceil(lo / h - 1e-12)
     k_hi = math.floor(hi / h + 1e-12)
     if k_hi <= k_lo:
@@ -292,9 +314,8 @@ def asymmetry_metric(trace: SpectrumTrace, center: float) -> float:
         )
     if idx_center - k_hi < 0 or idx_center + k_hi >= nu.size:
         raise GridError("sideband window falls off the edge of nu_grid")
-    k = np.arange(k_lo, k_hi + 1)
-    upper = s[idx_center + k]
-    lower = s[idx_center - k]
+    upper = s[idx_center + k_lo : idx_center + k_hi + 1]
+    lower = s[idx_center - k_hi : idx_center - k_lo + 1][::-1]
     num = np.trapezoid(np.abs(upper - lower), dx=h)
     den = np.trapezoid(np.abs(upper) + np.abs(lower), dx=h)
     if den <= 0.0:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bloch_siegert_lab import __version__
 from bloch_siegert_lab.cli import (
     TABLE_GRID,
     ConfigError,
@@ -94,6 +95,27 @@ class TestShiftTable:
             assert bool(cells[4]) == (PAPER_TABLE[amp][3] is not None)
 
 
+    def test_printed_cells_pinned(self, capsys):
+        # the whole default table, frozen at nine digits
+        code, out = _run(capsys, ["shift-table"])
+        assert code == 0
+        assert out.split("\n") == [
+            f"# bloch-siegert-lab v{__version__}, shift-table, omega0=1, "
+            "A-grid=1:21:2.5, units of omega0",
+            "a_over_omega0,floquet,chrw,shirley,asymptotic,perturbative,diagnostics",
+            "1,0.0632237237,0.0632679904,0.0632278503,,0.0632095337,",
+            "3.5,0.707959029,0.716199657,0.712319893,0.455407021,0.42130053,",
+            "6,1.64180855,1.64992379,1.65048212,1.49498346,-8.94287109,",
+            "8.5,2.63778677,2.6400751,2.63925531,2.53455991,-91.0964435,",
+            "11,3.65373977,3.65235128,3.64137333,3.57413635,-451.197472,",
+            "13.5,4.67850247,4.67527052,4.65038395,4.61371279,-1572.61703,",
+            "16,5.70791917,5.7038252,5.66460198,5.65328924,-4400,",
+            "18.5,6.74009309,6.73563687,6.68319039,6.69286568,-10569.2644,",
+            "21,7.77403527,7.76947387,7.70549193,7.73244212,-22684.5398,",
+            "",
+        ]
+
+
 class TestShiftSweep:
     def test_columns_and_small_drive_deviations(self, capsys):
         code, out = _run(capsys, ["shift-sweep", "--A", "0.001"])
@@ -121,6 +143,29 @@ class TestShiftSweep:
         assert float(cells[5]) < 1e-4
         assert cells[6] == "" and cells[7] == ""
         assert float(cells[9]) < 1e-4
+
+    def test_printed_cells_pinned(self, capsys):
+        # the default sweep's first four rows and its last, frozen at nine
+        # digits; dev_chrw at A = 0.1 is the difference of two shifts that
+        # agree to 8e-8, so its ninth digit reads their last bits
+        code, out = _run(capsys, ["shift-sweep"])
+        assert code == 0
+        body = out.strip().split("\n")[2:]
+        assert len(body) == 210
+        assert body[:4] == [
+            "0.1,0.000625097389,0.000625097441,8.26114414e-08,0.000625097389,"
+            "8.93522649e-11,,,0.000625097389,1.96811354e-10,",
+            "0.2,0.00250154544,0.00250154873,1.31576887e-06,0.00250154546,"
+            "5.66607277e-09,,,0.00250154541,1.26599808e-08,",
+            "0.3,0.00563271631,0.00563275354,6.61017418e-06,0.00563271667,"
+            "6.3537877e-08,,,0.00563271549,1.45419042e-07,",
+            "0.4,0.0100239145,0.0100241217,2.06652286e-05,0.010023918,"
+            "3.49240819e-07,,,0.0100239063,8.26387532e-07,",
+        ]
+        assert body[-1] == (
+            "21,7.77403527,7.76947387,0.000586747008,7.70549193,0.00881695718,"
+            "7.73244212,0.00535026413,-22684.5398,2918.98776,"
+        )
 
     def test_single_method_selection(self, capsys):
         code, out = _run(capsys, ["shift-sweep", "--A", "1", "--method", "chrw"])

@@ -304,6 +304,7 @@ class TestAsymmetryMetric:
             values=values,
             params=params,
             mode=FrameMode.CHRW,
+            rabi_tilde=build_frame(params, mode=FrameMode.CHRW).rabi_tilde,
             n_max=1,
             normalization=Normalization.RAW,
         )
