@@ -10,7 +10,7 @@ gives the resonant quasienergy pair, their omega0-derivative (which encodes
 the time-averaged transition probability) and their gap.  A one-period
 propagator oracle lives here too, together with the period map of the
 damped lab-frame Bloch equation, which gives the exact periodic steady
-state.
+state; both multiply batched RK4 step maps in one prefix product.
 """
 
 from __future__ import annotations
@@ -232,13 +232,27 @@ def _rk4_step_propagators(
     return np.asarray(eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
+def _ordered_products(maps: np.ndarray) -> np.ndarray:
+    """Prefix products out[k] = maps[k] @ ... @ maps[0] of a stack of any
+    length: pair neighbours, recurse on the half-length stack, then fill in
+    the even entries with one batched product (about 2n products in all).
+    """
+    if len(maps) == 1:
+        return maps
+    out = maps.copy()
+    out[1::2] = _ordered_products(maps[1::2] @ maps[:-1:2])
+    out[2::2] = maps[2::2] @ out[1:-1:2]
+    return out
+
+
 def propagator_samples(
     params: ModelParams, steps_per_period: int = 2000
 ) -> tuple[np.ndarray, np.ndarray]:
     """Times and propagators U(t_k) on one drive period, t_k = k*T/steps.
 
-    Fixed-step RK4 for the linear flow, re-unitarized each step with one
-    Newton-Schulz polar projection U <- U (3I - U^H U)/2.
+    Fixed-step RK4 for the linear flow: prefix products of the step maps,
+    then one Newton-Schulz polar projection U <- U (3I - U^H U)/2 of all
+    samples at once, which squares the defect the steps accumulate.
     """
     if steps_per_period < 1000:
         raise ValueError(f"steps_per_period must be >= 1000, got {steps_per_period}")
@@ -250,14 +264,8 @@ def propagator_samples(
         return -1j * (h0[None, :, :] + np.cos(params.omega * ts)[:, None, None] * v[None, :, :])
 
     steps = _rk4_step_propagators(minus_i_h, period, steps_per_period)
-    us = np.empty((steps_per_period + 1, 2, 2), dtype=complex)
-    u = np.eye(2, dtype=complex)
-    us[0] = u
-    eye3 = 3.0 * np.eye(2, dtype=complex)
-    for k in range(steps_per_period):
-        u = steps[k] @ u
-        u = u @ (0.5 * (eye3 - u.conj().T @ u))
-        us[k + 1] = u
+    us = np.concatenate([np.eye(2, dtype=complex)[None], _ordered_products(steps)])
+    us = us @ (1.5 * np.eye(2) - 0.5 * (us.conj().transpose(0, 2, 1) @ us))
     ts = np.linspace(0.0, period, steps_per_period + 1)
     return ts, us
 
@@ -268,8 +276,9 @@ def monodromy_quasienergies(
     """Quasienergy pair from the eigenphases of the one-period propagator.
 
     U(T) eigenvalues exp(-i q T) give q = -arg(lambda)/T, folded into the
-    first zone.  Raises if the integrated propagator is measurably
-    non-unitary.
+    first zone.  An RK4 step too coarse for the drive (strong A, small
+    omega) leaves a unitarity defect that one projection cannot hide: above
+    1e-10 it raises NonUnitaryError rather than return a poor gap.
     """
     _, us = propagator_samples(params, steps_per_period)
     u_t = us[-1]
@@ -300,20 +309,12 @@ def average_transition_probability(params: ModelParams) -> float:
     the slow Rabi beat.
     """
     _, us = propagator_samples(params)
-    u_period = us[-1]
-    base = us[:-1]  # drop duplicate endpoint
-    n = len(base)
-    total = _AVERAGE_PERIODS * n
-    j = np.arange(total)
-    weights = 0.5 * (1.0 - np.cos(2.0 * math.pi * (j + 0.5) / total))
-    acc = 0.0
-    uk = np.eye(2, dtype=complex)
-    for k in range(_AVERAGE_PERIODS):
-        block = base @ uk
-        p = np.abs(block[:, 0, 1]) ** 2
-        acc += float(p @ weights[k * n : (k + 1) * n])
-        uk = u_period @ uk
-    return acc / float(weights.sum())
+    # U(T)^k for k < _AVERAGE_PERIODS as prefix products of [U(0) = I, U(T),
+    # U(T), ...]; <up|U(t_j) U(T)^k|down> in row k, column j, for t_j < T
+    powers = _ordered_products(np.concatenate([us[:1], np.repeat(us[-1:], _AVERAGE_PERIODS - 1, 0)]))
+    amps = np.outer(powers[:, 0, 1], us[:-1, 0, 0]) + np.outer(powers[:, 1, 1], us[:-1, 0, 1])
+    weights = 0.5 * (1.0 - np.cos(2.0 * math.pi * (np.arange(amps.size) + 0.5) / amps.size))
+    return float(np.abs(amps.ravel()) ** 2 @ weights) / float(weights.sum())
 
 
 def periodic_steady_state(params: ModelParams) -> float:
@@ -325,7 +326,7 @@ def periodic_steady_state(params: ModelParams) -> float:
     q with dq/dt = z makes it linear in (r, 1, q), so one period map Phi of
     that 5x5 equation holds everything: its fixed point (I - Phi_rr) r0 =
     Phi_r1 is the periodic steady state, and q(T)/T is the period average
-    of z.  Phi is the ordered product of the RK4 step maps, taken pairwise.
+    of z.  Phi is the last prefix product of the RK4 step maps.
     No frame, no harmonic expansion and no settling time enter, so this is
     the ground truth for population_avg.
 
@@ -352,12 +353,7 @@ def periodic_steady_state(params: ModelParams) -> float:
         g[:, 2, 1] = drive
         return g
 
-    maps = _rk4_step_propagators(generator, period, 2000)
-    while len(maps) > 1:
-        # later steps act on the left; an odd last step waits a round
-        paired = maps[1::2] @ maps[:-1:2]
-        maps = np.concatenate([paired, maps[-1:]]) if len(maps) % 2 else paired
-    phi = maps[0]
+    phi = _ordered_products(_rk4_step_propagators(generator, period, 2000))[-1]
     r0 = np.linalg.solve(np.eye(3) - phi[:3, :3], phi[:3, 3])
     mean_z = (phi[4, :3] @ r0 + phi[4, 3]) / period
     return float(0.5 * (1.0 + mean_z))

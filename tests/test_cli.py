@@ -1,5 +1,7 @@
 """Command-line surface: parsing, formats, rescaling, determinism, exit codes."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -273,6 +275,14 @@ class TestValidate:
         lines = out.strip().split("\n")
         assert lines[-1] == "3/3 checks passed"
         assert all(line.startswith("PASS") for line in lines[1:-1])
+
+    def test_full_suite_matches_readme(self, capsys):
+        # the `$ bsl validate` block of README is the command's output
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("$ bsl validate\n", 1)[1].split("```", 1)[0]
+        code, out = _run(capsys, ["validate"])
+        assert code == 0
+        assert out.split("\n") == block.split("\n")
 
     def test_injected_bad_truncation_fails(self, capsys):
         for n in ("0", "2"):
