@@ -47,11 +47,18 @@ def truncation_order(z: float) -> int:
     once three consecutive orders are negligible.  Capped because arguments
     this large (z ~ 50) sit far outside the frame's validity anyway.
     """
-    j = np.abs(bessel_j_sequence(TRUNCATION_CAP + 1, abs(z)))
-    orders = np.arange(1, TRUNCATION_CAP, 2)
-    tail = np.maximum(np.maximum(j[orders - 1], j[orders]), j[orders + 1])
+    return _first_clear_order(bessel_j_sequence(TRUNCATION_CAP + 1, abs(z)), TRUNCATION_CAP)
+
+
+def _first_clear_order(j: np.ndarray, cap: int) -> int:
+    """truncation_order's rule on the orders up to an odd cap: the smallest
+    odd L <= cap with |J_{L-1}|, |J_L|, |J_{L+1}| all below TRUNCATION_EPS,
+    else cap, from j = [J_0(z), ..., J_{cap+1}(z)]."""
+    a = np.abs(j)
+    orders = np.arange(1, cap + 1, 2)
+    tail = np.maximum(np.maximum(a[orders - 1], a[orders]), a[orders + 1])
     clear = np.flatnonzero(tail < TRUNCATION_EPS)
-    return int(orders[clear[0]]) if clear.size else TRUNCATION_CAP
+    return int(orders[clear[0]]) if clear.size else cap
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,11 @@ rational functions g_+/g_-/g_z sharing one cubic denominator; the spectrum
 sums their weighted real parts over the odd sideband families, the n-th
 family centered at n times the pump frequency.  Each family's weights are
 applied to the numerator coefficients first, so a trace evaluates one
-rational per family.
+rational per family.  Its probe points sit on the imaginary axis, p = iw,
+where the real cubic splits into (c0 - c2 w^2) + i w (c1 - w^2) and the
+numerator into two real quadratics in w: a trace is evaluated in real
+arithmetic, in place in a fixed set of buffers.  laplace_g evaluates the
+same rationals at general complex p and is the trace's reference.
 """
 
 from __future__ import annotations
@@ -24,14 +28,15 @@ import numpy as np
 
 from .chrw import ChrwFrame, FrameMode, ModelParams, bessel_argument, build_frame
 from .dissipative import (
+    TRUNCATION_CAP,
     RateSet,
     SteadyState,
+    _first_clear_order,
     _harmonic_weights,
     bloch_generator,
     fourier_f,
     rates,
     steady_state,
-    truncation_order,
 )
 from .errors import GridError, PoleError, ValidityWarning
 from .numerics import bessel_j_sequence
@@ -132,9 +137,9 @@ def _response_coefficients(
     return den, _numerators(m, den, init)
 
 
-def _horner(coeffs: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _horner(coeffs: np.ndarray, p: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     # in place: on long probe grids fresh temporaries cost more than the arithmetic
-    acc = coeffs[0] * p
+    acc = np.multiply(coeffs[0], p, out=out)
     acc += coeffs[1]
     for c in coeffs[2:]:
         acc *= p
@@ -142,33 +147,40 @@ def _horner(coeffs: np.ndarray, p: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _checked_denominator(
-    den: np.ndarray, rate_set: RateSet, rabi_tilde: float, p: np.ndarray, p_abs: np.ndarray
-) -> np.ndarray:
-    """The cubic denominator at p; PoleError where it vanishes on its own scale.
+def _pole_bound(rate_set: RateSet, rabi_tilde: float, p_abs):
+    """Where |det(p - M)| falls below 1e-14 (|p| + scale)^3, p counts as a pole.
 
-    p_abs is |p|, which the caller may have without a complex abs, in an
-    array the bound is then built in.  Every pole sits strictly in the left
-    half-plane once kappa > 0, so the error can only be tripped by probing
-    an undamped system exactly on its free-precession pole.
+    The scale is the dressed splitting plus the rates; p_abs is |p|, a number
+    or an array.  Every pole sits strictly in the left half-plane once
+    kappa > 0, so only an undamped system probed exactly on its
+    free-precession pole can fall below the bound.
     """
-    values = _horner(den, p)
-    rate_scale = (
-        abs(rate_set.gamma_1)
+    scale = (
+        abs(rabi_tilde)
+        + abs(rate_set.gamma_1)
         + abs(rate_set.gamma_minus)
         + abs(rate_set.gamma_plus)
         + abs(rate_set.gamma_z)
     )
     # cube by multiplication: an array ** 3 goes through pow() point by point
-    bound = p_abs
-    bound += abs(rabi_tilde) + rate_scale
-    bound *= bound * bound
-    bound *= 1e-14
-    bad = np.abs(values) < bound
+    base = p_abs + scale
+    return base * (base * base) * 1e-14
+
+
+def _check_axis_poles(
+    d2: np.ndarray, w: np.ndarray, w_far: float, rate_set: RateSet, rabi_tilde: float
+) -> None:
+    """PoleError where |D(iw)|^2 = d2 falls below the squared pole bound.
+
+    The bound grows with |w|, so one min against its value at w_far, the
+    largest |w| on the grid, clears every point; only if that fails is the
+    bound taken point by point.
+    """
+    if d2.min() >= _pole_bound(rate_set, rabi_tilde, w_far) ** 2:
+        return
+    bad = d2 < _pole_bound(rate_set, rabi_tilde, np.abs(w)) ** 2
     if np.any(bad):
-        where = p[bad].ravel()[0] if np.ndim(p) else p
-        raise PoleError(f"response denominator vanishes at p = {where}")
-    return values
+        raise PoleError(f"response denominator vanishes at p = {complex(0.0, w[bad][0])}")
 
 
 def laplace_g(
@@ -180,14 +192,30 @@ def laplace_g(
     """Laplace-domain homogeneous Bloch response (g_+, g_-, g_z) at p.
 
     Three quadratics over the shared cubic denominator, each evaluated by
-    Horner's rule; vectorized over p.  Raises PoleError only for an
-    undamped system probed exactly on its free-precession pole.
+    Horner's rule in complex arithmetic; vectorized over p.  Raises
+    PoleError only for an undamped system probed exactly on its
+    free-precession pole.
     """
     p = np.asarray(p, dtype=np.complex128)
     den, num = _response_coefficients(rate_set, rabi_tilde, init)
-    denom = _checked_denominator(den, rate_set, rabi_tilde, p, np.abs(p))
+    denom = _horner(den, p)
+    bad = np.abs(denom) < _pole_bound(rate_set, rabi_tilde, np.abs(p))
+    if np.any(bad):
+        raise PoleError(f"response denominator vanishes at p = {p[bad][0]}")
     g_plus, g_minus, g_z = (_horner(row, p) / denom for row in num)
     return g_plus, g_minus, g_z
+
+
+def _sideband_cap(n: int, z: float) -> Tuple[int, np.ndarray]:
+    """min(n, truncation_order(z)) for odd n, and [J_0(z), ..., J_{c+1}(z)]
+    with c = min(n, TRUNCATION_CAP).
+
+    truncation_order's rule runs on the orders up to c only, on the Bessel
+    values the trace's weights need anyway.
+    """
+    cap = min(n, TRUNCATION_CAP)
+    j = bessel_j_sequence(cap + 1, z)
+    return _first_clear_order(j, cap), j
 
 
 def default_sideband_count(nu_max: float, omega: float, l_max: int) -> int:
@@ -220,17 +248,20 @@ def spectrum(
     """Absorption trace S over nu_grid for a pump at params.omega.
 
     Sums the odd sideband families n = 1, 3, ... n_max, each evaluated at
-    p = -i(nu - n*omega).  Only positive probe frequencies are meaningful
-    here; the counter-propagating terms matter only for nu < 0 and are not
-    summed.  PEAK_UNIT scales the largest magnitude to one, since the
-    overall response is defined up to the probe strength anyway.
+    p = iw with w = n*omega - nu, in real arithmetic: 0.25 Re(N/D) as
+    (Re N Re D + Im N Im D) / |D|^2.  n_max is capped by truncation_order's
+    rule.  Only positive probe frequencies are meaningful here; the
+    counter-propagating terms matter only for nu < 0 and are not summed.
+    PEAK_UNIT scales the largest magnitude to one, since the overall
+    response is defined up to the probe strength anyway.
     """
     if params.kappa <= 0.0:
         raise ValueError("spectrum needs kappa > 0; undamped response has no linewidth")
     nu = np.asarray(nu_grid, dtype=float)
     if nu.ndim != 1 or nu.size == 0:
         raise ValueError("nu_grid must be a non-empty 1-d array")
-    if np.min(nu) <= 0.0:
+    nu_lo, nu_hi = float(nu.min()), float(nu.max())
+    if nu_lo <= 0.0:
         raise ValueError("nu_grid must be strictly positive")
     frame = build_frame(params, mode=mode)
     if frame.rabi_tilde < 10.0 * params.kappa:
@@ -240,39 +271,58 @@ def spectrum(
             ValidityWarning,
             stacklevel=2,
         )
-    z = bessel_argument(params, frame)
-    l_max = truncation_order(z)
     if n_max is None:
-        n_max = default_sideband_count(float(np.max(nu)), params.omega, l_max)
-    else:
-        if n_max < 1 or n_max % 2 == 0:
-            raise ValueError(f"n_max must be positive odd, got {n_max}")
-        n_max = min(n_max, l_max)
-    if np.max(nu) > (n_max + 2) * params.omega:
+        n_max = default_sideband_count(nu_hi, params.omega, TRUNCATION_CAP)
+    elif n_max < 1 or n_max % 2 == 0:
+        raise ValueError(f"n_max must be positive odd, got {n_max}")
+    n_max, j = _sideband_cap(n_max, bessel_argument(params, frame))
+    if nu_hi > (n_max + 2) * params.omega:
         raise ValueError(
-            f"nu_grid extends to {np.max(nu):.4g}, beyond the coverage "
+            f"nu_grid extends to {nu_hi:.4g}, beyond the coverage "
             f"(n_max + 2) * omega = {(n_max + 2) * params.omega:.4g}"
         )
     rate_set = rates(frame, params)
     steady = steady_state(rate_set, frame.rabi_tilde)
     # positive-signature weights of the summed harmonics, as chat_coefficients gives them
     harmonics = np.arange(1, n_max + 1, 2)
-    plus, minus, pop = _harmonic_weights(frame, harmonics, bessel_j_sequence(n_max + 1, z))
+    plus, minus, pop = _harmonic_weights(frame, harmonics, j)
     m, den = _generator_cubic(rate_set, frame.rabi_tilde)
+    # the rates are real, so det(p - M) has real coefficients; what imaginary
+    # part the power sums leave is rounding
+    c2, c1, c0 = den.real[1:]
     values = np.zeros_like(nu)
+    w, re_d, im_d, d2, acc = np.empty((5, nu.size))
     for n, f_p, f_m, f_z in zip(harmonics.tolist(), plus[0], minus[0], pop[0]):
         num = _numerators(m, den, _commutator_seed((f_p, f_m, f_z), steady))
-        # f_p g_- + f_m g_+ + f_z g_z is one rational: contract the numerators first
-        weighted = np.array([f_m, f_p, f_z]) @ num
-        p = -1j * (nu - n * params.omega)
-        response = _horner(weighted, p)
-        # p is purely imaginary, so |p| is |Im p|, bit for bit
-        response /= _checked_denominator(den, rate_set, frame.rabi_tilde, p, np.abs(p.imag))
-        values += 0.25 * response.real
+        # f_p g_- + f_m g_+ + f_z g_z is one rational: contract the numerators
+        # first, with the trace's factor 1/4 folded in
+        a0, a1, a2 = np.array([f_m, f_p, f_z]) @ num * 0.25
+        # p = i w; D(iw) = (c0 - c2 w^2) + i w (c1 - w^2), kept factored:
+        # c1 - w^2 is where the dressed lines cancel
+        np.subtract(n * params.omega, nu, out=w)
+        np.multiply(w, w, out=im_d)
+        np.multiply(im_d, -c2, out=re_d)
+        re_d += c0
+        np.subtract(c1, im_d, out=im_d)
+        im_d *= w
+        np.multiply(re_d, re_d, out=d2)
+        np.multiply(im_d, im_d, out=acc)
+        d2 += acc
+        w_far = max(abs(n * params.omega - nu_lo), abs(n * params.omega - nu_hi))
+        _check_axis_poles(d2, w, w_far, rate_set, frame.rabi_tilde)
+        # N(iw) = (a2 - a0 w^2) + i a1 w, so Re N and Im N are real quadratics
+        # in w, and Re(N/D) = (Re N Re D + Im N Im D) / |D|^2
+        _horner((-a0.real, -a1.imag, a2.real), w, out=acc)
+        acc *= re_d
+        _horner((-a0.imag, a1.real, a2.imag), w, out=re_d)
+        re_d *= im_d
+        acc += re_d
+        acc /= d2
+        values += acc
     if normalization is Normalization.PEAK_UNIT:
-        peak = float(np.max(np.abs(values)))
+        peak = max(float(values.max()), -float(values.min()))
         if peak > 0.0:
-            values = values / peak
+            values /= peak
     return SpectrumTrace(
         nu_grid=nu,
         values=values,
@@ -299,10 +349,11 @@ def asymmetry_metric(trace: SpectrumTrace, center: float) -> float:
         raise GridError("grid too short to window the sidebands")
     steps = np.diff(nu)
     h = float(np.mean(steps))
-    if h <= 0.0 or np.max(np.abs(steps - h)) > 1e-9 * h:
+    if h <= 0.0 or steps.max() - h > 1e-9 * h or h - steps.min() > 1e-9 * h:
         raise GridError("nu_grid must be uniformly spaced")
-    idx_center = int(np.argmin(np.abs(nu - center)))
-    if abs(nu[idx_center] - center) > 1e-9 * h:
+    offset = (center - nu[0]) / h
+    idx_center = round(offset) if math.isfinite(offset) else -1
+    if not 0 <= idx_center < nu.size or abs(nu[idx_center] - center) > 1e-9 * h:
         raise GridError(f"center {center} is not a grid point")
     lo = 0.5 * trace.rabi_tilde
     hi = 1.5 * trace.rabi_tilde

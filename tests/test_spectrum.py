@@ -1,18 +1,31 @@
 """Probe response: Laplace kernels, sideband traces, and the asymmetry metric."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 
-from bloch_siegert_lab.chrw import FrameMode, ModelParams, build_frame
-from bloch_siegert_lab.dissipative import RateSet, bloch_generator, rates, steady_state
+from bloch_siegert_lab.chrw import FrameMode, ModelParams, bessel_argument, build_frame
+from bloch_siegert_lab.dissipative import (
+    RateSet,
+    SteadyState,
+    bloch_generator,
+    rates,
+    steady_state,
+    truncation_order,
+)
 from bloch_siegert_lab.errors import GridError, PoleError, ValidityWarning
+from bloch_siegert_lab.numerics import bessel_j_sequence
 from bloch_siegert_lab.resonance import bs_chrw
 from bloch_siegert_lab.spectrum import (
     Normalization,
     SpectrumTrace,
+    _check_axis_poles,
+    _generator_cubic,
+    _pole_bound,
     _response_coefficients,
+    _sideband_cap,
     asymmetry_metric,
     chat_coefficients,
     default_sideband_count,
@@ -21,6 +34,9 @@ from bloch_siegert_lab.spectrum import (
     spectrum,
 )
 from bloch_siegert_lab.validation import laplace_vs_quadrature
+
+# the package re-exports the function `spectrum` under the module's name
+spectrum_module = importlib.import_module("bloch_siegert_lab.spectrum")
 
 
 def _resonant_point(amplitude=0.1, kappa=2e-3):
@@ -264,25 +280,116 @@ class TestSpectrum:
     @pytest.mark.parametrize("mode", [FrameMode.CHRW, FrameMode.RWA])
     @pytest.mark.parametrize("amp", [0.05, 0.1, 0.2, 0.4, 1.0, 2.0])
     def test_raw_trace_is_sum_of_laplace_kernels(self, amp, mode):
-        # the trace contracts each sideband's three rationals into one; the
-        # per-sideband sum of the separate kernels, written out here, must agree
+        # the trace contracts each sideband's three rationals into one and
+        # evaluates it in real arithmetic; the sum of the separate kernels
+        # per sideband, written out here, must agree.  kappa = A/400 and
+        # kappa = 0.05 rabi_tilde add the narrow and the broad lines, where
+        # the trace's c1 - w^2 cancels hardest; the worst measured gap is
+        # 2.1e-14 of the peak (A = 2, RWA, kappa = 2e-3), from the rounding
+        # imaginary part of c0 that laplace_g keeps and the trace drops
         shift = bs_chrw(1.0, amp).shift
         for pump in (1.0, 1.0 + shift, 1.0 + 2.0 * shift):
-            p = ModelParams(omega0=1.0, amplitude=amp, omega=pump, kappa=2e-3)
-            fr = build_frame(p, mode=mode)
-            half = min(2.2 * fr.rabi_tilde, 0.9 * pump)
-            grid = np.linspace(pump - half, pump + half, 801)
-            tr = spectrum(p, grid, mode=mode, normalization=Normalization.RAW)
-            rs = rates(fr, p)
-            ss = steady_state(rs, fr.rabi_tilde)
-            expected = np.zeros_like(grid)
-            for n in range(1, tr.n_max + 1, 2):
-                f_p, f_m, f_z = chat_coefficients(fr, p, n)
-                init = initial_conditions(fr, p, ss, n)
-                g_plus, g_minus, g_z = laplace_g(rs, fr.rabi_tilde, init, -1j * (grid - n * pump))
-                expected += 0.25 * np.real(f_p * g_minus + f_m * g_plus + f_z * g_z)
-            peak = np.max(np.abs(expected))
-            assert np.max(np.abs(tr.values - expected)) <= 1e-12 * peak
+            rabi = build_frame(
+                ModelParams(omega0=1.0, amplitude=amp, omega=pump, kappa=2e-3), mode=mode
+            ).rabi_tilde
+            for kappa in (2e-3, amp / 400.0, 0.05 * rabi):
+                p = ModelParams(omega0=1.0, amplitude=amp, omega=pump, kappa=kappa)
+                fr = build_frame(p, mode=mode)
+                half = min(2.2 * fr.rabi_tilde, 0.9 * pump)
+                grid = np.linspace(pump - half, pump + half, 801)
+                tr = spectrum(p, grid, mode=mode, normalization=Normalization.RAW)
+                rs = rates(fr, p)
+                ss = steady_state(rs, fr.rabi_tilde)
+                expected = np.zeros_like(grid)
+                for n in range(1, tr.n_max + 1, 2):
+                    f_p, f_m, f_z = chat_coefficients(fr, p, n)
+                    init = initial_conditions(fr, p, ss, n)
+                    g_plus, g_minus, g_z = laplace_g(
+                        rs, fr.rabi_tilde, init, -1j * (grid - n * pump)
+                    )
+                    expected += 0.25 * np.real(f_p * g_minus + f_m * g_plus + f_z * g_z)
+                peak = np.max(np.abs(expected))
+                assert np.max(np.abs(tr.values - expected)) <= 4e-14 * peak
+
+    def test_sideband_cap_is_truncation_rule(self):
+        # the cap reads truncation_order's three-orders rule off the Bessel
+        # values the trace needs anyway; it binds at small z (truncation
+        # order 3 near z = 0) and at TRUNCATION_CAP for z = 50
+        for z in np.concatenate([[0.0], np.geomspace(1e-3, 50.0, 61)]):
+            full = bessel_j_sequence(70, z)
+            for n in (*range(1, 66, 2), 99):
+                n_max, j = _sideband_cap(n, z)
+                assert n_max == min(n, truncation_order(z)), (z, n)
+                assert np.array_equal(j, full[: j.size]) and j.size >= n_max + 2
+        p = ModelParams(omega0=1.0, amplitude=0.3, omega=1.0, kappa=2e-3)
+        z = bessel_argument(p, build_frame(p))
+        grid = _trace_grid(1.0, build_frame(p).rabi_tilde)
+        for n in (1, 3, 51):
+            assert spectrum(p, grid, n_max=n).n_max == min(n, truncation_order(z))
+
+    def test_leaves_grid_alone_and_returns_fresh_values(self):
+        p, fr, rs, ss = _resonant_point()
+        grid = _trace_grid(p.omega, fr.rabi_tilde)
+        before = grid.copy()
+        first = spectrum(p, grid)
+        second = spectrum(p, grid)
+        assert grid.tobytes() == before.tobytes()
+        assert np.array_equal(first.values, second.values)
+        assert not np.shares_memory(first.values, second.values)
+        assert not np.shares_memory(first.values, grid)
+
+    def test_undamped_probe_on_pole_raises(self, monkeypatch):
+        # a free generator has det(p - M) = p (p^2 + rabi^2): probing at
+        # w = n omega - nu = rabi hits the free-precession pole, and the
+        # trace's check must reach it through the bound laplace_g uses
+        p, fr, rs, ss = _resonant_point()
+        free = RateSet(0j, 0j, 0j, 0j, 0j, 0j)
+        monkeypatch.setattr(spectrum_module, "rates", lambda frame, params: free)
+        monkeypatch.setattr(
+            spectrum_module, "steady_state", lambda r, w: SteadyState(-1.0, 0.0j)
+        )
+        seen = []
+
+        def recorded(rate_set, rabi_tilde, p_abs):
+            seen.append(rate_set)
+            return _pole_bound(rate_set, rabi_tilde, p_abs)
+
+        monkeypatch.setattr(spectrum_module, "_pole_bound", recorded)
+        grid = np.array([p.omega - 2.0 * fr.rabi_tilde, p.omega - fr.rabi_tilde, p.omega + 0.01])
+        with pytest.raises(PoleError):
+            spectrum(p, grid, n_max=1)
+        assert seen and all(r is free for r in seen)
+        with pytest.raises(PoleError):
+            laplace_g(free, fr.rabi_tilde, (1.0 + 0j, 0j, 0j), 1j * fr.rabi_tilde)
+
+    def test_one_reduction_matches_pointwise_check(self):
+        # the bound grows with |w|: a grid reaching far from the pole and
+        # passing close to it fails the single comparison at its far end,
+        # and the point-by-point check must then give the plain verdict
+        free = RateSet(0j, 0j, 0j, 0j, 0j, 0j)
+        rabi = 0.5
+        _, den = _generator_cubic(free, rabi)
+        den = den.real
+        cases = {
+            "near pole": np.linspace(rabi + 1e-12, 5.0, 2001),
+            "on pole": np.linspace(rabi, 5.0, 2001),
+            "far from pole": np.linspace(2.0, 5.0, 2001),
+        }
+        for label, w in cases.items():
+            d = np.polyval(den, 1j * w)
+            d2 = d.real**2 + d.imag**2
+            w_far = float(np.max(np.abs(w)))
+            pointwise = bool(np.any(d2 < _pole_bound(free, rabi, np.abs(w)) ** 2))
+            one_pass = d2.min() >= _pole_bound(free, rabi, w_far) ** 2
+            if label == "near pole":
+                assert not one_pass and not pointwise
+            try:
+                _check_axis_poles(d2, w, w_far, free, rabi)
+                raised = False
+            except PoleError:
+                raised = True
+            assert raised == pointwise, label
+            assert raised == (label == "on pole"), label
 
     def test_default_sideband_count(self):
         assert default_sideband_count(1.2, 1.0, 13) == 3
@@ -352,6 +459,23 @@ class TestAsymmetryMetric:
         nu = 1.0 + np.arange(-180, 181) * 5e-4
         with pytest.raises(GridError, match="grid point"):
             asymmetry_metric(self._synthetic(np.ones_like(nu), nu), 1.0 + 2e-4)
+
+    def test_center_half_step_off_grid(self):
+        nu = 1.0 + np.arange(-180, 181) * 5e-4
+        with pytest.raises(GridError, match="grid point"):
+            asymmetry_metric(self._synthetic(np.ones_like(nu), nu), 1.0 + 0.5 * 5e-4)
+
+    def test_center_beyond_grid_end(self):
+        nu = 1.0 + np.arange(-180, 181) * 5e-4
+        with pytest.raises(GridError, match="grid point"):
+            asymmetry_metric(self._synthetic(np.ones_like(nu), nu), nu[-1] + 5e-4)
+
+    def test_one_step_off_by_two_parts_per_billion(self):
+        h = 5e-4
+        nu = 1.0 + np.arange(-180, 181) * h
+        nu[200:] += 2e-9 * h
+        with pytest.raises(GridError, match="uniform"):
+            asymmetry_metric(self._synthetic(np.ones_like(nu), nu), 1.0)
 
     def test_window_off_edge(self):
         # grid spans less than 1.5 dressed splittings either side
