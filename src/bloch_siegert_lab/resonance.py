@@ -7,8 +7,8 @@ time-averaged transition probability at fixed drive amplitude.  Routes:
                  Rabi frequency with respect to omega0,
 * floquet     -- sign change of d q / d omega0 on the resonant branch of one
                  tridiagonal parity chain of the Floquet matrix,
-* shirley     -- self-consistent iteration of the sixth-order quasienergy
-                 crossing condition,
+* shirley     -- bracketed root of the sixth-order quasienergy crossing
+                 condition,
 * pert6       -- closed sixth-order series in A/4,
 * asymptotic  -- strong-drive limit omega_res = A / j01 with j01 the first
                  zero of J0.
@@ -28,7 +28,7 @@ from typing import Callable
 from scipy.special import j1 as bessel_j1
 
 from .chrw import ModelParams, solve_xi
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .floquet import _chain_slope_fn, default_truncation
 from .numerics import (
     Tolerance,
@@ -55,10 +55,8 @@ class ShiftResult:
     derived.  Storing omega_res instead would quantize weak-drive shifts
     (~1e-6 omega0) to the ulp of omega0 on the round trip.  iterations
     counts the distinct points at which the method evaluated its function,
-    each evaluated once; pert6 and asymptotic evaluate none.  chrw and
-    floquet take residual from the value at the root at no cost; shirley
-    evaluates its map once more, at the returned shift, and does not count
-    that evaluation.
+    each evaluated once; pert6 and asymptotic evaluate none.  The three
+    root-found methods take residual from the value at the root at no cost.
     """
 
     method: Method
@@ -77,21 +75,30 @@ class ShiftResult:
         return self.amplitude / self.omega0
 
 
-# tight scalar tolerances: the chrw and floquet roots are smooth and cheap,
-# so run the bracketing solver to machine width.  The floquet root in the
-# shift variable also stops once |slope| <= abs_tol; without that stop its
-# root at A = 1e-3 takes 14 evaluations instead of 6.  The chrw root in
-# t = A/z - 2 omega0 keeps rel_tol but scales abs_tol with its bracket, by
-# _CHRW_ABS_SCALE: at the root t lies between s/2 and s, so the relative
-# rule alone gives the shift to 1e-14 from A = 1e-9 omega0 up, where the
-# root is 3e-11 of the bracket, far above that floor.  A fixed |f| stop
-# would not do: the residual is of order A^2 everywhere on the bracket.
+# tight scalar tolerances: the roots are smooth and cheap, so run the
+# bracketing solver to machine width.  The floquet root in the shift
+# variable also stops once |slope| <= abs_tol; without that stop its root
+# at A = 1e-3 takes 14 evaluations instead of 6.  The chrw root in
+# t = A/z - 2 omega0 and the shirley root in the shift keep rel_tol but
+# scale abs_tol with their bracket (_relative_tol): at the chrw root t lies
+# between s/2 and s, so the relative rule alone gives the shift to 1e-14
+# from A = 1e-9 omega0 up, where the root is 3e-11 of the bracket, far
+# above that floor.  A fixed |f| stop would not do: the chrw residual is of
+# order A^2 everywhere on the bracket, and |f| <= 1e-18 leaves the shirley
+# shift 3.2e-11 off at omega0 = 0.3, A = 3.8e-4.
 _SHIFT_TOL = Tolerance(abs_tol=1e-18, rel_tol=1e-14, max_iter=300)
-_CHRW_ABS_SCALE = math.ulp(1.0) ** 2
+_BRACKET_ABS_SCALE = math.ulp(1.0) ** 2
 _XI_TOL = Tolerance(abs_tol=1e-22, rel_tol=2e-16, max_iter=200)
-# the Shirley iteration stops on the same relative rule; its sweep budget
-# is what ends the map's slow contraction at strong drive (A ~ 100)
-_SHIRLEY_TOL = Tolerance(abs_tol=1e-18, rel_tol=1e-14, max_iter=200)
+
+
+def _relative_tol(lo: float, hi: float) -> Tolerance:
+    """_SHIFT_TOL with abs_tol scaled to the bracket [lo, hi], so that the
+    stop is relative to the root."""
+    return Tolerance(
+        abs_tol=_BRACKET_ABS_SCALE * abs(hi - lo),
+        rel_tol=_SHIFT_TOL.rel_tol,
+        max_iter=_SHIFT_TOL.max_iter,
+    )
 
 
 def _trivial_result(method: Method, omega0: float) -> ShiftResult:
@@ -173,12 +180,7 @@ def bs_chrw(omega0: float, amplitude: float) -> ShiftResult:
         return _trivial_result(Method.CHRW, omega0)
     t_lo, t_hi = _chrw_bracket(omega0, amplitude)
     point = functools.cache(_chrw_stationarity(omega0, amplitude))
-    tol = Tolerance(
-        abs_tol=_CHRW_ABS_SCALE * abs(t_hi - t_lo),
-        rel_tol=_SHIFT_TOL.rel_tol,
-        max_iter=_SHIFT_TOL.max_iter,
-    )
-    root = find_root_bracketed(lambda t: point(t)[0], t_lo, t_hi, tol)
+    root = find_root_bracketed(lambda t: point(t)[0], t_lo, t_hi, _relative_tol(t_lo, t_hi))
     residual, shift = point(root)
     return ShiftResult(
         method=Method.CHRW,
@@ -255,82 +257,34 @@ def _shirley_shift_rhs(omega0: float, amplitude: float, shift: float) -> float:
     return term2 + term4 + term6
 
 
-def _damped_fixed_point(
-    g: Callable[[float], float], omega0: float, start: float, tol: Tolerance
-) -> tuple[float, int]:
-    """Fixed point shift = g(shift) by damped iteration with backtracking.
-
-    Full steps shift <- g(shift) whenever they shrink the defect
-    |g(shift) - shift|; otherwise the update is halved, restarting from
-    the current iterate, until the defect decreases.  Monotone in the
-    defect, so it cannot orbit.  Iterates stay at omega0 + shift > 0.
-    The value of g at an accepted step is carried into the next sweep, so
-    g is evaluated once per point and the count returned is the number of
-    points.
-    """
-    shift = start
-    target = g(shift)
-    evals = 1
-    for _ in range(tol.max_iter):
-        defect = target - shift
-        if abs(defect) <= tol.abs_tol + tol.rel_tol * abs(shift):
-            return target, evals
-        alpha = 1.0
-        for _ in range(60):
-            cand = shift + alpha * defect
-            g_cand = g(cand)
-            evals += 1
-            cand_defect = g_cand - cand
-            if omega0 + cand > 0.0 and math.isfinite(cand_defect) and abs(cand_defect) < abs(defect):
-                shift, target = cand, g_cand
-                break
-            alpha *= 0.5
-        else:
-            raise ConvergenceError(
-                f"fixed-point backtracking stalled at omega={omega0 + shift:.6g} "
-                f"(defect {defect:.3e})"
-            )
-    raise ConvergenceError(
-        f"fixed-point iteration did not settle in {tol.max_iter} sweeps "
-        f"(omega={omega0 + shift:.6g})"
-    )
-
-
 def bs_shirley_iterative(omega0: float, amplitude: float) -> ShiftResult:
     """Self-consistent solution of the sixth-order crossing condition.
 
-    The full map has a pole at omega = omega0/3 and is violently repulsive
-    far from its fixed point, so the iteration is staged: first the
-    quadratic truncation (globally tame) is iterated from omega0 to get
-    into the basin, then the full sixth-order map is iterated from there.
-    Both stages damp with backtracking whenever a step grows the defect.
-    Both iterate the shift s = omega - omega0 rather than omega, so a weak
-    drive's shift (~A^2/16) is not rounded to the ulp of omega0, and the
-    stopping rule is relative to the shift.
+    The shift s = omega - omega0 solves s = rhs(s), the crossing condition
+    of _shirley_shift_rhs, so it is one Brent root of rhs(s) - s on the
+    shift bracket.  The map's only pole, at omega = omega0/3, lies below
+    the bracket, where omega >= omega0.  Working in the shift rather than
+    omega keeps a weak drive's shift (~A^2/16) off the ulp of omega0, and
+    the stop is relative to the shift, as for chrw.  The defect is
+    memoised, so its value at the root costs no second evaluation and
+    iterations counts distinct points.
     """
     if amplitude == 0.0:
         return _trivial_result(Method.SHIRLEY, omega0)
+    s_lo, s_hi = _shift_bracket(omega0, amplitude)
 
-    def g_quadratic(shift: float) -> float:
-        omega = omega0 + shift
-        s = omega + omega0
-        return omega * amplitude * amplitude / (4.0 * s * s)
+    @functools.cache
+    def defect(shift: float) -> float:
+        return _shirley_shift_rhs(omega0, amplitude, shift) - shift
 
-    def g_full(shift: float) -> float:
-        return _shirley_shift_rhs(omega0, amplitude, shift)
-
-    seed_tol = Tolerance(
-        abs_tol=1e-6 * omega0, rel_tol=1e-6, max_iter=_SHIRLEY_TOL.max_iter
-    )
-    seed, it1 = _damped_fixed_point(g_quadratic, omega0, 0.0, seed_tol)
-    shift, it2 = _damped_fixed_point(g_full, omega0, seed, _SHIRLEY_TOL)
+    root = find_root_bracketed(defect, s_lo, s_hi, _relative_tol(s_lo, s_hi))
     return ShiftResult(
         method=Method.SHIRLEY,
         omega0=omega0,
         amplitude=amplitude,
-        shift=shift,
-        residual=abs(g_full(shift) - shift),
-        iterations=it1 + it2,
+        shift=root,
+        residual=abs(defect(root)),
+        iterations=defect.cache_info().misses,
     )
 
 
@@ -340,7 +294,7 @@ def bs_floquet_numeric(omega0: float, amplitude: float) -> ShiftResult:
     At resonance the resonant quasienergy branch is stationary in omega0.
     Its slope, taken from eigenvector weights on one parity chain of the
     Floquet matrix, changes sign there, so the shift s = omega - omega0 is
-    one Brent root on the chrw bracket, with the truncation frozen at its
+    one Brent root on the shift bracket, with the truncation frozen at its
     lower end so the slope stays smooth.
     """
     if amplitude == 0.0:

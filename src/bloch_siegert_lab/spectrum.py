@@ -63,17 +63,6 @@ class SpectrumTrace:
     normalization: Normalization
 
 
-def chat_coefficients(
-    frame: ChrwFrame, params: ModelParams, n: int
-) -> Tuple[float, float, float]:
-    """Coefficients of the dressed operators in the n-th probe harmonic.
-
-    These are the positive-signature weights of the transformed raising
-    operator; the commutator that seeds the response is built from them.
-    """
-    return fourier_f(frame, params, n, 1)
-
-
 def initial_conditions(
     frame: ChrwFrame, params: ModelParams, steady: SteadyState, n: int
 ) -> Tuple[complex, complex, complex]:
@@ -81,9 +70,10 @@ def initial_conditions(
 
     Encodes the commutator of the n-th harmonic operator with the steady
     state: a saturated steady state (all components zero) gives zero weight
-    and the sideband family disappears.
+    and the sideband family disappears.  The harmonic's weights are the
+    positive-signature ones of the transformed raising operator.
     """
-    return _commutator_seed(chat_coefficients(frame, params, n), steady)
+    return _commutator_seed(fourier_f(frame, params, n, 1), steady)
 
 
 def _commutator_seed(
@@ -218,13 +208,14 @@ def _sideband_cap(n: int, z: float) -> Tuple[int, np.ndarray]:
     return _first_clear_order(j, cap), j
 
 
-def default_sideband_count(nu_max: float, omega: float, l_max: int) -> int:
-    """Smallest odd harmonic count whose families cover frequencies up to nu_max."""
+def default_sideband_count(nu_max: float, omega: float) -> int:
+    """Smallest odd harmonic count whose families cover frequencies up to
+    nu_max; spectrum caps it by truncation_order's rule."""
     need = nu_max / omega + 1.0
     n = max(1, math.ceil(need))
     if n % 2 == 0:
         n += 1
-    return min(n, l_max)
+    return n
 
 
 def default_probe_grid(pump: float, rabi_tilde: float, n_points: int) -> np.ndarray:
@@ -272,7 +263,7 @@ def spectrum(
             stacklevel=2,
         )
     if n_max is None:
-        n_max = default_sideband_count(nu_hi, params.omega, TRUNCATION_CAP)
+        n_max = default_sideband_count(nu_hi, params.omega)
     elif n_max < 1 or n_max % 2 == 0:
         raise ValueError(f"n_max must be positive odd, got {n_max}")
     n_max, j = _sideband_cap(n_max, bessel_argument(params, frame))
@@ -283,7 +274,7 @@ def spectrum(
         )
     rate_set = rates(frame, params)
     steady = steady_state(rate_set, frame.rabi_tilde)
-    # positive-signature weights of the summed harmonics, as chat_coefficients gives them
+    # positive-signature weights of the summed harmonics, as initial_conditions takes them
     harmonics = np.arange(1, n_max + 1, 2)
     plus, minus, pop = _harmonic_weights(frame, harmonics, j)
     m, den = _generator_cubic(rate_set, frame.rabi_tilde)

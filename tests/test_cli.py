@@ -96,6 +96,18 @@ class TestShiftTable:
             assert all(cells[i] for i in (1, 2, 3))
             assert bool(cells[4]) == (PAPER_TABLE[amp][3] is not None)
 
+    def test_strong_drive_shirley_cells(self, capsys):
+        # the crossing condition has one root on every shift bracket, so
+        # the shirley cells are filled at strong drive too, with no note
+        code, out = _run(capsys, ["shift-table", "--A-range", "80:120:20"])
+        assert code == 0
+        assert "shirley:" not in out
+        assert out.strip().split("\n")[2:] == [
+            "80,32.277354,32.2751985,32.2041883,32.2664462,-69959600,",
+            "100,40.5917837,40.5900038,40.55198,40.5830577,-266930527,",
+            "120,48.9069408,48.9054268,48.9045444,48.8996693,-797140350,",
+        ]
+
 
     def test_printed_cells_pinned(self, capsys):
         # the whole default table, frozen at nine digits
@@ -149,16 +161,17 @@ class TestShiftSweep:
     def test_printed_cells_pinned(self, capsys):
         # the default sweep's first four rows and its last, frozen at nine
         # digits; dev_chrw at A = 0.1 is the difference of two shifts that
-        # agree to 8e-8, so its ninth digit reads their last bits
+        # agree to 8e-8, and dev_shirley at A = 0.1 and 0.2 of two that
+        # agree to 9e-11 and 6e-9, so their ninth digits read the last bits
         code, out = _run(capsys, ["shift-sweep"])
         assert code == 0
         body = out.strip().split("\n")[2:]
         assert len(body) == 210
         assert body[:4] == [
             "0.1,0.000625097389,0.000625097441,8.26114414e-08,0.000625097389,"
-            "8.93522649e-11,,,0.000625097389,1.96811354e-10,",
+            "8.93524384e-11,,,0.000625097389,1.96811354e-10,",
             "0.2,0.00250154544,0.00250154873,1.31576887e-06,0.00250154546,"
-            "5.66607277e-09,,,0.00250154541,1.26599808e-08,",
+            "5.66607311e-09,,,0.00250154541,1.26599808e-08,",
             "0.3,0.00563271631,0.00563275354,6.61017418e-06,0.00563271667,"
             "6.3537877e-08,,,0.00563271549,1.45419042e-07,",
             "0.4,0.0100239145,0.0100241217,2.06652286e-05,0.010023918,"

@@ -146,12 +146,28 @@ class TestShirley:
         r = bs_shirley_iterative(1.0, 11.0)
         assert r.iterations > 0
 
-    @pytest.mark.parametrize("a", [1e-6, 1e-5, 1e-4, 1e-3, 1e-2])
+    @pytest.mark.parametrize("a", [1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2])
     def test_weak_drive_matches_series(self, a):
-        # both are sixth order in A/4, so they differ by O((A/4)^8): far
-        # below the bound, which catches a shift rounded to ulp(omega0)
-        want = bs_perturbative6(1.0, a).shift
-        assert bs_shirley_iterative(1.0, a).shift == pytest.approx(want, rel=1e-9, abs=0.0)
+        # both are sixth order in A/4, so they differ by O((A/4)^8): below
+        # rounding here.  The bound is twice the worst measured on ten
+        # points per decade, 2.2e-15, and catches a stop on |f| rather than
+        # relative to the shift (3.2e-11 at omega0 = 0.3, A = 3.8e-4)
+        for omega0 in (0.3, 1.0, 7.0):
+            want = bs_perturbative6(omega0, a * omega0).shift
+            got = bs_shirley_iterative(omega0, a * omega0).shift
+            assert got == pytest.approx(want, rel=5e-15, abs=0.0)
+
+    def test_whole_drive_range(self):
+        # the crossing condition has one root on every shift bracket, so
+        # every A from weak to strong drive returns a shift.  The bound is
+        # twice the worst measured against Floquet, 8.75e-3 at omega0 = 7,
+        # A/omega0 = 20.3
+        for omega0 in (0.3, 1.0, 7.0):
+            for ratio in np.logspace(-3.0, 3.0, 40):
+                a = float(ratio) * omega0
+                want = bs_floquet_numeric(omega0, a).shift
+                got = bs_shirley_iterative(omega0, a).shift
+                assert got == pytest.approx(want, rel=1.75e-2, abs=0.0)
 
 
 class TestEvaluationCounts:
@@ -206,32 +222,19 @@ class TestEvaluationCounts:
         assert len(set(points)) == len(points) == r.iterations
         assert r.residual < 1e-9
 
+    @pytest.mark.parametrize("a", [1e-6, 0.1, 1.0, 6.0, 21.0, 100.0])
+    def test_shirley(self, monkeypatch, a):
+        points = []
+        rhs = resonance._shirley_shift_rhs
 
-class TestShirleyEvaluationCounts:
-    """The Shirley iteration evaluates its map once per point in each stage:
-    the value at an accepted step is carried into the next sweep, and
-    iterations counts the evaluations of both stages."""
+        def recording_rhs(omega0, amplitude, shift):
+            points.append(shift)
+            return rhs(omega0, amplitude, shift)
 
-    @pytest.mark.parametrize("a", [1e-6, 0.1, 1.0, 6.0, 21.0])
-    def test_each_point_once(self, monkeypatch, a):
-        stages = []
-        fixed_point = resonance._damped_fixed_point
-
-        def recording_fixed_point(g, omega0, start, tol):
-            points = []
-            stages.append(points)
-
-            def h(shift):
-                points.append(shift)
-                return g(shift)
-
-            return fixed_point(h, omega0, start, tol)
-
-        monkeypatch.setattr(resonance, "_damped_fixed_point", recording_fixed_point)
+        monkeypatch.setattr(resonance, "_shirley_shift_rhs", recording_rhs)
         r = bs_shirley_iterative(1.0, a)
-        assert len(stages) == 2
-        assert all(len(set(points)) == len(points) > 0 for points in stages)
-        assert r.iterations == sum(len(points) for points in stages)
+        assert len(set(points)) == len(points) == r.iterations
+        assert 0 < r.iterations <= 10
 
 
 class TestPerturbative6:

@@ -11,6 +11,7 @@ from bloch_siegert_lab.dissipative import (
     RateSet,
     SteadyState,
     bloch_generator,
+    fourier_f,
     rates,
     steady_state,
     truncation_order,
@@ -27,7 +28,6 @@ from bloch_siegert_lab.spectrum import (
     _response_coefficients,
     _sideband_cap,
     asymmetry_metric,
-    chat_coefficients,
     default_sideband_count,
     initial_conditions,
     laplace_g,
@@ -60,11 +60,11 @@ class TestChatCoefficients:
         fr = build_frame(p, mode=FrameMode.RWA)
         th = fr.theta
         np.testing.assert_allclose(
-            chat_coefficients(fr, p, 1),
+            fourier_f(fr, p, 1, 1),
             (-2.0 * math.cos(th) ** 2, 2.0 * math.sin(th) ** 2, math.sin(2 * th)),
             atol=1e-15,
         )
-        np.testing.assert_allclose(chat_coefficients(fr, p, 3), (0.0, 0.0, 0.0), atol=1e-15)
+        np.testing.assert_allclose(fourier_f(fr, p, 3, 1), (0.0, 0.0, 0.0), atol=1e-15)
 
 
 class TestInitialConditions:
@@ -74,7 +74,7 @@ class TestInitialConditions:
         # three components as matrix elements
         p, fr, rs, ss = _resonant_point()
         for n in (1, 3):
-            f_p, f_m, f_z = chat_coefficients(fr, p, n)
+            f_p, f_m, f_z = fourier_f(fr, p, n, 1)
             c_hat = np.array([[f_z, f_p], [f_m, -f_z]], dtype=complex)
             rho = np.array(
                 [
@@ -302,7 +302,7 @@ class TestSpectrum:
                 ss = steady_state(rs, fr.rabi_tilde)
                 expected = np.zeros_like(grid)
                 for n in range(1, tr.n_max + 1, 2):
-                    f_p, f_m, f_z = chat_coefficients(fr, p, n)
+                    f_p, f_m, f_z = fourier_f(fr, p, n, 1)
                     init = initial_conditions(fr, p, ss, n)
                     g_plus, g_minus, g_z = laplace_g(
                         rs, fr.rabi_tilde, init, -1j * (grid - n * pump)
@@ -392,10 +392,10 @@ class TestSpectrum:
             assert raised == (label == "on pole"), label
 
     def test_default_sideband_count(self):
-        assert default_sideband_count(1.2, 1.0, 13) == 3
-        assert default_sideband_count(4.5, 1.0, 13) == 7
-        # never exceeds the truncation of the harmonic table
-        assert default_sideband_count(50.0, 1.0, 13) == 13
+        assert default_sideband_count(1.2, 1.0) == 3
+        assert default_sideband_count(4.5, 1.0) == 7
+        # uncapped here: spectrum caps it (test_sideband_cap_is_truncation_rule)
+        assert default_sideband_count(50.0, 1.0) == 51
 
 
 class TestAsymmetryMetric:
