@@ -238,7 +238,7 @@ def cmd_spectrum(config: RunConfig) -> str:
             config,
             f"A={_num(config.amplitude)}, omega={_num(config.omega)}, "
             f"kappa={_num(config.kappa)}, mode={config.mode.value}, "
-            f"n_max={trace.n_max}, normalization={trace.normalization.value}, "
+            f"n_max={trace.n_max}, normalization=peak_unit, "
             f"nu-grid={_grid_note(np.asarray(nus))}",
         ),
         sep.join(["nu", "S"]),
@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--quick", action="store_true",
                    help="run only table-regression, floquet-convergence and "
-                        "laplace-vs-quadrature, at reduced size")
+                        "spectrum-vs-resolvent, at reduced size")
     p.add_argument("--floquet-N", type=int, default=None, dest="floquet_n",
                    help="override the Floquet truncation in the convergence check")
 

@@ -5,7 +5,8 @@ linear order its absorption is the Fourier transform of a steady-state
 two-time commutator, and the regression theorem turns that into the same
 dressed Bloch equations that give the populations, now with commutator
 initial data and no source term.  The Laplace-domain solution is a trio of
-rational functions g_+/g_-/g_z sharing one cubic denominator; the spectrum
+rational functions g_+/g_-/g_z sharing one cubic denominator, their
+coefficients read off the adjugate of the dressed generator; the spectrum
 sums their weighted real parts over the odd sideband families, the n-th
 family centered at n times the pump frequency.  Each family's weights are
 applied to the numerator coefficients first, so a trace evaluates one
@@ -21,7 +22,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Tuple
 
 import numpy as np
@@ -42,11 +42,6 @@ from .errors import GridError, PoleError, ValidityWarning
 from .numerics import bessel_j_sequence
 
 
-class Normalization(Enum):
-    RAW = "raw"
-    PEAK_UNIT = "peak_unit"
-
-
 @dataclass(frozen=True)
 class SpectrumTrace:
     """One absorption trace: S over nu_grid, with the context that made it.
@@ -60,7 +55,6 @@ class SpectrumTrace:
     mode: FrameMode
     rabi_tilde: float
     n_max: int
-    normalization: Normalization
 
 
 def initial_conditions(
@@ -73,12 +67,11 @@ def initial_conditions(
     and the sideband family disappears.  The harmonic's weights are the
     positive-signature ones of the transformed raising operator.
     """
-    return _commutator_seed(fourier_f(frame, params, n, 1), steady)
+    return tuple(complex(v) for v in _commutator_seed(fourier_f(frame, params, n, 1), steady))
 
 
-def _commutator_seed(
-    weights: Tuple[float, float, float], steady: SteadyState
-) -> Tuple[complex, complex, complex]:
+def _commutator_seed(weights: Tuple, steady: SteadyState) -> Tuple:
+    # elementwise, so each weight may be an array over sideband families
     f_p, f_m, f_z = weights
     sz = steady.sz_ss
     sp = steady.splus_ss
@@ -86,45 +79,34 @@ def _commutator_seed(
     x0 = f_m * sz - 2.0 * f_z * sp
     y0 = -f_p * sz + 2.0 * f_z * sm
     z0 = 2.0 * f_p * sp - 2.0 * f_m * sm
-    return complex(x0), complex(y0), complex(z0)
+    return x0, y0, z0
 
 
-def _generator_cubic(rate_set: RateSet, rabi_tilde: float) -> Tuple[np.ndarray, np.ndarray]:
-    """The dressed Bloch generator M and det(p - M), highest power first.
-
-    Faddeev-LeVerrier: det(p - M) = p^3 + c2 p^2 + c1 p + c0 from the power
-    sums t_k = tr M^k; returns M and the four coefficients (1, c2, c1, c0).
-    """
-    m, _ = bloch_generator(rate_set, rabi_tilde)
-    m2 = m @ m
-    t1, t2, t3 = m.trace(), m2.trace(), np.sum(m2 * m.T)
-    c2 = -t1
-    c1 = -0.5 * (t2 + c2 * t1)
-    c0 = -(t3 + c2 * t2 + c1 * t1) / 3.0
-    return m, np.array([1.0, c2, c1, c0])
-
-
-def _numerators(
-    m: np.ndarray, den: np.ndarray, init: Tuple[complex, complex, complex]
-) -> np.ndarray:
-    """adj(p - M) init = init p^2 + v1 p + v0 as a 3x3 array of quadratic
-    numerators, highest power first, one row each for g_+, g_-, g_z."""
-    y0 = np.array(init, dtype=np.complex128)
-    v1 = m @ y0 + den[1] * y0
-    v0 = m @ v1 + den[2] * y0
-    return np.array([y0, v1, v0]).T
+# cyclic index triples: the (i, j) cofactor of a 3x3 matrix B, sign
+# included, is B[r_i, r_j] B[s_i, s_j] - B[r_i, s_j] B[s_i, r_j]
+_R = np.array([1, 2, 0])
+_S = np.array([2, 0, 1])
 
 
 def _response_coefficients(
-    rate_set: RateSet, rabi_tilde: float, init: Tuple[complex, complex, complex]
+    rate_set: RateSet, rabi_tilde: float, seeds: Tuple
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Coefficients of the response rationals, highest power of p first.
 
-    (g_+, g_-, g_z) = adj(p - M) init / det(p - M) for the dressed Bloch
-    generator M: the cubic det(p - M) and the numerators of _numerators.
+    (g_+, g_-, g_z) = adj(p - M) y0 / det(p - M) for the dressed Bloch
+    generator M.  With B = -M, det(p + B) = p^3 + tr B p^2 + tr adj B p +
+    det B and adj(p + B) = p^2 + (tr B - B) p + adj B, with adj B taken
+    from its 2x2 cofactors: every coefficient is a sum of 2x2 minors, and
+    none cancels the dressed splitting against itself.  seeds is y0, shape
+    (3,) or (3, k) for k seeds at once; returns the four denominator
+    coefficients and the numerators indexed [power, component, seed].
     """
-    m, den = _generator_cubic(rate_set, rabi_tilde)
-    return den, _numerators(m, den, init)
+    b = -bloch_generator(rate_set, rabi_tilde)[0]
+    adj = (b[np.ix_(_R, _R)] * b[np.ix_(_S, _S)] - b[np.ix_(_R, _S)] * b[np.ix_(_S, _R)]).T
+    trace = b.trace()
+    den = np.array([1.0, trace, adj.trace(), b[0] @ adj[:, 0]])
+    y0 = np.asarray(seeds, dtype=np.complex128)
+    return den, np.array([y0, trace * y0 - b @ y0, adj @ y0])
 
 
 def _horner(coeffs: np.ndarray, p: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -192,7 +174,7 @@ def laplace_g(
     bad = np.abs(denom) < _pole_bound(rate_set, rabi_tilde, np.abs(p))
     if np.any(bad):
         raise PoleError(f"response denominator vanishes at p = {p[bad][0]}")
-    g_plus, g_minus, g_z = (_horner(row, p) / denom for row in num)
+    g_plus, g_minus, g_z = (_horner(row, p) / denom for row in num.T)
     return g_plus, g_minus, g_z
 
 
@@ -234,7 +216,6 @@ def spectrum(
     nu_grid: np.ndarray,
     mode: FrameMode = FrameMode.CHRW,
     n_max: Optional[int] = None,
-    normalization: Normalization = Normalization.PEAK_UNIT,
 ) -> SpectrumTrace:
     """Absorption trace S over nu_grid for a pump at params.omega.
 
@@ -243,8 +224,8 @@ def spectrum(
     (Re N Re D + Im N Im D) / |D|^2.  n_max is capped by truncation_order's
     rule.  Only positive probe frequencies are meaningful here; the
     counter-propagating terms matter only for nu < 0 and are not summed.
-    PEAK_UNIT scales the largest magnitude to one, since the overall
-    response is defined up to the probe strength anyway.
+    The largest magnitude is scaled to one, since the overall response is
+    defined up to the probe strength anyway.
     """
     if params.kappa <= 0.0:
         raise ValueError("spectrum needs kappa > 0; undamped response has no linewidth")
@@ -276,18 +257,17 @@ def spectrum(
     steady = steady_state(rate_set, frame.rabi_tilde)
     # positive-signature weights of the summed harmonics, as initial_conditions takes them
     harmonics = np.arange(1, n_max + 1, 2)
-    plus, minus, pop = _harmonic_weights(frame, harmonics, j)
-    m, den = _generator_cubic(rate_set, frame.rabi_tilde)
-    # the rates are real, so det(p - M) has real coefficients; what imaginary
-    # part the power sums leave is rounding
+    f_p, f_m, f_z = (row[0] for row in _harmonic_weights(frame, harmonics, j))
+    seeds = _commutator_seed((f_p, f_m, f_z), steady)
+    den, num = _response_coefficients(rate_set, frame.rabi_tilde, seeds)
+    # the rates are real, so det(p - M) has real coefficients up to rounding
     c2, c1, c0 = den.real[1:]
+    # f_p g_- + f_m g_+ + f_z g_z is one rational per family: contract the
+    # numerators first, with the trace's factor 1/4 folded in
+    coeffs = 0.25 * np.einsum("kcf,cf->fk", num, np.array([f_m, f_p, f_z]))
     values = np.zeros_like(nu)
     w, re_d, im_d, d2, acc = np.empty((5, nu.size))
-    for n, f_p, f_m, f_z in zip(harmonics.tolist(), plus[0], minus[0], pop[0]):
-        num = _numerators(m, den, _commutator_seed((f_p, f_m, f_z), steady))
-        # f_p g_- + f_m g_+ + f_z g_z is one rational: contract the numerators
-        # first, with the trace's factor 1/4 folded in
-        a0, a1, a2 = np.array([f_m, f_p, f_z]) @ num * 0.25
+    for n, (a0, a1, a2) in zip(harmonics.tolist(), coeffs):
         # p = i w; D(iw) = (c0 - c2 w^2) + i w (c1 - w^2), kept factored:
         # c1 - w^2 is where the dressed lines cancel
         np.subtract(n * params.omega, nu, out=w)
@@ -310,10 +290,9 @@ def spectrum(
         acc += re_d
         acc /= d2
         values += acc
-    if normalization is Normalization.PEAK_UNIT:
-        peak = max(float(values.max()), -float(values.min()))
-        if peak > 0.0:
-            values /= peak
+    peak = max(float(values.max()), -float(values.min()))
+    if peak > 0.0:
+        values /= peak
     return SpectrumTrace(
         nu_grid=nu,
         values=values,
@@ -321,7 +300,6 @@ def spectrum(
         mode=mode,
         rabi_tilde=frame.rabi_tilde,
         n_max=n_max,
-        normalization=normalization,
     )
 
 

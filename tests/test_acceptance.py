@@ -174,8 +174,8 @@ def test_criterion_09_spectrum_symmetry_trichotomy():
     _stamp(9, "spectrum symmetry trichotomy", t0, 60.0)
 
 
-def test_criterion_10_laplace_vs_quadrature():
+def test_criterion_10_spectrum_vs_resolvent():
     t0 = time.perf_counter()
-    result = validation.laplace_vs_quadrature()
+    result = validation.spectrum_vs_resolvent()
     assert result.ok, result.report()
-    _stamp(10, "response kernels vs quadrature", t0, 10.0)
+    _stamp(10, f"spectrum vs exact resolvent to {result.bound:g}", t0, 10.0)

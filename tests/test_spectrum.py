@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from bloch_siegert_lab.chrw import FrameMode, ModelParams, bessel_argument, build_frame
 from bloch_siegert_lab.dissipative import (
@@ -20,20 +21,18 @@ from bloch_siegert_lab.errors import GridError, PoleError, ValidityWarning
 from bloch_siegert_lab.numerics import bessel_j_sequence
 from bloch_siegert_lab.resonance import bs_chrw
 from bloch_siegert_lab.spectrum import (
-    Normalization,
     SpectrumTrace,
     _check_axis_poles,
-    _generator_cubic,
     _pole_bound,
     _response_coefficients,
     _sideband_cap,
     asymmetry_metric,
+    default_probe_grid,
     default_sideband_count,
     initial_conditions,
     laplace_g,
     spectrum,
 )
-from bloch_siegert_lab.validation import laplace_vs_quadrature
 
 # the package re-exports the function `spectrum` under the module's name
 spectrum_module = importlib.import_module("bloch_siegert_lab.spectrum")
@@ -46,6 +45,21 @@ def _resonant_point(amplitude=0.1, kappa=2e-3):
     rs = rates(fr, p)
     ss = steady_state(rs, fr.rabi_tilde)
     return p, fr, rs, ss
+
+
+def _kernel_sum(params, mode, grid, n_max):
+    # the unnormalised trace as the sum over sideband families of the
+    # separate laplace_g kernels, weighted as the trace weights them
+    fr = build_frame(params, mode=mode)
+    rs = rates(fr, params)
+    ss = steady_state(rs, fr.rabi_tilde)
+    total = np.zeros_like(grid)
+    for n in range(1, n_max + 1, 2):
+        f_p, f_m, f_z = fourier_f(fr, params, n, 1)
+        init = initial_conditions(fr, params, ss, n)
+        g_plus, g_minus, g_z = laplace_g(rs, fr.rabi_tilde, init, -1j * (grid - n * params.omega))
+        total += 0.25 * np.real(f_p * g_minus + f_m * g_plus + f_z * g_z)
+    return total
 
 
 def _trace_grid(center, rabi, n=1201):
@@ -113,6 +127,16 @@ class TestResponseDenominator:
             det = np.linalg.det(pv * np.eye(3) - m)
             assert np.polyval(den, pv) == pytest.approx(det, rel=1e-12)
 
+    def test_constant_term_is_steady_state_denominator(self):
+        # det(-M) is the denominator steady_state divides by, written out
+        # here from the rates
+        for amp in (0.1, 2.0, 10.0):
+            p, fr, rs, ss = _resonant_point(amp)
+            den, _ = _response_coefficients(rs, fr.rabi_tilde, (0j, 0j, 0j))
+            g1, gm, gp, gz = rs.gamma_1, rs.gamma_minus, rs.gamma_plus, rs.gamma_z
+            steady_denom = 4.0 * g1 * g1 * (gm - gp) + gz * (fr.rabi_tilde**2 + gp * gp - gm * gm)
+            assert den[3] == pytest.approx(steady_denom, rel=1e-15)
+
     def test_generator_is_stable(self):
         # with kappa > 0 every mode of the dressed generator decays, which
         # is what lets the one-sided transform converge on the imaginary axis
@@ -166,11 +190,88 @@ class TestLaplaceG:
 
 class TestQuadratureOracle:
     def test_transform_matches_time_integration(self):
-        # the registry check Laplace-transforms the exact homogeneous Bloch
-        # trajectory by Simpson quadrature; nothing there touches the
-        # Cramer expressions it is compared with
-        result = laplace_vs_quadrature(quick=True)
-        assert result.ok, result.report()
+        # Simpson's rule over the homogeneous trajectory y(t) = expm(M t) y0
+        # out to 25 decay times, against laplace_g at p = -i offset, with
+        # offsets on both dressed lines and between them.  g_+ peaks on one
+        # line and g_- on the other, so a conjugated p swaps them and misses
+        # by about 100 %: this pins the sign of p between the time and the
+        # Laplace domain.  The trajectory is y(k dt) = E^k y0 with
+        # E = expm(M dt), built in blocks so that no power is a chain of
+        # more than 2 sqrt(steps) products.  Measured: 3.3e-11 of the peak
+        # on the lines, 2.1e-10 between them
+        p, fr, rs, ss = _resonant_point()
+        init = initial_conditions(fr, p, ss, 1)
+        m, _ = bloch_generator(rs, fr.rabi_tilde)
+        dt = 0.25
+        steps = 2 * math.ceil(12.5 / (dt * min(rs.gamma_plus.real, rs.gamma_z.real)))
+        block = math.isqrt(steps) + 1
+        step = expm(m * dt)
+        powers = [np.eye(3)]
+        for _ in range(block - 1):
+            powers.append(step @ powers[-1])
+        jump = step @ powers[-1]
+        starts = [np.array(init)]
+        for _ in range(steps // block):
+            starts.append(jump @ starts[-1])
+        traj = np.einsum("kij,bj->bki", np.array(powers), np.array(starts)).reshape(-1, 3)
+        traj = traj[: steps + 1]
+        ts = dt * np.arange(steps + 1)
+        simpson = np.ones(steps + 1)
+        simpson[1:-1:2] = 4.0
+        simpson[2:-1:2] = 2.0
+        for offset in (-fr.rabi_tilde, 0.3 * fr.rabi_tilde, fr.rabi_tilde):
+            pv = -1j * offset
+            quad = (dt / 3.0) * (simpson * np.exp(-pv * ts)) @ traj
+            closed = np.array(laplace_g(rs, fr.rabi_tilde, init, pv))
+            rel = np.max(np.abs(quad - closed)) / np.max(np.abs(closed))
+            assert rel < 4e-10, (offset, rel)
+
+
+# (amplitude, pump, frame, n_max) of the extended-precision test
+MP_CASES = {
+    "A10-chrw-pump-omega0-n1": (10.0, lambda: 1.0, FrameMode.CHRW, 1),
+    "A10-rwa-resonance": (10.0, lambda: bs_chrw(1.0, 10.0).omega_res, FrameMode.RWA, None),
+    "A2-rwa-two-shifts": (2.0, lambda: 1.0 + 2.0 * bs_chrw(1.0, 2.0).shift, FrameMode.RWA, None),
+}
+
+
+class TestExtendedPrecision:
+    @pytest.mark.parametrize("case", list(MP_CASES))
+    def test_trace_against_40_digit_solve(self, case):
+        # the trace against a 40-digit solve of (p - M) g = y0 with the
+        # trace's own double rates, seeds and weights, on every 20th point
+        # of a 2001-point default grid and at the trace's peak, which scales
+        # the reference.  Measured worst 1.7e-15 of the peak (A = 10, CHRW,
+        # and A = 2, RWA); power-sum coefficients read 7.1e-12 on the first
+        # case and 1.2e-11 on the second
+        mp = pytest.importorskip("mpmath")
+        amp, pump, mode, n_max = MP_CASES[case]
+        p = ModelParams(omega0=1.0, amplitude=amp, omega=pump(), kappa=2e-3)
+        fr = build_frame(p, mode=mode)
+        grid = default_probe_grid(p.omega, fr.rabi_tilde, 2001)
+        tr = spectrum(p, grid, mode=mode, n_max=n_max)
+        top = int(np.argmax(np.abs(tr.values)))
+        idx = sorted({*range(0, grid.size, 20), top})
+        rs = rates(fr, p)
+        ss = steady_state(rs, fr.rabi_tilde)
+        m, _ = bloch_generator(rs, fr.rabi_tilde)
+        families = [
+            (n, fourier_f(fr, p, n, 1), initial_conditions(fr, p, ss, n))
+            for n in range(1, tr.n_max + 1, 2)
+        ]
+        with mp.workdps(40):
+            gen = mp.matrix([[mp.mpc(complex(x)) for x in row] for row in m])
+            ref = {}
+            for i in idx:
+                total = mp.mpf(0)
+                for n, (f_p, f_m, f_z), init in families:
+                    pv = mp.mpc(0, n * mp.mpf(p.omega) - mp.mpf(grid[i]))
+                    g = mp.lu_solve(pv * mp.eye(3) - gen, mp.matrix(list(init)))
+                    total += mp.re(f_m * g[0] + f_p * g[1] + f_z * g[2]) / 4
+                ref[i] = total
+            peak = abs(ref[top])
+            err = max(abs(tr.values[i] - ref[i] / peak) for i in idx)
+        assert err < 3.3e-15, float(err)
 
 
 class TestSpectrum:
@@ -204,9 +305,8 @@ class TestSpectrum:
         grid = _trace_grid(p.omega, fr.rabi_tilde)
         tr = spectrum(p, grid)
         assert np.max(np.abs(tr.values)) == pytest.approx(1.0, abs=1e-12)
-        raw = spectrum(p, grid, normalization=Normalization.RAW)
-        scale = np.max(np.abs(raw.values))
-        np.testing.assert_allclose(raw.values, scale * tr.values, rtol=1e-12)
+        raw = _kernel_sum(p, FrameMode.CHRW, grid, tr.n_max)
+        np.testing.assert_allclose(tr.values, raw / np.max(np.abs(raw)), rtol=1e-12)
 
     def test_sidebands_sit_at_dressed_splitting(self):
         # on resonance the trace is dominated by the two sideband peaks,
@@ -272,21 +372,20 @@ class TestSpectrum:
         p = ModelParams(omega0=1.0, amplitude=0.3, omega=1.0, kappa=2e-3)
         fr = build_frame(p)
         grid = _trace_grid(1.0, fr.rabi_tilde)
-        tr1 = spectrum(p, grid, normalization=Normalization.RAW)
-        tr2 = spectrum(p, grid, n_max=tr1.n_max + 4, normalization=Normalization.RAW)
-        rel = np.max(np.abs(tr1.values - tr2.values)) / np.max(np.abs(tr1.values))
-        assert rel < 1e-8
+        tr1 = spectrum(p, grid)
+        tr2 = spectrum(p, grid, n_max=tr1.n_max + 4)
+        assert np.max(np.abs(tr1.values - tr2.values)) < 1e-8
 
     @pytest.mark.parametrize("mode", [FrameMode.CHRW, FrameMode.RWA])
     @pytest.mark.parametrize("amp", [0.05, 0.1, 0.2, 0.4, 1.0, 2.0])
     def test_raw_trace_is_sum_of_laplace_kernels(self, amp, mode):
         # the trace contracts each sideband's three rationals into one and
         # evaluates it in real arithmetic; the sum of the separate kernels
-        # per sideband, written out here, must agree.  kappa = A/400 and
-        # kappa = 0.05 rabi_tilde add the narrow and the broad lines, where
-        # the trace's c1 - w^2 cancels hardest; the worst measured gap is
-        # 2.1e-14 of the peak (A = 2, RWA, kappa = 2e-3), from the rounding
-        # imaginary part of c0 that laplace_g keeps and the trace drops
+        # per sideband, written out here and scaled to its own peak, must
+        # agree.  kappa = A/400 and kappa = 0.05 rabi_tilde add the narrow
+        # and the broad lines, where the trace's c1 - w^2 cancels hardest;
+        # the worst measured gap is 1.1e-15 of the peak (A = 0.05, RWA,
+        # kappa = A/400)
         shift = bs_chrw(1.0, amp).shift
         for pump in (1.0, 1.0 + shift, 1.0 + 2.0 * shift):
             rabi = build_frame(
@@ -297,19 +396,10 @@ class TestSpectrum:
                 fr = build_frame(p, mode=mode)
                 half = min(2.2 * fr.rabi_tilde, 0.9 * pump)
                 grid = np.linspace(pump - half, pump + half, 801)
-                tr = spectrum(p, grid, mode=mode, normalization=Normalization.RAW)
-                rs = rates(fr, p)
-                ss = steady_state(rs, fr.rabi_tilde)
-                expected = np.zeros_like(grid)
-                for n in range(1, tr.n_max + 1, 2):
-                    f_p, f_m, f_z = fourier_f(fr, p, n, 1)
-                    init = initial_conditions(fr, p, ss, n)
-                    g_plus, g_minus, g_z = laplace_g(
-                        rs, fr.rabi_tilde, init, -1j * (grid - n * pump)
-                    )
-                    expected += 0.25 * np.real(f_p * g_minus + f_m * g_plus + f_z * g_z)
-                peak = np.max(np.abs(expected))
-                assert np.max(np.abs(tr.values - expected)) <= 4e-14 * peak
+                tr = spectrum(p, grid, mode=mode)
+                expected = _kernel_sum(p, mode, grid, tr.n_max)
+                expected /= np.max(np.abs(expected))
+                assert np.max(np.abs(tr.values - expected)) <= 4e-14
 
     def test_sideband_cap_is_truncation_rule(self):
         # the cap reads truncation_order's three-orders rule off the Bessel
@@ -368,7 +458,7 @@ class TestSpectrum:
         # and the point-by-point check must then give the plain verdict
         free = RateSet(0j, 0j, 0j, 0j, 0j, 0j)
         rabi = 0.5
-        _, den = _generator_cubic(free, rabi)
+        den, _ = _response_coefficients(free, rabi, (0j, 0j, 0j))
         den = den.real
         cases = {
             "near pole": np.linspace(rabi + 1e-12, 5.0, 2001),
@@ -413,7 +503,6 @@ class TestAsymmetryMetric:
             mode=FrameMode.CHRW,
             rabi_tilde=build_frame(params, mode=FrameMode.CHRW).rabi_tilde,
             n_max=1,
-            normalization=Normalization.RAW,
         )
 
     @staticmethod

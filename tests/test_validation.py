@@ -4,7 +4,12 @@ bound catches the defect it is there for."""
 import dataclasses
 import math
 
+import numpy as np
+
 from bloch_siegert_lab import validation
+from bloch_siegert_lab.chrw import build_frame
+from bloch_siegert_lab.dissipative import fourier_f, rates, steady_state
+from bloch_siegert_lab.spectrum import initial_conditions, laplace_g
 from bloch_siegert_lab.validation import CheckResult
 
 
@@ -14,12 +19,12 @@ def test_registry_order_and_quick_subset():
         "table-regression",
         "floquet-convergence",
         "monodromy-vs-matrix",
-        "laplace-vs-quadrature",
+        "spectrum-vs-resolvent",
         "lindblad-oracle",
         "rates-vs-tensor",
     ]
     quick = [name for name, _ in validation.checks(quick=True)]
-    assert quick == ["table-regression", "floquet-convergence", "laplace-vs-quadrature"]
+    assert quick == ["table-regression", "floquet-convergence", "spectrum-vs-resolvent"]
 
 
 def test_nan_fails():
@@ -93,3 +98,44 @@ def test_rate_off_by_2e15_kappa_fails(monkeypatch):
     result = validation.rates_vs_tensor()
     assert not result.ok
     assert result.value < 3e-15
+
+
+def test_trace_tilted_by_5_percent_fails(monkeypatch):
+    # the measured worst is 3.3e-14 of the peak; a trace tilted by 5 %
+    # across its probe window must not pass
+    trace_of = validation.spectrum
+
+    def tilted(params, nu, mode):
+        trace = trace_of(params, nu, mode=mode)
+        tilt = 1.0 + 0.05 * (nu - params.omega) / (nu[-1] - params.omega)
+        return dataclasses.replace(trace, values=trace.values * tilt)
+
+    monkeypatch.setattr(validation, "spectrum", tilted)
+    result = validation.spectrum_vs_resolvent()
+    assert not result.ok
+    assert not validation.spectrum_vs_resolvent(quick=True).ok
+
+
+def test_trace_at_conjugated_probe_fails(monkeypatch):
+    # the trace summed from the laplace_g kernels at p = i(nu - n omega),
+    # the conjugate of the p the resolvent is solved at
+    trace_of = validation.spectrum
+
+    def conjugated(params, nu, mode):
+        trace = trace_of(params, nu, mode=mode)
+        frame = build_frame(params, mode=mode)
+        rate_set = rates(frame, params)
+        steady = steady_state(rate_set, frame.rabi_tilde)
+        values = np.zeros_like(nu)
+        for n in range(1, trace.n_max + 1, 2):
+            f_p, f_m, f_z = fourier_f(frame, params, n, 1)
+            init = initial_conditions(frame, params, steady, n)
+            g_plus, g_minus, g_z = laplace_g(
+                rate_set, frame.rabi_tilde, init, 1j * (nu - n * params.omega)
+            )
+            values += np.real(f_m * g_plus + f_p * g_minus + f_z * g_z)
+        return dataclasses.replace(trace, values=values / np.max(np.abs(values)))
+
+    monkeypatch.setattr(validation, "spectrum", conjugated)
+    assert not validation.spectrum_vs_resolvent().ok
+    assert not validation.spectrum_vs_resolvent(quick=True).ok
