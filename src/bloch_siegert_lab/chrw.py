@@ -207,13 +207,3 @@ def bessel_argument(params: ModelParams, frame: ChrwFrame) -> float:
     """Argument A*xi/omega entering every Bessel factor of the frame."""
     return params.amplitude * frame.xi / params.omega
 
-
-def dressed_states(frame: ChrwFrame) -> tuple[np.ndarray, np.ndarray]:
-    """Dressed kets (|+~>, |-~>) as columns in the bare {|+>, |->} basis.
-
-    |+~> = sin(theta)|-> + cos(theta)|+>, |-~> = sin(theta)|+> - cos(theta)|->.
-    """
-    s, c = math.sin(frame.theta), math.cos(frame.theta)
-    plus = np.array([c, s])
-    minus = np.array([s, -c])
-    return plus, minus

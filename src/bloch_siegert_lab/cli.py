@@ -350,7 +350,10 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
 
     kwargs = dict(command=args.command, omega0=omega0, out=args.out, fmt=args.format)
     if args.command in ("shift-table", "shift-sweep"):
-        kwargs["amplitudes"] = scaled_grid(args.A, args.A_range)
+        amplitudes = scaled_grid(args.A, args.A_range)
+        if amplitudes is not None and np.any(amplitudes < 0.0):
+            raise ConfigError("A must be non-negative")
+        kwargs["amplitudes"] = amplitudes
         if args.command == "shift-sweep":
             if args.method == "all":
                 kwargs["methods"] = _METHOD_ORDER

@@ -12,26 +12,26 @@ exactly, so rates gives the six in closed form from J_0, J_1 and J_2 at the
 Bessel argument z and at 2z; lindblad_tensor sums the truncated harmonic
 table term by term and is their independent reference.  Validity
 requires the dressed splitting to dominate the decay (rabi_tilde >>
-kappa); callers get a ValidityWarning when it does not.
+kappa).  steady_state solves the dressed Bloch equations for their fixed
+point, and population_avg turns it into the time-averaged lab-frame excited
+population, the paper's population signature.
 
 oracle_lindblad integrates the untransformed lab-frame equation directly and
-serves as the module's ground truth for transients; it shares no code with
-the rate construction.  The steady-state ground truth is
-floquet.periodic_steady_state.
+shares no code with the rate construction; it is the ground truth for
+transients.  The steady-state ground truth is floquet.periodic_steady_state.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 from scipy.special import j0, j1
 
-from .chrw import ChrwFrame, ModelParams, bessel_argument, dressed_states
-from .errors import ConvergenceError, DegenerateInputError, ValidityWarning
+from .chrw import ChrwFrame, ModelParams, bessel_argument
+from .errors import ConvergenceError, DegenerateInputError
 from .numerics import bessel_j, bessel_j0_minus_1, bessel_j_sequence
 
 TRUNCATION_EPS = 1e-14
@@ -301,72 +301,6 @@ def steady_state(rate_set: RateSet, rabi_tilde: float) -> SteadyState:
     return SteadyState(sz_ss=float(sz.real), splus_ss=complex(splus))
 
 
-def bloch_evolve(
-    rate_set: RateSet,
-    rabi_tilde: float,
-    initial: Tuple[complex, complex, complex],
-    t_grid: np.ndarray,
-    kappa: Optional[float] = None,
-) -> np.ndarray:
-    """Dressed Bloch trajectory, rows (sz, s_plus, s_minus) per grid time.
-
-    The generator is constant, so the trajectory is the exact affine
-    propagation by eigendecomposition (_affine_trajectory).  `initial` is
-    ordered (sz, s_plus, s_minus) and so are the output rows.
-    """
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise ValueError("t_grid must be a non-empty 1-d array")
-    # the co-rotating reduction of the dissipator assumed the dressed
-    # splitting dominates the decay; warn when that stops being true.
-    kappa_scale = 2.0 * abs(rate_set.gamma_z) if kappa is None else kappa
-    if abs(rabi_tilde) < 10.0 * kappa_scale:
-        warnings.warn(
-            f"dressed splitting {rabi_tilde:.3g} is not large against the decay "
-            f"scale {kappa_scale:.3g}; the co-rotating reduction degrades here",
-            ValidityWarning,
-            stacklevel=2,
-        )
-    if t.size > 1:
-        dt = float(np.max(np.diff(t)))
-        if kappa_scale * dt > 0.1:
-            warnings.warn(
-                f"output grid spacing {dt:.3g} undersamples the relaxation "
-                f"(kappa*dt = {kappa_scale * dt:.3g} > 0.1)",
-                ValidityWarning,
-                stacklevel=2,
-            )
-    sz0, sp0, sm0 = initial
-    m, b = bloch_generator(rate_set, rabi_tilde)
-    traj = _affine_trajectory(m, b, np.array([sp0, sm0, sz0], dtype=np.complex128), t)
-    return traj[:, [2, 0, 1]]
-
-
-def _affine_trajectory(m: np.ndarray, b: np.ndarray, y0: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Exact solution of dy/dt = M y + b from y(0) = y0, one row per time in t.
-
-    M is constant, so the trajectory follows from one eigendecomposition of
-    M: there is no stepper and no accumulation of local error.
-    """
-    evals, evecs = np.linalg.eig(m)
-    if np.min(np.abs(evals)) > 1e-300:
-        y_fix = np.linalg.solve(m, -b)
-        coeffs = np.linalg.solve(evecs, y0 - y_fix)
-        modes = np.exp(np.outer(t, evals)) * coeffs
-        return modes @ evecs.T + y_fix
-    # singular generator (kappa = 0 edge): propagate the homogeneous part
-    # exactly and add the drift integral mode by mode
-    coeffs = np.linalg.solve(evecs, y0)
-    beta = np.linalg.solve(evecs, b)
-    phases = np.exp(np.outer(t, evals))
-    drift = np.where(
-        np.abs(evals) > 1e-300,
-        (phases - 1.0) / np.where(np.abs(evals) > 1e-300, evals, 1.0),
-        t[:, None],
-    )
-    return (phases * coeffs + drift * beta) @ evecs.T
-
-
 def population_avg(frame: ChrwFrame, params: ModelParams, rate_set: RateSet) -> float:
     """Time-averaged lab-frame excited population in steady state.
 
@@ -377,76 +311,6 @@ def population_avg(frame: ChrwFrame, params: ModelParams, rate_set: RateSet) -> 
     z = bessel_argument(params, frame)
     bracket = frame.cos_2theta * float(j0(z)) + frame.sin_2theta * float(j1(z))
     return 0.5 * (1.0 + ss.sz_ss * bracket)
-
-
-def population_time(
-    frame: ChrwFrame, params: ModelParams, steady: SteadyState, t: np.ndarray
-) -> np.ndarray:
-    """Steady-state lab population as a function of time within the cycle.
-
-    Carries the even-harmonic ringing of the projector map; coherence
-    contributions of order kappa/rabi_tilde are dropped, as in the
-    time-average.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    z = bessel_argument(params, frame)
-    l_max = truncation_order(z)
-    j = bessel_j_sequence(l_max, z)
-    n = np.arange(1, l_max // 2 + 1)
-    cos_2t = frame.cos_2theta
-    sin_2t = frame.sin_2theta
-    base = cos_2t * j[0] + sin_2t * j[1]
-    weight = 2.0 * cos_2t * j[2 * n] + sin_2t * (j[2 * n + 1] - j[2 * n - 1])
-    total = base + np.cos(np.multiply.outer(t_arr, 2.0 * n * params.omega)) @ weight
-    return 0.5 * (1.0 + steady.sz_ss * total)
-
-
-def _transform(params: ModelParams, frame: ChrwFrame, t: float) -> np.ndarray:
-    """Unitary taking lab states to the transformed frame at time t."""
-    phi = 0.5 * bessel_argument(params, frame) * math.sin(params.omega * t)
-    half = 0.5 * params.omega * t
-    rot = np.array([[np.exp(1j * half), 0.0], [0.0, np.exp(-1j * half)]])
-    kick = np.array(
-        [[math.cos(phi), 1j * math.sin(phi)], [1j * math.sin(phi), math.cos(phi)]]
-    )
-    return rot @ kick
-
-
-def dressed_components(frame: ChrwFrame, rho: np.ndarray) -> Tuple[float, complex, complex]:
-    """(sz, s_plus, s_minus) of a lab density matrix at t = 0.
-
-    At t = 0 the frame transformation is the identity, so the dressed
-    matrix elements are plain projections onto the dressed pair.
-    """
-    up, dn = dressed_states(frame)
-    rho_pp = (up.conj() @ rho @ up).real
-    rho_mm = (dn.conj() @ rho @ dn).real
-    rho_mp = dn.conj() @ rho @ up
-    return (rho_pp - rho_mm, complex(rho_mp), complex(rho_mp.conjugate()))
-
-
-def dressed_to_lab_population(
-    frame: ChrwFrame, params: ModelParams, state: Tuple[complex, complex, complex], t: float
-) -> float:
-    """Lab excited population of a dressed Bloch state at time t.
-
-    Unlike population_time this keeps the coherences, which matter during
-    transients; it rebuilds the 2x2 matrix in the dressed basis, undoes the
-    frame transformation at time t, and reads off the excited element.
-    """
-    sz, sp, sm = state
-    up, dn = dressed_states(frame)
-    rho_pp = 0.5 * (1.0 + sz)
-    rho_mm = 0.5 * (1.0 - sz)
-    rho_tilde = (
-        rho_pp * np.outer(up, up)
-        + rho_mm * np.outer(dn, dn)
-        + sm * np.outer(up, dn)
-        + sp * np.outer(dn, up)
-    ).astype(np.complex128)
-    u = _transform(params, frame, t)
-    rho_lab = u.conj().T @ rho_tilde @ u
-    return float(rho_lab[0, 0].real)
 
 
 # DOP853 tolerances of oracle_lindblad; its Bloch-ball check allows 2e-10

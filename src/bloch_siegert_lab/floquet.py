@@ -6,11 +6,12 @@ basis |gamma, l> (gamma the bare level, l the Fourier index): diagonal blocks
 (omega0/2) sigma_z + l*omega*I, off-diagonal blocks (A/4) sigma_x between
 adjacent l.  That matrix splits into two tridiagonal parity chains with
 mirrored spectra, and one of them is the only Floquet eigensolver here: it
-gives the resonant quasienergy pair, their omega0-derivative (which encodes
-the time-averaged transition probability) and their gap.  A one-period
-propagator oracle lives here too, together with the period map of the
-damped lab-frame Bloch equation, which gives the exact periodic steady
-state; both multiply batched RK4 step maps in one prefix product.
+gives the resonant quasienergy pair, their omega0-derivative (which gives
+the time-averaged transition probability FloquetSolution.pbar) and their
+gap.  The eigenphases of the one-period propagator are the independent
+oracle for the quasienergies, and the period map of the damped lab-frame
+Bloch equation gives the exact periodic steady state; both multiply batched
+RK4 step maps in one prefix product.
 """
 
 from __future__ import annotations
@@ -65,11 +66,6 @@ def _chain_layout(n_trunc: int) -> tuple[np.ndarray, int]:
     return base, up
 
 
-def _check_truncation(n_trunc: int) -> None:
-    if n_trunc < 0:
-        raise ValueError(f"truncation must be >= 0, got {n_trunc}")
-
-
 def build_floquet_matrix(params: ModelParams, n_trunc: int) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of the parity chain, 2*n_trunc + 1 sites.
 
@@ -81,7 +77,8 @@ def build_floquet_matrix(params: ModelParams, n_trunc: int) -> tuple[np.ndarray,
     l*omega on up sites and (l-1)*omega + s on down sites, s = omega -
     omega0, so the resonant pair |up,0>, |down,1> is detuned by exactly s.
     """
-    _check_truncation(n_trunc)
+    if n_trunc < 0:
+        raise ValueError(f"truncation must be >= 0, got {n_trunc}")
     needed = int(math.ceil(params.amplitude / params.omega)) + 10
     if n_trunc < needed and params.amplitude > 0.0:
         warnings.warn(
@@ -169,8 +166,10 @@ def _chain_eigenpair(diag: np.ndarray, off: np.ndarray, index: int) -> tuple[flo
 
 
 def _chain_slope_fn(omega0: float, amplitude: float, n_trunc: int) -> Callable[[float], float]:
-    """chain_slope as a function of s, with the parts that do not depend on
-    s built once."""
+    """solve_floquet's dq/domega0 on a chain of n_trunc >= 1 as a function
+    of the shift s = omega - omega0, which changes sign at resonance.  The
+    parts that do not depend on s are built once; a LAPACK failure raises
+    ConvergenceError."""
     base, up = _chain_layout(n_trunc)
     down = 1 - up
     off = np.full(2 * n_trunc, 0.25 * amplitude)
@@ -183,21 +182,6 @@ def _chain_slope_fn(omega0: float, amplitude: float, n_trunc: int) -> Callable[[
         return float(np.add.reduce(v * v)) - 0.5
 
     return slope
-
-
-def chain_slope(omega0: float, amplitude: float, s: float, n_trunc: int) -> float:
-    """dq/domega0 of the lower resonant branch at drive omega = omega0 + s.
-
-    The same slope as solve_floquet, on the chain build_floquet_matrix
-    describes; its sign changes at resonance.  At n_trunc = 0 the chain is
-    the single site |up,0> and the slope is 1/2.  The eigenpair comes from
-    LAPACK dstebz bisection and dstein inverse iteration; a failure of
-    either raises ConvergenceError.
-    """
-    _check_truncation(n_trunc)
-    if n_trunc == 0:
-        return 0.5
-    return _chain_slope_fn(omega0, amplitude, n_trunc)(s)
 
 
 def branch_gap(params: ModelParams, n_trunc: Optional[int] = None) -> float:
@@ -295,26 +279,6 @@ def monodromy_gap(params: ModelParams, steps_per_period: int = 2000) -> float:
     """Zone-circle gap between the two monodromy quasienergies."""
     q1, q2 = monodromy_quasienergies(params, steps_per_period)
     return circle_gap(q1, q2, params.omega)
-
-
-_AVERAGE_PERIODS = 200
-
-
-def average_transition_probability(params: ModelParams) -> float:
-    """Direct time average of |<up|U(t)|down>|^2 over _AVERAGE_PERIODS periods.
-
-    Independent cross-check of pbar: samples the transition probability on
-    a dense grid built from one-period propagator samples and powers of the
-    monodromy matrix.  A Hann window suppresses the finite-span leakage of
-    the slow Rabi beat.
-    """
-    _, us = propagator_samples(params)
-    # U(T)^k for k < _AVERAGE_PERIODS as prefix products of [U(0) = I, U(T),
-    # U(T), ...]; <up|U(t_j) U(T)^k|down> in row k, column j, for t_j < T
-    powers = _ordered_products(np.concatenate([us[:1], np.repeat(us[-1:], _AVERAGE_PERIODS - 1, 0)]))
-    amps = np.outer(powers[:, 0, 1], us[:-1, 0, 0]) + np.outer(powers[:, 1, 1], us[:-1, 0, 1])
-    weights = 0.5 * (1.0 - np.cos(2.0 * math.pi * (np.arange(amps.size) + 0.5) / amps.size))
-    return float(np.abs(amps.ravel()) ** 2 @ weights) / float(weights.sum())
 
 
 def periodic_steady_state(params: ModelParams) -> float:

@@ -342,6 +342,9 @@ class TestExitCodes:
             ["spectrum", "--omega", "0"],
             ["spectrum", "--omega", "-1"],
             ["validate", "--floquet-N", "-1"],
+            ["shift-table", "--A", "-1"],
+            # "=" keeps argparse from reading the negative range as a flag
+            ["shift-sweep", "--A-range=-2:-1:1"],
         ],
     )
     def test_bad_arguments_exit_two(self, argv, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from bloch_siegert_lab import dissipative
 from bloch_siegert_lab.chrw import (
@@ -13,27 +14,22 @@ from bloch_siegert_lab.chrw import (
     ModelParams,
     bessel_argument,
     build_frame,
-    dressed_states,
 )
 from bloch_siegert_lab.dissipative import (
     TRUNCATION_CAP,
     RateSet,
-    bloch_evolve,
     bloch_generator,
-    dressed_components,
-    dressed_to_lab_population,
     fourier_coefficients,
     fourier_f,
     lindblad_tensor,
     oracle_lindblad,
     population_avg,
-    population_time,
     rates,
     steady_state,
     truncation_order,
     x_coefficients,
 )
-from bloch_siegert_lab.errors import DegenerateInputError, NoSignChangeError, ValidityWarning
+from bloch_siegert_lab.errors import DegenerateInputError, NoSignChangeError
 from bloch_siegert_lab.floquet import periodic_steady_state
 from bloch_siegert_lab.numerics import bessel_j
 from bloch_siegert_lab.resonance import bs_chrw
@@ -49,6 +45,26 @@ P_STRONGEST = ModelParams(omega0=1.0, amplitude=15.0, omega=1.0, kappa=2e-3)
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
 
+def _dressed_kets(frame):
+    """Dressed kets (|+~>, |-~>) in the bare {|+>, |->} basis, from the
+    dressing angle: |+~> = cos(theta)|+> + sin(theta)|->, |-~> =
+    sin(theta)|+> - cos(theta)|->."""
+    c, s = math.cos(frame.theta), math.sin(frame.theta)
+    return np.array([c, s]), np.array([s, -c])
+
+
+def _frame_unitary(params, frame, t):
+    """Rotation-times-kick unitary taking lab states to the transformed
+    frame at time t; the identity at t = 0."""
+    phi = 0.5 * bessel_argument(params, frame) * math.sin(params.omega * t)
+    half = 0.5 * params.omega * t
+    rot = np.diag([np.exp(1j * half), np.exp(-1j * half)])
+    kick = np.array(
+        [[math.cos(phi), 1j * math.sin(phi)], [1j * math.sin(phi), math.cos(phi)]]
+    )
+    return rot @ kick
+
+
 def _transformed_operator(params, frame, t):
     """Dressed-basis matrix of the raising operator after the frame change.
 
@@ -56,15 +72,8 @@ def _transformed_operator(params, frame, t):
     projection onto the dressed pair.  Shares nothing with the module's
     harmonic bookkeeping, which is the point.
     """
-    z = bessel_argument(params, frame)
-    phi = 0.5 * z * math.sin(params.omega * t)
-    half = 0.5 * params.omega * t
-    rot = np.diag([np.exp(1j * half), np.exp(-1j * half)])
-    kick = np.array(
-        [[math.cos(phi), 1j * math.sin(phi)], [1j * math.sin(phi), math.cos(phi)]]
-    )
-    u = rot @ kick
-    up, dn = dressed_states(frame)
+    u = _frame_unitary(params, frame, t)
+    up, dn = _dressed_kets(frame)
     v = np.column_stack([up, dn])
     return v.conj().T @ (u @ SIGMA_PLUS @ u.conj().T) @ v
 
@@ -413,71 +422,6 @@ class TestSteadyState:
             steady_state(zero, 0.5)
 
 
-class TestBlochEvolve:
-    def test_zero_rates_precess_only(self):
-        zero = RateSet(0j, 0j, 0j, 0j, 0j, 0j)
-        t = np.linspace(0.0, 30.0, 121)
-        traj = bloch_evolve(zero, 0.7, (0.3, 0.2 + 0.1j, 0.2 - 0.1j), t)
-        np.testing.assert_allclose(traj[:, 0], 0.3, atol=1e-12)
-        np.testing.assert_allclose(np.abs(traj[:, 1]), abs(0.2 + 0.1j), atol=1e-12)
-        # coherence rotates at the dressed splitting
-        want = (0.2 + 0.1j) * np.exp(1j * 0.7 * t)
-        np.testing.assert_allclose(traj[:, 1], want, atol=1e-11)
-
-    def test_singular_generator_drift(self):
-        # gamma_z = 0 leaves a zero eigenvalue; the affine propagation must
-        # then grow the inversion linearly from the source term
-        rs = RateSet(gamma_z=0j, gamma_0=2e-3 + 0j, gamma_1=0j, gamma_2=0j,
-                     gamma_minus=0j, gamma_plus=1e-3 + 0j)
-        t = np.linspace(0.0, 5.0, 11)
-        traj = bloch_evolve(rs, 0.5, (0.1, 0j, 0j), t)
-        np.testing.assert_allclose(traj[:, 0].real, 0.1 - 2e-3 * t, atol=1e-12)
-
-    def test_decoupled_inversion_decay(self):
-        rs = RateSet(gamma_z=1e-2 + 0j, gamma_0=4e-3 + 0j, gamma_1=0j, gamma_2=0j,
-                     gamma_minus=0j, gamma_plus=5e-3 + 0j)
-        t = np.linspace(0.0, 600.0, 301)
-        traj = bloch_evolve(rs, 1.0, (1.0, 0j, 0j), t, kappa=1e-2)
-        fixed = -4e-3 / 1e-2
-        want = fixed + (1.0 - fixed) * np.exp(-1e-2 * t)
-        np.testing.assert_allclose(traj[:, 0].real, want, atol=1e-12)
-
-    def test_relaxes_to_steady_state(self):
-        p = ModelParams(omega0=1.0, amplitude=0.5, omega=1.02, kappa=2e-3)
-        fr = build_frame(p)
-        rs = rates(fr, p)
-        ss = steady_state(rs, fr.rabi_tilde)
-        t = np.linspace(0.0, 40.0 / p.kappa, 2001)
-        traj = bloch_evolve(rs, fr.rabi_tilde, (1.0, 0j, 0j), t, kappa=p.kappa)
-        assert abs(traj[-1, 0].real - ss.sz_ss) < 1e-8
-        assert abs(traj[-1, 1] - ss.splus_ss) < 1e-8
-
-    def test_conjugate_symmetry(self):
-        p = ModelParams(omega0=1.0, amplitude=0.5, omega=1.02, kappa=2e-3)
-        fr = build_frame(p)
-        rs = rates(fr, p)
-        t = np.linspace(0.0, 2000.0, 401)
-        traj = bloch_evolve(rs, fr.rabi_tilde, (0.4, 0.05 + 0.02j, 0.05 - 0.02j), t,
-                            kappa=p.kappa)
-        np.testing.assert_allclose(traj[:, 1].conj(), traj[:, 2], atol=1e-14)
-        assert np.max(np.abs(traj[:, 0].imag)) < 1e-14
-
-    def test_warns_when_decay_competes_with_splitting(self):
-        rs = RateSet(1e-2 + 0j, 0j, 0j, 0j, 0j, 1e-2 + 0j)
-        with pytest.warns(ValidityWarning, match="dressed splitting"):
-            bloch_evolve(rs, 0.05, (0.0, 0j, 0j), np.linspace(0.0, 1.0, 5), kappa=2e-2)
-
-    def test_warns_on_coarse_grid(self):
-        rs = RateSet(1e-2 + 0j, 0j, 0j, 0j, 0j, 1e-2 + 0j)
-        with pytest.warns(ValidityWarning, match="undersamples"):
-            bloch_evolve(rs, 10.0, (0.0, 0j, 0j), np.array([0.0, 100.0]), kappa=1e-2)
-
-    def test_rejects_empty_grid(self):
-        rs = RateSet(1e-2 + 0j, 0j, 0j, 0j, 0j, 1e-2 + 0j)
-        with pytest.raises(ValueError):
-            bloch_evolve(rs, 1.0, (0.0, 0j, 0j), np.array([]))
-
-
 class TestPopulation:
     def test_frozen_average_pin(self):
         p = ModelParams(omega0=1.0, amplitude=0.5, omega=1.02, kappa=2e-3)
@@ -506,77 +450,6 @@ class TestPopulation:
             fr = build_frame(p)
             avg = population_avg(fr, p, rates(fr, p))
             assert 0.0 < avg <= 0.5 + 1e-12
-
-    def test_time_trace_averages_to_mean(self):
-        p = ModelParams(omega0=1.0, amplitude=0.5, omega=1.02, kappa=2e-3)
-        fr = build_frame(p)
-        rs = rates(fr, p)
-        ss = steady_state(rs, fr.rabi_tilde)
-        period = 2.0 * math.pi / p.omega
-        t = np.linspace(0.0, period, 4097)
-        trace = population_time(fr, p, ss, t)
-        period_mean = np.trapezoid(trace, t) / period
-        assert period_mean == pytest.approx(population_avg(fr, p, rs), abs=1e-12)
-
-    def test_time_trace_constant_without_kick(self):
-        # no kick means no even harmonics: the steady trace is flat
-        p = ModelParams(omega0=1.0, amplitude=0.3, omega=1.1, kappa=1e-3)
-        fr = build_frame(p, mode=FrameMode.RWA)
-        ss = steady_state(rates(fr, p), fr.rabi_tilde)
-        t = np.linspace(0.0, 20.0, 57)
-        trace = population_time(fr, p, ss, t)
-        want = 0.5 * (1.0 + ss.sz_ss * fr.cos_2theta)
-        np.testing.assert_allclose(trace, want, atol=1e-15)
-
-    def test_time_trace_is_periodic(self):
-        p = ModelParams(omega0=1.0, amplitude=1.0, omega=1.063268, kappa=2e-3)
-        fr = build_frame(p)
-        ss = steady_state(rates(fr, p), fr.rabi_tilde)
-        period = 2.0 * math.pi / p.omega
-        t = np.array([0.0, 0.3, 1.1])
-        np.testing.assert_allclose(
-            population_time(fr, p, ss, t),
-            population_time(fr, p, ss, t + period),
-            atol=1e-12,
-        )
-
-
-class TestFrameMaps:
-    def test_dressed_components_roundtrip(self):
-        fr = build_frame(P_STRONG)
-        up, dn = dressed_states(fr)
-        rho = 0.7 * np.outer(up, up.conj()) + 0.3 * np.outer(dn, dn.conj())
-        rho = rho + 0.1j * (np.outer(up, dn.conj()) - np.outer(dn, up.conj()))
-        sz, sp, sm = dressed_components(fr, rho)
-        assert sz == pytest.approx(0.4, abs=1e-14)
-        assert sm == sp.conjugate()
-
-    def test_lab_population_identity_at_time_zero(self):
-        # the frame transformation is the identity at t = 0, so the mapped
-        # population must equal the bare excited element of the rebuilt
-        # density matrix
-        fr = build_frame(P_STRONG)
-        up, dn = dressed_states(fr)
-        state = (0.4, 0.05 - 0.02j, 0.05 + 0.02j)
-        sz, sp, sm = state
-        rho = (
-            0.5 * (1 + sz) * np.outer(up, up.conj())
-            + 0.5 * (1 - sz) * np.outer(dn, dn.conj())
-            + sm * np.outer(up, dn.conj())
-            + sp * np.outer(dn, up.conj())
-        )
-        assert dressed_to_lab_population(fr, P_STRONG, state, 0.0) == pytest.approx(
-            rho[0, 0].real, abs=1e-14
-        )
-
-    def test_lab_population_periodic(self):
-        fr = build_frame(P_STRONG)
-        state = (0.2, 0.1 + 0.05j, 0.1 - 0.05j)
-        period = 2.0 * math.pi / P_STRONG.omega
-        for t in (0.0, 0.4, 2.2):
-            a = dressed_to_lab_population(fr, P_STRONG, state, t)
-            b = dressed_to_lab_population(fr, P_STRONG, state, t + period)
-            assert a == pytest.approx(b, abs=1e-12)
 
 
 class TestOracleLindblad:
@@ -618,8 +491,9 @@ class TestOracleLindblad:
 class TestAgainstOracle:
     def test_transient_trajectory(self):
         # ground-state start, drive at the shifted resonance: the dressed
-        # trajectory mapped back to lab populations must track the direct
-        # lab-frame integration through the full initial transient
+        # Bloch equations, propagated exactly and mapped back to lab
+        # populations, must track the direct lab-frame integration through
+        # the full initial transient.  Measured worst 1.4e-5, bound twice that
         res = bs_chrw(1.0, 0.1)
         p = ModelParams(omega0=1.0, amplitude=0.1, omega=res.omega_res, kappa=2e-3)
         fr = build_frame(p)
@@ -627,15 +501,25 @@ class TestAgainstOracle:
         ground = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
         t = np.linspace(0.0, 400.0, 801)
         reference = oracle_lindblad(p, ground, t)[:, 0, 0].real
-        init = dressed_components(fr, ground)
-        dressed_traj = bloch_evolve(rs, fr.rabi_tilde, init, t, kappa=p.kappa)
-        mapped = np.array(
-            [
-                dressed_to_lab_population(fr, p, tuple(dressed_traj[i]), t[i])
-                for i in range(len(t))
-            ]
+        # the frame unitary is the identity at t = 0, so the dressed state
+        # is a plain projection onto the dressed pair; y = (s+, s-, sz, 1)
+        up, dn = _dressed_kets(fr)
+        coherence = dn @ ground @ up
+        y0 = np.array([coherence, coherence.conjugate(), up @ ground @ up - dn @ ground @ dn, 1.0])
+        m, b = bloch_generator(rs, fr.rabi_tilde)
+        generator = np.zeros((4, 4), dtype=complex)
+        generator[:3, :3], generator[:3, 3] = m, b
+        sp, sm, sz, _ = (expm(t[:, None, None] * generator) @ y0).T
+        # dressed-basis density matrices, then rho_lab = U^H rho U
+        rho = (
+            np.multiply.outer(0.5 * (1.0 + sz), np.outer(up, up))
+            + np.multiply.outer(0.5 * (1.0 - sz), np.outer(dn, dn))
+            + np.multiply.outer(sm, np.outer(up, dn))
+            + np.multiply.outer(sp, np.outer(dn, up))
         )
-        assert np.max(np.abs(mapped - reference)) < 1e-3
+        column = np.array([_frame_unitary(p, fr, ti)[:, 0] for ti in t])
+        mapped = np.einsum("tj,tjk,tk->t", column.conj(), rho, column).real
+        assert np.max(np.abs(mapped - reference)) < 2.8e-5
         assert np.all(mapped > -5e-3) and np.all(mapped < 1.0 + 5e-3)
 
 

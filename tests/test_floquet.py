@@ -26,10 +26,8 @@ from bloch_siegert_lab.errors import (
     TruncationWarning,
 )
 from bloch_siegert_lab.floquet import (
-    average_transition_probability,
     branch_gap,
     build_floquet_matrix,
-    chain_slope,
     circle_gap,
     default_truncation,
     fold_to_zone,
@@ -304,7 +302,7 @@ class TestParityChain:
         # and solve_floquet read the same eigenpair
         p = ModelParams(omega0=1.0, amplitude=a, omega=w)
         n = default_truncation(p)
-        slope = chain_slope(1.0, a, w - 1.0, n)
+        slope = floquet._chain_slope_fn(1.0, a, n)(w - 1.0)
         assert abs(slope) == pytest.approx(abs(_dense_solve(p, n)[2]), abs=1e-12)
         assert slope == pytest.approx(solve_floquet(p, n).dq_domega0, abs=1e-12)
 
@@ -312,10 +310,9 @@ class TestParityChain:
         # frozen Floquet shift at A = 6
         s_res = 1.6418085520328152
         n = default_truncation(ModelParams(omega0=1.0, amplitude=6.0, omega=1.0 + s_res))
-        below = chain_slope(1.0, 6.0, s_res - 1e-3, n)
-        above = chain_slope(1.0, 6.0, s_res + 1e-3, n)
-        assert below < 0.0 < above
-        assert abs(chain_slope(1.0, 6.0, s_res, n)) < 1e-8
+        slope = floquet._chain_slope_fn(1.0, 6.0, n)
+        assert slope(s_res - 1e-3) < 0.0 < slope(s_res + 1e-3)
+        assert abs(slope(s_res)) < 1e-8
 
     @pytest.mark.parametrize("n", [25, 45, 120])
     @pytest.mark.parametrize(
@@ -331,20 +328,27 @@ class TestParityChain:
         diag = np.where(up, ls * omega, (ls - 1) * omega + s)
         off = np.full(2 * n, 0.25 * a)
         _, vec = eigh_tridiagonal(diag, off, select="i", select_range=(n, n))
-        assert chain_slope(1.0, a, s, n) == float(np.sum(vec[up, 0] ** 2)) - 0.5
+        assert floquet._chain_slope_fn(1.0, a, n)(s) == float(np.sum(vec[up, 0] ** 2)) - 0.5
 
     @pytest.mark.parametrize("a, s", [(0.0, 0.0), (0.5, 0.02), (6.0, 1.6)])
     def test_single_site_chain(self, a, s):
-        # N = 0 leaves only |up,0>: the slope is that of solve_floquet there
+        # N = 0 leaves only the uncoupled site |up,0>: the bare level, with
+        # quasienergy omega0/2 and slope 1/2
         p = ModelParams(omega0=1.0, amplitude=a, omega=1.0 + s)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            want = solve_floquet(p, n_trunc=0).dq_domega0
-        assert chain_slope(1.0, a, s, 0) == want == 0.5
+            diag, off = build_floquet_matrix(p, 0)
+            sol = solve_floquet(p, n_trunc=0)
+        assert diag.tolist() == [0.0] and off.size == 0
+        assert sol.quasienergy == 0.5
+        assert sol.dq_domega0 == 0.5
 
     def test_negative_truncation_rejected(self):
+        p = ModelParams(omega0=1.0, amplitude=6.0, omega=2.6)
         with pytest.raises(ValueError, match="truncation must be >= 0, got -1"):
-            chain_slope(1.0, 6.0, 1.6, -1)
+            build_floquet_matrix(p, -1)
+        with pytest.raises(ValueError, match="truncation must be >= 0, got -1"):
+            solve_floquet(p, n_trunc=-1)
 
     @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
     def test_lapack_failure_raises_convergence_error(self, monkeypatch, routine):
@@ -356,7 +360,7 @@ class TestParityChain:
 
         monkeypatch.setattr(floquet, routine, failing)
         with pytest.raises(ConvergenceError, match=routine):
-            chain_slope(1.0, 6.0, 1.6, 25)
+            floquet._chain_slope_fn(1.0, 6.0, 25)(1.6)
 
 
 def _solve_ivp_population(params: ModelParams) -> float:
@@ -413,6 +417,37 @@ class TestPeriodicSteadyState:
             periodic_steady_state(ModelParams(omega0=1.0, amplitude=0.1, omega=1.0, kappa=0.0))
 
 
+def _direct_transition_average(params: ModelParams) -> float:
+    # Hann-windowed mean of |<up|U(t)|down>|^2 over 200 drive periods: U(t)
+    # at 2000 points of one period from an adaptive integrator, then U(t +
+    # kT) = U(t) U(T)^k; the window suppresses the leakage of the slow Rabi
+    # beat
+    from scipy.integrate import solve_ivp
+
+    periods, samples = 200, 2000
+    w0, amp, omega = params.omega0, params.amplitude, params.omega
+    period = 2.0 * math.pi / omega
+
+    def rhs(t, flat):
+        drive = 0.5 * amp * math.cos(omega * t)
+        h = np.array([[0.5 * w0, drive], [drive, -0.5 * w0]])
+        return (-1j * h @ flat.reshape(2, 2)).ravel()
+
+    ts = np.arange(samples + 1) * (period / samples)
+    start = np.eye(2, dtype=complex).ravel()
+    sol = solve_ivp(rhs, (0.0, period), start, method="DOP853", t_eval=ts, rtol=1e-12, atol=1e-14)
+    assert sol.success, sol.message
+    us = sol.y.T.reshape(-1, 2, 2)
+    powers = [np.eye(2, dtype=complex)]
+    for _ in range(periods - 1):
+        powers.append(us[-1] @ powers[-1])
+    powers = np.array(powers)
+    # <up|U(t_j) U(T)^k|down> in row k, column j, for t_j < T
+    amps = np.outer(powers[:, 0, 1], us[:-1, 0, 0]) + np.outer(powers[:, 1, 1], us[:-1, 0, 1])
+    weights = 0.5 * (1.0 - np.cos(2.0 * math.pi * (np.arange(amps.size) + 0.5) / amps.size))
+    return float(np.abs(amps.ravel()) ** 2 @ weights) / float(weights.sum())
+
+
 class TestAverages:
     def test_diagnostic_equals_half_at_resonance(self):
         # at the A = 3.5 resonance (frozen from the shift table) both the
@@ -421,7 +456,7 @@ class TestAverages:
         sol = solve_floquet(p)
         assert 0.5 - sol.pbar < 1e-8
         assert sol.pbar <= 0.5
-        direct = average_transition_probability(p)
+        direct = _direct_transition_average(p)
         assert abs(direct - 0.5) < 1e-6
 
 

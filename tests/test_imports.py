@@ -1,5 +1,7 @@
-"""Start-up cost: importing the package loads no scipy subpackage it can skip."""
+"""Start-up cost: importing the package loads no scipy subpackage it can
+skip, and no module imports a name it never reads."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -42,3 +44,27 @@ def test_check_registry_leaves_integrate_and_optimize_unloaded():
         "assert all(r.ok for r in results)"
     )
     assert _loaded_after(statement, ("scipy.integrate", "scipy.optimize")) == "[]"
+
+
+def _unused_imports(path):
+    # module-level imports whose bound name the module never reads
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in read]
+
+
+def test_no_unused_module_imports():
+    # the package `__init__` only re-exports, so it is not read
+    pkg = Path(bloch_siegert_lab.__file__).resolve().parent
+    files = [f for f in sorted(pkg.glob("*.py")) if f.name != "__init__.py"]
+    files += sorted((pkg.parent.parent / "scripts").glob("*.py"))
+    assert len(files) >= 10, files  # the scan cannot pass vacuously
+    assert [u for f in files for u in _unused_imports(f)] == []

@@ -4,9 +4,9 @@ The sources under src/, scripts/ and bench/ are read with `ast`; nothing
 there is imported or executed.  A name counts as used where the code reads
 it (a bare name or an attribute) outside its own definition, or where a
 bench/ file spells it as a string, since the benchmark looks functions up
-by name.  The package `__init__` only re-exports, so it is not read.  The
-reference implementations that tests compare the package against have no
-caller by design; each is listed with the test that needs it.
+by name.  The package `__init__` only re-exports, so it is not read.  No
+export is exempt: a reference implementation that only tests need lives in
+the tests.
 """
 
 import ast
@@ -15,16 +15,6 @@ from pathlib import Path
 import bloch_siegert_lab
 
 ROOT = Path(__file__).resolve().parent.parent
-
-# name -> what the name is the reference for
-REFERENCES = {
-    "average_transition_probability": "direct time average of the transition probability, "
-    "the oracle for FloquetSolution.pbar at resonance",
-    "bloch_evolve": "exact dressed Bloch trajectory, compared with oracle_lindblad for transients",
-    "dressed_components": "maps a lab density matrix onto the dressed Bloch state for bloch_evolve",
-    "dressed_to_lab_population": "maps a dressed Bloch trajectory back to the lab population",
-    "population_time": "in-period population whose period mean must equal population_avg",
-}
 
 
 def _sources():
@@ -80,12 +70,4 @@ def _used_names():
 
 def test_every_export_has_a_caller():
     used = _used_names()
-    exported = set(bloch_siegert_lab.__all__)
-    assert set(REFERENCES) <= exported
-    uncalled = sorted(exported - used - set(REFERENCES))
-    assert uncalled == []
-
-
-def test_references_have_no_caller():
-    # an entry whose name gained a caller is stale and must go
-    assert sorted(set(REFERENCES) & _used_names()) == []
+    assert sorted(set(bloch_siegert_lab.__all__) - used) == []
