@@ -58,13 +58,6 @@ class ModelParams:
         if self.kappa < 0.0:
             raise ValueError(f"kappa must be >= 0, got {self.kappa}")
 
-    def replace(self, **kw) -> "ModelParams":
-        data = dict(
-            omega0=self.omega0, amplitude=self.amplitude, omega=self.omega, kappa=self.kappa
-        )
-        data.update(kw)
-        return ModelParams(**data)
-
 
 @dataclass(frozen=True)
 class ChrwFrame:

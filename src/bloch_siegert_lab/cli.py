@@ -92,17 +92,24 @@ def _parse_range(text: str) -> np.ndarray:
     return lo + step * np.arange(count)
 
 
-def _header(config: RunConfig, detail: str) -> str:
-    return (
+def _table(
+    config: RunConfig, detail: str, columns: List[str], rows: List[List[str]], footer: Sequence[str] = ()
+) -> str:
+    """One command's output: header line, column line, rows, footer lines."""
+    lines = [
         f"# bloch-siegert-lab v{__version__}, {config.command}, "
-        f"omega0={_num(config.omega0)}, {detail}, units of omega0"
-    )
+        f"omega0={_num(config.omega0)}, {detail}, units of omega0",
+        config.sep.join(columns),
+    ]
+    lines.extend(config.sep.join(cells) for cells in rows)
+    lines.extend(footer)
+    return "\n".join(lines) + "\n"
 
 
 def _grid_note(grid: np.ndarray) -> str:
     if grid.size == 1:
         return _num(float(grid[0]))
-    step = float(grid[1] - grid[0]) if grid.size > 1 else 0.0
+    step = float(grid[1] - grid[0])
     return f"{_num(float(grid[0]))}:{_num(float(grid[-1]))}:{_num(step)}"
 
 
@@ -137,16 +144,12 @@ def cmd_shift_table(config: RunConfig) -> str:
         cells.append("; ".join(notes))
         return cells
 
-    rows = [row(float(a)) for a in amps]
-    sep = config.sep
-    lines = [
-        _header(config, f"A-grid={_grid_note(np.asarray(amps))}"),
-        sep.join(
-            ["a_over_omega0", "floquet", "chrw", "shirley", "asymptotic", "perturbative", "diagnostics"]
-        ),
-    ]
-    lines.extend(sep.join(cells) for cells in rows)
-    return "\n".join(lines) + "\n"
+    return _table(
+        config,
+        f"A-grid={_grid_note(np.asarray(amps))}",
+        ["a_over_omega0", "floquet", "chrw", "shirley", "asymptotic", "perturbative", "diagnostics"],
+        [row(float(a)) for a in amps],
+    )
 
 
 def cmd_shift_sweep(config: RunConfig) -> str:
@@ -170,18 +173,13 @@ def cmd_shift_sweep(config: RunConfig) -> str:
         cells.append("; ".join(notes))
         return cells
 
-    rows = [row(float(a)) for a in amps]
-    sep = config.sep
     columns = ["a_over_omega0", "shift_floquet"]
     for method in methods:
         columns.extend([f"shift_{method.value}", f"dev_{method.value}"])
     columns.append("diagnostics")
-    lines = [
-        _header(config, f"A-grid={_grid_note(np.asarray(amps))}"),
-        sep.join(columns),
-    ]
-    lines.extend(sep.join(cells) for cells in rows)
-    return "\n".join(lines) + "\n"
+    return _table(
+        config, f"A-grid={_grid_note(np.asarray(amps))}", columns, [row(float(a)) for a in amps]
+    )
 
 
 def cmd_population(config: RunConfig) -> str:
@@ -202,18 +200,13 @@ def cmd_population(config: RunConfig) -> str:
         except BslError as exc:
             return [_num(w), "", str(exc)]
 
-    rows = [row(float(w)) for w in omegas]
-    sep = config.sep
-    lines = [
-        _header(
-            config,
-            f"A={_num(amp)}, kappa={_num(config.kappa)}, mode={config.mode.value}, "
-            f"omega-grid={_grid_note(np.asarray(omegas))}",
-        ),
-        sep.join(["omega", "population", "diagnostics"]),
-    ]
-    lines.extend(sep.join(cells) for cells in rows)
-    return "\n".join(lines) + "\n"
+    return _table(
+        config,
+        f"A={_num(amp)}, kappa={_num(config.kappa)}, mode={config.mode.value}, "
+        f"omega-grid={_grid_note(np.asarray(omegas))}",
+        ["omega", "population", "diagnostics"],
+        [row(float(w)) for w in omegas],
+    )
 
 
 def cmd_spectrum(config: RunConfig) -> str:
@@ -232,27 +225,21 @@ def cmd_spectrum(config: RunConfig) -> str:
                 f"(splitting {_num(frame.rabi_tilde)}); give the probe grid with --nu-range"
             )
     trace = spectrum(params, nus, mode=config.mode, n_max=config.n_max)
-    sep = config.sep
-    lines = [
-        _header(
-            config,
-            f"A={_num(config.amplitude)}, omega={_num(config.omega)}, "
-            f"kappa={_num(config.kappa)}, mode={config.mode.value}, "
-            f"n_max={trace.n_max}, normalization=peak_unit, "
-            f"nu-grid={_grid_note(np.asarray(nus))}",
-        ),
-        sep.join(["nu", "S"]),
-    ]
-    lines.extend(
-        sep.join([_num(float(nu)), _num(float(val))])
-        for nu, val in zip(trace.nu_grid, trace.values)
-    )
     try:
         metric = asymmetry_metric(trace, config.omega)
-        lines.append(f"# asymmetry_metric(center={_num(config.omega)}) = {_num(metric)}")
+        footer = f"# asymmetry_metric(center={_num(config.omega)}) = {_num(metric)}"
     except BslError as exc:
-        lines.append(f"# asymmetry_metric unavailable: {exc}")
-    return "\n".join(lines) + "\n"
+        footer = f"# asymmetry_metric unavailable: {exc}"
+    return _table(
+        config,
+        f"A={_num(config.amplitude)}, omega={_num(config.omega)}, "
+        f"kappa={_num(config.kappa)}, mode={config.mode.value}, "
+        f"n_max={trace.n_max}, normalization=peak_unit, "
+        f"nu-grid={_grid_note(np.asarray(nus))}",
+        ["nu", "S"],
+        [[_num(float(nu)), _num(float(val))] for nu, val in zip(trace.nu_grid, trace.values)],
+        [footer],
+    )
 
 
 def cmd_validate(config: RunConfig) -> Tuple[str, int]:

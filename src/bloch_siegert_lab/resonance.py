@@ -14,7 +14,9 @@ time-averaged transition probability at fixed drive amplitude.  Routes:
                  zero of J0.
 
 All five agree on the leading (A/4)^2/omega0 behaviour; they differ in
-range of validity, which is the point of keeping all of them.
+range of validity, which is the point of keeping all of them.  All five
+reject bad inputs with ValueError and give the zero shift at A = 0 in one
+place; chrw, floquet and shirley share one memoised Brent driver.
 """
 
 from __future__ import annotations
@@ -70,10 +72,6 @@ class ShiftResult:
     def omega_res(self) -> float:
         return self.omega0 + self.shift
 
-    @property
-    def a_over_omega0(self) -> float:
-        return self.amplitude / self.omega0
-
 
 # tight scalar tolerances: the roots are smooth and cheap, so run the
 # bracketing solver to machine width.  The floquet root in the shift
@@ -101,15 +99,43 @@ def _relative_tol(lo: float, hi: float) -> Tolerance:
     )
 
 
-def _trivial_result(method: Method, omega0: float) -> ShiftResult:
-    return ShiftResult(
-        method=method,
-        omega0=omega0,
-        amplitude=0.0,
-        shift=0.0,
-        residual=0.0,
-        iterations=0,
-    )
+def _bracketed_root(
+    point: Callable[[float], tuple[float, float]], lo: float, hi: float, tol: Tolerance
+) -> tuple[float, float, int]:
+    """Root of the residual of point(x) -> (residual, shift) on [lo, hi].
+
+    Returns (shift, |residual|, iterations) at the root.  point is
+    memoised, so the value at the root costs no second evaluation and
+    iterations counts distinct points.
+    """
+    point = functools.cache(point)
+    root = find_root_bracketed(lambda x: point(x)[0], lo, hi, tol)
+    residual, shift = point(root)
+    return shift, abs(residual), point.cache_info().misses
+
+
+def _shift_route(method: Method):
+    """Decorator: the public ShiftResult function of method around a body.
+
+    Bad inputs raise ValueError here and A = 0 is the zero shift, so the
+    body sees finite omega0 > 0 and A > 0 only.  It returns its closed-form
+    shift or the (shift, residual, iterations) of _bracketed_root.
+    """
+
+    def decorate(body):
+        @functools.wraps(body)
+        def route(omega0: float, amplitude: float) -> ShiftResult:
+            if not (math.isfinite(omega0) and omega0 > 0.0):
+                raise ValueError(f"omega0 must be positive and finite, got {omega0}")
+            if not (math.isfinite(amplitude) and amplitude >= 0.0):
+                raise ValueError(f"amplitude must be non-negative and finite, got {amplitude}")
+            found = 0.0 if amplitude == 0.0 else body(omega0, amplitude)
+            shift, residual, iterations = found if isinstance(found, tuple) else (found, 0.0, 0)
+            return ShiftResult(method, omega0, amplitude, shift, residual, iterations)
+
+        return route
+
+    return decorate
 
 
 def _shift_bracket(omega0: float, amplitude: float) -> tuple[float, float]:
@@ -168,51 +194,32 @@ def _chrw_bracket(omega0: float, amplitude: float) -> tuple[float, float]:
     return s_lo + omega0 * (bessel_j0_minus_1(z) + bessel_j(2, z)), amplitude
 
 
-def bs_chrw(omega0: float, amplitude: float) -> ShiftResult:
+@_shift_route(Method.CHRW)
+def bs_chrw(omega0: float, amplitude: float) -> tuple[float, float, int]:
     """Resonance from the counter-rotating hybridized rotating frame.
 
     The stationarity residual changes sign on the t bracket from the
-    weakest to the strongest drive, so it is one Brent root there.  The
-    residual and the shift are memoised together, so the shift at the root
-    costs no second evaluation and iterations counts distinct points.
+    weakest to the strongest drive, so it is one Brent root there.
     """
-    if amplitude == 0.0:
-        return _trivial_result(Method.CHRW, omega0)
     t_lo, t_hi = _chrw_bracket(omega0, amplitude)
-    point = functools.cache(_chrw_stationarity(omega0, amplitude))
-    root = find_root_bracketed(lambda t: point(t)[0], t_lo, t_hi, _relative_tol(t_lo, t_hi))
-    residual, shift = point(root)
-    return ShiftResult(
-        method=Method.CHRW,
-        omega0=omega0,
-        amplitude=amplitude,
-        shift=shift,
-        residual=abs(residual),
-        iterations=point.cache_info().misses,
+    return _bracketed_root(
+        _chrw_stationarity(omega0, amplitude), t_lo, t_hi, _relative_tol(t_lo, t_hi)
     )
 
 
-def bs_perturbative6(omega0: float, amplitude: float) -> ShiftResult:
+@_shift_route(Method.PERT6)
+def bs_perturbative6(omega0: float, amplitude: float) -> float:
     """Sixth-order weak-drive series for the resonance frequency."""
-    if amplitude == 0.0:
-        return _trivial_result(Method.PERT6, omega0)
     x = 0.25 * amplitude
-    shift = (
+    return (
         x * x / omega0
         + x**4 / (4.0 * omega0**3)
         - 35.0 * x**6 / (32.0 * omega0**5)
     )
-    return ShiftResult(
-        method=Method.PERT6,
-        omega0=omega0,
-        amplitude=amplitude,
-        shift=shift,
-        residual=0.0,
-        iterations=0,
-    )
 
 
-def bs_asymptotic(omega0: float, amplitude: float) -> ShiftResult:
+@_shift_route(Method.ASYMPTOTIC)
+def bs_asymptotic(omega0: float, amplitude: float) -> float:
     """Strong-drive limit: the resonance tracks the first zero of J0.
 
     omega_res = A / j01 holds on the strong-drive branch only.  A shift
@@ -220,21 +227,7 @@ def bs_asymptotic(omega0: float, amplitude: float) -> ShiftResult:
     resonance at or below omega0; `bsl shift-table` and `bsl shift-sweep`
     leave such cells blank.
     """
-    if not (math.isfinite(omega0) and omega0 > 0.0):
-        raise ValueError(f"omega0 must be positive and finite, got {omega0}")
-    if not (math.isfinite(amplitude) and amplitude >= 0.0):
-        raise ValueError(f"amplitude must be non-negative and finite, got {amplitude}")
-    if amplitude == 0.0:
-        return _trivial_result(Method.ASYMPTOTIC, omega0)
-    omega_res = amplitude / first_bessel_j0_zero()
-    return ShiftResult(
-        method=Method.ASYMPTOTIC,
-        omega0=omega0,
-        amplitude=amplitude,
-        shift=omega_res - omega0,
-        residual=0.0,
-        iterations=0,
-    )
+    return amplitude / first_bessel_j0_zero() - omega0
 
 
 def _shirley_shift_rhs(omega0: float, amplitude: float, shift: float) -> float:
@@ -257,7 +250,8 @@ def _shirley_shift_rhs(omega0: float, amplitude: float, shift: float) -> float:
     return term2 + term4 + term6
 
 
-def bs_shirley_iterative(omega0: float, amplitude: float) -> ShiftResult:
+@_shift_route(Method.SHIRLEY)
+def bs_shirley_iterative(omega0: float, amplitude: float) -> tuple[float, float, int]:
     """Self-consistent solution of the sixth-order crossing condition.
 
     The shift s = omega - omega0 solves s = rhs(s), the crossing condition
@@ -265,30 +259,18 @@ def bs_shirley_iterative(omega0: float, amplitude: float) -> ShiftResult:
     shift bracket.  The map's only pole, at omega = omega0/3, lies below
     the bracket, where omega >= omega0.  Working in the shift rather than
     omega keeps a weak drive's shift (~A^2/16) off the ulp of omega0, and
-    the stop is relative to the shift, as for chrw.  The defect is
-    memoised, so its value at the root costs no second evaluation and
-    iterations counts distinct points.
+    the stop is relative to the shift, as for chrw.
     """
-    if amplitude == 0.0:
-        return _trivial_result(Method.SHIRLEY, omega0)
     s_lo, s_hi = _shift_bracket(omega0, amplitude)
 
-    @functools.cache
-    def defect(shift: float) -> float:
-        return _shirley_shift_rhs(omega0, amplitude, shift) - shift
+    def defect(shift: float) -> tuple[float, float]:
+        return _shirley_shift_rhs(omega0, amplitude, shift) - shift, shift
 
-    root = find_root_bracketed(defect, s_lo, s_hi, _relative_tol(s_lo, s_hi))
-    return ShiftResult(
-        method=Method.SHIRLEY,
-        omega0=omega0,
-        amplitude=amplitude,
-        shift=root,
-        residual=abs(defect(root)),
-        iterations=defect.cache_info().misses,
-    )
+    return _bracketed_root(defect, s_lo, s_hi, _relative_tol(s_lo, s_hi))
 
 
-def bs_floquet_numeric(omega0: float, amplitude: float) -> ShiftResult:
+@_shift_route(Method.FLOQUET)
+def bs_floquet_numeric(omega0: float, amplitude: float) -> tuple[float, float, int]:
     """Resonance from the Floquet spectrum: the root of dq/domega0.
 
     At resonance the resonant quasienergy branch is stationary in omega0.
@@ -297,24 +279,12 @@ def bs_floquet_numeric(omega0: float, amplitude: float) -> ShiftResult:
     one Brent root on the shift bracket, with the truncation frozen at its
     lower end so the slope stays smooth.
     """
-    if amplitude == 0.0:
-        return _trivial_result(Method.FLOQUET, omega0)
     s_lo, s_hi = _shift_bracket(omega0, amplitude)
     n_trunc = default_truncation(
         ModelParams(omega0=omega0, amplitude=amplitude, omega=omega0 + s_lo)
     )
-    # memoised, so the slope at the root costs no second evaluation and
-    # iterations counts distinct points
-    slope = functools.cache(_chain_slope_fn(omega0, amplitude, n_trunc))
-    root = find_root_bracketed(slope, s_lo, s_hi, _SHIFT_TOL)
-    return ShiftResult(
-        method=Method.FLOQUET,
-        omega0=omega0,
-        amplitude=amplitude,
-        shift=root,
-        residual=abs(slope(root)),
-        iterations=slope.cache_info().misses,
-    )
+    slope = _chain_slope_fn(omega0, amplitude, n_trunc)
+    return _bracketed_root(lambda s: (slope(s), s), s_lo, s_hi, _SHIFT_TOL)
 
 
 _DISPATCH = {

@@ -1,5 +1,6 @@
 """Frame construction: fixed point, angles, and the lab population map."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -51,7 +52,7 @@ def _xi_or_message(p: ModelParams, tol: Tolerance, solver) -> str:
 class TestModelParams:
     def test_replace(self):
         p = ModelParams(omega0=1.0, amplitude=2.0, omega=1.5)
-        q = p.replace(omega=1.7)
+        q = dataclasses.replace(p, omega=1.7)
         assert q.omega == 1.7 and q.amplitude == 2.0 and p.omega == 1.5
 
     @pytest.mark.parametrize(

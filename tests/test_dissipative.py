@@ -1,5 +1,6 @@
 """Transformed-frame dissipator: harmonics, rates, steady state, lab-frame oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -233,13 +234,13 @@ class TestXCoefficients:
 
 class TestLindbladTensor:
     def test_zero_without_decay(self):
-        p = P_STRONG.replace(kappa=0.0)
+        p = dataclasses.replace(P_STRONG, kappa=0.0)
         fr = build_frame(p)
         assert np.all(lindblad_tensor(fr, p) == 0.0)
 
     def test_linear_in_kappa(self):
         fr = build_frame(P_STRONG)
-        doubled = P_STRONG.replace(kappa=2.0 * P_STRONG.kappa)
+        doubled = dataclasses.replace(P_STRONG, kappa=2.0 * P_STRONG.kappa)
         np.testing.assert_allclose(
             lindblad_tensor(fr, doubled), 2.0 * lindblad_tensor(fr, P_STRONG), atol=1e-20
         )

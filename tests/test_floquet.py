@@ -6,6 +6,7 @@ one-period propagator) so each one can serve as the other's oracle.  The
 chain is also checked against the full extended-zone matrix, built here.
 """
 
+import dataclasses
 import itertools
 import math
 import warnings
@@ -225,8 +226,8 @@ class TestHellmannFeynmanSlope:
         for a, w in [(0.5, 1.0), (3.5, 1.7), (8.0, 3.0)]:
             p = ModelParams(omega0=1.0, amplitude=a, omega=w)
             sol = solve_floquet(p)
-            up = solve_floquet(p.replace(omega0=1.0 + h), n_trunc=sol.n_trunc)
-            dn = solve_floquet(p.replace(omega0=1.0 - h), n_trunc=sol.n_trunc)
+            up = solve_floquet(dataclasses.replace(p, omega0=1.0 + h), n_trunc=sol.n_trunc)
+            dn = solve_floquet(dataclasses.replace(p, omega0=1.0 - h), n_trunc=sol.n_trunc)
             fd = (up.quasienergy - dn.quasienergy) / (2.0 * h)
             assert sol.dq_domega0 == pytest.approx(fd, abs=1e-6)
 
