@@ -280,10 +280,8 @@ def bs_floquet_numeric(omega0: float, amplitude: float) -> tuple[float, float, i
     lower end so the slope stays smooth.
     """
     s_lo, s_hi = _shift_bracket(omega0, amplitude)
-    n_trunc = default_truncation(
-        ModelParams(omega0=omega0, amplitude=amplitude, omega=omega0 + s_lo)
-    )
-    slope = _chain_slope_fn(omega0, amplitude, n_trunc)
+    bottom = ModelParams(omega0=omega0, amplitude=amplitude, omega=omega0 + s_lo)
+    slope = _chain_slope_fn(omega0, amplitude, default_truncation(bottom))
     return _bracketed_root(lambda s: (slope(s), s), s_lo, s_hi, _SHIFT_TOL)
 
 

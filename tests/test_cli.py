@@ -168,14 +168,14 @@ class TestShiftSweep:
         body = out.strip().split("\n")[2:]
         assert len(body) == 210
         assert body[:4] == [
-            "0.1,0.000625097389,0.000625097441,8.26114414e-08,0.000625097389,"
-            "8.93524384e-11,,,0.000625097389,1.96811354e-10,",
-            "0.2,0.00250154544,0.00250154873,1.31576887e-06,0.00250154546,"
-            "5.66607311e-09,,,0.00250154541,1.26599808e-08,",
-            "0.3,0.00563271631,0.00563275354,6.61017418e-06,0.00563271667,"
-            "6.3537877e-08,,,0.00563271549,1.45419042e-07,",
+            "0.1,0.000625097389,0.000625097441,8.26114504e-08,0.000625097389,"
+            "8.93614575e-11,,,0.000625097389,1.96802335e-10,",
+            "0.2,0.00250154544,0.00250154873,1.31576885e-06,0.00250154546,"
+            "5.66605491e-09,,,0.00250154541,1.2659999e-08,",
+            "0.3,0.00563271631,0.00563275354,6.61017417e-06,0.00563271667,"
+            "6.35378739e-08,,,0.00563271549,1.45419045e-07,",
             "0.4,0.0100239145,0.0100241217,2.06652286e-05,0.010023918,"
-            "3.49240819e-07,,,0.0100239063,8.26387532e-07,",
+            "3.49240808e-07,,,0.0100239063,8.26387543e-07,",
         ]
         assert body[-1] == (
             "21,7.77403527,7.76947387,0.000586747008,7.70549193,0.00881695718,"

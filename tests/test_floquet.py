@@ -19,7 +19,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from bloch_siegert_lab.chrw import ModelParams, build_frame
 from bloch_siegert_lab.resonance import bs_chrw, bs_floquet_numeric
-from bloch_siegert_lab import floquet
+from bloch_siegert_lab import floquet, resonance
 from bloch_siegert_lab.errors import (
     ConvergenceError,
     DegenerateInputError,
@@ -108,18 +108,46 @@ class TestMatrixStructure:
             build_floquet_matrix(p, n_trunc=int(math.ceil(20.0)) + 10)
 
     def test_default_truncation_scales_with_drive(self):
-        assert default_truncation(ModelParams(omega0=1.0, amplitude=0.1, omega=1.0)) == 25
-        assert default_truncation(ModelParams(omega0=1.0, amplitude=40.0, omega=2.0)) == 40
+        assert default_truncation(ModelParams(omega0=1.0, amplitude=0.1, omega=1.0)) == 11
+        assert default_truncation(ModelParams(omega0=1.0, amplitude=40.0, omega=2.0)) == 30
 
 
 class TestBrillouinReplication:
-    def test_truncation_convergence(self):
-        p = ModelParams(omega0=1.0, amplitude=6.0, omega=2.2)
-        n = default_truncation(p)
-        a = solve_floquet(p, n_trunc=n)
-        b = solve_floquet(p, n_trunc=n + 10)
-        assert abs(a.quasienergy - b.quasienergy) < 1e-10
-        assert abs(a.dq_domega0 - b.dq_domega0) < 1e-10
+    @pytest.mark.parametrize("w_rel", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("a_rel", [0.01, 1.0, 6.0, 21.0, 50.0])
+    @pytest.mark.parametrize("omega0", [0.3, 1.0, 7.0])
+    def test_truncation_convergence(self, omega0, a_rel, w_rel):
+        # the default chain against one 30 blocks longer; the worst over
+        # this grid is 5.4e-14 omega0 in q and 5.6e-16 in the slope
+        p = ModelParams(omega0=omega0, amplitude=a_rel * omega0, omega=w_rel * omega0)
+        a = solve_floquet(p)
+        b = solve_floquet(p, n_trunc=a.n_trunc + 30)
+        assert abs(a.quasienergy - b.quasienergy) <= 1e-13 * omega0
+        assert abs(a.dq_domega0 - b.dq_domega0) <= 1.1e-15
+
+    @pytest.mark.parametrize("a_rel", [0.1, 1.0, 3.2, 6.0, 21.0, 100.0, 1000.0])
+    @pytest.mark.parametrize("omega0", [0.3, 1.0, 7.0])
+    def test_shift_converged_on_default_chain(self, omega0, a_rel):
+        # bs_floquet_numeric's Brent root on the chain sized at the bracket
+        # bottom, against the same root on a chain 10 blocks longer.  There
+        # A/omega <= j01/0.9, so the chain has at most 27 sites.  Worst
+        # relative difference: 1.0e-14 below A/omega0 = 3.2 (rounding and
+        # the Brent stop), 1.1e-15 from there up
+        amp = a_rel * omega0
+        lo, hi = resonance._shift_bracket(omega0, amp)
+        n = default_truncation(ModelParams(omega0=omega0, amplitude=amp, omega=omega0 + lo))
+        assert 2 * n + 1 <= 27
+
+        def root(n_trunc):
+            slope = floquet._chain_slope_fn(omega0, amp, n_trunc)
+            return resonance._bracketed_root(
+                lambda s: (slope(s), s), lo, hi, resonance._SHIFT_TOL
+            )[0]
+
+        shift = root(n)
+        assert shift == bs_floquet_numeric(omega0, amp).shift
+        bound = 2e-14 if a_rel < 3.2 else 2e-15
+        assert abs(shift - root(n + 10)) <= bound * shift
 
 
 class TestSolveFloquet:
@@ -315,7 +343,7 @@ class TestParityChain:
         assert slope(s_res - 1e-3) < 0.0 < slope(s_res + 1e-3)
         assert abs(slope(s_res)) < 1e-8
 
-    @pytest.mark.parametrize("n", [25, 45, 120])
+    @pytest.mark.parametrize("n", [11, 13, 25, 45, 120])
     @pytest.mark.parametrize(
         "a, s", [(0.1, 0.0), (0.1, 1e-3), (6.0, 1.6), (6.0, 1.7), (21.0, 7.0), (21.0, 8.5)]
     )
