@@ -91,6 +91,8 @@ def xi_fixed_point_residual(params: ModelParams, xi: float) -> float:
 
 # grid samples solve_xi takes one by one before it scans the rest as an array
 _SCALAR_SAMPLES = 24
+# just above max |J1(x)| = 0.5818652..., reached at x = 1.8412
+_J1_MAX = 0.58187
 
 
 def solve_xi(params: ModelParams, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -116,20 +118,23 @@ def solve_xi(params: ModelParams, tol: Tolerance = DEFAULT_TOL) -> float:
     # well enough that the first upward crossing cannot be stepped over.
     # The residual starts at -A/2, so the first non-negative sample closes
     # the bracket.  No root lies below xi* = omega/(omega + omega0): there
-    # |J1(x)| <= x/2 bounds the residual by (A/2)(xi/xi* - 1) < 0, so the
-    # scan starts one step below floor(xi* n), a margin of order A/n.  The
-    # scan uses j1, as the residual does, so an array sample is bitwise the
-    # scalar one and the polish can take both bracket-end values from it
+    # |J1(x)| <= x/2 bounds the residual by (A/2)(xi/xi* - 1) < 0.  Nor
+    # below 1 - 2 max|J1| omega0/A, where the line alone outweighs omega0 J1;
+    # past A = 2 max|J1| (omega + omega0) that bound is the higher.  The scan
+    # starts one step below floor(n * bound) for the larger bound, a margin
+    # of order A/n.  It uses j1, as the residual does, so an array sample is
+    # bitwise the scalar one and the polish can take both bracket-end values
+    # from it
     n = max(128, int(8.0 * a / w) + 128)
     step = 1.0 / n
 
     def residual(xi: float) -> float:
         return xi_fixed_point_residual(params, xi)
 
-    # the crossing is usually a few steps above xi*: walk the first samples
-    # one by one, then scan the rest of the grid, which ends at 1.0, as one
-    # array; each sample is evaluated once
-    i = max(int(n * (w / (w + w0))) - 1, 1)
+    # the crossing is usually a few steps above the start: walk the first
+    # samples one by one, then scan the rest of the grid, which ends at 1.0,
+    # as one array; each sample is evaluated once
+    i = max(int(n * max(w / (w + w0), 1.0 - 2.0 * _J1_MAX * w0 / a)) - 1, 1)
     head = min(i + _SCALAR_SAMPLES, n)
     r_lo, r = None, residual(i * step)
     while r < 0.0 and i + 1 < head:

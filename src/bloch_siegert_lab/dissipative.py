@@ -54,11 +54,11 @@ def _first_clear_order(j: np.ndarray, cap: int) -> int:
     """truncation_order's rule on the orders up to an odd cap: the smallest
     odd L <= cap with |J_{L-1}|, |J_L|, |J_{L+1}| all below TRUNCATION_EPS,
     else cap, from j = [J_0(z), ..., J_{cap+1}(z)]."""
-    a = np.abs(j)
-    orders = np.arange(1, cap + 1, 2)
-    tail = np.maximum(np.maximum(a[orders - 1], a[orders]), a[orders + 1])
-    clear = np.flatnonzero(tail < TRUNCATION_EPS)
-    return int(orders[clear[0]]) if clear.size else cap
+    a = np.abs(j).tolist()
+    for order in range(1, cap, 2):
+        if max(a[order - 1], a[order], a[order + 1]) < TRUNCATION_EPS:
+            return order
+    return cap
 
 
 @dataclass(frozen=True)
@@ -77,13 +77,11 @@ class FourierCoefficients:
     f_z: np.ndarray
 
 
-def _harmonic_weights(
-    frame: ChrwFrame, l: np.ndarray, j: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # (f_plus, f_minus, f_z) over odd harmonics l (columns) and signatures
-    # +1, -1 (rows), from j = [J_0(z), J_1(z), ...] reaching order max(l) + 1
-    s = np.array([[1.0], [-1.0]])
-    delta_l1 = np.where(l == 1, 1.0, 0.0)
+def _harmonic_weights(frame: ChrwFrame, l, j, s) -> Tuple:
+    # (f_plus, f_minus, f_z) of odd harmonic l and signature s = +-1, from
+    # j = [J_0(z), J_1(z), ...] reaching order l + 1; elementwise, so l may
+    # be an array of harmonics and s a column of signatures
+    delta_l1 = (l == 1) * 1.0
     j_lm1 = j[l - 1]
     j_l = j[l]
     j_lp1 = j[l + 1]
@@ -107,10 +105,8 @@ def fourier_f(frame: ChrwFrame, params: ModelParams, l: int, sign: int) -> Tuple
         raise ValueError(f"harmonic index must be positive odd, got {l}")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    j = bessel_j_sequence(l + 1, bessel_argument(params, frame))
-    row = 0 if sign == 1 else 1
-    f_p, f_m, f_z = _harmonic_weights(frame, np.array([l]), j)
-    return float(f_p[row, 0]), float(f_m[row, 0]), float(f_z[row, 0])
+    j = bessel_j_sequence(l + 1, bessel_argument(params, frame)).tolist()
+    return _harmonic_weights(frame, l, j, float(sign))
 
 
 def fourier_coefficients(frame: ChrwFrame, params: ModelParams) -> FourierCoefficients:
@@ -118,7 +114,8 @@ def fourier_coefficients(frame: ChrwFrame, params: ModelParams) -> FourierCoeffi
     z = bessel_argument(params, frame)
     l_max = truncation_order(z)
     l = np.arange(1, l_max + 1, 2)
-    f_p, f_m, f_z = _harmonic_weights(frame, l, bessel_j_sequence(l_max + 1, z))
+    signs = np.array([[1.0], [-1.0]])
+    f_p, f_m, f_z = _harmonic_weights(frame, l, bessel_j_sequence(l_max + 1, z), signs)
     return FourierCoefficients(max_order=l_max, f_plus=f_p, f_minus=f_m, f_z=f_z)
 
 

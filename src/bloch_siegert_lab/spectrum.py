@@ -82,31 +82,38 @@ def _commutator_seed(weights: Tuple, steady: SteadyState) -> Tuple:
     return x0, y0, z0
 
 
-# cyclic index triples: the (i, j) cofactor of a 3x3 matrix B, sign
+# cyclic index pairs: the (i, j) cofactor of a 3x3 matrix B, sign
 # included, is B[r_i, r_j] B[s_i, s_j] - B[r_i, s_j] B[s_i, r_j]
-_R = np.array([1, 2, 0])
-_S = np.array([2, 0, 1])
+_RS = ((1, 2), (2, 0), (0, 1))
 
 
-def _response_coefficients(
-    rate_set: RateSet, rabi_tilde: float, seeds: Tuple
-) -> Tuple[np.ndarray, np.ndarray]:
+def _matvec(m, y) -> Tuple:
+    return tuple(r0 * y[0] + r1 * y[1] + r2 * y[2] for r0, r1, r2 in m)
+
+
+def _response_coefficients(rate_set: RateSet, rabi_tilde: float, *seeds: Tuple) -> Tuple:
     """Coefficients of the response rationals, highest power of p first.
 
     (g_+, g_-, g_z) = adj(p - M) y0 / det(p - M) for the dressed Bloch
     generator M.  With B = -M, det(p + B) = p^3 + tr B p^2 + tr adj B p +
     det B and adj(p + B) = p^2 + (tr B - B) p + adj B, with adj B taken
     from its 2x2 cofactors: every coefficient is a sum of 2x2 minors, and
-    none cancels the dressed splitting against itself.  seeds is y0, shape
-    (3,) or (3, k) for k seeds at once; returns the four denominator
-    coefficients and the numerators indexed [power, component, seed].
+    none cancels the dressed splitting against itself.  Each seed is one
+    y0 triple; returns the four denominator coefficients as an array and,
+    per seed, the numerators indexed [power][component].  The 3x3 algebra
+    runs on Python scalars: at this size numpy's per-call cost is all
+    there is.
     """
-    b = -bloch_generator(rate_set, rabi_tilde)[0]
-    adj = (b[np.ix_(_R, _R)] * b[np.ix_(_S, _S)] - b[np.ix_(_R, _S)] * b[np.ix_(_S, _R)]).T
-    trace = b.trace()
-    den = np.array([1.0, trace, adj.trace(), b[0] @ adj[:, 0]])
-    y0 = np.asarray(seeds, dtype=np.complex128)
-    return den, np.array([y0, trace * y0 - b @ y0, adj @ y0])
+    b = (-bloch_generator(rate_set, rabi_tilde)[0]).tolist()
+    adj = [[b[rj][ri] * b[sj][si] - b[rj][si] * b[sj][ri] for rj, sj in _RS] for ri, si in _RS]
+    trace = b[0][0] + b[1][1] + b[2][2]
+    det = b[0][0] * adj[0][0] + b[0][1] * adj[1][0] + b[0][2] * adj[2][0]
+    den = np.array([1.0, trace, adj[0][0] + adj[1][1] + adj[2][2], det])
+    nums = []
+    for y0 in seeds:
+        b_y0 = _matvec(b, y0)
+        nums.append((y0, tuple(trace * y - by for y, by in zip(y0, b_y0)), _matvec(adj, y0)))
+    return den, nums
 
 
 def _horner(coeffs: np.ndarray, p: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -169,12 +176,12 @@ def laplace_g(
     free-precession pole.
     """
     p = np.asarray(p, dtype=np.complex128)
-    den, num = _response_coefficients(rate_set, rabi_tilde, init)
+    den, (num,) = _response_coefficients(rate_set, rabi_tilde, init)
     denom = _horner(den, p)
     bad = np.abs(denom) < _pole_bound(rate_set, rabi_tilde, np.abs(p))
     if np.any(bad):
         raise PoleError(f"response denominator vanishes at p = {p[bad][0]}")
-    g_plus, g_minus, g_z = (_horner(row, p) / denom for row in num.T)
+    g_plus, g_minus, g_z = (_horner(row, p) / denom for row in zip(*num))
     return g_plus, g_minus, g_z
 
 
@@ -233,6 +240,9 @@ def spectrum(
     if nu.ndim != 1 or nu.size == 0:
         raise ValueError("nu_grid must be a non-empty 1-d array")
     nu_lo, nu_hi = float(nu.min()), float(nu.max())
+    # a NaN anywhere reaches both extremes
+    if not (math.isfinite(nu_lo) and math.isfinite(nu_hi)):
+        raise ValueError("nu_grid must be finite")
     if nu_lo <= 0.0:
         raise ValueError("nu_grid must be strictly positive")
     frame = build_frame(params, mode=mode)
@@ -256,18 +266,22 @@ def spectrum(
     rate_set = rates(frame, params)
     steady = steady_state(rate_set, frame.rabi_tilde)
     # positive-signature weights of the summed harmonics, as initial_conditions takes them
-    harmonics = np.arange(1, n_max + 1, 2)
-    f_p, f_m, f_z = (row[0] for row in _harmonic_weights(frame, harmonics, j))
-    seeds = _commutator_seed((f_p, f_m, f_z), steady)
-    den, num = _response_coefficients(rate_set, frame.rabi_tilde, seeds)
+    harmonics = range(1, n_max + 1, 2)
+    j = j.tolist()
+    weights = [_harmonic_weights(frame, n, j, 1.0) for n in harmonics]
+    den, nums = _response_coefficients(
+        rate_set, frame.rabi_tilde, *(_commutator_seed(f, steady) for f in weights)
+    )
     # the rates are real, so det(p - M) has real coefficients up to rounding
     c2, c1, c0 = den.real[1:]
-    # f_p g_- + f_m g_+ + f_z g_z is one rational per family: contract the
-    # numerators first, with the trace's factor 1/4 folded in
-    coeffs = 0.25 * np.einsum("kcf,cf->fk", num, np.array([f_m, f_p, f_z]))
-    values = np.zeros_like(nu)
+    values = np.empty_like(nu)
     w, re_d, im_d, d2, acc = np.empty((5, nu.size))
-    for n, (a0, a1, a2) in zip(harmonics.tolist(), coeffs):
+    for n, (f_p, f_m, f_z), num in zip(harmonics, weights, nums):
+        # f_p g_- + f_m g_+ + f_z g_z is one rational per family: contract the
+        # numerators first, with the trace's factor 1/4 folded in
+        a0, a1, a2 = (0.25 * (f_m * gp + f_p * gm + f_z * gz) for gp, gm, gz in num)
+        # the first family writes the trace itself, the others add to it
+        out = acc if n > 1 else values
         # p = i w; D(iw) = (c0 - c2 w^2) + i w (c1 - w^2), kept factored:
         # c1 - w^2 is where the dressed lines cancel
         np.subtract(n * params.omega, nu, out=w)
@@ -277,19 +291,20 @@ def spectrum(
         np.subtract(c1, im_d, out=im_d)
         im_d *= w
         np.multiply(re_d, re_d, out=d2)
-        np.multiply(im_d, im_d, out=acc)
-        d2 += acc
+        np.multiply(im_d, im_d, out=out)
+        d2 += out
         w_far = max(abs(n * params.omega - nu_lo), abs(n * params.omega - nu_hi))
         _check_axis_poles(d2, w, w_far, rate_set, frame.rabi_tilde)
         # N(iw) = (a2 - a0 w^2) + i a1 w, so Re N and Im N are real quadratics
         # in w, and Re(N/D) = (Re N Re D + Im N Im D) / |D|^2
-        _horner((-a0.real, -a1.imag, a2.real), w, out=acc)
-        acc *= re_d
+        _horner((-a0.real, -a1.imag, a2.real), w, out=out)
+        out *= re_d
         _horner((-a0.imag, a1.real, a2.imag), w, out=re_d)
         re_d *= im_d
-        acc += re_d
-        acc /= d2
-        values += acc
+        out += re_d
+        out /= d2
+        if out is acc:
+            values += acc
     peak = max(float(values.max()), -float(values.min()))
     if peak > 0.0:
         values /= peak
@@ -317,7 +332,7 @@ def asymmetry_metric(trace: SpectrumTrace, center: float) -> float:
     if nu.size < 5:
         raise GridError("grid too short to window the sidebands")
     steps = np.diff(nu)
-    h = float(np.mean(steps))
+    h = float(nu[-1] - nu[0]) / (nu.size - 1)
     if h <= 0.0 or steps.max() - h > 1e-9 * h or h - steps.min() > 1e-9 * h:
         raise GridError("nu_grid must be uniformly spaced")
     offset = (center - nu[0]) / h
@@ -336,8 +351,12 @@ def asymmetry_metric(trace: SpectrumTrace, center: float) -> float:
         raise GridError("sideband window falls off the edge of nu_grid")
     upper = s[idx_center + k_lo : idx_center + k_hi + 1]
     lower = s[idx_center - k_hi : idx_center - k_lo + 1][::-1]
-    num = np.trapezoid(np.abs(upper - lower), dx=h)
-    den = np.trapezoid(np.abs(upper) + np.abs(lower), dx=h)
+    # trapezoid sums, the end points at half weight; the step cancels
+    gap = np.abs(upper - lower)
+    num = float(gap.sum()) - 0.5 * float(gap[0] + gap[-1])
+    mass = np.abs(upper)
+    mass += np.abs(lower)
+    den = float(mass.sum()) - 0.5 * float(mass[0] + mass[-1])
     if den <= 0.0:
         return 0.0
-    return float(num / den)
+    return num / den

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import j1, jn_zeros
+from scipy.special import j1, jn_zeros, jnp_zeros
 
+from bloch_siegert_lab import chrw
 from bloch_siegert_lab.chrw import (
+    _J1_MAX,
     FrameMode,
     ModelParams,
     bessel_argument,
@@ -74,12 +76,43 @@ class TestModelParams:
 class TestSolveXi:
     @pytest.mark.parametrize("a", np.logspace(-6, 3, 37))
     def test_bitwise_equal_to_full_scan(self, a):
-        # the scan starts just below xi* = omega/(omega + omega0) instead of
-        # at 0; the root, or the error message, must not change by one bit
-        for w in (0.3, 0.9, 1.0, 1.0 + a * a / 16.0, 1.0 + a):
-            p = ModelParams(omega0=1.0, amplitude=float(a), omega=w)
-            for tol in (DEFAULT_TOL, _XI_TOL):
-                assert _xi_or_message(p, tol, solve_xi) == _xi_or_message(p, tol, _full_scan_xi)
+        # the scan starts just below the larger of xi* = omega/(omega +
+        # omega0) and 1 - 2 max|J1| omega0/A instead of at 0; the root, or
+        # the error message, must not change by one bit.  The second bound
+        # scales with omega0/A, so omega0 varies too
+        for w0 in (0.3, 1.0, 7.0):
+            for w in (0.3, 0.9, 1.0, 1.0 + a * a / 16.0, 1.0 + a):
+                p = ModelParams(omega0=w0, amplitude=float(a), omega=w)
+                for tol in (DEFAULT_TOL, _XI_TOL):
+                    assert _xi_or_message(p, tol, solve_xi) == _xi_or_message(
+                        p, tol, _full_scan_xi
+                    )
+
+    def test_strong_drive_scan_starts_above_xi_star(self, monkeypatch):
+        # at A = 8, omega = omega0 the J1 bound 1 - 2 max|J1|/A = 0.85 lies
+        # above xi* = 1/2, so the bitwise test above exercises it: the first
+        # sample taken sits between xi* and that bound, below the root
+        p = ModelParams(omega0=1.0, amplitude=8.0, omega=1.0)
+        seen = []
+
+        def recorded(params, xi):
+            seen.append(xi)
+            return xi_fixed_point_residual(params, xi)
+
+        monkeypatch.setattr(chrw, "xi_fixed_point_residual", recorded)
+        xi = solve_xi(p, _XI_TOL)
+        bound = 1.0 - 2.0 * _J1_MAX / 8.0
+        assert 0.5 < bound - 2.0 / 192 < seen[0] < bound < xi
+        monkeypatch.undo()
+        assert xi.hex() == _full_scan_xi(p, _XI_TOL).hex()
+
+    def test_j1_bound_constant(self):
+        # max |J1| = J1(1.8412...) = 0.5818652243; the constant must lie
+        # above it, and above |J1| on a dense grid, by little
+        peak = float(j1(jnp_zeros(1, 1)[0]))
+        assert peak == pytest.approx(0.5818652243, abs=1e-10)
+        x = np.linspace(0.0, 200.0, 2_000_001)
+        assert float(np.max(np.abs(j1(x)))) <= peak < _J1_MAX < peak + 1e-5
 
     @pytest.mark.parametrize("w, min_steps", [(0.3, 20000), (1.0, 4000)])
     def test_far_crossing_bitwise_equal(self, w, min_steps):

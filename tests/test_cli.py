@@ -246,6 +246,14 @@ class TestSpectrum:
         values = np.array([float(r[1]) for r in body])
         assert np.max(np.abs(values)) == pytest.approx(1.0, abs=1e-9)
 
+    def test_footer_matches_readme(self, capsys):
+        # README pins this footer at nine digits
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        pinned = readme.split("$ bsl spectrum --A 0.1 --omega 1.0006250974 | tail -1\n", 1)[1]
+        code, out = _run(capsys, ["spectrum", "--A", "0.1", "--omega", "1.0006250974"])
+        assert code == 0
+        assert out.strip().split("\n")[-1] == pinned.split("\n", 1)[0]
+
     def test_strong_drive_default_grid_stays_positive(self, capsys):
         # 2.2 dressed splittings below the pump would reach nu <= 0 at A = 1
         code, out = _run(capsys, ["spectrum", "--A", "1"])

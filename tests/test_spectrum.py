@@ -287,6 +287,15 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             spectrum(p, np.array([-0.5, 0.5, 1.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("n_max", [None, 1])
+    def test_rejects_non_finite_grid(self, bad, n_max):
+        # a NaN used to fail in the sideband count, or with n_max given to
+        # come back as a NaN point in a trace left unscaled
+        p = ModelParams(omega0=1.0, amplitude=0.1, omega=1.0, kappa=2e-3)
+        with pytest.raises(ValueError, match="nu_grid must be finite"):
+            spectrum(p, np.array([1.0, bad, 1.1]), n_max=n_max)
+
     def test_rejects_bad_sideband_count(self):
         p = ModelParams(omega0=1.0, amplitude=0.1, omega=1.0, kappa=2e-3)
         grid = np.linspace(0.9, 1.1, 21)
@@ -532,6 +541,32 @@ class TestAsymmetryMetric:
         b = asymmetry_metric(self._synthetic(7.3 * vals, nu), c)
         assert a == pytest.approx(b, rel=1e-12)
         assert 0.0 < a < 1.0
+
+    def test_one_pass_sums_match_trapezoid(self):
+        # sum minus half the end points, against np.trapezoid on the same
+        # window, over random uniform grids and traces of either sign
+        rng = np.random.default_rng(20)
+        worst = 0.0
+        for _ in range(200):
+            params = ModelParams(
+                omega0=1.0, amplitude=rng.uniform(0.05, 0.4), omega=1.0, kappa=2e-3
+            )
+            rabi = build_frame(params).rabi_tilde
+            h = rabi * 10.0 ** rng.uniform(-3.5, -0.5)
+            c = rng.uniform(0.5, 2.0)
+            m = math.ceil(1.5 * rabi / h) + int(rng.integers(1, 50))
+            nu = c + np.arange(-m, m + 1) * h
+            vals = rng.normal(size=nu.size) + rng.uniform(-1.0, 1.0)
+            got = asymmetry_metric(self._synthetic(vals, nu, params), c)
+            k_lo = math.ceil(0.5 * rabi / h - 1e-12)
+            k_hi = math.floor(1.5 * rabi / h + 1e-12)
+            upper = vals[m + k_lo : m + k_hi + 1]
+            lower = vals[m - k_hi : m - k_lo + 1][::-1]
+            expected = np.trapezoid(np.abs(upper - lower), dx=h) / np.trapezoid(
+                np.abs(upper) + np.abs(lower), dx=h
+            )
+            worst = max(worst, abs(got - expected) / expected)
+        assert worst <= 1e-15
 
     def test_grid_too_short(self):
         nu = 1.0 + np.arange(-2, 2) * 5e-4
