@@ -2,8 +2,12 @@
 
 For each amplitude the steady-state population is scanned over a fine pump
 grid centered on the transformed-frame resonance; the grid peak is compared
-against the coherent prediction.  The peak sits at the shifted resonance,
-never at the bare splitting, and stays strictly below 1/2.
+against the coherent prediction.  The peak sits near the shifted resonance,
+never at the bare splitting, and on the grid stays strictly below 1/2.  It
+is where the rate gamma_0 vanishes, just below the resonance: by 3.12e-4,
+7.53e-3, 2.70e-2 and 8.01e-2 of the CHRW shift at A = 0.1, 0.5, 1 and 3.5
+(omega0 = 1, kappa = 2e-3), and by 3.12e-4, 7.48e-3, 2.63e-2 and 6.94e-2
+of the Floquet shift.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import j1
 
-from .errors import DegenerateInputError, NoSignChangeError
+from .errors import DegenerateInputError, DomainError, NoSignChangeError
 from .numerics import DEFAULT_TOL, Tolerance, bessel_j0_minus_1, find_root_bracketed
 
 
@@ -93,6 +93,10 @@ def xi_fixed_point_residual(params: ModelParams, xi: float) -> float:
 _SCALAR_SAMPLES = 24
 # just above max |J1(x)| = 0.5818652..., reached at x = 1.8412
 _J1_MAX = 0.58187
+# solve_xi refuses a grid finer than float64 counts exactly, and an array
+# scan longer than this many samples (128 MB of float64)
+_MAX_GRID = 2.0**53
+_MAX_TAIL = 2**24
 
 
 def solve_xi(params: ModelParams, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -108,6 +112,9 @@ def solve_xi(params: ModelParams, tol: Tolerance = DEFAULT_TOL) -> float:
         if amplitude is zero.
     NoSignChangeError
         if no root can be bracketed inside [0, 1].
+    DomainError
+        if the grid or its array scan is too large (A/omega past 1e15, or
+        a small omega at moderate A).
     """
     a, w, w0 = params.amplitude, params.omega, params.omega0
     if a == 0.0:
@@ -125,7 +132,10 @@ def solve_xi(params: ModelParams, tol: Tolerance = DEFAULT_TOL) -> float:
     # of order A/n.  It uses j1, as the residual does, so an array sample is
     # bitwise the scalar one and the polish can take both bracket-end values
     # from it
-    n = max(128, int(8.0 * a / w) + 128)
+    span = 8.0 * a / w
+    if not span < _MAX_GRID:
+        raise DomainError(f"xi grid of 8 A/omega = {span:.3g} steps is too fine at A={a}, omega={w}")
+    n = max(128, int(span) + 128)
     step = 1.0 / n
 
     def residual(xi: float) -> float:
@@ -141,6 +151,10 @@ def solve_xi(params: ModelParams, tol: Tolerance = DEFAULT_TOL) -> float:
         i += 1
         r_lo, r = r, residual(i * step)
     if r < 0.0:
+        if n + 1 - head > _MAX_TAIL:
+            raise DomainError(
+                f"xi scan of {n + 1 - head} samples exceeds {_MAX_TAIL} at A={a}, omega={w}"
+            )
         tail = np.arange(head, n + 1) * step
         tail[-1] = 1.0
         values = w0 * j1(a * tail / w) - 0.5 * a * (1.0 - tail)

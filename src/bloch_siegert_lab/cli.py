@@ -61,7 +61,6 @@ class RunConfig:
     out: Optional[str] = None
     fmt: str = "csv"
     quick: bool = False
-    floquet_n: Optional[int] = None
 
     @property
     def sep(self) -> str:
@@ -244,7 +243,7 @@ def cmd_spectrum(config: RunConfig) -> str:
 
 def cmd_validate(config: RunConfig) -> Tuple[str, int]:
     """Run the check registry; report pass/fail per check."""
-    checks = validation.checks(config.quick, config.floquet_n)
+    checks = validation.checks(config.quick)
     lines = [f"# bloch-siegert-lab v{__version__}, validate, quick={config.quick}"]
     failures = 0
     for name, run in checks:
@@ -310,8 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quick", action="store_true",
                    help="run only table-regression, floquet-convergence and "
                         "spectrum-vs-resolvent, at reduced size")
-    p.add_argument("--floquet-N", type=int, default=None, dest="floquet_n",
-                   help="override the Floquet truncation in the convergence check")
 
     return parser
 
@@ -365,10 +362,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         kwargs["n_max"] = args.n_max
         kwargs["mode"] = FrameMode(args.mode)
     elif args.command == "validate":
-        if args.floquet_n is not None and args.floquet_n < 0:
-            raise ConfigError(f"--floquet-N must be non-negative, got {args.floquet_n}")
         kwargs["quick"] = args.quick
-        kwargs["floquet_n"] = args.floquet_n
     return RunConfig(**kwargs)
 
 

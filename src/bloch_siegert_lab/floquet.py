@@ -10,8 +10,8 @@ gives the resonant quasienergy pair, their omega0-derivative (which gives
 the time-averaged transition probability FloquetSolution.pbar) and their
 gap.  The eigenphases of the one-period propagator are the independent
 oracle for the quasienergies, and the period map of the damped lab-frame
-Bloch equation gives the exact periodic steady state; both multiply batched
-RK4 step maps in one prefix product.
+Bloch equation gives the exact periodic steady state; both take the RK4
+prefix products of one routine, _period_maps.
 """
 
 from __future__ import annotations
@@ -186,36 +186,31 @@ def _chain_slope_fn(omega0: float, amplitude: float, n_trunc: int) -> Callable[[
     return slope
 
 
-def branch_gap(params: ModelParams, n_trunc: Optional[int] = None) -> float:
+def branch_gap(params: ModelParams) -> float:
     """Zone-circle distance between the two resonant branches q and -q."""
-    return solve_floquet(params, n_trunc).gap
+    return solve_floquet(params).gap
 
 
 # ---------------------------------------------------------------------------
 # one-period propagators: the coherent monodromy oracle and the damped
-# period map
+# period map, both RK4 with STEPS_PER_PERIOD steps per drive period
+
+STEPS_PER_PERIOD = 2000
 
 
-def _rk4_step_propagators(
-    generator: Callable[[np.ndarray], np.ndarray], period: float, n_steps: int
-) -> np.ndarray:
-    """Batch of one-step RK4 maps for dY/dt = G(t) Y over one period.
-
-    generator maps an array of times to the stack of matrices G(t) there;
-    row k of the result advances the state from t_k = k*period/n_steps to
-    t_{k+1}.
+def _period_maps(g0: np.ndarray, g1: np.ndarray, omega: float, n_steps: int) -> np.ndarray:
+    """RK4 prefix products for dY/dt = (g0 + cos(omega t) g1) Y over one
+    period T = 2 pi/omega: row k advances Y from t = 0 to (k + 1) T/n_steps,
+    so the last row is the period map.  The step maps are built as one batch.
     """
-    h = period / n_steps
+    h = 2.0 * math.pi / omega / n_steps
     t0 = np.arange(n_steps) * h
-    b1 = generator(t0)
-    b2 = generator(t0 + 0.5 * h)
-    b4 = generator(t0 + h)
+    b1, b2, b4 = (g0 + np.cos(omega * ts)[:, None, None] * g1 for ts in (t0, t0 + 0.5 * h, t0 + h))
     eye = np.broadcast_to(np.eye(b1.shape[-1], dtype=b1.dtype), b1.shape)
-    k1 = b1
-    k2 = b2 @ (eye + 0.5 * h * k1)
+    k2 = b2 @ (eye + 0.5 * h * b1)
     k3 = b2 @ (eye + 0.5 * h * k2)
     k4 = b4 @ (eye + h * k3)
-    return np.asarray(eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return _ordered_products(eye + (h / 6.0) * (b1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
 def _ordered_products(maps: np.ndarray) -> np.ndarray:
@@ -232,7 +227,7 @@ def _ordered_products(maps: np.ndarray) -> np.ndarray:
 
 
 def propagator_samples(
-    params: ModelParams, steps_per_period: int = 2000
+    params: ModelParams, steps_per_period: int = STEPS_PER_PERIOD
 ) -> tuple[np.ndarray, np.ndarray]:
     """Times and propagators U(t_k) on one drive period, t_k = k*T/steps.
 
@@ -242,22 +237,16 @@ def propagator_samples(
     """
     if steps_per_period < 1000:
         raise ValueError(f"steps_per_period must be >= 1000, got {steps_per_period}")
-    period = 2.0 * math.pi / params.omega
-    h0 = 0.5 * params.omega0 * _SIGMA_Z
-    v = 0.5 * params.amplitude * _SIGMA_X
-
-    def minus_i_h(ts: np.ndarray) -> np.ndarray:
-        return -1j * (h0[None, :, :] + np.cos(params.omega * ts)[:, None, None] * v[None, :, :])
-
-    steps = _rk4_step_propagators(minus_i_h, period, steps_per_period)
-    us = np.concatenate([np.eye(2, dtype=complex)[None], _ordered_products(steps)])
+    g0, g1 = -0.5j * params.omega0 * _SIGMA_Z, -0.5j * params.amplitude * _SIGMA_X
+    maps = _period_maps(g0, g1, params.omega, steps_per_period)
+    us = np.concatenate([np.eye(2, dtype=complex)[None], maps])
     us = us @ (1.5 * np.eye(2) - 0.5 * (us.conj().transpose(0, 2, 1) @ us))
-    ts = np.linspace(0.0, period, steps_per_period + 1)
+    ts = np.linspace(0.0, 2.0 * math.pi / params.omega, steps_per_period + 1)
     return ts, us
 
 
 def monodromy_quasienergies(
-    params: ModelParams, steps_per_period: int = 2000
+    params: ModelParams, steps_per_period: int = STEPS_PER_PERIOD
 ) -> tuple[float, float]:
     """Quasienergy pair from the eigenphases of the one-period propagator.
 
@@ -277,7 +266,7 @@ def monodromy_quasienergies(
     return qs[0], qs[1]
 
 
-def monodromy_gap(params: ModelParams, steps_per_period: int = 2000) -> float:
+def monodromy_gap(params: ModelParams, steps_per_period: int = STEPS_PER_PERIOD) -> float:
     """Zone-circle gap between the two monodromy quasienergies."""
     q1, q2 = monodromy_quasienergies(params, steps_per_period)
     return circle_gap(q1, q2, params.omega)
@@ -296,7 +285,7 @@ def periodic_steady_state(params: ModelParams) -> float:
     No frame, no harmonic expansion and no settling time enter, so this is
     the ground truth for population_avg.
 
-    The 2000 steps per period were checked against an adaptive period map
+    The STEPS_PER_PERIOD = 2000 steps were checked against an adaptive period map
     (to 1e-12) only near resonance for A <= 8.5 omega0, where omega runs
     from omega0 up to about A / j01 and both A h and omega0 h stay below
     1e-2 for the step h = T / 2000.  Longer periods (small omega) or
@@ -304,22 +293,15 @@ def periodic_steady_state(params: ModelParams) -> float:
     """
     if params.kappa <= 0.0:
         raise DegenerateInputError("a periodic steady state needs kappa > 0")
-    omega0, amp, omega, kappa = params.omega0, params.amplitude, params.omega, params.kappa
-    period = 2.0 * math.pi / omega
+    omega0, amp, kappa = params.omega0, params.amplitude, params.kappa
     fixed = np.zeros((5, 5))
     fixed[0, :2] = (-0.5 * kappa, -omega0)
     fixed[1, :2] = (omega0, -0.5 * kappa)
     fixed[2, 2:4] = (-kappa, -kappa)
     fixed[4, 2] = 1.0
-
-    def generator(ts: np.ndarray) -> np.ndarray:
-        g = np.broadcast_to(fixed, (ts.size, 5, 5)).copy()
-        drive = amp * np.cos(omega * ts)
-        g[:, 1, 2] = -drive
-        g[:, 2, 1] = drive
-        return g
-
-    phi = _ordered_products(_rk4_step_propagators(generator, period, 2000))[-1]
+    drive = np.zeros((5, 5))
+    drive[1, 2], drive[2, 1] = -amp, amp
+    phi = _period_maps(fixed, drive, params.omega, STEPS_PER_PERIOD)[-1]
     r0 = np.linalg.solve(np.eye(3) - phi[:3, :3], phi[:3, 3])
-    mean_z = (phi[4, :3] @ r0 + phi[4, 3]) / period
+    mean_z = (phi[4, :3] @ r0 + phi[4, 3]) / (2.0 * math.pi / params.omega)
     return float(0.5 * (1.0 + mean_z))

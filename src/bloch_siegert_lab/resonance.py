@@ -91,9 +91,10 @@ _XI_TOL = Tolerance(abs_tol=1e-22, rel_tol=2e-16, max_iter=200)
 
 def _relative_tol(lo: float, hi: float) -> Tolerance:
     """_SHIFT_TOL with abs_tol scaled to the bracket [lo, hi], so that the
-    stop is relative to the root."""
+    stop is relative to the root; below A ~ 1e-292 omega0 that product
+    underflows to 0 and the smallest subnormal takes its place."""
     return Tolerance(
-        abs_tol=_BRACKET_ABS_SCALE * abs(hi - lo),
+        abs_tol=_BRACKET_ABS_SCALE * abs(hi - lo) or math.ulp(0.0),
         rel_tol=_SHIFT_TOL.rel_tol,
         max_iter=_SHIFT_TOL.max_iter,
     )
@@ -119,7 +120,9 @@ def _shift_route(method: Method):
 
     Bad inputs raise ValueError here and A = 0 is the zero shift, so the
     body sees finite omega0 > 0 and A > 0 only.  It returns its closed-form
-    shift or the (shift, residual, iterations) of _bracketed_root.
+    shift or the (shift, residual, iterations) of _bracketed_root.  A float
+    power that overflows in the body (pert6 and shirley past A ~ 1e51
+    omega0) raises DomainError.
     """
 
     def decorate(body):
@@ -129,7 +132,10 @@ def _shift_route(method: Method):
                 raise ValueError(f"omega0 must be positive and finite, got {omega0}")
             if not (math.isfinite(amplitude) and amplitude >= 0.0):
                 raise ValueError(f"amplitude must be non-negative and finite, got {amplitude}")
-            found = 0.0 if amplitude == 0.0 else body(omega0, amplitude)
+            try:
+                found = 0.0 if amplitude == 0.0 else body(omega0, amplitude)
+            except OverflowError as exc:
+                raise DomainError(f"float overflow at A={amplitude:g}") from exc
             shift, residual, iterations = found if isinstance(found, tuple) else (found, 0.0, 0)
             return ShiftResult(method, omega0, amplitude, shift, residual, iterations)
 

@@ -9,9 +9,8 @@ a NaN fails.  The package's __init__ does not import this module.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, fields
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -106,15 +105,11 @@ def table_regression(quick: bool = False) -> CheckResult:
     return CheckResult(_worst(errs), TABLE_TOL, "worst |shift - reference|")
 
 
-def floquet_convergence(n_trunc: Optional[int] = None) -> CheckResult:
+def floquet_convergence() -> CheckResult:
     """Truncated parity-chain gap against a finely stepped monodromy at A = 10."""
     params = ModelParams(omega0=1.0, amplitude=10.0, omega=1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        matrix_gap = branch_gap(params, n_trunc=n_trunc)
-    diff = abs(matrix_gap - monodromy_gap(params, steps_per_period=3000))
-    label = "default truncation" if n_trunc is None else f"injected truncation N={n_trunc}"
-    return CheckResult(diff, 1e-6, f"{label}: |matrix gap - monodromy gap|")
+    diff = abs(branch_gap(params) - monodromy_gap(params, steps_per_period=3000))
+    return CheckResult(diff, 1e-6, "default truncation: |matrix gap - monodromy gap|")
 
 
 def monodromy_vs_matrix() -> CheckResult:
@@ -200,16 +195,10 @@ def rates_vs_tensor() -> CheckResult:
     return CheckResult(_worst(errs), RATES_TOL, "worst |closed rate - tensor rate| / kappa")
 
 
-def checks(
-    quick: bool = False, floquet_n: Optional[int] = None
-) -> List[Tuple[str, Callable[[], CheckResult]]]:
-    """The registry in report order: all six checks, or the three quick ones.
-
-    floquet_n injects a truncation into floquet-convergence, which must
-    then fail when it is too small.
-    """
+def checks(quick: bool = False) -> List[Tuple[str, Callable[[], CheckResult]]]:
+    """The registry in report order: all six checks, or the three quick ones."""
     table = ("table-regression", lambda: table_regression(quick))
-    convergence = ("floquet-convergence", lambda: floquet_convergence(floquet_n))
+    convergence = ("floquet-convergence", floquet_convergence)
     resolvent = ("spectrum-vs-resolvent", lambda: spectrum_vs_resolvent(quick))
     if quick:
         return [table, convergence, resolvent]

@@ -19,7 +19,7 @@ from bloch_siegert_lab.chrw import (
     solve_xi,
     xi_fixed_point_residual,
 )
-from bloch_siegert_lab.errors import DegenerateInputError, NoSignChangeError
+from bloch_siegert_lab.errors import DegenerateInputError, DomainError, NoSignChangeError
 from bloch_siegert_lab.numerics import DEFAULT_TOL, Tolerance, bessel_j, find_root_bracketed
 from bloch_siegert_lab.resonance import _XI_TOL
 
@@ -135,6 +135,24 @@ class TestSolveXi:
         xi = solve_xi(p, _XI_TOL)
         assert xi > (n - 1) / n
         assert xi.hex() == _full_scan_xi(p, _XI_TOL).hex()
+
+    @pytest.mark.parametrize(
+        "a, w, message",
+        [
+            # 8 A/omega = 8e19 grid steps: past 2**53 the grid indices stop
+            # being exact, and past 2**63 np.arange returns objects
+            (1e19, 1.0, "too fine"),
+            # 9.6e8 grid steps, nearly all above the scan's start
+            (1.2, 1e-8, "exceeds 16777216"),
+        ],
+    )
+    def test_oversized_scan_refused_before_allocating(self, monkeypatch, a, w, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve_xi allocated its scan")
+
+        monkeypatch.setattr(np, "arange", refuse)
+        with pytest.raises(DomainError, match=message):
+            solve_xi(ModelParams(omega0=1.0, amplitude=a, omega=w))
 
     @pytest.mark.parametrize("a", [5.0, 200.0])
     def test_no_sign_change_message_unchanged(self, a):

@@ -1,16 +1,19 @@
 """Command-line surface: parsing, formats, rescaling, determinism, exit codes."""
 
+import argparse
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bloch_siegert_lab import __version__
+from bloch_siegert_lab import __version__, floquet
 from bloch_siegert_lab.cli import (
     TABLE_GRID,
     ConfigError,
     RunConfig,
     _parse_range,
+    build_parser,
     cmd_shift_table,
     main,
 )
@@ -305,9 +308,28 @@ class TestValidate:
         assert code == 0
         assert out.split("\n") == block.split("\n")
 
-    def test_injected_bad_truncation_fails(self, capsys):
-        for n in ("0", "2"):
-            code, out = _run(capsys, ["validate", "--quick", "--floquet-N", n])
+    def test_readme_documents_every_option(self):
+        # each option string of bsl and of every subcommand appears in
+        # README as a whole word, so a new flag cannot ship undocumented
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        parser = build_parser()
+        parsers = [parser]
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+        assert len(parsers) == 6
+        options = {opt for p in parsers for a in p._actions for opt in a.option_strings}
+        assert {"--kappa", "--mode", "--omega0", "--format"} <= options
+        missing = sorted(o for o in options if not re.search(rf"(?<![\w-]){re.escape(o)}(?![\w-])", readme))
+        assert missing == []
+
+    def test_injected_bad_truncation_fails(self, capsys, monkeypatch):
+        # a chain cut far below A/omega + 10 must fail floquet-convergence;
+        # the resonance routes keep their own reference to the rule, so
+        # table-regression still passes
+        for n in (0, 2):
+            monkeypatch.setattr(floquet, "default_truncation", lambda params, n=n: n)
+            code, out = _run(capsys, ["validate", "--quick"])
             assert code == 1
             assert "FAIL floquet-convergence" in out
             assert "2/3 checks passed" in out
@@ -349,6 +371,7 @@ class TestExitCodes:
             ["spectrum", "--omega", "nan"],
             ["spectrum", "--omega", "0"],
             ["spectrum", "--omega", "-1"],
+            # no flag sets the Floquet truncation
             ["validate", "--floquet-N", "-1"],
             ["shift-table", "--A", "-1"],
             # "=" keeps argparse from reading the negative range as a flag
@@ -362,6 +385,39 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err
+
+    def test_float_overflow_becomes_diagnostic(self, capsys):
+        code, out = _run(capsys, ["shift-table", "--A", "1e52"])
+        assert code == 0
+        assert out.strip().split("\n")[2] == (
+            "1e+52,4.15830577e+51,4.15830577e+51,,4.15830577e+51,,"
+            "shirley: float overflow at A=1e+52; pert6: float overflow at A=1e+52"
+        )
+
+    def test_underflowing_bracket_tolerance_keeps_the_table(self, capsys):
+        # at A = 1e-300 the bracket-scaled stop of chrw and shirley
+        # underflows; their cells must still be filled
+        code, out = _run(capsys, ["shift-table", "--A", "1e-300"])
+        assert code == 0
+        cells = out.strip().split("\n")[2].split(",")
+        assert cells[2:4] == ["0", "0"]
+
+    @pytest.mark.parametrize("amp, omega", [("1e19", "1"), ("1.2", "1e-8")])
+    def test_oversized_xi_scan_becomes_diagnostic(self, capsys, monkeypatch, amp, omega):
+        # the second point would scan 9.3e8 samples; any arange of more than
+        # a million fails the test instead
+        arange = np.arange
+
+        def bounded(*args, **kwargs):
+            assert len(args) < 2 or args[1] - args[0] <= 1_000_000, "xi scan allocated"
+            return arange(*args, **kwargs)
+
+        monkeypatch.setattr(np, "arange", bounded)
+        code, out = _run(capsys, ["population", "--A", amp, "--omega-range", f"{omega}:{omega}:1"])
+        assert code == 0
+        cells = out.strip().split("\n")[2].split(",", maxsplit=2)
+        assert cells[1] == ""
+        assert cells[2].startswith("xi ")
 
     def test_empty_default_window_asks_for_probe_grid(self, capsys):
         with pytest.raises(SystemExit):

@@ -246,6 +246,40 @@ class TestMonodromy:
             propagator_samples(ModelParams(omega0=1.0, amplitude=1.0, omega=1.0), steps_per_period=500)
 
 
+class TestPeriodMaps:
+    # with g1 = 0 the flow is autonomous, so the period map is expm(g0 T);
+    # the bounds are at most twice the measured error, 4.76e-13 (2 x 2,
+    # 2000 steps) and 5.68e-10 (5 x 5 with entries up to 8, 1001 steps),
+    # both fourth order in the step
+    @pytest.mark.parametrize(
+        "g0, omega, n_steps, bound",
+        [
+            (np.array([[-0.3 - 0.5j, 0.4 + 0.2j], [-0.1 + 0.7j, 0.2 - 0.6j]]), 1.3, 2000, 9.5e-13),
+            (
+                np.array(
+                    [
+                        [-1e-3, -1.0, 0.0, 0.0, 0.0],
+                        [1.0, -1e-3, 0.3, 0.0, 0.0],
+                        [0.0, -0.3, -2e-3, -2e-3, 0.0],
+                        [0.0, 0.0, 0.0, 0.0, 0.0],
+                        [0.0, 0.0, 1.0, 0.0, 0.0],
+                    ]
+                ),
+                0.7,
+                1001,
+                1.1e-9,
+            ),
+        ],
+    )
+    def test_autonomous_period_map_is_expm(self, g0, omega, n_steps, bound):
+        from scipy.linalg import expm
+
+        maps = floquet._period_maps(g0, np.zeros_like(g0), omega, n_steps)
+        assert maps.shape == (n_steps,) + g0.shape
+        assert maps.dtype == g0.dtype
+        assert np.max(np.abs(maps[-1] - expm(g0 * (2.0 * math.pi / omega)))) < bound
+
+
 class TestHellmannFeynmanSlope:
     def test_matches_finite_difference(self):
         # dq/domega0 from eigenvector weights vs a centered difference of

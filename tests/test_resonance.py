@@ -288,6 +288,27 @@ class TestTrivialAndDispatch:
         with pytest.raises(ValueError):
             Method("euler")
 
+    def test_float_overflow_raises_domain_error(self):
+        # x**6 of pert6 and a2**3 of the shirley map overflow Python floats
+        # past A ~ 9.5e51 and 2.4e51; the bracketed and closed-form routes
+        # that stay finite still return
+        for route in (bs_perturbative6, bs_shirley_iterative):
+            with pytest.raises(DomainError, match="float overflow at A=1e\\+52"):
+                route(1.0, 1e52)
+        for route in (bs_floquet_numeric, bs_chrw, bs_asymptotic):
+            assert route(1.0, 1e52).shift == pytest.approx(1e52 / first_bessel_j0_zero() - 1.0)
+
+    def test_bracket_tolerance_never_underflows(self):
+        # below A ~ 1e-292 the bracket-scaled abs_tol underflows to 0, which
+        # Tolerance refuses; the floor is the smallest subnormal and leaves
+        # every positive product as it was
+        assert resonance._relative_tol(0.0, 1e-300).abs_tol == math.ulp(0.0)
+        for width in (1e-290, 1.0, 1e300):
+            tol = resonance._relative_tol(-width, 0.0)
+            assert tol.abs_tol == resonance._BRACKET_ABS_SCALE * width
+        assert bs_chrw(1.0, 1e-300).shift == 0.0
+        assert bs_shirley_iterative(1.0, 1e-300).shift == 0.0
+
     @pytest.mark.parametrize(
         "omega0, amplitude",
         [
