@@ -87,6 +87,7 @@ class ShiftResult:
 _SHIFT_TOL = Tolerance(abs_tol=1e-18, rel_tol=1e-14, max_iter=300)
 _BRACKET_ABS_SCALE = math.ulp(1.0) ** 2
 _XI_TOL = Tolerance(abs_tol=1e-22, rel_tol=2e-16, max_iter=200)
+_FLOQUET_MIN_A = 1e-8
 
 
 def _relative_tol(lo: float, hi: float) -> Tolerance:
@@ -122,7 +123,7 @@ def _shift_route(method: Method):
     body sees finite omega0 > 0 and A > 0 only.  It returns its closed-form
     shift or the (shift, residual, iterations) of _bracketed_root.  A float
     power that overflows in the body (pert6 and shirley past A ~ 1e51
-    omega0) raises DomainError.
+    omega0) or a non-finite shift raises DomainError.
     """
 
     def decorate(body):
@@ -137,6 +138,8 @@ def _shift_route(method: Method):
             except OverflowError as exc:
                 raise DomainError(f"float overflow at A={amplitude:g}") from exc
             shift, residual, iterations = found if isinstance(found, tuple) else (found, 0.0, 0)
+            if not math.isfinite(shift):
+                raise DomainError(f"float overflow at A={amplitude:g}: shift {shift}")
             return ShiftResult(method, omega0, amplitude, shift, residual, iterations)
 
         return route
@@ -283,12 +286,20 @@ def bs_floquet_numeric(omega0: float, amplitude: float) -> tuple[float, float, i
     Its slope, taken from eigenvector weights on one parity chain of the
     Floquet matrix, changes sign there, so the shift s = omega - omega0 is
     one Brent root on the shift bracket, with the truncation frozen at its
-    lower end so the slope stays smooth.
+    lower end so the slope stays smooth.  The chain's eigenvectors do not
+    change when omega0, A and omega scale together, so the root is found at
+    omega0 = 1 and scaled back, and the stop is relative to omega0.  Below
+    A = 1e-8 omega0 (_FLOQUET_MIN_A) the shift (A/4)^2 nears that stop,
+    which returns 0 from 1.8e-9 down, so DomainError is raised there.
     """
-    s_lo, s_hi = _shift_bracket(omega0, amplitude)
-    bottom = ModelParams(omega0=omega0, amplitude=amplitude, omega=omega0 + s_lo)
-    slope = _chain_slope_fn(omega0, amplitude, default_truncation(bottom))
-    return _bracketed_root(lambda s: (slope(s), s), s_lo, s_hi, _SHIFT_TOL)
+    a = amplitude / omega0
+    if a < _FLOQUET_MIN_A:
+        raise DomainError(f"Floquet shift unresolved at A/omega0={a:.3g} < {_FLOQUET_MIN_A:g}")
+    s_lo, s_hi = _shift_bracket(1.0, a)
+    bottom = ModelParams(omega0=1.0, amplitude=a, omega=1.0 + s_lo)
+    slope = _chain_slope_fn(1.0, a, default_truncation(bottom))
+    shift, residual, iterations = _bracketed_root(lambda s: (slope(s), s), s_lo, s_hi, _SHIFT_TOL)
+    return omega0 * shift, residual, iterations
 
 
 _DISPATCH = {

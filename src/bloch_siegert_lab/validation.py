@@ -106,9 +106,9 @@ def table_regression(quick: bool = False) -> CheckResult:
 
 
 def floquet_convergence() -> CheckResult:
-    """Truncated parity-chain gap against a finely stepped monodromy at A = 10."""
+    """Truncated parity-chain gap against the monodromy gap at A = 10."""
     params = ModelParams(omega0=1.0, amplitude=10.0, omega=1.0)
-    diff = abs(branch_gap(params) - monodromy_gap(params, steps_per_period=3000))
+    diff = abs(branch_gap(params) - monodromy_gap(params))
     return CheckResult(diff, 1e-6, "default truncation: |matrix gap - monodromy gap|")
 
 

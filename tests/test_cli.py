@@ -394,6 +394,24 @@ class TestExitCodes:
             "shirley: float overflow at A=1e+52; pert6: float overflow at A=1e+52"
         )
 
+    def test_non_finite_shift_becomes_diagnostic(self, capsys):
+        code, out = _run(capsys, ["shift-table", "--A", "9.5e51"])
+        assert code == 0
+        assert out.strip().split("\n")[2] == (
+            "9.5e+51,3.95039048e+51,3.95039048e+51,,3.95039048e+51,,"
+            "shirley: float overflow at A=9.5e+51; pert6: float overflow at A=9.5e+51: shift -inf"
+        )
+
+    def test_unresolved_floquet_shift_becomes_diagnostic(self, capsys):
+        # below A = 1e-8 omega0 the Floquet cell is blank with a note, not 0
+        code, out = _run(capsys, ["shift-table", "--A-range", "1e-10:1e-9:3e-10"])
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[2:]]
+        assert len(rows) == 4
+        for cells in rows:
+            assert cells[1] == ""
+            assert cells[-1] == f"floquet: Floquet shift unresolved at A/omega0={cells[0]} < 1e-08"
+
     def test_underflowing_bracket_tolerance_keeps_the_table(self, capsys):
         # at A = 1e-300 the bracket-scaled stop of chrw and shirley
         # underflows; their cells must still be filled

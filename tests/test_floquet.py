@@ -23,6 +23,7 @@ from bloch_siegert_lab import floquet, resonance
 from bloch_siegert_lab.errors import (
     ConvergenceError,
     DegenerateInputError,
+    DomainError,
     NonUnitaryError,
     TruncationWarning,
 )
@@ -128,19 +129,20 @@ class TestBrillouinReplication:
     @pytest.mark.parametrize("a_rel", [0.1, 1.0, 3.2, 6.0, 21.0, 100.0, 1000.0])
     @pytest.mark.parametrize("omega0", [0.3, 1.0, 7.0])
     def test_shift_converged_on_default_chain(self, omega0, a_rel):
-        # bs_floquet_numeric's Brent root on the chain sized at the bracket
-        # bottom, against the same root on a chain 10 blocks longer.  There
-        # A/omega <= j01/0.9, so the chain has at most 27 sites.  Worst
-        # relative difference: 1.0e-14 below A/omega0 = 3.2 (rounding and
-        # the Brent stop), 1.1e-15 from there up
+        # bs_floquet_numeric's Brent root, in units of omega0, on the chain
+        # sized at the bracket bottom, against the same root on a chain 10
+        # blocks longer.  There A/omega <= j01/0.9, so the chain has at most
+        # 27 sites.  Worst relative difference: 1.0e-14 below A/omega0 =
+        # 3.2 (rounding and the Brent stop), 1.1e-15 from there up
         amp = a_rel * omega0
-        lo, hi = resonance._shift_bracket(omega0, amp)
-        n = default_truncation(ModelParams(omega0=omega0, amplitude=amp, omega=omega0 + lo))
+        a = amp / omega0
+        lo, hi = resonance._shift_bracket(1.0, a)
+        n = default_truncation(ModelParams(omega0=1.0, amplitude=a, omega=1.0 + lo))
         assert 2 * n + 1 <= 27
 
         def root(n_trunc):
-            slope = floquet._chain_slope_fn(omega0, amp, n_trunc)
-            return resonance._bracketed_root(
+            slope = floquet._chain_slope_fn(1.0, a, n_trunc)
+            return omega0 * resonance._bracketed_root(
                 lambda s: (slope(s), s), lo, hi, resonance._SHIFT_TOL
             )[0]
 
@@ -199,21 +201,22 @@ class TestMonodromy:
         assert monodromy_gap(p) == pytest.approx(0.3437222803458882, abs=5e-9)
 
     def test_propagator_stays_unitary(self):
-        # every sample, and an odd step count for the odd-length products
-        p = ModelParams(omega0=1.0, amplitude=8.0, omega=1.1)
-        for steps in (2000, 1001):
-            ts, us = propagator_samples(p, steps_per_period=steps)
-            assert len(ts) == len(us) == steps + 1
+        # every sample; the odd step count runs the odd-length products
+        for amp, steps in ((8.0, 2182), (8.5, 2319)):
+            p = ModelParams(omega0=1.0, amplitude=amp, omega=1.1)
+            ts, us = propagator_samples(p)
+            assert len(ts) == len(us) == floquet.period_steps(p) + 1 == steps + 1
             defect = np.max(np.abs(us.conj().transpose(0, 2, 1) @ us - np.eye(2)))
             assert defect < 1e-12
 
     def test_samples_match_adaptive_integration(self):
-        # U(t_k) against an adaptive solve of i dU/dt = H(t) U written out
-        # here, so the oracle shares no code with the package
+        # U(t) at the samples nearest a quarter, half and whole period
+        # against an adaptive solve of i dU/dt = H(t) U written out here, so
+        # the oracle shares no code with the package; measured 1.71e-10
         from scipy.integrate import solve_ivp
 
         p = ModelParams(omega0=1.0, amplitude=8.0, omega=1.1)
-        ts, us = propagator_samples(p, steps_per_period=2000)
+        ts, us = propagator_samples(p)
         sx = np.array([[0.0, 1.0], [1.0, 0.0]])
         sz = np.diag([1.0, -1.0])
 
@@ -222,28 +225,67 @@ class TestMonodromy:
             return (-1j * h @ flat.reshape(2, 2)).ravel()
 
         state, t = np.eye(2, dtype=complex).ravel(), 0.0
-        for k in (500, 1000, 2000):
+        for k in np.searchsorted(ts, ts[-1] * np.array([0.25, 0.5, 1.0])):
             sol = solve_ivp(rhs, (t, ts[k]), state, method="DOP853", rtol=1e-13, atol=1e-15)
             assert sol.success, sol.message
             state, t = sol.y[:, -1], ts[k]
-            assert np.max(np.abs(us[k] - state.reshape(2, 2))) < 5e-10
+            assert np.max(np.abs(us[k] - state.reshape(2, 2))) < 3.5e-10
 
-    def test_strong_drive_refuses_or_agrees(self):
-        # a step too coarse for the drive leaves a unitarity defect that
-        # the single projection cannot hide: the oracle raises rather than
-        # return a gap off by more than twice its worst measured 1.61e-6
+    def test_strong_drive_agrees_with_chain(self):
+        # with the step sized by the drive every point returns, within
+        # twice the worst measured 4.10e-10 (at A = 100, omega = 1)
         for w, a in itertools.product((0.3, 0.7, 1.0), (10.0, 20.0, 30.0, 50.0, 100.0)):
             p = ModelParams(omega0=1.0, amplitude=a, omega=w)
-            try:
-                gap = monodromy_gap(p)
-            except NonUnitaryError:
-                assert a > 10.0, "the A = 10 points must return a gap"
-                continue
-            assert abs(gap - branch_gap(p)) < 3.3e-6
+            assert abs(monodromy_gap(p) - branch_gap(p)) < 8.2e-10
 
-    def test_step_floor_enforced(self):
-        with pytest.raises(ValueError):
-            propagator_samples(ModelParams(omega0=1.0, amplitude=1.0, omega=1.0), steps_per_period=500)
+    def test_coarse_step_raises(self, monkeypatch):
+        # 2000 steps at A = 100, omega = 0.3 (the rule takes 100,000)
+        # leave a defect the projection cannot hide
+        monkeypatch.setattr(floquet, "period_steps", lambda params: 2000)
+        with pytest.raises(NonUnitaryError):
+            monodromy_gap(ModelParams(omega0=1.0, amplitude=100.0, omega=0.3))
+
+
+class TestPeriodSteps:
+    @pytest.mark.parametrize(
+        "amp, omega, steps",
+        [
+            (0.1, 1.0, 2000),
+            (8.0, 2.0, 2000),
+            (10.0, 1.0, 3000),
+            (10.0, 0.7, 4286),
+            (0.1, 0.1, 3000),  # omega0 h, not A h, sets the step here
+            (100.0, 0.3, 100000),
+        ],
+    )
+    def test_rule(self, amp, omega, steps):
+        assert floquet.period_steps(ModelParams(omega0=1.0, amplitude=amp, omega=omega)) == steps
+
+    @pytest.mark.parametrize(
+        "oracle", [propagator_samples, monodromy_gap, periodic_steady_state]
+    )
+    def test_oversized_map_refused_before_allocating(self, monkeypatch, oracle):
+        # A = 1000 at omega = 0.1 would need 3e6 steps, over the 2**17 cap
+        def refuse(*args, **kwargs):
+            raise AssertionError("the period map was allocated")
+
+        monkeypatch.setattr(np, "arange", refuse)
+        with pytest.raises(DomainError, match="above the cap"):
+            oracle(ModelParams(omega0=1.0, amplitude=1000.0, omega=0.1, kappa=2e-3))
+
+    @pytest.mark.parametrize(
+        "amp, omega", [(0.1, 0.15), (4.0, 1.0), (21.0, 3.0), (50.0, 5.0), (100.0, 10.0)]
+    )
+    def test_converged_against_eight_times_the_steps(self, monkeypatch, amp, omega):
+        # README's bounds from omega in [0.1, 10] x A in [0.1, 1000]:
+        # P-bar within 2.2e-8 (kappa = 2e-3; worst 2.14e-8 at A = 100,
+        # omega = 10) and the monodromy gap within 7.4e-10
+        p = ModelParams(omega0=1.0, amplitude=amp, omega=omega, kappa=2e-3)
+        pbar, gap = periodic_steady_state(p), monodromy_gap(p)
+        rule = floquet.period_steps
+        monkeypatch.setattr(floquet, "period_steps", lambda params: 8 * rule(params))
+        assert abs(periodic_steady_state(p) - pbar) < 2.2e-8
+        assert abs(monodromy_gap(p) - gap) < 7.4e-10
 
 
 class TestPeriodMaps:

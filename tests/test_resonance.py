@@ -135,6 +135,31 @@ class TestFloquetNumeric:
         assert 0 < r.iterations <= 20
         assert r.residual < 1e-9
 
+    @pytest.mark.parametrize("omega0", [1e-6, 0.3, 7.0, 1e3])
+    @pytest.mark.parametrize("a", [1e-6, 1e-3, 1.0, 6.0])
+    def test_solved_in_units_of_omega0(self, omega0, a):
+        # the same root and the same evaluations as at omega0 = 1, scaled;
+        # with an absolute stop, omega0 = 1e3 at A = 1 took 16 evaluations
+        # and omega0 = 1e-6 returned 0 at A = 1e-12
+        amp = a * omega0
+        got, unit = bs_floquet_numeric(omega0, amp), bs_floquet_numeric(1.0, amp / omega0)
+        assert got.shift == omega0 * unit.shift
+        assert got.iterations == unit.iterations
+
+    @pytest.mark.parametrize("omega0", [1e-6, 0.3, 1.0, 7.0, 1e3])
+    def test_weak_drive_floor(self, omega0):
+        # below A = 1e-8 omega0 the shift is under the solver's stop and the
+        # route refuses; above it the worst error against the series on a
+        # 661-point grid of A/omega0 in [1e-14, 1e-3] was 2.3e-7 relative
+        for a in np.geomspace(1e-14, 1e-3, 45):
+            amp = float(a) * omega0
+            if amp / omega0 < 1e-8:
+                with pytest.raises(DomainError, match="unresolved at"):
+                    bs_floquet_numeric(omega0, amp)
+                continue
+            want = bs_perturbative6(omega0, amp).shift
+            assert bs_floquet_numeric(omega0, amp).shift == pytest.approx(want, rel=4.7e-7, abs=0.0)
+
 
 class TestShirley:
     @pytest.mark.parametrize("a, want", [(a, sh) for a, _, _, sh, _ in SHIFT_TABLE])
@@ -297,6 +322,11 @@ class TestTrivialAndDispatch:
                 route(1.0, 1e52)
         for route in (bs_floquet_numeric, bs_chrw, bs_asymptotic):
             assert route(1.0, 1e52).shift == pytest.approx(1e52 / first_bessel_j0_zero() - 1.0)
+
+    def test_non_finite_shift_raises_domain_error(self):
+        # 35 x**6 overflows to inf without raising while x**6 is finite
+        with pytest.raises(DomainError, match="float overflow at A=9.5e\\+51"):
+            bs_perturbative6(1.0, 9.5e51)
 
     def test_bracket_tolerance_never_underflows(self):
         # below A ~ 1e-292 the bracket-scaled abs_tol underflows to 0, which
