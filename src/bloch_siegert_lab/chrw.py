@@ -33,6 +33,12 @@ class FrameMode(enum.Enum):
 class ModelParams:
     """Model inputs in units of omega0 (any consistent unit system works).
 
+    Every output in units of omega0 (shifts, frames, populations, spectra,
+    quasienergies) stays within 1.2e-13 relative of its value at omega0 = 1
+    for omega0 from 1e-12 to 1e15; the five shift routes do so within
+    1.4e-14 at 1e-200 and 1e200 as well, and at A = 6 omega0 from 1e-300
+    to 1e300 (tests/test_scale_invariance.py).
+
     omega0: level splitting, > 0
     amplitude: drive amplitude A, >= 0
     omega: drive frequency, > 0
@@ -85,8 +91,11 @@ class ChrwFrame:
 
 
 def xi_fixed_point_residual(params: ModelParams, xi: float) -> float:
-    """Residual omega0*J1(A xi/omega) - (A/2)(1 - xi) of the xi equation."""
-    return params.omega0 * float(j1(params.amplitude * xi / params.omega)) - 0.5 * params.amplitude * (1.0 - xi)
+    """Residual J1(A xi/omega) - (A/2 omega0)(1 - xi) of the xi equation,
+    in units of omega0, so that solve_xi's stop |f| <= abs_tol does not
+    depend on the unit of frequency."""
+    a = params.amplitude
+    return float(j1(a * xi / params.omega)) - 0.5 * (a / params.omega0) * (1.0 - xi)
 
 
 # grid samples solve_xi takes one by one before it scans the rest as an array
@@ -123,10 +132,10 @@ def solve_xi(params: ModelParams, tol: Tolerance = DEFAULT_TOL) -> float:
     # J1(A xi / omega) oscillates in xi with period 2*pi*omega/A; sample it
     # on the grid np.linspace(0, 1, n + 1), k*(1/n) with the last point 1.0,
     # well enough that the first upward crossing cannot be stepped over.
-    # The residual starts at -A/2, so the first non-negative sample closes
-    # the bracket.  No root lies below xi* = omega/(omega + omega0): there
-    # |J1(x)| <= x/2 bounds the residual by (A/2)(xi/xi* - 1) < 0.  Nor
-    # below 1 - 2 max|J1| omega0/A, where the line alone outweighs omega0 J1;
+    # The residual starts at -A/2 omega0, so the first non-negative sample
+    # closes the bracket.  No root lies below xi* = omega/(omega + omega0):
+    # there |J1(x)| <= x/2 bounds the residual by (A/2 omega0)(xi/xi* - 1)
+    # < 0.  Nor below 1 - 2 max|J1| omega0/A, where the line alone outweighs J1;
     # past A = 2 max|J1| (omega + omega0) that bound is the higher.  The scan
     # starts one step below floor(n * bound) for the larger bound, a margin
     # of order A/n.  It uses j1, as the residual does, so an array sample is
@@ -157,7 +166,7 @@ def solve_xi(params: ModelParams, tol: Tolerance = DEFAULT_TOL) -> float:
             )
         tail = np.arange(head, n + 1) * step
         tail[-1] = 1.0
-        values = w0 * j1(a * tail / w) - 0.5 * a * (1.0 - tail)
+        values = j1(a * tail / w) - 0.5 * (a / w0) * (1.0 - tail)
         j = int(np.argmax(values >= 0.0))
         if values[j] < 0.0:
             raise NoSignChangeError(

@@ -283,8 +283,10 @@ def steady_state(rate_set: RateSet, rabi_tilde: float) -> SteadyState:
     gz = rate_set.gamma_z
     r2 = rabi_tilde * rabi_tilde
     denom = 4.0 * g1 * g1 * (gm - gp) + (r2 - gm * gm + gp * gp) * gz
-    scale = abs(gz) * max(r2, 1.0)
-    if abs(denom) <= 1e-300 or abs(denom) < 1e-14 * scale:
+    # the size of denom's terms, in its own units, so the test is unit-free
+    m1, mm, mp = abs(g1), abs(gm), abs(gp)
+    scale = 4.0 * m1 * m1 * (mm + mp) + (r2 + mm * mm + mp * mp) * abs(gz)
+    if not abs(denom) > 1e-14 * scale:
         raise DegenerateInputError(
             "steady-state denominator vanished; dressed relaxation does not "
             "single out a fixed point at these rates"

@@ -33,9 +33,5 @@ class PoleError(BslError):
     """A Laplace-domain evaluation landed on a pole of the response."""
 
 
-class TruncationWarning(UserWarning):
-    """A truncation order is too small for the requested accuracy."""
-
-
 class ValidityWarning(UserWarning):
     """Parameters are outside the regime where an approximation is controlled."""

@@ -17,9 +17,8 @@ prefix products of _period_maps with period_steps(params) steps.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dstebz, dstein
@@ -30,7 +29,6 @@ from .errors import (
     DegenerateInputError,
     DomainError,
     NonUnitaryError,
-    TruncationWarning,
 )
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -70,27 +68,19 @@ def _chain_layout(n_trunc: int) -> tuple[np.ndarray, int]:
     return base, up
 
 
-def build_floquet_matrix(params: ModelParams, n_trunc: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of the parity chain, 2*n_trunc + 1 sites.
+def build_floquet_matrix(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the parity chain, 2N + 1 sites with
+    N = default_truncation(params).
 
     The Floquet matrix in the basis |gamma, l> has diagonal
     (omega0/2) sigma_z + l*omega and couples |up,l> only to |down,l+-1>
-    with A/4, so the sites |up, even l>, |down, odd l> (l in [-n_trunc,
-    n_trunc]) form an exact tridiagonal block; the other parity chain has
-    the negated spectrum.  With the diagonal shifted by -omega0/2 it reads
-    l*omega on up sites and (l-1)*omega + s on down sites, s = omega -
-    omega0, so the resonant pair |up,0>, |down,1> is detuned by exactly s.
+    with A/4, so the sites |up, even l>, |down, odd l> (l in [-N, N]) form
+    an exact tridiagonal block; the other parity chain has the negated
+    spectrum.  With the diagonal shifted by -omega0/2 it reads l*omega on
+    up sites and (l-1)*omega + s on down sites, s = omega - omega0, so the
+    resonant pair |up,0>, |down,1> is detuned by exactly s.
     """
-    if n_trunc < 0:
-        raise ValueError(f"truncation must be >= 0, got {n_trunc}")
-    needed = default_truncation(params)
-    if n_trunc < needed and params.amplitude > 0.0:
-        warnings.warn(
-            f"Floquet truncation N={n_trunc} below A/omega + 10 = {needed}; "
-            "quasienergies may not be converged",
-            TruncationWarning,
-            stacklevel=2,
-        )
+    n_trunc = default_truncation(params)
     base, up = _chain_layout(n_trunc)
     diag = base * params.omega
     diag[1 - up :: 2] += params.omega - params.omega0
@@ -128,20 +118,17 @@ class FloquetSolution:
         return circle_gap(self.quasienergy, -self.quasienergy, self.params.omega)
 
 
-def solve_floquet(params: ModelParams, n_trunc: Optional[int] = None) -> FloquetSolution:
-    """Eigenpair n_trunc of the parity chain: quasienergy and its slope.
+def solve_floquet(params: ModelParams) -> FloquetSolution:
+    """Eigenpair N of the parity chain of build_floquet_matrix: the
+    quasienergy and its slope.
 
     A tridiagonal matrix with nonzero off-diagonals has no crossings, so
-    eigenvalue n_trunc is always the lower member of the resonant pair and
-    needs no tracking.  At n_trunc = 0 the chain is the single site |up,0>.
+    eigenvalue N is always the lower member of the resonant pair and needs
+    no tracking.
     """
-    if n_trunc is None:
-        n_trunc = default_truncation(params)
-    diag, off = build_floquet_matrix(params, n_trunc)
-    if n_trunc == 0:
-        e, vec = float(diag[0]), np.ones(1)
-    else:
-        e, vec = _chain_eigenpair(diag, off, n_trunc)
+    diag, off = build_floquet_matrix(params)
+    n_trunc = len(off) // 2
+    e, vec = _chain_eigenpair(diag, off, n_trunc)
     v = vec[n_trunc % 2 :: 2]
     return FloquetSolution(
         params=params,
@@ -169,16 +156,16 @@ def _chain_eigenpair(diag: np.ndarray, off: np.ndarray, index: int) -> tuple[flo
     return float(w[0]), vecs[:, 0]
 
 
-def _chain_slope_fn(omega0: float, amplitude: float, n_trunc: int) -> Callable[[float], float]:
-    """solve_floquet's dq/domega0 on a chain of n_trunc >= 1 as a function
-    of the shift s = omega - omega0, which changes sign at resonance.  The
-    parts that do not depend on s are built once; a LAPACK failure raises
-    ConvergenceError."""
+def _chain_slope_fn(a: float, n_trunc: int) -> Callable[[float], float]:
+    """solve_floquet's dq/domega0 on a chain of n_trunc >= 1 at A = a, in
+    units of omega0, as a function of the shift s = omega - 1, which
+    changes sign at resonance.  The parts that do not depend on s are built
+    once; a LAPACK failure raises ConvergenceError."""
     base, up = _chain_layout(n_trunc)
-    off = np.full(2 * n_trunc, 0.25 * amplitude)
+    off = np.full(2 * n_trunc, 0.25 * a)
 
     def slope(s: float) -> float:
-        diag = base * (omega0 + s)
+        diag = base * (1.0 + s)
         diag[1 - up :: 2] += s
         _, vec = _chain_eigenpair(diag, off, n_trunc)
         v = vec[up::2]

@@ -15,8 +15,9 @@ time-averaged transition probability at fixed drive amplitude.  Routes:
 
 All five agree on the leading (A/4)^2/omega0 behaviour; they differ in
 range of validity, which is the point of keeping all of them.  All five
-reject bad inputs with ValueError and give the zero shift at A = 0 in one
-place; chrw, floquet and shirley share one memoised Brent driver.
+reject bad inputs with ValueError, give the zero shift at A = 0 and are
+solved in units of omega0, as functions of A/omega0 alone, in one place
+(_shift_route); chrw, floquet and shirley share one memoised Brent driver.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ class ShiftResult:
     (~1e-6 omega0) to the ulp of omega0 on the round trip.  iterations
     counts the distinct points at which the method evaluated its function,
     each evaluated once; pert6 and asymptotic evaluate none.  The three
-    root-found methods take residual from the value at the root at no cost.
+    root-found methods take residual from the value at the root at no cost;
+    like the root, it is in units of omega0.
     """
 
     method: Method
@@ -73,17 +75,18 @@ class ShiftResult:
         return self.omega0 + self.shift
 
 
-# tight scalar tolerances: the roots are smooth and cheap, so run the
-# bracketing solver to machine width.  The floquet root in the shift
-# variable also stops once |slope| <= abs_tol; without that stop its root
-# at A = 1e-3 takes 14 evaluations instead of 6.  The chrw root in
-# t = A/z - 2 omega0 and the shirley root in the shift keep rel_tol but
-# scale abs_tol with their bracket (_relative_tol): at the chrw root t lies
-# between s/2 and s, so the relative rule alone gives the shift to 1e-14
-# from A = 1e-9 omega0 up, where the root is 3e-11 of the bracket, far
-# above that floor.  A fixed |f| stop would not do: the chrw residual is of
-# order A^2 everywhere on the bracket, and |f| <= 1e-18 leaves the shirley
-# shift 3.2e-11 off at omega0 = 0.3, A = 3.8e-4.
+# tight scalar tolerances, in units of omega0 like every route body: the
+# roots are smooth and cheap, so run the bracketing solver to machine
+# width.  The floquet root in the shift variable also stops once |slope|
+# <= abs_tol; without that stop its root at a = 1e-3 takes 14 evaluations
+# instead of 6.  The chrw root in t = a/z - 2 and the shirley root in the
+# shift keep rel_tol but scale abs_tol with their bracket (_relative_tol):
+# at the chrw root t lies between s/2 and s, so the relative rule alone
+# gives the shift to 1e-14 from a = 1e-9 up, where the root is 3e-11 of the
+# bracket, far above that floor.  A fixed |f| stop would not do: the chrw
+# residual is of order a^2 everywhere on the bracket, and |f| <= 1e-18
+# leaves the shirley shift up to 1.5e-11 off (at a = 9.9e-4, of 400
+# points on [1e-6, 0.1]).
 _SHIFT_TOL = Tolerance(abs_tol=1e-18, rel_tol=1e-14, max_iter=300)
 _BRACKET_ABS_SCALE = math.ulp(1.0) ** 2
 _XI_TOL = Tolerance(abs_tol=1e-22, rel_tol=2e-16, max_iter=200)
@@ -119,116 +122,120 @@ def _bracketed_root(
 def _shift_route(method: Method):
     """Decorator: the public ShiftResult function of method around a body.
 
-    Bad inputs raise ValueError here and A = 0 is the zero shift, so the
-    body sees finite omega0 > 0 and A > 0 only.  It returns its closed-form
-    shift or the (shift, residual, iterations) of _bracketed_root.  A float
-    power that overflows in the body (pert6 and shirley past A ~ 1e51
-    omega0) or a non-finite shift raises DomainError.
+    Bad inputs raise ValueError here and A = 0 is the zero shift.  The
+    body works in units of omega0: it takes a = A/omega0 and returns its
+    closed-form shift/omega0 or the (shift/omega0, residual, iterations)
+    of _bracketed_root, and the shift is multiplied back by omega0 here.
+    At omega0 = 1 both scalings are exact.  An a that overflows to inf or
+    underflows to 0, a float power that overflows in the body (pert6 and
+    shirley past a ~ 1e51) or a non-finite shift raises DomainError.
     """
 
     def decorate(body):
-        @functools.wraps(body)
         def route(omega0: float, amplitude: float) -> ShiftResult:
             if not (math.isfinite(omega0) and omega0 > 0.0):
                 raise ValueError(f"omega0 must be positive and finite, got {omega0}")
             if not (math.isfinite(amplitude) and amplitude >= 0.0):
                 raise ValueError(f"amplitude must be non-negative and finite, got {amplitude}")
+            if amplitude == 0.0:
+                return ShiftResult(method, omega0, amplitude, 0.0, 0.0, 0)
+            a = amplitude / omega0
+            if not (math.isfinite(a) and a > 0.0):
+                raise DomainError(f"A/omega0 = {amplitude:g}/{omega0:g} leaves the float range")
             try:
-                found = 0.0 if amplitude == 0.0 else body(omega0, amplitude)
+                found = body(a)
             except OverflowError as exc:
                 raise DomainError(f"float overflow at A={amplitude:g}") from exc
             shift, residual, iterations = found if isinstance(found, tuple) else (found, 0.0, 0)
+            shift *= omega0
             if not math.isfinite(shift):
                 raise DomainError(f"float overflow at A={amplitude:g}: shift {shift}")
             return ShiftResult(method, omega0, amplitude, shift, residual, iterations)
 
+        # the name and docstring of the body, but the signature of route
+        route.__name__, route.__qualname__ = body.__name__, body.__qualname__
+        route.__doc__ = body.__doc__
         return route
 
     return decorate
 
 
-def _shift_bracket(omega0: float, amplitude: float) -> tuple[float, float]:
-    # s = omega - omega0 runs from just below the strong-drive asymptote
-    # (never below the bare resonance) up to A
-    return max(0.0, 0.9 * amplitude / first_bessel_j0_zero() - omega0), amplitude
+def _shift_bracket(a: float) -> tuple[float, float]:
+    # s = omega - 1 runs from just below the strong-drive asymptote (never
+    # below the bare resonance) up to a
+    return max(0.0, 0.9 * a / first_bessel_j0_zero() - 1.0), a
 
 
-def _chrw_stationarity(omega0: float, amplitude: float) -> Callable[[float], tuple[float, float]]:
-    """Residual of d(Rabi^2)/d omega0 = 0 and the shift s = omega - omega0,
-    both as functions of t = A/z - 2 omega0.
+def _chrw_stationarity(a: float) -> Callable[[float], tuple[float, float]]:
+    """Residual of d(Rabi^2)/d omega0 = 0 and the shift s = omega - 1,
+    both as functions of t = a/z - 2, in units of omega0.
 
-    z = A xi/omega parametrises the xi fixed point: with 2 J1 = z (J0 + J2)
-    it reads omega = A/z - omega0 (J0 + J2), so an evaluation needs no xi
-    solve.  Taking t as the variable leaves z = A/(2 omega0 + t), the shift
-    s = t - omega0 ((J0 - 1) + J2) and the detuning (J0 - 1) omega0 - s free
-    of subtractive error, so the root is resolved to machine precision even
-    at A = 1e-9 omega0, where the shift is ~6e-20 omega0.  J1 comes from
-    Cephes j1, as in the xi equation.  Every point must lie on the fixed
-    point's first-root branch, where omega + omega0 (J0 - J2) > 0 and omega
-    falls as z grows; DomainError otherwise.
+    z = a xi/omega parametrises the xi fixed point: with 2 J1 = z (J0 + J2)
+    it reads omega = a/z - (J0 + J2), so an evaluation needs no xi solve.
+    Taking t as the variable leaves z = a/(2 + t), the shift
+    s = t - ((J0 - 1) + J2) and the detuning (J0 - 1) - s free of
+    subtractive error, so the root is resolved to machine precision even at
+    a = 1e-9, where the shift is ~6e-20.  J1 comes from Cephes j1, as in
+    the xi equation.  Every point must lie on the fixed point's first-root
+    branch, where omega + (J0 - J2) > 0 and omega falls as z grows;
+    DomainError otherwise.
     """
 
     def f(t: float) -> tuple[float, float]:
-        z = amplitude / (2.0 * omega0 + t)
+        z = a / (2.0 + t)
         j0m1 = bessel_j0_minus_1(z)
         j0 = 1.0 + j0m1
         j1 = float(bessel_j1(z))
         j2 = bessel_j(2, z)
-        s = t - omega0 * (j0m1 + j2)
-        omega = omega0 + s
-        slope = omega + omega0 * (j0 - j2)
+        s = t - (j0m1 + j2)
+        omega = 1.0 + s
+        slope = omega + (j0 - j2)
         if not slope > 0.0:
             raise DomainError(
                 f"xi fixed point left its first-root branch at z={z:.6g}, omega={omega:.6g}"
             )
-        xi = z * omega / amplitude
-        delta = j0m1 * omega0 - s
-        dxi = -2.0 * omega * j1 / (amplitude * slope)
-        ddelta = j0 - omega0 * (amplitude / omega) * j1 * dxi
-        return 2.0 * delta * ddelta - 2.0 * amplitude * amplitude * (1.0 - xi) * dxi, s
+        xi = z * omega / a
+        delta = j0m1 - s
+        dxi = -2.0 * omega * j1 / (a * slope)
+        ddelta = j0 - (a / omega) * j1 * dxi
+        return 2.0 * delta * ddelta - 2.0 * a * a * (1.0 - xi) * dxi, s
 
     return f
 
 
-def _chrw_bracket(omega0: float, amplitude: float) -> tuple[float, float]:
-    """Bracket [t_lo, t_hi] of the chrw root in t = A/z - 2 omega0.
+def _chrw_bracket(a: float) -> tuple[float, float]:
+    """Bracket [t_lo, t_hi] of the chrw root in t = a/z - 2.
 
-    t_hi = A is explicit: J1(z) <= z/2 gives s >= t, so the shift there is
-    at or above A, the top of the shift bracket.  t_lo is the point at the
+    t_hi = a is explicit: J1(z) <= z/2 gives s >= t, so the shift there is
+    at or above a, the top of the shift bracket.  t_lo is the point at the
     bottom of the shift bracket, from one xi solve.
     """
-    s_lo, _ = _shift_bracket(omega0, amplitude)
-    params = ModelParams(omega0=omega0, amplitude=amplitude, omega=omega0 + s_lo)
-    z = amplitude * solve_xi(params, tol=_XI_TOL) / params.omega
-    return s_lo + omega0 * (bessel_j0_minus_1(z) + bessel_j(2, z)), amplitude
+    s_lo, _ = _shift_bracket(a)
+    params = ModelParams(omega0=1.0, amplitude=a, omega=1.0 + s_lo)
+    z = a * solve_xi(params, tol=_XI_TOL) / params.omega
+    return s_lo + (bessel_j0_minus_1(z) + bessel_j(2, z)), a
 
 
 @_shift_route(Method.CHRW)
-def bs_chrw(omega0: float, amplitude: float) -> tuple[float, float, int]:
+def bs_chrw(a: float) -> tuple[float, float, int]:
     """Resonance from the counter-rotating hybridized rotating frame.
 
     The stationarity residual changes sign on the t bracket from the
     weakest to the strongest drive, so it is one Brent root there.
     """
-    t_lo, t_hi = _chrw_bracket(omega0, amplitude)
-    return _bracketed_root(
-        _chrw_stationarity(omega0, amplitude), t_lo, t_hi, _relative_tol(t_lo, t_hi)
-    )
+    t_lo, t_hi = _chrw_bracket(a)
+    return _bracketed_root(_chrw_stationarity(a), t_lo, t_hi, _relative_tol(t_lo, t_hi))
 
 
 @_shift_route(Method.PERT6)
-def bs_perturbative6(omega0: float, amplitude: float) -> float:
+def bs_perturbative6(a: float) -> float:
     """Sixth-order weak-drive series for the resonance frequency."""
-    x = 0.25 * amplitude
-    return (
-        x * x / omega0
-        + x**4 / (4.0 * omega0**3)
-        - 35.0 * x**6 / (32.0 * omega0**5)
-    )
+    x = 0.25 * a
+    return x * x + x**4 / 4.0 - 35.0 * x**6 / 32.0
 
 
 @_shift_route(Method.ASYMPTOTIC)
-def bs_asymptotic(omega0: float, amplitude: float) -> float:
+def bs_asymptotic(a: float) -> float:
     """Strong-drive limit: the resonance tracks the first zero of J0.
 
     omega_res = A / j01 holds on the strong-drive branch only.  A shift
@@ -236,70 +243,61 @@ def bs_asymptotic(omega0: float, amplitude: float) -> float:
     resonance at or below omega0; `bsl shift-table` and `bsl shift-sweep`
     leave such cells blank.
     """
-    return amplitude / first_bessel_j0_zero() - omega0
+    return a / first_bessel_j0_zero() - 1.0
 
 
-def _shirley_shift_rhs(omega0: float, amplitude: float, shift: float) -> float:
-    """Right-hand side of the crossing condition minus omega0, at
-    omega = omega0 + shift; its fixed point is the shift itself."""
-    omega = omega0 + shift
-    a2 = amplitude * amplitude
-    s = omega + omega0
+def _shirley_shift_rhs(a: float, shift: float) -> float:
+    """Right-hand side of the crossing condition minus 1, at omega =
+    1 + shift, in units of omega0; its fixed point is the shift itself."""
+    omega = 1.0 + shift
+    a2 = a * a
+    s = omega + 1.0
     term2 = omega * a2 / (4.0 * s * s)
-    term4 = (2.0 * omega0 - omega) * a2 * a2 / (64.0 * s**4)
+    term4 = (2.0 - omega) * a2 * a2 / (64.0 * s**4)
     poly = (
-        9.0 * omega**5
-        - 126.0 * omega**4 * omega0
-        + 82.0 * omega**3 * omega0**2
-        + 42.0 * omega**2 * omega0**3
-        - 23.0 * omega * omega0**4
-        - 8.0 * omega0**5
+        9.0 * omega**5 - 126.0 * omega**4 + 82.0 * omega**3 + 42.0 * omega**2 - 23.0 * omega - 8.0
     )
-    term6 = poly * a2**3 / (256.0 * s**6 * (9.0 * omega * omega - omega0 * omega0) ** 2)
+    term6 = poly * a2**3 / (256.0 * s**6 * (9.0 * omega * omega - 1.0) ** 2)
     return term2 + term4 + term6
 
 
 @_shift_route(Method.SHIRLEY)
-def bs_shirley_iterative(omega0: float, amplitude: float) -> tuple[float, float, int]:
+def bs_shirley_iterative(a: float) -> tuple[float, float, int]:
     """Self-consistent solution of the sixth-order crossing condition.
 
-    The shift s = omega - omega0 solves s = rhs(s), the crossing condition
-    of _shirley_shift_rhs, so it is one Brent root of rhs(s) - s on the
-    shift bracket.  The map's only pole, at omega = omega0/3, lies below
-    the bracket, where omega >= omega0.  Working in the shift rather than
-    omega keeps a weak drive's shift (~A^2/16) off the ulp of omega0, and
-    the stop is relative to the shift, as for chrw.
+    The shift s = omega - 1 solves s = rhs(s), the crossing condition of
+    _shirley_shift_rhs, so it is one Brent root of rhs(s) - s on the
+    shift bracket.  The map's only pole, at omega = 1/3, lies below the
+    bracket, where omega >= 1.  Working in the shift rather than omega
+    keeps a weak drive's shift (~a^2/16) off the ulp of 1, and the stop is
+    relative to the shift, as for chrw.
     """
-    s_lo, s_hi = _shift_bracket(omega0, amplitude)
+    s_lo, s_hi = _shift_bracket(a)
 
     def defect(shift: float) -> tuple[float, float]:
-        return _shirley_shift_rhs(omega0, amplitude, shift) - shift, shift
+        return _shirley_shift_rhs(a, shift) - shift, shift
 
     return _bracketed_root(defect, s_lo, s_hi, _relative_tol(s_lo, s_hi))
 
 
 @_shift_route(Method.FLOQUET)
-def bs_floquet_numeric(omega0: float, amplitude: float) -> tuple[float, float, int]:
+def bs_floquet_numeric(a: float) -> tuple[float, float, int]:
     """Resonance from the Floquet spectrum: the root of dq/domega0.
 
     At resonance the resonant quasienergy branch is stationary in omega0.
     Its slope, taken from eigenvector weights on one parity chain of the
-    Floquet matrix, changes sign there, so the shift s = omega - omega0 is
-    one Brent root on the shift bracket, with the truncation frozen at its
-    lower end so the slope stays smooth.  The chain's eigenvectors do not
-    change when omega0, A and omega scale together, so the root is found at
-    omega0 = 1 and scaled back, and the stop is relative to omega0.  Below
-    A = 1e-8 omega0 (_FLOQUET_MIN_A) the shift (A/4)^2 nears that stop,
-    which returns 0 from 1.8e-9 down, so DomainError is raised there.
+    Floquet matrix, changes sign there, so the shift s = omega - 1 is one
+    Brent root on the shift bracket, with the truncation frozen at its
+    lower end so the slope stays smooth.  Below a = 1e-8 (_FLOQUET_MIN_A)
+    the shift (a/4)^2 nears the stop, which returns 0 from 1.8e-9 down, so
+    DomainError is raised there.
     """
-    a = amplitude / omega0
     if a < _FLOQUET_MIN_A:
         raise DomainError(f"Floquet shift unresolved at A/omega0={a:.3g} < {_FLOQUET_MIN_A:g}")
-    s_lo, s_hi = _shift_bracket(1.0, a)
+    s_lo, s_hi = _shift_bracket(a)
     bottom = ModelParams(omega0=1.0, amplitude=a, omega=1.0 + s_lo)
-    slope = _chain_slope_fn(1.0, a, default_truncation(bottom))
-    shift, residual, iterations = _bracketed_root(lambda s: (slope(s), s), s_lo, s_hi, _SHIFT_TOL)
-    return omega0 * shift, residual, iterations
+    slope = _chain_slope_fn(a, default_truncation(bottom))
+    return _bracketed_root(lambda s: (slope(s), s), s_lo, s_hi, _SHIFT_TOL)
 
 
 _DISPATCH = {

@@ -112,8 +112,9 @@ def test_criterion_05_floquet_self_consistency():
         params = ModelParams(omega0=1.0, amplitude=amp, omega=w)
         base = solve_floquet(params)
         h = 1e-5
-        up = solve_floquet(dataclasses.replace(params, omega0=1.0 + h), n_trunc=base.n_trunc)
-        dn = solve_floquet(dataclasses.replace(params, omega0=1.0 - h), n_trunc=base.n_trunc)
+        up = solve_floquet(dataclasses.replace(params, omega0=1.0 + h))
+        dn = solve_floquet(dataclasses.replace(params, omega0=1.0 - h))
+        assert up.n_trunc == dn.n_trunc == base.n_trunc
         fd = (up.quasienergy - dn.quasienergy) / (2.0 * h)
         worst_hf = max(worst_hf, abs(base.dq_domega0 - fd))
     assert worst_hf < 1e-6

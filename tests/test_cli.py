@@ -327,7 +327,7 @@ class TestValidate:
         # a chain cut far below A/omega + 10 must fail floquet-convergence;
         # the resonance routes keep their own reference to the rule, so
         # table-regression still passes
-        for n in (0, 2):
+        for n in (1, 2):
             monkeypatch.setattr(floquet, "default_truncation", lambda params, n=n: n)
             code, out = _run(capsys, ["validate", "--quick"])
             assert code == 1

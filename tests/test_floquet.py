@@ -9,7 +9,6 @@ chain is also checked against the full extended-zone matrix, built here.
 import dataclasses
 import itertools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +24,6 @@ from bloch_siegert_lab.errors import (
     DegenerateInputError,
     DomainError,
     NonUnitaryError,
-    TruncationWarning,
 )
 from bloch_siegert_lab.floquet import (
     branch_gap,
@@ -79,34 +77,16 @@ class TestZoneFolding:
 
 
 class TestMatrixStructure:
-    def test_minimal_block_is_diagonal(self):
-        # with no photon sidebands there is nothing for the drive to couple:
-        # the drive enters only through the l -> l +- 1 couplings, and the
-        # chain is the single site |up, 0> at 0 (diagonal shifted by -omega0/2)
-        p = ModelParams(omega0=1.0, amplitude=1.0, omega=1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            diag, off = build_floquet_matrix(p, n_trunc=0)
-        np.testing.assert_array_equal(diag, [0.0])
-        assert off.shape == (0,)
-
     def test_one_sideband_structure(self):
-        # sites |down,-1>, |up,0>, |down,1>: l*omega - omega0/2 on down
-        # sites and l*omega + omega0/2 on up sites, all shifted by -omega0/2
+        # the chain has 2N + 1 sites, N = ceil(A/omega) + 10 = 11; its
+        # middle sites |down,-1>, |up,0>, |down,1> read l*omega - omega0/2
+        # on down sites and l*omega + omega0/2 on up sites, all shifted by
+        # -omega0/2
         p = ModelParams(omega0=0.8, amplitude=1.2, omega=1.5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            diag, off = build_floquet_matrix(p, n_trunc=1)
-        np.testing.assert_allclose(diag, [-2.3, 0.0, 0.7], atol=1e-15)
-        np.testing.assert_array_equal(off, [0.3, 0.3])  # A/4
-
-    def test_low_truncation_warns(self):
-        p = ModelParams(omega0=1.0, amplitude=20.0, omega=1.0)
-        with pytest.warns(TruncationWarning):
-            build_floquet_matrix(p, n_trunc=int(math.ceil(20.0)) + 9)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            build_floquet_matrix(p, n_trunc=int(math.ceil(20.0)) + 10)
+        diag, off = build_floquet_matrix(p)
+        assert diag.shape == (23,)
+        np.testing.assert_allclose(diag[10:13], [-2.3, 0.0, 0.7], atol=1e-15)
+        np.testing.assert_array_equal(off, np.full(22, 0.3))  # A/4
 
     def test_default_truncation_scales_with_drive(self):
         assert default_truncation(ModelParams(omega0=1.0, amplitude=0.1, omega=1.0)) == 11
@@ -118,13 +98,19 @@ class TestBrillouinReplication:
     @pytest.mark.parametrize("a_rel", [0.01, 1.0, 6.0, 21.0, 50.0])
     @pytest.mark.parametrize("omega0", [0.3, 1.0, 7.0])
     def test_truncation_convergence(self, omega0, a_rel, w_rel):
-        # the default chain against one 30 blocks longer; the worst over
-        # this grid is 5.4e-14 omega0 in q and 5.6e-16 in the slope
+        # the default chain against one 30 blocks longer, built here and
+        # solved by eigh_tridiagonal; the worst over this grid is 5.4e-14
+        # omega0 in q and 5.6e-16 in the slope
         p = ModelParams(omega0=omega0, amplitude=a_rel * omega0, omega=w_rel * omega0)
         a = solve_floquet(p)
-        b = solve_floquet(p, n_trunc=a.n_trunc + 30)
-        assert abs(a.quasienergy - b.quasienergy) <= 1e-13 * omega0
-        assert abs(a.dq_domega0 - b.dq_domega0) <= 1.1e-15
+        n = a.n_trunc + 30
+        ls = np.arange(-n, n + 1)
+        up = ls % 2 == 0
+        diag = np.where(up, ls * p.omega, (ls - 1) * p.omega + (p.omega - omega0))
+        off = np.full(2 * n, 0.25 * p.amplitude)
+        e, vec = eigh_tridiagonal(diag, off, select="i", select_range=(n, n))
+        assert abs(a.quasienergy - (e[0] + 0.5 * omega0)) <= 1e-13 * omega0
+        assert abs(a.dq_domega0 - (float(np.sum(vec[up, 0] ** 2)) - 0.5)) <= 1.1e-15
 
     @pytest.mark.parametrize("a_rel", [0.1, 1.0, 3.2, 6.0, 21.0, 100.0, 1000.0])
     @pytest.mark.parametrize("omega0", [0.3, 1.0, 7.0])
@@ -136,12 +122,12 @@ class TestBrillouinReplication:
         # 3.2 (rounding and the Brent stop), 1.1e-15 from there up
         amp = a_rel * omega0
         a = amp / omega0
-        lo, hi = resonance._shift_bracket(1.0, a)
+        lo, hi = resonance._shift_bracket(a)
         n = default_truncation(ModelParams(omega0=1.0, amplitude=a, omega=1.0 + lo))
         assert 2 * n + 1 <= 27
 
         def root(n_trunc):
-            slope = floquet._chain_slope_fn(1.0, a, n_trunc)
+            slope = floquet._chain_slope_fn(a, n_trunc)
             return omega0 * resonance._bracketed_root(
                 lambda s: (slope(s), s), lo, hi, resonance._SHIFT_TOL
             )[0]
@@ -325,13 +311,15 @@ class TestPeriodMaps:
 class TestHellmannFeynmanSlope:
     def test_matches_finite_difference(self):
         # dq/domega0 from eigenvector weights vs a centered difference of
-        # chain eigenvalue N, whose index is fixed, so nothing is tracked
+        # chain eigenvalue N, whose index is fixed, so nothing is tracked;
+        # N depends on A/omega only, so omega0 +- h keeps it
         h = 1e-6
         for a, w in [(0.5, 1.0), (3.5, 1.7), (8.0, 3.0)]:
             p = ModelParams(omega0=1.0, amplitude=a, omega=w)
             sol = solve_floquet(p)
-            up = solve_floquet(dataclasses.replace(p, omega0=1.0 + h), n_trunc=sol.n_trunc)
-            dn = solve_floquet(dataclasses.replace(p, omega0=1.0 - h), n_trunc=sol.n_trunc)
+            up = solve_floquet(dataclasses.replace(p, omega0=1.0 + h))
+            dn = solve_floquet(dataclasses.replace(p, omega0=1.0 - h))
+            assert up.n_trunc == dn.n_trunc == sol.n_trunc
             fd = (up.quasienergy - dn.quasienergy) / (2.0 * h)
             assert sol.dq_domega0 == pytest.approx(fd, abs=1e-6)
 
@@ -373,17 +361,6 @@ class TestChainIsBlockOfFloquetMatrix:
         assert np.min(np.abs(vals + sol.quasienergy)) < 1e-12
         assert branch_gap(p) == pytest.approx(gap, rel=0.0, abs=1e-12)
 
-    def test_zero_truncation(self):
-        # one site per chain: q = omega0/2 against the 2 x 2 matrix
-        p = ModelParams(omega0=1.0, amplitude=10.0, omega=1.0)
-        with pytest.warns(TruncationWarning):
-            sol = solve_floquet(p, n_trunc=0)
-        vals, gap, _ = _dense_solve(p, 0)
-        assert sol.quasienergy == 0.5
-        assert np.min(np.abs(vals - sol.quasienergy)) == 0.0
-        assert sol.dq_domega0 == 0.5
-        assert sol.gap == gap
-
     @pytest.mark.parametrize("w", [0.7, 1.3, 1.9])
     def test_undriven_limit(self, w):
         # A = 0: eigenvalue N is the lower bare site of the resonant pair,
@@ -407,15 +384,15 @@ class TestParityChain:
         # and solve_floquet read the same eigenpair
         p = ModelParams(omega0=1.0, amplitude=a, omega=w)
         n = default_truncation(p)
-        slope = floquet._chain_slope_fn(1.0, a, n)(w - 1.0)
+        slope = floquet._chain_slope_fn(a, n)(w - 1.0)
         assert abs(slope) == pytest.approx(abs(_dense_solve(p, n)[2]), abs=1e-12)
-        assert slope == pytest.approx(solve_floquet(p, n).dq_domega0, abs=1e-12)
+        assert slope == pytest.approx(solve_floquet(p).dq_domega0, abs=1e-12)
 
     def test_slope_changes_sign_at_resonance(self):
         # frozen Floquet shift at A = 6
         s_res = 1.6418085520328152
         n = default_truncation(ModelParams(omega0=1.0, amplitude=6.0, omega=1.0 + s_res))
-        slope = floquet._chain_slope_fn(1.0, 6.0, n)
+        slope = floquet._chain_slope_fn(6.0, n)
         assert slope(s_res - 1e-3) < 0.0 < slope(s_res + 1e-3)
         assert abs(slope(s_res)) < 1e-8
 
@@ -433,27 +410,7 @@ class TestParityChain:
         diag = np.where(up, ls * omega, (ls - 1) * omega + s)
         off = np.full(2 * n, 0.25 * a)
         _, vec = eigh_tridiagonal(diag, off, select="i", select_range=(n, n))
-        assert floquet._chain_slope_fn(1.0, a, n)(s) == float(np.sum(vec[up, 0] ** 2)) - 0.5
-
-    @pytest.mark.parametrize("a, s", [(0.0, 0.0), (0.5, 0.02), (6.0, 1.6)])
-    def test_single_site_chain(self, a, s):
-        # N = 0 leaves only the uncoupled site |up,0>: the bare level, with
-        # quasienergy omega0/2 and slope 1/2
-        p = ModelParams(omega0=1.0, amplitude=a, omega=1.0 + s)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            diag, off = build_floquet_matrix(p, 0)
-            sol = solve_floquet(p, n_trunc=0)
-        assert diag.tolist() == [0.0] and off.size == 0
-        assert sol.quasienergy == 0.5
-        assert sol.dq_domega0 == 0.5
-
-    def test_negative_truncation_rejected(self):
-        p = ModelParams(omega0=1.0, amplitude=6.0, omega=2.6)
-        with pytest.raises(ValueError, match="truncation must be >= 0, got -1"):
-            build_floquet_matrix(p, -1)
-        with pytest.raises(ValueError, match="truncation must be >= 0, got -1"):
-            solve_floquet(p, n_trunc=-1)
+        assert floquet._chain_slope_fn(a, n)(s) == float(np.sum(vec[up, 0] ** 2)) - 0.5
 
     @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
     def test_lapack_failure_raises_convergence_error(self, monkeypatch, routine):
@@ -465,7 +422,7 @@ class TestParityChain:
 
         monkeypatch.setattr(floquet, routine, failing)
         with pytest.raises(ConvergenceError, match=routine):
-            floquet._chain_slope_fn(1.0, 6.0, 25)(1.6)
+            floquet._chain_slope_fn(6.0, 25)(1.6)
 
 
 def _solve_ivp_population(params: ModelParams) -> float:

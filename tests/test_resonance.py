@@ -204,8 +204,8 @@ class TestEvaluationCounts:
         points, xi_calls, xi_calls_at_point = [], [], []
         stationarity, solve_xi = resonance._chrw_stationarity, resonance.solve_xi
 
-        def recording_stationarity(omega0, amplitude):
-            f = stationarity(omega0, amplitude)
+        def recording_stationarity(a):
+            f = stationarity(a)
 
             def g(t):
                 points.append(t)
@@ -251,9 +251,9 @@ class TestEvaluationCounts:
         points = []
         rhs = resonance._shirley_shift_rhs
 
-        def recording_rhs(omega0, amplitude, shift):
+        def recording_rhs(a, shift):
             points.append(shift)
-            return rhs(omega0, amplitude, shift)
+            return rhs(a, shift)
 
         monkeypatch.setattr(resonance, "_shirley_shift_rhs", recording_rhs)
         r = bs_shirley_iterative(1.0, a)
@@ -327,6 +327,14 @@ class TestTrivialAndDispatch:
         # 35 x**6 overflows to inf without raising while x**6 is finite
         with pytest.raises(DomainError, match="float overflow at A=9.5e\\+51"):
             bs_perturbative6(1.0, 9.5e51)
+
+    @pytest.mark.parametrize("omega0, amplitude", [(1e-300, 1e300), (1e300, 1e-300)])
+    def test_ratio_outside_float_range_raises_domain_error(self, omega0, amplitude):
+        # every route works on a = A/omega0; one that overflows to inf or
+        # underflows to 0 is refused before any body sees it
+        for route in resonance._DISPATCH.values():
+            with pytest.raises(DomainError, match="leaves the float range"):
+                route(omega0, amplitude)
 
     def test_bracket_tolerance_never_underflows(self):
         # below A ~ 1e-292 the bracket-scaled abs_tol underflows to 0, which
