@@ -2,9 +2,14 @@
 
 Every command writes one delimited text block (CSV by default, TSV on
 request) whose first line names the package version, the command, and the
-parameters, and states that all quantities are in units of omega0.  Inputs
-given with a different omega0 are rescaled internally so the outputs stay
-in those units.
+parameters, and states that all quantities are in units of omega0.
+
+The command line is parsed in one step: each flag's `type=` converter
+checks its value, and each subcommand binds its `cmd_*` function, which
+reads the parsed namespace and returns its text and exit code.  Defaults
+are in units of omega0; an amplitude, rate or frequency given on the
+command line is divided by `--omega0` in one place, after parsing, so
+`--omega0` alone changes only the header.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,37 +42,47 @@ _METHOD_ORDER = (
 )
 
 
-class ConfigError(ValueError):
-    """A flag value does not parse or make sense."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one command invocation needs, already validated and
-    rescaled to omega0 = 1 units."""
-
-    command: str
-    omega0: float = 1.0
-    amplitude: float = 0.1
-    amplitudes: Optional[np.ndarray] = None
-    omega: float = 1.0
-    omegas: Optional[np.ndarray] = None
-    kappa: float = 2e-3
-    methods: Tuple[Method, ...] = _METHOD_ORDER
-    mode: FrameMode = FrameMode.CHRW
-    nus: Optional[np.ndarray] = None
-    n_max: Optional[int] = None
-    out: Optional[str] = None
-    fmt: str = "csv"
-    quick: bool = False
-
-    @property
-    def sep(self) -> str:
-        return "\t" if self.fmt == "tsv" else ","
+class ConfigError(argparse.ArgumentTypeError):
+    """A flag value does not parse or make sense: exit code 2, with the flag named by argparse
+    when a `type=` converter raises it."""
 
 
 def _num(x: float) -> str:
     return f"{x:.9g}"
+
+
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ConfigError(f"not a number: {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"must be finite, got {text}")
+    return value
+
+
+def _non_negative(text: str) -> float:
+    value = _finite(text)
+    if value < 0.0:
+        raise ConfigError(f"must be non-negative, got {text}")
+    return value
+
+
+def _positive(text: str) -> float:
+    value = _finite(text)
+    if not value > 0.0:
+        raise ConfigError(f"must be positive, got {text}")
+    return value
+
+
+def _odd_positive(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise ConfigError(f"not an integer: {text!r}") from exc
+    if value < 1 or value % 2 == 0:
+        raise ConfigError(f"must be positive and odd, got {value}")
+    return value
 
 
 def _parse_range(text: str) -> np.ndarray:
@@ -91,18 +105,45 @@ def _parse_range(text: str) -> np.ndarray:
     return lo + step * np.arange(count)
 
 
+def _amplitude(text: str) -> np.ndarray:
+    return np.array([_non_negative(text)])
+
+
+def _amplitude_range(text: str) -> np.ndarray:
+    grid = _parse_range(text)
+    if grid[0] < 0.0:
+        raise ConfigError(f"range {text!r} must be non-negative")
+    return grid
+
+
+def _positive_range(text: str) -> np.ndarray:
+    grid = _parse_range(text)
+    if not grid[0] > 0.0:
+        raise ConfigError(f"range {text!r} must be positive")
+    return grid
+
+
+class _Given(argparse.Action):
+    """Store the value and note its dest, so that `main` divides it by --omega0."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = {*getattr(namespace, "given", ()), self.dest}
+
+
 def _table(
-    config: RunConfig, detail: str, columns: List[str], rows: List[List[str]], footer: Sequence[str] = ()
-) -> str:
-    """One command's output: header line, column line, rows, footer lines."""
+    args: argparse.Namespace, detail: str, columns: List[str], rows: List[List[str]], footer: Sequence[str] = ()
+) -> Tuple[str, int]:
+    """One command's output (header line, column line, rows, footer lines) and exit code 0."""
+    sep = "\t" if args.format == "tsv" else ","
     lines = [
-        f"# bloch-siegert-lab v{__version__}, {config.command}, "
-        f"omega0={_num(config.omega0)}, {detail}, units of omega0",
-        config.sep.join(columns),
+        f"# bloch-siegert-lab v{__version__}, {args.command}, "
+        f"omega0={_num(args.omega0)}, {detail}, units of omega0",
+        sep.join(columns),
     ]
-    lines.extend(config.sep.join(cells) for cells in rows)
+    lines.extend(sep.join(cells) for cells in rows)
     lines.extend(footer)
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", 0
 
 
 def _grid_note(grid: np.ndarray) -> str:
@@ -130,9 +171,9 @@ def _shift_or_blank(method: Method, amp: float, notes: List[str]) -> Optional[fl
     return shift
 
 
-def cmd_shift_table(config: RunConfig) -> str:
+def cmd_shift_table(args: argparse.Namespace) -> Tuple[str, int]:
     """Resonance shifts by all methods over a drive-amplitude grid."""
-    amps = config.amplitudes if config.amplitudes is not None else np.array(TABLE_GRID)
+    amps = np.array(TABLE_GRID) if args.amps is None else args.amps
 
     def row(amp: float) -> List[str]:
         cells = [_num(amp)]
@@ -144,17 +185,17 @@ def cmd_shift_table(config: RunConfig) -> str:
         return cells
 
     return _table(
-        config,
-        f"A-grid={_grid_note(np.asarray(amps))}",
+        args,
+        f"A-grid={_grid_note(amps)}",
         ["a_over_omega0", "floquet", "chrw", "shirley", "asymptotic", "perturbative", "diagnostics"],
         [row(float(a)) for a in amps],
     )
 
 
-def cmd_shift_sweep(config: RunConfig) -> str:
+def cmd_shift_sweep(args: argparse.Namespace) -> Tuple[str, int]:
     """Dense shift curves with per-method deviation from the numerical result."""
-    amps = config.amplitudes if config.amplitudes is not None else _parse_range("0.1:21:0.1")
-    methods = [m for m in _METHOD_ORDER if m in config.methods and m is not Method.FLOQUET]
+    amps = _parse_range("0.1:21:0.1") if args.amps is None else args.amps
+    methods = [m for m in _METHOD_ORDER[1:] if args.method in ("all", m.value)]
 
     def row(amp: float) -> List[str]:
         cells = [_num(amp)]
@@ -176,15 +217,12 @@ def cmd_shift_sweep(config: RunConfig) -> str:
     for method in methods:
         columns.extend([f"shift_{method.value}", f"dev_{method.value}"])
     columns.append("diagnostics")
-    return _table(
-        config, f"A-grid={_grid_note(np.asarray(amps))}", columns, [row(float(a)) for a in amps]
-    )
+    return _table(args, f"A-grid={_grid_note(amps)}", columns, [row(float(a)) for a in amps])
 
 
-def cmd_population(config: RunConfig) -> str:
+def cmd_population(args: argparse.Namespace) -> Tuple[str, int]:
     """Time-averaged excited population against pump frequency."""
-    omegas = config.omegas if config.omegas is not None else _parse_range("0.995:1.005:0.0001")
-    amp = config.amplitude
+    amp, mode = args.A, FrameMode(args.mode)
 
     def row(w: float) -> List[str]:
         if amp == 0.0:
@@ -192,59 +230,57 @@ def cmd_population(config: RunConfig) -> str:
             # reduction (which needs a finite splitting) is not consulted
             return [_num(w), _num(0.0), ""]
         try:
-            params = ModelParams(omega0=1.0, amplitude=amp, omega=w, kappa=config.kappa)
-            frame = build_frame(params, mode=config.mode)
+            params = ModelParams(omega0=1.0, amplitude=amp, omega=w, kappa=args.kappa)
+            frame = build_frame(params, mode=mode)
             value = population_avg(frame, params, rates(frame, params))
             return [_num(w), _num(value), ""]
         except BslError as exc:
             return [_num(w), "", str(exc)]
 
     return _table(
-        config,
-        f"A={_num(amp)}, kappa={_num(config.kappa)}, mode={config.mode.value}, "
-        f"omega-grid={_grid_note(np.asarray(omegas))}",
+        args,
+        f"A={_num(amp)}, kappa={_num(args.kappa)}, mode={mode.value}, "
+        f"omega-grid={_grid_note(args.omegas)}",
         ["omega", "population", "diagnostics"],
-        [row(float(w)) for w in omegas],
+        [row(float(w)) for w in args.omegas],
     )
 
 
-def cmd_spectrum(config: RunConfig) -> str:
+def cmd_spectrum(args: argparse.Namespace) -> Tuple[str, int]:
     """Probe absorption trace for one pump setting, asymmetry in the footer."""
-    params = ModelParams(
-        omega0=1.0, amplitude=config.amplitude, omega=config.omega, kappa=config.kappa
-    )
-    if config.nus is not None:
-        nus = config.nus
-    else:
-        frame = build_frame(params, mode=config.mode)
-        nus = default_probe_grid(config.omega, frame.rabi_tilde, 1101)
+    mode = FrameMode(args.mode)
+    params = ModelParams(omega0=1.0, amplitude=args.A, omega=args.omega, kappa=args.kappa)
+    nus = args.nus
+    if nus is None:
+        frame = build_frame(params, mode=mode)
+        nus = default_probe_grid(args.omega, frame.rabi_tilde, 1101)
         if not np.all(np.diff(nus) > 0.0):
             raise ConfigError(
                 f"the default probe window, pump +- 2.2 dressed splittings, is empty "
                 f"(splitting {_num(frame.rabi_tilde)}); give the probe grid with --nu-range"
             )
-    trace = spectrum(params, nus, mode=config.mode, n_max=config.n_max)
+    trace = spectrum(params, nus, mode=mode, n_max=args.n_max)
     try:
-        metric = asymmetry_metric(trace, config.omega)
-        footer = f"# asymmetry_metric(center={_num(config.omega)}) = {_num(metric)}"
+        metric = asymmetry_metric(trace, args.omega)
+        footer = f"# asymmetry_metric(center={_num(args.omega)}) = {_num(metric)}"
     except BslError as exc:
         footer = f"# asymmetry_metric unavailable: {exc}"
     return _table(
-        config,
-        f"A={_num(config.amplitude)}, omega={_num(config.omega)}, "
-        f"kappa={_num(config.kappa)}, mode={config.mode.value}, "
+        args,
+        f"A={_num(args.A)}, omega={_num(args.omega)}, "
+        f"kappa={_num(args.kappa)}, mode={mode.value}, "
         f"n_max={trace.n_max}, normalization=peak_unit, "
-        f"nu-grid={_grid_note(np.asarray(nus))}",
+        f"nu-grid={_grid_note(nus)}",
         ["nu", "S"],
         [[_num(float(nu)), _num(float(val))] for nu, val in zip(trace.nu_grid, trace.values)],
         [footer],
     )
 
 
-def cmd_validate(config: RunConfig) -> Tuple[str, int]:
-    """Run the check registry; report pass/fail per check."""
-    checks = validation.checks(config.quick)
-    lines = [f"# bloch-siegert-lab v{__version__}, validate, quick={config.quick}"]
+def cmd_validate(args: argparse.Namespace) -> Tuple[str, int]:
+    """Run the check registry; report pass/fail per check, exit code 1 on any failure."""
+    checks = validation.checks(args.quick)
+    lines = [f"# bloch-siegert-lab v{__version__}, validate, quick={args.quick}"]
     failures = 0
     for name, run in checks:
         try:
@@ -258,13 +294,29 @@ def cmd_validate(config: RunConfig) -> Tuple[str, int]:
     return "\n".join(lines) + "\n", 0 if failures == 0 else 1
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--omega0", type=float, default=1.0, help="unit frequency (outputs are in these units)")
-    parser.add_argument("--out", type=str, default=None, help="output file (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "tsv"), default="csv")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # flags shared by several commands, defined once and inherited through parents=
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--omega0", type=_positive, default=1.0,
+                        help="unit frequency: given amplitudes, rates and frequencies are "
+                             "divided by it, outputs are in units of omega0 (default 1)")
+    common.add_argument("--out", help="output file (default: stdout)")
+    common.add_argument("--format", choices=("csv", "tsv"), default="csv",
+                        help="comma- or tab-separated output (default csv)")
+
+    grid = argparse.ArgumentParser(add_help=False)
+    one = grid.add_mutually_exclusive_group()
+    one.add_argument("--A", dest="amps", type=_amplitude, action=_Given, metavar="A",
+                     help="single drive amplitude, instead of a grid")
+    one.add_argument("--A-range", dest="amps", type=_amplitude_range, action=_Given,
+                     metavar="LO:HI:STEP", help="drive-amplitude grid, both ends included")
+
+    drive = argparse.ArgumentParser(add_help=False)
+    drive.add_argument("--A", type=_non_negative, default=0.1, action=_Given,
+                       help="drive amplitude (default 0.1)")
+    drive.add_argument("--mode", choices=("chrw", "rwa"), default="chrw",
+                       help="chrw frame, or rwa with xi = 0 (default chrw)")
+
     parser = argparse.ArgumentParser(
         prog="bsl",
         description="Bloch-Siegert shifts, populations, and probe spectra of the driven two-level system.",
@@ -272,131 +324,73 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"bloch-siegert-lab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("shift-table", help="resonance shifts by all methods on an amplitude grid")
-    _add_common(p)
-    p.add_argument("--A", type=float, default=None, help="single drive amplitude")
-    p.add_argument("--A-range", type=str, default=None, help="amplitude grid lo:hi:step")
+    p = sub.add_parser("shift-table", parents=[common, grid],
+                       help="resonance shifts by all methods on an amplitude grid")
+    p.set_defaults(run=cmd_shift_table)
 
-    p = sub.add_parser("shift-sweep", help="dense shift and deviation curves")
-    _add_common(p)
-    p.add_argument("--A", type=float, default=None)
-    p.add_argument("--A-range", type=str, default=None)
+    p = sub.add_parser("shift-sweep", parents=[common, grid], help="dense shift and deviation curves")
     p.add_argument(
         "--method",
         choices=[m.value for m in _METHOD_ORDER] + ["all"],
         default="all",
         help="analytic method(s) to compare against the numerical shift",
     )
+    p.set_defaults(run=cmd_shift_sweep)
 
-    p = sub.add_parser("population", help="time-averaged excited population vs pump frequency")
-    _add_common(p)
-    p.add_argument("--A", type=float, default=0.1)
-    p.add_argument("--kappa", type=float, default=2e-3)
-    p.add_argument("--omega-range", type=str, default=None, help="pump grid lo:hi:step")
-    p.add_argument("--mode", choices=("chrw", "rwa"), default="chrw")
+    p = sub.add_parser("population", parents=[common, drive],
+                       help="time-averaged excited population vs pump frequency")
+    p.add_argument("--kappa", type=_non_negative, default=2e-3, action=_Given,
+                   help="bare decay rate of the excited state, >= 0 (default 2e-3)")
+    p.add_argument("--omega-range", dest="omegas", type=_positive_range, default="0.995:1.005:0.0001",
+                   action=_Given, metavar="LO:HI:STEP", help="pump grid (default %(default)s)")
+    p.set_defaults(run=cmd_population)
 
-    p = sub.add_parser("spectrum", help="probe absorption trace at one pump setting")
-    _add_common(p)
-    p.add_argument("--A", type=float, default=0.1)
-    p.add_argument("--omega", type=float, default=1.0, help="pump frequency")
-    p.add_argument("--kappa", type=float, default=2e-3)
-    p.add_argument("--nu-range", type=str, default=None, help="probe grid lo:hi:step")
-    p.add_argument("--n-max", type=int, default=None, help="highest odd sideband family")
-    p.add_argument("--mode", choices=("chrw", "rwa"), default="chrw")
+    p = sub.add_parser("spectrum", parents=[common, drive], help="probe absorption trace at one pump setting")
+    p.add_argument("--omega", type=_positive, default=1.0, action=_Given, help="pump frequency (default 1)")
+    p.add_argument("--kappa", type=_positive, default=2e-3, action=_Given,
+                   help="bare decay rate of the excited state, > 0 (default 2e-3)")
+    p.add_argument("--nu-range", dest="nus", type=_positive_range, action=_Given, metavar="LO:HI:STEP",
+                   help="probe grid (default: 1101 points over the pump +- 2.2 dressed splittings)")
+    p.add_argument("--n-max", type=_odd_positive,
+                   help="highest odd sideband family (default: the smallest covering the probe grid)")
+    p.set_defaults(run=cmd_spectrum)
 
-    p = sub.add_parser("validate", help="run the oracle cross-checks and regression table")
-    _add_common(p)
+    p = sub.add_parser("validate", parents=[common],
+                       help="run the oracle cross-checks and regression table")
     p.add_argument("--quick", action="store_true",
                    help="run only table-regression, floquet-convergence and "
                         "spectrum-vs-resolvent, at reduced size")
+    p.set_defaults(run=cmd_validate)
 
     return parser
-
-
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    omega0 = args.omega0
-    if not (math.isfinite(omega0) and omega0 > 0.0):
-        raise ConfigError(f"omega0 must be positive and finite, got {omega0}")
-
-    def scaled_grid(single: Optional[float], rng: Optional[str]) -> Optional[np.ndarray]:
-        if single is not None and rng is not None:
-            raise ConfigError("give either a single value or a range, not both")
-        if single is not None:
-            return np.array([single / omega0])
-        if rng is not None:
-            return _parse_range(rng) / omega0
-        return None
-
-    for flag in ("A", "kappa", "omega"):
-        value = getattr(args, flag, None)
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"--{flag} must be finite, got {value}")
-
-    kwargs = dict(command=args.command, omega0=omega0, out=args.out, fmt=args.format)
-    if args.command in ("shift-table", "shift-sweep"):
-        amplitudes = scaled_grid(args.A, args.A_range)
-        if amplitudes is not None and np.any(amplitudes < 0.0):
-            raise ConfigError("A must be non-negative")
-        kwargs["amplitudes"] = amplitudes
-        if args.command == "shift-sweep":
-            if args.method == "all":
-                kwargs["methods"] = _METHOD_ORDER
-            else:
-                kwargs["methods"] = (Method(args.method),)
-    elif args.command == "population":
-        if args.A < 0.0 or args.kappa < 0.0:
-            raise ConfigError("A and kappa must be non-negative")
-        kwargs["amplitude"] = args.A / omega0
-        kwargs["kappa"] = args.kappa / omega0
-        kwargs["omegas"] = scaled_grid(None, args.omega_range)
-        kwargs["mode"] = FrameMode(args.mode)
-    elif args.command == "spectrum":
-        if args.A < 0.0 or args.kappa <= 0.0 or args.omega <= 0.0:
-            raise ConfigError("spectrum needs A >= 0, kappa > 0 and omega > 0")
-        kwargs["amplitude"] = args.A / omega0
-        kwargs["kappa"] = args.kappa / omega0
-        kwargs["omega"] = args.omega / omega0
-        kwargs["nus"] = scaled_grid(None, args.nu_range)
-        if args.n_max is not None and (args.n_max < 1 or args.n_max % 2 == 0):
-            raise ConfigError(f"--n-max must be positive and odd, got {args.n_max}")
-        kwargs["n_max"] = args.n_max
-        kwargs["mode"] = FrameMode(args.mode)
-    elif args.command == "validate":
-        kwargs["quick"] = args.quick
-    return RunConfig(**kwargs)
 
 
 def _write(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"--out: {exc}") from exc
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # defaults are already in units of omega0; only given values are rescaled
+    for dest in getattr(args, "given", ()):
+        setattr(args, dest, getattr(args, dest) / args.omega0)
     try:
-        config = _config_from(args)
-        if config.command == "shift-table":
-            _write(cmd_shift_table(config), config.out)
-        elif config.command == "shift-sweep":
-            _write(cmd_shift_sweep(config), config.out)
-        elif config.command == "population":
-            _write(cmd_population(config), config.out)
-        elif config.command == "spectrum":
-            _write(cmd_spectrum(config), config.out)
-        elif config.command == "validate":
-            text, code = cmd_validate(config)
-            _write(text, config.out)
-            return code
+        text, code = args.run(args)
+        _write(text, args.out)
     except ConfigError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     except (BslError, ValueError) as exc:
         sys.stderr.write(f"{parser.prog}: numerical failure: {exc}\n")
         return 1
-    return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ from bloch_siegert_lab import __version__, floquet
 from bloch_siegert_lab.cli import (
     TABLE_GRID,
     ConfigError,
-    RunConfig,
     _parse_range,
     build_parser,
     cmd_shift_table,
@@ -72,12 +71,39 @@ class TestShiftTable:
         assert code == 0
         assert out.strip().split("\n")[2] == "0,0,0,0,,0,"
 
-    def test_omega0_rescaling(self, capsys):
-        # inputs in any unit system must produce the same table in units of
-        # omega0; only the header records the original scale
-        _, native = _run(capsys, ["shift-table", "--A", "1"])
-        _, scaled = _run(capsys, ["shift-table", "--A", "2", "--omega0", "2"])
-        assert native.split("\n")[1:] == scaled.split("\n")[1:]
+    @pytest.mark.parametrize("omega0", ["1e-9", "2", "1e12"])
+    @pytest.mark.parametrize(
+        "command, given",
+        [
+            ("shift-table", [("--A", "1")]),
+            # the last of repeated values counts, divided once
+            ("shift-table", [("--A", "7"), ("--A", "1")]),
+            ("shift-sweep", [("--A-range", "0.5:2:0.5")]),
+            ("population", [("--A", "0.1"), ("--kappa", "0.002"), ("--omega-range", "0.999:1.001:0.0005")]),
+            ("spectrum", [("--A", "0.1"), ("--omega", "1.0006250974"), ("--kappa", "0.002"),
+                          ("--nu-range", "0.99:1.01:0.001")]),
+        ],
+        ids=["shift-table", "repeated-flag", "shift-sweep", "population", "spectrum"],
+    )
+    def test_omega0_rescaling(self, capsys, command, given, omega0):
+        # defaults are in units of omega0, so --omega0 alone changes only
+        # the header; inputs given in any unit system produce the same table
+        # in units of omega0.  Only the header records the original scale
+        def lines(argv):
+            code, out = _run(capsys, argv)
+            assert code == 0
+            return out.split("\n")
+
+        def scaled(value):
+            return ":".join(repr(float(part) * float(omega0)) for part in value.split(":"))
+
+        native = [command] + [item for flag, value in given for item in (flag, value)]
+        rescaled = [command] + [item for flag, value in given for item in (flag, scaled(value))]
+        for plain, other in (([command], [command, "--omega0", omega0]),
+                             (native, rescaled + ["--omega0", omega0])):
+            expected, got = lines(plain), lines(other)
+            assert got[0] == expected[0].replace("omega0=1,", f"omega0={float(omega0):.9g},")
+            assert got[1:] == expected[1:]
 
     def test_tsv_format(self, capsys):
         code, out = _run(capsys, ["shift-table", "--A", "1", "--format", "tsv"])
@@ -87,8 +113,8 @@ class TestShiftTable:
 
     def test_default_grid_matches_reference_amplitudes(self):
         assert TABLE_GRID == tuple(sorted(PAPER_TABLE))
-        config = RunConfig(command="shift-table")
-        table = cmd_shift_table(config)
+        args = build_parser().parse_args(["shift-table"])
+        table, _ = cmd_shift_table(args)
         rows = table.strip().split("\n")[2:]
         assert len(rows) == len(TABLE_GRID)
         # every reference row must carry a numeric cell for the first three
@@ -322,6 +348,9 @@ class TestValidate:
         assert {"--kappa", "--mode", "--omega0", "--format"} <= options
         missing = sorted(o for o in options if not re.search(rf"(?<![\w-]){re.escape(o)}(?![\w-])", readme))
         assert missing == []
+        # and `bsl <command> --help` explains each of them
+        unexplained = sorted(o for p in parsers for a in p._actions if not a.help for o in a.option_strings)
+        assert unexplained == []
 
     def test_injected_bad_truncation_fails(self, capsys, monkeypatch):
         # a chain cut far below A/omega + 10 must fail floquet-convergence;
@@ -344,6 +373,18 @@ class TestIO:
         content = target.read_text(encoding="utf-8")
         assert content.endswith("\n")
         assert "0.0632237237" in content
+
+    def test_unwritable_out_exits_two(self, capsys, tmp_path):
+        # a missing directory is a bad argument: one error line, no traceback
+        target = tmp_path / "missing" / "table.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["shift-table", "--A", "1", "--out", str(target)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("bsl: error: ")
+        assert captured.err.count("\n") == 1
+        assert not target.parent.exists()
 
 
 class TestExitCodes:
@@ -376,6 +417,9 @@ class TestExitCodes:
             ["shift-table", "--A", "-1"],
             # "=" keeps argparse from reading the negative range as a flag
             ["shift-sweep", "--A-range=-2:-1:1"],
+            # pump and probe frequencies must be positive
+            ["population", "--omega-range=-1:1:1"],
+            ["spectrum", "--nu-range=0:1:0.5"],
         ],
     )
     def test_bad_arguments_exit_two(self, argv, capsys):
