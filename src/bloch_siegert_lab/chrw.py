@@ -102,6 +102,9 @@ def xi_fixed_point_residual(params: ModelParams, xi: float) -> float:
 _SCALAR_SAMPLES = 24
 # just above max |J1(x)| = 0.5818652..., reached at x = 1.8412
 _J1_MAX = 0.58187
+# Landau's bound |J_nu(x)| <= _LANDAU x^(-1/3) for nu > 0, x > 0
+# (J. London Math. Soc. 61 (2000) 197)
+_LANDAU = 0.7857468704
 # solve_xi refuses a grid finer than float64 counts exactly, and an array
 # scan longer than this many samples (128 MB of float64)
 _MAX_GRID = 2.0**53
@@ -152,9 +155,18 @@ def solve_xi(params: ModelParams, tol: Tolerance = DEFAULT_TOL) -> float:
 
     # the crossing is usually a few steps above the start: walk the first
     # samples one by one, then scan the rest of the grid, which ends at 1.0,
-    # as one array; each sample is evaluated once
-    i = max(int(n * max(w / (w + w0), 1.0 - 2.0 * _J1_MAX * w0 / a)) - 1, 1)
+    # as one array; each sample is evaluated once.  A root lies above lower,
+    # so its J1 argument is at least x = A lower/omega; where Landau's bound
+    # _LANDAU x^(-1/3) is below max|J1|, it puts the root above
+    # 1 - 2 _LANDAU (omega0/A) x^(-1/3) too, and the walk starts one step
+    # below that.  The array scan and its size check keep head
+    lower = max(w / (w + w0), 1.0 - 2.0 * _J1_MAX * w0 / a)
+    i = max(int(n * lower) - 1, 1)
     head = min(i + _SCALAR_SAMPLES, n)
+    x = a * lower / w
+    if x > (_LANDAU / _J1_MAX) ** 3:
+        landau = 1.0 - 2.0 * _LANDAU * (w0 / a) / x ** (1.0 / 3.0)
+        i = min(max(i, int(n * landau) - 1), head - 1)
     r_lo, r = None, residual(i * step)
     while r < 0.0 and i + 1 < head:
         i += 1

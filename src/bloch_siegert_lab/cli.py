@@ -124,11 +124,31 @@ def _positive_range(text: str) -> np.ndarray:
 
 
 class _Given(argparse.Action):
-    """Store the value and note its dest, so that `main` divides it by --omega0."""
+    """Store the value and note its action, so that `main` divides it by --omega0."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         setattr(namespace, self.dest, values)
-        namespace.given = {*getattr(namespace, "given", ()), self.dest}
+        namespace.given = {**getattr(namespace, "given", {}), self.dest: self}
+
+
+def _divide_by_omega0(args: argparse.Namespace) -> None:
+    """Divide each given value by --omega0, the one place the CLI rescales.
+
+    Defaults are already in units of omega0.  The quotient must keep its
+    flag's rule: finite, and positive where the flag needs that; a
+    quotient that overflows or underflows to 0 is a ConfigError naming the
+    flag.
+    """
+    for dest, action in getattr(args, "given", {}).items():
+        with np.errstate(over="ignore"):
+            value = getattr(args, dest) / args.omega0
+        rule = "positive" if action.type in (_positive, _positive_range) else "finite"
+        if not np.all(np.isfinite(value)) or rule == "positive" and not np.all(value > 0.0):
+            raise ConfigError(
+                f"argument {'/'.join(action.option_strings)}: must be {rule} "
+                f"once divided by --omega0={_num(args.omega0)}"
+            )
+        setattr(args, dest, value)
 
 
 def _table(
@@ -379,10 +399,8 @@ def _write(text: str, out: Optional[str]) -> None:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # defaults are already in units of omega0; only given values are rescaled
-    for dest in getattr(args, "given", ()):
-        setattr(args, dest, getattr(args, dest) / args.omega0)
     try:
+        _divide_by_omega0(args)
         text, code = args.run(args)
         _write(text, args.out)
     except ConfigError as exc:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dstebz, dstein
 
 from .chrw import ModelParams
 from .errors import (
@@ -128,48 +127,60 @@ def solve_floquet(params: ModelParams) -> FloquetSolution:
     """
     diag, off = build_floquet_matrix(params)
     n_trunc = len(off) // 2
-    e, vec = _chain_eigenpair(diag, off, n_trunc)
+    e, vec = _chain_eigensolver()(diag, off, n_trunc)
     v = vec[n_trunc % 2 :: 2]
     return FloquetSolution(
         params=params,
         n_trunc=n_trunc,
-        quasienergy=e + 0.5 * params.omega0,
+        quasienergy=float(e[0]) + 0.5 * params.omega0,
         dq_domega0=float(np.add.reduce(v * v)) - 0.5,
     )
 
 
-def _chain_eigenpair(diag: np.ndarray, off: np.ndarray, index: int) -> tuple[float, np.ndarray]:
-    """Eigenvalue number index (ascending, from 0) of a symmetric tridiagonal
-    matrix of at least two sites and its unit eigenvector.
+def _chain_eigensolver() -> Callable[..., tuple[np.ndarray, np.ndarray]]:
+    """eig(diag, off, index, count=1): eigenvalues index .. index + count - 1
+    (ascending, from 0) of a symmetric tridiagonal matrix of at least two
+    sites, and the unit eigenvector of the first.
 
     Calls the two LAPACK routines eigh_tridiagonal(select='i') runs, dstebz
     bisection (range 'I', block order, abstol 0) then dstein inverse
-    iteration, with the same arguments, so the results are bitwise the
-    same without its argument checks and driver lookup.
+    iteration, with the same arguments, so at count = 1 the results are
+    bitwise the same without its argument checks and driver lookup.  The
+    routines are looked up here, once per chain, so that importing the
+    package does not load scipy.linalg.
     """
-    m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, index + 1, index + 1, 0.0, "B")
-    if info != 0:
-        raise ConvergenceError(f"dstebz bisection for eigenvalue {index} failed (info={info})")
-    vecs, info = dstein(diag, off, w[:m], iblock, isplit)
-    if info != 0:
-        raise ConvergenceError(f"dstein inverse iteration for eigenvalue {index} failed (info={info})")
-    return float(w[0]), vecs[:, 0]
+    from scipy.linalg.lapack import dstebz, dstein
+
+    def eig(diag: np.ndarray, off: np.ndarray, index: int, count: int = 1):
+        m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, index + 1, index + count, 0.0, "B")
+        if info != 0:
+            raise ConvergenceError(f"dstebz bisection for eigenvalue {index} failed (info={info})")
+        vecs, info = dstein(diag, off, w[:1], iblock, isplit)
+        if info != 0:
+            raise ConvergenceError(f"dstein inverse iteration for eigenvalue {index} failed (info={info})")
+        return w[:m], vecs[:, 0]
+
+    return eig
 
 
-def _chain_slope_fn(a: float, n_trunc: int) -> Callable[[float], float]:
+def _chain_slope_fn(a: float, n_trunc: int) -> Callable[..., float | tuple[float, float]]:
     """solve_floquet's dq/domega0 on a chain of n_trunc >= 1 at A = a, in
     units of omega0, as a function of the shift s = omega - 1, which
-    changes sign at resonance.  The parts that do not depend on s are built
-    once; a LAPACK failure raises ConvergenceError."""
+    changes sign at resonance.  slope(s, pair_gap=True) also returns the
+    gap E_{N+1} - E_N of the resonant pair, from the same dstebz call.
+    The parts that do not depend on s, the LAPACK lookup included, are
+    built once; a LAPACK failure raises ConvergenceError."""
     base, up = _chain_layout(n_trunc)
     off = np.full(2 * n_trunc, 0.25 * a)
+    eig = _chain_eigensolver()
 
-    def slope(s: float) -> float:
+    def slope(s: float, pair_gap: bool = False) -> float | tuple[float, float]:
         diag = base * (1.0 + s)
         diag[1 - up :: 2] += s
-        _, vec = _chain_eigenpair(diag, off, n_trunc)
+        e, vec = eig(diag, off, n_trunc, 2 if pair_gap else 1)
         v = vec[up::2]
-        return float(np.add.reduce(v * v)) - 0.5
+        value = float(np.add.reduce(v * v)) - 0.5
+        return (value, float(e[1] - e[0])) if pair_gap else value
 
     return slope
 

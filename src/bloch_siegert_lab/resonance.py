@@ -17,16 +17,19 @@ All five agree on the leading (A/4)^2/omega0 behaviour; they differ in
 range of validity, which is the point of keeping all of them.  All five
 reject bad inputs with ValueError, give the zero shift at A = 0 and are
 solved in units of omega0, as functions of A/omega0 alone, in one place
-(_shift_route); chrw, floquet and shirley share one memoised Brent driver.
+(_shift_route); chrw, floquet and shirley share one memoised Brent driver
+(_bracketed_root).  floquet and shirley seed it with one model step from
+the bracket bottom (the resonant pair's two-level root, one step of the
+crossing condition's fixed-point map), whose sign closes the bracket
+before Brent starts; chrw runs it on the plain bracket.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 from scipy.special import j1 as bessel_j1
 
@@ -91,6 +94,9 @@ _SHIFT_TOL = Tolerance(abs_tol=1e-18, rel_tol=1e-14, max_iter=300)
 _BRACKET_ABS_SCALE = math.ulp(1.0) ** 2
 _XI_TOL = Tolerance(abs_tol=1e-22, rel_tol=2e-16, max_iter=200)
 _FLOQUET_MIN_A = 1e-8
+# a seed closer than this to the bracket bottom is not used: at the Floquet
+# floor the seeded bracket would lie within a few decades of the 1e-18 stop
+_SEED_MIN_STEP = 1e-14
 
 
 def _relative_tol(lo: float, hi: float) -> Tolerance:
@@ -105,18 +111,38 @@ def _relative_tol(lo: float, hi: float) -> Tolerance:
 
 
 def _bracketed_root(
-    point: Callable[[float], tuple[float, float]], lo: float, hi: float, tol: Tolerance
+    point: Callable[[float], tuple[float, float]],
+    lo: float,
+    hi: float,
+    tol: Tolerance,
+    step: Optional[Callable[[float], tuple[tuple[float, float], float]]] = None,
 ) -> tuple[float, float, int]:
     """Root of the residual of point(x) -> (residual, shift) on [lo, hi].
 
     Returns (shift, |residual|, iterations) at the root.  point is
-    memoised, so the value at the root costs no second evaluation and
-    iterations counts distinct points.
+    memoised, so no point is evaluated twice, the value at the root costs
+    nothing, and iterations counts distinct points.  step, when given,
+    returns point(lo) and a trial point x1 from one model step at lo.  If
+    x1 lies in (lo + _SEED_MIN_STEP, hi), the sign of the residual there
+    closes the bracket as [lo, x1] or [x1, hi] before Brent starts.
     """
-    point = functools.cache(point)
-    root = find_root_bracketed(lambda x: point(x)[0], lo, hi, tol)
-    residual, shift = point(root)
-    return shift, abs(residual), point.cache_info().misses
+    memo: dict[float, tuple[float, float]] = {}
+
+    def residual(x: float) -> float:
+        if x not in memo:
+            memo[x] = point(x)
+        return memo[x][0]
+
+    if step is not None:
+        memo[lo], x1 = step(lo)
+        if lo + _SEED_MIN_STEP < x1 < hi:
+            if (residual(x1) > 0.0) == (memo[lo][0] > 0.0):
+                lo = x1
+            else:
+                hi = x1
+    root = find_root_bracketed(residual, lo, hi, tol)
+    value, shift = memo[root]
+    return shift, abs(value), len(memo)
 
 
 def _shift_route(method: Method):
@@ -267,17 +293,20 @@ def bs_shirley_iterative(a: float) -> tuple[float, float, int]:
 
     The shift s = omega - 1 solves s = rhs(s), the crossing condition of
     _shirley_shift_rhs, so it is one Brent root of rhs(s) - s on the
-    shift bracket.  The map's only pole, at omega = 1/3, lies below the
-    bracket, where omega >= 1.  Working in the shift rather than omega
-    keeps a weak drive's shift (~a^2/16) off the ulp of 1, and the stop is
-    relative to the shift, as for chrw.
+    shift bracket, seeded by one step of the map, s1 = rhs(s_lo).  The
+    map's only pole, at omega = 1/3, lies below the bracket, where
+    omega >= 1.  Working in the shift rather than omega keeps a weak
+    drive's shift (~a^2/16) off the ulp of 1, and the stop is relative to
+    the shift, as for chrw.
     """
     s_lo, s_hi = _shift_bracket(a)
 
-    def defect(shift: float) -> tuple[float, float]:
-        return _shirley_shift_rhs(a, shift) - shift, shift
+    def step(shift: float) -> tuple[tuple[float, float], float]:
+        # the defect rhs(s) - s at s, and the next iterate rhs(s)
+        rhs = _shirley_shift_rhs(a, shift)
+        return (rhs - shift, shift), rhs
 
-    return _bracketed_root(defect, s_lo, s_hi, _relative_tol(s_lo, s_hi))
+    return _bracketed_root(lambda s: step(s)[0], s_lo, s_hi, _relative_tol(s_lo, s_hi), step)
 
 
 @_shift_route(Method.FLOQUET)
@@ -288,16 +317,37 @@ def bs_floquet_numeric(a: float) -> tuple[float, float, int]:
     Its slope, taken from eigenvector weights on one parity chain of the
     Floquet matrix, changes sign there, so the shift s = omega - 1 is one
     Brent root on the shift bracket, with the truncation frozen at its
-    lower end so the slope stays smooth.  Below a = 1e-8 (_FLOQUET_MIN_A)
+    lower end so the slope stays smooth, and the bracket closed first by
+    the resonant pair's own two-level step (_chain_root): about 7 chain
+    solves per shift instead of 9.  Below a = 1e-8 (_FLOQUET_MIN_A)
     the shift (a/4)^2 nears the stop, which returns 0 from 1.8e-9 down, so
     DomainError is raised there.
     """
     if a < _FLOQUET_MIN_A:
         raise DomainError(f"Floquet shift unresolved at A/omega0={a:.3g} < {_FLOQUET_MIN_A:g}")
-    s_lo, s_hi = _shift_bracket(a)
+    s_lo, _ = _shift_bracket(a)
     bottom = ModelParams(omega0=1.0, amplitude=a, omega=1.0 + s_lo)
-    slope = _chain_slope_fn(a, default_truncation(bottom))
-    return _bracketed_root(lambda s: (slope(s), s), s_lo, s_hi, _SHIFT_TOL)
+    return _chain_root(a, default_truncation(bottom))
+
+
+def _chain_root(a: float, n_trunc: int) -> tuple[float, float, int]:
+    """bs_floquet_numeric's root on a parity chain of n_trunc, in units of
+    omega0.
+
+    The first solve, at the bracket bottom, also gives the gap E_{N+1} -
+    E_N of the resonant pair.  An isolated pair with coupling a/4 and
+    detuning s - s* has slope (s - s*)/(2 gap) on its lower branch, so
+    s1 = s - 2 slope gap, its exact root, seeds the bracket.  The seed
+    comes from the chain alone, not from the methods it judges.
+    """
+    s_lo, s_hi = _shift_bracket(a)
+    slope = _chain_slope_fn(a, n_trunc)
+
+    def step(s: float) -> tuple[tuple[float, float], float]:
+        value, gap = slope(s, pair_gap=True)
+        return (value, s), s - 2.0 * value * gap
+
+    return _bracketed_root(lambda s: (slope(s), s), s_lo, s_hi, _SHIFT_TOL, step)
 
 
 _DISPATCH = {

@@ -12,6 +12,7 @@ from scipy.special import j1, jn_zeros, jnp_zeros
 from bloch_siegert_lab import chrw
 from bloch_siegert_lab.chrw import (
     _J1_MAX,
+    _LANDAU,
     FrameMode,
     ModelParams,
     bessel_argument,
@@ -90,8 +91,10 @@ class TestSolveXi:
 
     def test_strong_drive_scan_starts_above_xi_star(self, monkeypatch):
         # at A = 8, omega = omega0 the J1 bound 1 - 2 max|J1|/A = 0.85 lies
-        # above xi* = 1/2, so the bitwise test above exercises it: the first
-        # sample taken sits between xi* and that bound, below the root
+        # above xi* = 1/2, and Landau's bound at its argument x = 8 * 0.85,
+        # 1 - 2 _LANDAU x^(-1/3)/A = 0.897, above that, so the bitwise test
+        # above exercises both: the first sample taken sits just below
+        # Landau's bound, below the root
         p = ModelParams(omega0=1.0, amplitude=8.0, omega=1.0)
         seen = []
 
@@ -102,7 +105,8 @@ class TestSolveXi:
         monkeypatch.setattr(chrw, "xi_fixed_point_residual", recorded)
         xi = solve_xi(p, _XI_TOL)
         bound = 1.0 - 2.0 * _J1_MAX / 8.0
-        assert 0.5 < bound - 2.0 / 192 < seen[0] < bound < xi
+        landau = 1.0 - 2.0 * _LANDAU / 8.0 / (8.0 * bound) ** (1.0 / 3.0)
+        assert 0.5 < bound < landau - 2.0 / 192 < seen[0] < landau < xi
         monkeypatch.undo()
         assert xi.hex() == _full_scan_xi(p, _XI_TOL).hex()
 
@@ -113,6 +117,32 @@ class TestSolveXi:
         assert peak == pytest.approx(0.5818652243, abs=1e-10)
         x = np.linspace(0.0, 200.0, 2_000_001)
         assert float(np.max(np.abs(j1(x)))) <= peak < _J1_MAX < peak + 1e-5
+
+    def test_landau_bound_constant(self):
+        # x^(1/3) |J1(x)| peaks at 0.72801 near x = 2.07, under Landau's
+        # 0.7857468704 for every order; the walk's start relies on the bound
+        x = np.linspace(0.0, 2000.0, 4_000_001)
+        assert float(np.max(np.abs(j1(x)) * np.cbrt(x))) < 0.7281 < _LANDAU
+
+    @pytest.mark.parametrize(
+        "a, evaluations", [(7.2, 20), (8.0, 17), (9.9, 16), (13.5, 16), (15.0, 10), (16.2, 14)]
+    )
+    def test_strong_drive_walk_is_short(self, monkeypatch, a, evaluations):
+        # residual evaluations of one solve at omega = omega0, walk and
+        # Brent polish together; from the J1 bound alone they were 27, 25,
+        # 25, 25, 19 and 22
+        p = ModelParams(omega0=1.0, amplitude=a, omega=1.0)
+        seen = []
+
+        def recorded(params, xi):
+            seen.append(xi)
+            return xi_fixed_point_residual(params, xi)
+
+        monkeypatch.setattr(chrw, "xi_fixed_point_residual", recorded)
+        xi = solve_xi(p)
+        assert len(seen) == evaluations
+        monkeypatch.undo()
+        assert xi.hex() == _full_scan_xi(p, DEFAULT_TOL).hex()
 
     @pytest.mark.parametrize("w, min_steps", [(0.3, 20000), (1.0, 4000)])
     def test_far_crossing_bitwise_equal(self, w, min_steps):

@@ -189,22 +189,23 @@ class TestShiftSweep:
 
     def test_printed_cells_pinned(self, capsys):
         # the default sweep's first four rows and its last, frozen at nine
-        # digits; dev_chrw at A = 0.1 is the difference of two shifts that
-        # agree to 8e-8, and dev_shirley at A = 0.1 and 0.2 of two that
-        # agree to 9e-11 and 6e-9, so their ninth digits read the last bits
+        # digits; the dev_* cells of the first four rows divide differences
+        # of 8e-11 to 2e-5 relative by the Floquet shift, so their ninth
+        # digits read its last bits (a change of 1e-14 relative in the
+        # shift moves them)
         code, out = _run(capsys, ["shift-sweep"])
         assert code == 0
         body = out.strip().split("\n")[2:]
         assert len(body) == 210
         assert body[:4] == [
-            "0.1,0.000625097389,0.000625097441,8.26114504e-08,0.000625097389,"
-            "8.93614575e-11,,,0.000625097389,1.96802335e-10,",
-            "0.2,0.00250154544,0.00250154873,1.31576885e-06,0.00250154546,"
-            "5.66605491e-09,,,0.00250154541,1.2659999e-08,",
+            "0.1,0.000625097389,0.000625097441,8.26114464e-08,0.000625097389,"
+            "8.93572948e-11,,,0.000625097389,1.96806324e-10,",
+            "0.2,0.00250154544,0.00250154873,1.31576887e-06,0.00250154546,"
+            "5.66607346e-09,,,0.00250154541,1.26599803e-08,",
             "0.3,0.00563271631,0.00563275354,6.61017417e-06,0.00563271667,"
-            "6.35378739e-08,,,0.00563271549,1.45419045e-07,",
+            "6.3537872e-08,,,0.00563271549,1.45419047e-07,",
             "0.4,0.0100239145,0.0100241217,2.06652286e-05,0.010023918,"
-            "3.49240808e-07,,,0.0100239063,8.26387543e-07,",
+            "3.49240806e-07,,,0.0100239063,8.26387545e-07,",
         ]
         assert body[-1] == (
             "21,7.77403527,7.76947387,0.000586747008,7.70549193,0.00881695718,"
@@ -420,6 +421,9 @@ class TestExitCodes:
             # pump and probe frequencies must be positive
             ["population", "--omega-range=-1:1:1"],
             ["spectrum", "--nu-range=0:1:0.5"],
+            # a given value divided by --omega0 must keep its flag's rule
+            ["spectrum", "--omega", "1e-300", "--omega0", "1e300"],
+            ["population", "--A", "1e300", "--omega0", "1e-300", "--omega-range", "1e-300:1e-300:1"],
         ],
     )
     def test_bad_arguments_exit_two(self, argv, capsys):
@@ -429,6 +433,31 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["spectrum", "--omega", "1e-300", "--omega0", "1e300"], "--omega"),
+            (["spectrum", "--kappa", "1e-300", "--omega0", "1e300"], "--kappa"),
+            (["spectrum", "--nu-range", "1e-300:2e-300:1e-300", "--omega0", "1e300"], "--nu-range"),
+            (["population", "--omega-range", "1e-300:1e-300:1", "--omega0", "1e300"], "--omega-range"),
+            (["population", "--A", "1e300", "--omega0", "1e-300"], "--A"),
+            (["shift-table", "--A-range", "0:1e300:1e299", "--omega0", "1e-300"], "--A-range"),
+        ],
+    )
+    def test_omega0_quotient_names_its_flag(self, argv, flag, capsys):
+        # the quotient overflows, or underflows to 0 for a flag that must
+        # be positive
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"error: argument {flag}: must be " in capsys.readouterr().err
+
+    def test_omega0_quotient_may_reach_zero_drive(self, capsys):
+        # --A needs only >= 0, so an amplitude that underflows is no drive
+        code, out = _run(capsys, ["shift-table", "--A", "1e-320", "--omega0", "1e10"])
+        assert code == 0
+        assert out.split("\n")[2] == "0,0,0,0,,0,"
 
     def test_float_overflow_becomes_diagnostic(self, capsys):
         code, out = _run(capsys, ["shift-table", "--A", "1e52"])

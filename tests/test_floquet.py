@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, lapack
 
 from bloch_siegert_lab.chrw import ModelParams, build_frame
 from bloch_siegert_lab.resonance import bs_chrw, bs_floquet_numeric
@@ -115,11 +115,11 @@ class TestBrillouinReplication:
     @pytest.mark.parametrize("a_rel", [0.1, 1.0, 3.2, 6.0, 21.0, 100.0, 1000.0])
     @pytest.mark.parametrize("omega0", [0.3, 1.0, 7.0])
     def test_shift_converged_on_default_chain(self, omega0, a_rel):
-        # bs_floquet_numeric's Brent root, in units of omega0, on the chain
-        # sized at the bracket bottom, against the same root on a chain 10
+        # bs_floquet_numeric's seeded Brent root, in units of omega0, on the
+        # chain sized at the bracket bottom, against the same root on a chain 10
         # blocks longer.  There A/omega <= j01/0.9, so the chain has at most
-        # 27 sites.  Worst relative difference: 1.0e-14 below A/omega0 =
-        # 3.2 (rounding and the Brent stop), 1.1e-15 from there up
+        # 27 sites.  Worst relative difference: 1.1e-14 below A/omega0 =
+        # 3.2 (rounding and the Brent stop), 3.5e-16 from there up
         amp = a_rel * omega0
         a = amp / omega0
         lo, hi = resonance._shift_bracket(a)
@@ -127,10 +127,7 @@ class TestBrillouinReplication:
         assert 2 * n + 1 <= 27
 
         def root(n_trunc):
-            slope = floquet._chain_slope_fn(a, n_trunc)
-            return omega0 * resonance._bracketed_root(
-                lambda s: (slope(s), s), lo, hi, resonance._SHIFT_TOL
-            )[0]
+            return omega0 * resonance._chain_root(a, n_trunc)[0]
 
         shift = root(n)
         assert shift == bs_floquet_numeric(omega0, amp).shift
@@ -414,13 +411,14 @@ class TestParityChain:
 
     @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
     def test_lapack_failure_raises_convergence_error(self, monkeypatch, routine):
-        real = getattr(floquet, routine)
+        # the chain looks its routines up in scipy.linalg.lapack when it is built
+        real = getattr(lapack, routine)
 
         def failing(*args):
             *out, _ = real(*args)
             return (*out, 1)
 
-        monkeypatch.setattr(floquet, routine, failing)
+        monkeypatch.setattr(lapack, routine, failing)
         with pytest.raises(ConvergenceError, match=routine):
             floquet._chain_slope_fn(6.0, 25)(1.6)
 

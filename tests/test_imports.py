@@ -29,6 +29,21 @@ def test_import_leaves_integrate_and_optimize_unloaded():
     assert loaded == "[]"
 
 
+def test_linalg_loaded_only_by_the_parity_chain():
+    # dstebz and dstein are looked up when a chain is built, so neither the
+    # import nor a population or a spectrum loads scipy.linalg; a Floquet
+    # shift does, which keeps the check from passing vacuously
+    unloaded = "assert 'scipy.linalg' not in sys.modules; "
+    statement = (
+        "import numpy as np; import bloch_siegert_lab as b; " + unloaded
+        + "p = b.ModelParams(omega0=1.0, amplitude=0.1, omega=1.0, kappa=2e-3); "
+        "f = b.build_frame(p); b.population_avg(f, p, b.rates(f, p)); " + unloaded
+        + "b.spectrum(p, np.linspace(0.9, 1.1, 21)); " + unloaded
+        + "b.bs_floquet_numeric(1.0, 1.0)"
+    )
+    assert _loaded_after(statement, ("scipy.linalg",)) == "['scipy.linalg']"
+
+
 def test_import_leaves_cli_and_validation_unloaded():
     # the check registry and the command line are loaded by `bsl` only
     modules = ("bloch_siegert_lab.cli", "bloch_siegert_lab.validation")

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from bloch_siegert_lab import resonance
+from bloch_siegert_lab.chrw import ModelParams
 from bloch_siegert_lab.errors import DomainError
-from bloch_siegert_lab.numerics import first_bessel_j0_zero
+from bloch_siegert_lab.floquet import default_truncation
+from bloch_siegert_lab.numerics import Tolerance, first_bessel_j0_zero
 from bloch_siegert_lab.resonance import (
     Method,
     ShiftResult,
@@ -235,9 +237,9 @@ class TestEvaluationCounts:
         def counting_slope_fn(*args):
             slope = slope_fn(*args)
 
-            def g(s):
+            def g(s, pair_gap=False):
                 points.append(s)
-                return slope(s)
+                return slope(s, pair_gap)
 
             return g
 
@@ -259,6 +261,88 @@ class TestEvaluationCounts:
         r = bs_shirley_iterative(1.0, a)
         assert len(set(points)) == len(points) == r.iterations
         assert 0 < r.iterations <= 10
+
+
+# the 17 amplitudes of one pass of the benchmark's shift-sweep workload (seed 803)
+SWEEP_AMPLITUDES = [1e-3, 1e-2, 0.1] + [row[0] for row in SHIFT_TABLE]
+SWEEP_AMPLITUDES += [1.245997, 10.670036, 16.946573, 50.0, 100.0]
+
+
+class TestSeededRoot:
+    """The bracket seeded by one model step at its bottom: the same root as
+    plain Brent, each distinct point evaluated once."""
+
+    TOL = Tolerance(abs_tol=1e-18, rel_tol=1e-14, max_iter=300)
+
+    def _root(self, x1=None):
+        # exp(x) - 2 on [0, 2], root ln 2; step returns the value at the
+        # bottom and the trial point x1
+        calls = []
+
+        def point(x):
+            calls.append(x)
+            return math.exp(x) - 2.0, x
+
+        step = None if x1 is None else (lambda x: (point(x), x1))
+        found = resonance._bracketed_root(point, 0.0, 2.0, self.TOL, step)
+        return found, calls
+
+    def test_plain_root(self):
+        (root, residual, iterations), calls = self._root()
+        assert root == pytest.approx(math.log(2.0), rel=1e-14, abs=0.0)
+        assert residual == abs(math.exp(root) - 2.0)
+        assert len(set(calls)) == len(calls) == iterations
+
+    @pytest.mark.parametrize("x1", [0.6, 0.7, 1.0])
+    def test_seed_on_either_side(self, x1):
+        (root, _, iterations), calls = self._root(x1)
+        assert root == pytest.approx(self._root()[0][0], rel=2e-14, abs=0.0)
+        assert calls[:2] == [0.0, x1]
+        assert len(set(calls)) == len(calls) == iterations
+
+    @pytest.mark.parametrize("x1", [-0.5, 2.0, 3.0, 1e-15, 0.0])
+    def test_refused_seed_leaves_the_bracket(self, x1):
+        # outside (0, 2), or under the floor guard of 1e-14: Brent runs
+        # exactly as unseeded, on the same points in the same order
+        found, calls = self._root(x1)
+        assert (found, calls) == self._root()
+        assert len(set(calls)) == len(calls) == found[2]
+
+
+class TestSeededRoutes:
+    """bs_floquet_numeric and bs_shirley_iterative against plain Brent on
+    the same residual, and their evaluations on the benchmark's sweep."""
+
+    @pytest.mark.parametrize("omega0", [0.3, 1.0, 7.0])
+    def test_same_root_as_unseeded(self, omega0):
+        # worst measured on this grid: Floquet 91 eps/a below a = 1 (the
+        # slope's rounding floor) and 7.7 eps from there up, Shirley 10.3 eps
+        eps = np.finfo(float).eps
+        for a in np.geomspace(1e-6, 1e3, 40):
+            a = float(a)
+            lo, hi = resonance._shift_bracket(a)
+            bottom = ModelParams(omega0=1.0, amplitude=a, omega=1.0 + lo)
+            slope = resonance._chain_slope_fn(a, default_truncation(bottom))
+            plain = resonance._bracketed_root(lambda s: (slope(s), s), lo, hi, resonance._SHIFT_TOL)
+            got = bs_floquet_numeric(omega0, a * omega0).shift
+            bound = 180.0 * eps / a if a < 1.0 else 15.0 * eps
+            assert got == pytest.approx(omega0 * plain[0], rel=bound, abs=0.0)
+
+            def defect(s):
+                return resonance._shirley_shift_rhs(a, s) - s, s
+
+            plain = resonance._bracketed_root(defect, lo, hi, resonance._relative_tol(lo, hi))
+            got = bs_shirley_iterative(omega0, a * omega0).shift
+            assert got == pytest.approx(omega0 * plain[0], rel=20.0 * eps, abs=0.0)
+
+    def test_evaluation_budget(self):
+        # seeded, the means are 6.47 (Floquet) and 6.07 (Shirley, which the
+        # sweep runs up to A = 21); unseeded they were 8.18 and 6.93
+        floquet = [bs_floquet_numeric(1.0, a).iterations for a in SWEEP_AMPLITUDES]
+        shirley = [bs_shirley_iterative(1.0, a).iterations for a in SWEEP_AMPLITUDES if a <= 21.0]
+        assert len(floquet) == 17 and len(shirley) == 15
+        assert sum(floquet) / len(floquet) <= 6.6
+        assert sum(shirley) / len(shirley) <= 6.5
 
 
 class TestPerturbative6:
