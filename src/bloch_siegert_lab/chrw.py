@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import j1
 
 from .errors import DegenerateInputError, DomainError, NoSignChangeError
-from .numerics import DEFAULT_TOL, Tolerance, bessel_j0_minus_1, find_root_bracketed
+from .numerics import bessel_j0_minus_1, find_root_bracketed
 
 
 class FrameMode(enum.Enum):
@@ -111,7 +111,7 @@ _MAX_GRID = 2.0**53
 _MAX_TAIL = 2**24
 
 
-def solve_xi(params: ModelParams, tol: Tolerance = DEFAULT_TOL) -> float:
+def solve_xi(params: ModelParams) -> float:
     """Solve the CHRW fixed point for xi on [0, 1].
 
     Returns the smallest root, which continues the weak-drive solution
@@ -189,7 +189,7 @@ def solve_xi(params: ModelParams, tol: Tolerance = DEFAULT_TOL) -> float:
     hi = i * step if i < n else 1.0
     if r == 0.0:
         return hi
-    return find_root_bracketed(residual, (i - 1) * step, hi, tol, fa=r_lo, fb=r)
+    return find_root_bracketed(residual, (i - 1) * step, hi, fa=r_lo, fb=r)
 
 
 def _theta_from(delta: float, half_a: float) -> float:

@@ -232,17 +232,22 @@ def _ordered_products(maps: np.ndarray) -> np.ndarray:
     return out
 
 
-def propagator_samples(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Times and propagators U(t_k) on one drive period, t_k = k*T/period_steps.
-
-    Fixed-step RK4 for the linear flow: prefix products of the step maps,
-    then one Newton-Schulz polar projection U <- U (3I - U^H U)/2 of all
-    samples at once, which squares the defect the steps accumulate.
-    """
+def _propagators(params: ModelParams) -> np.ndarray:
+    """RK4 propagators U(t_1) .. U(T) of the coherent flow, not projected."""
     g0, g1 = -0.5j * params.omega0 * _SIGMA_Z, -0.5j * params.amplitude * _SIGMA_X
-    maps = _period_maps(g0, g1, params.omega, period_steps(params))
-    us = np.concatenate([np.eye(2, dtype=complex)[None], maps])
-    us = us @ (1.5 * np.eye(2) - 0.5 * (us.conj().transpose(0, 2, 1) @ us))
+    return _period_maps(g0, g1, params.omega, period_steps(params))
+
+
+def _polar_step(us: np.ndarray) -> np.ndarray:
+    """One Newton-Schulz polar projection U <- U (3I - U^H U)/2 of one U or a
+    stack, which squares the defect the RK4 steps accumulate."""
+    return us @ (1.5 * np.eye(2) - 0.5 * (np.swapaxes(us.conj(), -1, -2) @ us))
+
+
+def propagator_samples(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Times and propagators U(t_k) on one drive period, t_k = k*T/period_steps,
+    prefix products of the RK4 step maps, all projected at once."""
+    us = _polar_step(np.concatenate([np.eye(2, dtype=complex)[None], _propagators(params)]))
     ts = np.linspace(0.0, 2.0 * math.pi / params.omega, len(us))
     return ts, us
 
@@ -255,8 +260,7 @@ def monodromy_quasienergies(params: ModelParams) -> tuple[float, float]:
     defect that one projection cannot hide: above 1e-10 it raises
     NonUnitaryError rather than return a poor gap.
     """
-    _, us = propagator_samples(params)
-    u_t = us[-1]
+    u_t = _polar_step(_propagators(params)[-1])
     defect = float(np.max(np.abs(u_t.conj().T @ u_t - np.eye(2))))
     if defect > 1e-10:
         raise NonUnitaryError(f"one-period propagator unitarity defect {defect:.3e} > 1e-10")

@@ -17,11 +17,12 @@ All five agree on the leading (A/4)^2/omega0 behaviour; they differ in
 range of validity, which is the point of keeping all of them.  All five
 reject bad inputs with ValueError, give the zero shift at A = 0 and are
 solved in units of omega0, as functions of A/omega0 alone, in one place
-(_shift_route); chrw, floquet and shirley share one memoised Brent driver
-(_bracketed_root).  floquet and shirley seed it with one model step from
-the bracket bottom (the resonant pair's two-level root, one step of the
-crossing condition's fixed-point map), whose sign closes the bracket
-before Brent starts; chrw runs it on the plain bracket.
+(_shift_route); chrw, floquet and shirley share one bracket and one
+memoised Brent driver (_bracketed_root), and none solves the xi fixed
+point.  floquet and shirley seed it with one model step from the bracket
+bottom (the resonant pair's two-level root, one step of the crossing
+condition's fixed-point map), whose sign closes the bracket before Brent
+starts; chrw runs it on the plain bracket.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Callable, Optional
 
 from scipy.special import j1 as bessel_j1
 
-from .chrw import ModelParams, solve_xi
+from .chrw import ModelParams
 from .errors import DomainError
 from .floquet import _chain_slope_fn, default_truncation
 from .numerics import (
@@ -85,14 +86,12 @@ class ShiftResult:
 # instead of 6.  The chrw root in t = a/z - 2 and the shirley root in the
 # shift keep rel_tol but scale abs_tol with their bracket (_relative_tol):
 # at the chrw root t lies between s/2 and s, so the relative rule alone
-# gives the shift to 1e-14 from a = 1e-9 up, where the root is 3e-11 of the
-# bracket, far above that floor.  A fixed |f| stop would not do: the chrw
-# residual is of order a^2 everywhere on the bracket, and |f| <= 1e-18
+# gives the shift to 1e-14 relative.  A fixed |f| stop would not do: the
+# chrw residual is of order a^2 everywhere on the bracket, and |f| <= 1e-18
 # leaves the shirley shift up to 1.5e-11 off (at a = 9.9e-4, of 400
 # points on [1e-6, 0.1]).
 _SHIFT_TOL = Tolerance(abs_tol=1e-18, rel_tol=1e-14, max_iter=300)
 _BRACKET_ABS_SCALE = math.ulp(1.0) ** 2
-_XI_TOL = Tolerance(abs_tol=1e-22, rel_tol=2e-16, max_iter=200)
 _FLOQUET_MIN_A = 1e-8
 # a seed closer than this to the bracket bottom is not used: at the Floquet
 # floor the seeded bracket would lie within a few decades of the 1e-18 stop
@@ -100,11 +99,13 @@ _SEED_MIN_STEP = 1e-14
 
 
 def _relative_tol(lo: float, hi: float) -> Tolerance:
-    """_SHIFT_TOL with abs_tol scaled to the bracket [lo, hi], so that the
-    stop is relative to the root; below A ~ 1e-292 omega0 that product
+    """_SHIFT_TOL with abs_tol = eps^2 w min(1, w) for the bracket width w,
+    so that both stops, on the bracket and on |f|, scale with a weak
+    drive's root (~ w) and residual (~ w^2); below w ~ 1e-146 that
     underflows to 0 and the smallest subnormal takes its place."""
+    width = abs(hi - lo)
     return Tolerance(
-        abs_tol=_BRACKET_ABS_SCALE * abs(hi - lo) or math.ulp(0.0),
+        abs_tol=_BRACKET_ABS_SCALE * width * min(1.0, width) or math.ulp(0.0),
         rel_tol=_SHIFT_TOL.rel_tol,
         max_iter=_SHIFT_TOL.max_iter,
     )
@@ -229,28 +230,18 @@ def _chrw_stationarity(a: float) -> Callable[[float], tuple[float, float]]:
     return f
 
 
-def _chrw_bracket(a: float) -> tuple[float, float]:
-    """Bracket [t_lo, t_hi] of the chrw root in t = a/z - 2.
-
-    t_hi = a is explicit: J1(z) <= z/2 gives s >= t, so the shift there is
-    at or above a, the top of the shift bracket.  t_lo is the point at the
-    bottom of the shift bracket, from one xi solve.
-    """
-    s_lo, _ = _shift_bracket(a)
-    params = ModelParams(omega0=1.0, amplitude=a, omega=1.0 + s_lo)
-    z = a * solve_xi(params, tol=_XI_TOL) / params.omega
-    return s_lo + (bessel_j0_minus_1(z) + bessel_j(2, z)), a
-
-
 @_shift_route(Method.CHRW)
 def bs_chrw(a: float) -> tuple[float, float, int]:
     """Resonance from the counter-rotating hybridized rotating frame.
 
-    The stationarity residual changes sign on the t bracket from the
-    weakest to the strongest drive, so it is one Brent root there.
+    The stationarity residual changes sign on the shift bracket [s_lo, a]
+    itself, taken in t = a/z - 2, so it is one Brent root there: the shift
+    s(t) = t + (1 - 2 J1(z)/z) >= t is at or above a at t = a, and the
+    root lies at t ~ a^2/32 > 0 = s_lo at weak drive and at least 0.43 %
+    of the bracket above s_lo at strong drive (least near a = 7.88).
     """
-    t_lo, t_hi = _chrw_bracket(a)
-    return _bracketed_root(_chrw_stationarity(a), t_lo, t_hi, _relative_tol(t_lo, t_hi))
+    lo, hi = _shift_bracket(a)
+    return _bracketed_root(_chrw_stationarity(a), lo, hi, _relative_tol(lo, hi))
 
 
 @_shift_route(Method.PERT6)

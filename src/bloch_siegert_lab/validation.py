@@ -48,6 +48,9 @@ TABLE_METHODS = (Method.FLOQUET, Method.CHRW, Method.SHIRLEY, Method.ASYMPTOTIC)
 # six digits
 TABLE_TOL = 3.3e-6
 
+# |matrix gap - monodromy gap| of floquet-convergence and monodromy-vs-matrix
+MONODROMY_TOL = 1e-8
+
 # drive amplitudes of the population check, each pumped at its CHRW
 # resonance with this decay; measured relative gaps between the closed
 # form and the exact periodic steady state are 8.0e-4 (A = 0.1) and
@@ -65,8 +68,8 @@ RATES_TOL = 9e-16
 
 # drive amplitudes of the resolvent check, each pumped at its CHRW
 # resonance with the population check's decay, in both frames; the
-# measured worst is 3.3e-14 of the peak (A = 0.4, CHRW), where c1 - w^2
-# cancels next to the dressed lines
+# measured worst is 3.9e-14 of the peak (A = 2, CHRW), rounding where
+# c1 - w^2 cancels next to the dressed lines, so it moves with the pump
 RESOLVENT_CASES = tuple((amp, mode) for amp in (0.1, 0.4, 2.0, 10.0) for mode in FrameMode)
 RESOLVENT_QUICK = ((0.1, FrameMode.CHRW), (10.0, FrameMode.RWA))
 RESOLVENT_TOL = 6.6e-14
@@ -109,7 +112,7 @@ def floquet_convergence() -> CheckResult:
     """Truncated parity-chain gap against the monodromy gap at A = 10."""
     params = ModelParams(omega0=1.0, amplitude=10.0, omega=1.0)
     diff = abs(branch_gap(params) - monodromy_gap(params))
-    return CheckResult(diff, 1e-6, "default truncation: |matrix gap - monodromy gap|")
+    return CheckResult(diff, MONODROMY_TOL, "default truncation: |matrix gap - monodromy gap|")
 
 
 def monodromy_vs_matrix() -> CheckResult:
@@ -118,7 +121,7 @@ def monodromy_vs_matrix() -> CheckResult:
     for amp, w in ((1.0, 1.0), (4.0, 1.5), (8.0, 2.0)):
         params = ModelParams(omega0=1.0, amplitude=amp, omega=w)
         errs.append(abs(branch_gap(params) - monodromy_gap(params)))
-    return CheckResult(_worst(errs), 1e-8, "worst |matrix gap - monodromy gap|")
+    return CheckResult(_worst(errs), MONODROMY_TOL, "worst |matrix gap - monodromy gap|")
 
 
 def spectrum_vs_resolvent(quick: bool = False) -> CheckResult:

@@ -21,13 +21,13 @@ from bloch_siegert_lab.chrw import (
     xi_fixed_point_residual,
 )
 from bloch_siegert_lab.errors import DegenerateInputError, DomainError, NoSignChangeError
-from bloch_siegert_lab.numerics import DEFAULT_TOL, Tolerance, bessel_j, find_root_bracketed
-from bloch_siegert_lab.resonance import _XI_TOL
+from bloch_siegert_lab.numerics import bessel_j, find_root_bracketed
 
 
-def _full_scan_xi(p: ModelParams, tol: Tolerance) -> float:
+def _full_scan_xi(p: ModelParams) -> float:
     """Reference xi: the J1 residual on all of np.linspace(0, 1, n + 1),
-    the first upward crossing after xi = 0, then the Brent polish."""
+    the first upward crossing after xi = 0, then the Brent polish at the
+    default tolerance."""
     a, w = p.amplitude, p.omega
     n = max(128, int(8.0 * a / w) + 128)
     grid = np.linspace(0.0, 1.0, n + 1)
@@ -41,13 +41,13 @@ def _full_scan_xi(p: ModelParams, tol: Tolerance) -> float:
     if residual[i] == 0.0:
         return float(grid[i])
     return find_root_bracketed(
-        lambda xi: xi_fixed_point_residual(p, xi), float(grid[i - 1]), float(grid[i]), tol
+        lambda xi: xi_fixed_point_residual(p, xi), float(grid[i - 1]), float(grid[i])
     )
 
 
-def _xi_or_message(p: ModelParams, tol: Tolerance, solver) -> str:
+def _xi_or_message(p: ModelParams, solver) -> str:
     try:
-        return solver(p, tol).hex()
+        return solver(p).hex()
     except NoSignChangeError as exc:
         return f"NoSignChangeError: {exc}"
 
@@ -84,10 +84,7 @@ class TestSolveXi:
         for w0 in (0.3, 1.0, 7.0):
             for w in (0.3, 0.9, 1.0, 1.0 + a * a / 16.0, 1.0 + a):
                 p = ModelParams(omega0=w0, amplitude=float(a), omega=w)
-                for tol in (DEFAULT_TOL, _XI_TOL):
-                    assert _xi_or_message(p, tol, solve_xi) == _xi_or_message(
-                        p, tol, _full_scan_xi
-                    )
+                assert _xi_or_message(p, solve_xi) == _xi_or_message(p, _full_scan_xi)
 
     def test_strong_drive_scan_starts_above_xi_star(self, monkeypatch):
         # at A = 8, omega = omega0 the J1 bound 1 - 2 max|J1|/A = 0.85 lies
@@ -103,12 +100,12 @@ class TestSolveXi:
             return xi_fixed_point_residual(params, xi)
 
         monkeypatch.setattr(chrw, "xi_fixed_point_residual", recorded)
-        xi = solve_xi(p, _XI_TOL)
+        xi = solve_xi(p)
         bound = 1.0 - 2.0 * _J1_MAX / 8.0
         landau = 1.0 - 2.0 * _LANDAU / 8.0 / (8.0 * bound) ** (1.0 / 3.0)
         assert 0.5 < bound < landau - 2.0 / 192 < seen[0] < landau < xi
         monkeypatch.undo()
-        assert xi.hex() == _full_scan_xi(p, _XI_TOL).hex()
+        assert xi.hex() == _full_scan_xi(p).hex()
 
     def test_j1_bound_constant(self):
         # max |J1| = J1(1.8412...) = 0.5818652243; the constant must lie
@@ -142,16 +139,16 @@ class TestSolveXi:
         xi = solve_xi(p)
         assert len(seen) == evaluations
         monkeypatch.undo()
-        assert xi.hex() == _full_scan_xi(p, DEFAULT_TOL).hex()
+        assert xi.hex() == _full_scan_xi(p).hex()
 
     @pytest.mark.parametrize("w, min_steps", [(0.3, 20000), (1.0, 4000)])
     def test_far_crossing_bitwise_equal(self, w, min_steps):
         # at A = 1000 the crossing lies thousands of grid steps above xi*
         p = ModelParams(omega0=1.0, amplitude=1000.0, omega=w)
-        xi = solve_xi(p, _XI_TOL)
+        xi = solve_xi(p)
         n = int(8.0 * 1000.0 / w) + 128
         assert (xi - w / (w + 1.0)) * n > min_steps
-        assert xi.hex() == _full_scan_xi(p, _XI_TOL).hex()
+        assert xi.hex() == _full_scan_xi(p).hex()
 
     @pytest.mark.parametrize("eps", [1e-9, 1e-6])
     def test_crossing_in_last_interval_bitwise_equal(self, eps):
@@ -162,9 +159,9 @@ class TestSolveXi:
         p = ModelParams(omega0=1.0, amplitude=1000.0, omega=w)
         n = int(8.0 * 1000.0 / w) + 128
         assert n * (1.0 / n) != 1.0
-        xi = solve_xi(p, _XI_TOL)
+        xi = solve_xi(p)
         assert xi > (n - 1) / n
-        assert xi.hex() == _full_scan_xi(p, _XI_TOL).hex()
+        assert xi.hex() == _full_scan_xi(p).hex()
 
     @pytest.mark.parametrize(
         "a, w, message",
@@ -192,7 +189,7 @@ class TestSolveXi:
         assert str(exc.value) == (
             f"xi fixed point not bracketed in [0, 1] for A={a}, omega=1.0 (residual stays negative)"
         )
-        assert _xi_or_message(p, DEFAULT_TOL, _full_scan_xi) == f"NoSignChangeError: {exc.value}"
+        assert _xi_or_message(p, _full_scan_xi) == f"NoSignChangeError: {exc.value}"
 
     def test_frozen_weak_drive_pin(self):
         # omega = omega0, A = 0.1: the fixed point sits just above 1/2,

@@ -198,7 +198,7 @@ class TestShiftSweep:
         body = out.strip().split("\n")[2:]
         assert len(body) == 210
         assert body[:4] == [
-            "0.1,0.000625097389,0.000625097441,8.26114464e-08,0.000625097389,"
+            "0.1,0.000625097389,0.000625097441,8.26114456e-08,0.000625097389,"
             "8.93572948e-11,,,0.000625097389,1.96806324e-10,",
             "0.2,0.00250154544,0.00250154873,1.31576887e-06,0.00250154546,"
             "5.66607346e-09,,,0.00250154541,1.26599803e-08,",

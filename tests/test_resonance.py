@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bloch_siegert_lab import resonance
+from bloch_siegert_lab import chrw, resonance
 from bloch_siegert_lab.chrw import ModelParams
 from bloch_siegert_lab.errors import DomainError
 from bloch_siegert_lab.floquet import default_truncation
@@ -36,6 +36,10 @@ SHIFT_TABLE = [
     (18.5, 6.740093092435891, 6.735636870353876, 6.6831903922562015, 6.692865680339039),
     (21.0, 7.774035265640546, 7.769473873711136, 7.705491929626756, 7.732442123628099),
 ]
+
+# the 17 amplitudes of one pass of the benchmark's shift-sweep workload (seed 803)
+SWEEP_AMPLITUDES = [1e-3, 1e-2, 0.1] + [row[0] for row in SHIFT_TABLE]
+SWEEP_AMPLITUDES += [1.245997, 10.670036, 16.946573, 50.0, 100.0]
 
 
 class TestShiftResult:
@@ -99,13 +103,35 @@ class TestChrw:
             bs_chrw(1.0, 1.0)
 
     @pytest.mark.parametrize("omega0", [0.3, 1.0, 7.0])
-    @pytest.mark.parametrize("ratio", [1e-9, 1e-8, 1e-7])
+    @pytest.mark.parametrize("ratio", [1e-9, 1e-8, 1e-7, 1e-20, 1e-40, 1e-100, 1e-150])
     def test_very_weak_drive(self, omega0, ratio):
         # the residual is of order A^2 on the whole bracket here, so only a
-        # stopping rule relative to the root resolves a shift of A^2/16
+        # stopping rule relative to the root resolves a shift of A^2/16;
+        # with a stop |f| <= eps^2 A the bracket bottom, 0, came back below
+        # A/omega0 ~ 8e-31
         a = ratio * omega0
         want = bs_perturbative6(omega0, a).shift
         assert bs_chrw(omega0, a).shift == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_residual_changes_sign_on_the_shift_bracket(self):
+        # the root in t = a/z - 2 is bracketed by the shift bracket itself.
+        # At the top, s(t) >= t; at the bottom the root keeps at least
+        # 0.43 % of the bracket, least near a = 7.88, so a denser patch
+        # there.  Moving _shift_bracket's 0.9 to 0.91 breaks the bracket
+        for a in np.concatenate([np.geomspace(1e-9, 1e3, 400), np.linspace(7.8, 8.0, 201)]):
+            a = float(a)
+            lo, hi = resonance._shift_bracket(a)
+            f = resonance._chrw_stationarity(a)
+            assert (f(lo)[0] > 0.0) != (f(hi)[0] > 0.0), a
+
+    def test_evaluation_budget(self):
+        # on the shared shift bracket the mean over the benchmark's sweep is
+        # 7.18; on a bracket from one xi solve it was 7.41, and no amplitude
+        # may take more than it took there
+        before = [5, 5, 6, 7, 8, 8, 8, 8, 8, 8, 8, 8, 7, 8, 8, 8, 8]
+        counts = [bs_chrw(1.0, a).iterations for a in SWEEP_AMPLITUDES]
+        assert len(counts) == 17 and sum(counts) / len(counts) <= 7.2
+        assert all(got <= was for got, was in zip(counts, before))
 
 
 class TestFloquetNumeric:
@@ -172,12 +198,15 @@ class TestShirley:
         r = bs_shirley_iterative(1.0, 11.0)
         assert r.iterations > 0
 
-    @pytest.mark.parametrize("a", [1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2])
+    @pytest.mark.parametrize(
+        "a", [1e-150, 1e-100, 1e-40, 1e-20, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2]
+    )
     def test_weak_drive_matches_series(self, a):
         # both are sixth order in A/4, so they differ by O((A/4)^8): below
         # rounding here.  The bound is twice the worst measured on ten
         # points per decade, 2.2e-15, and catches a stop on |f| rather than
-        # relative to the shift (3.2e-11 at omega0 = 0.3, A = 3.8e-4)
+        # relative to the shift (3.2e-11 at omega0 = 0.3, A = 3.8e-4) or one
+        # that does not scale with the defect (0 below A/omega0 ~ 8e-31)
         for omega0 in (0.3, 1.0, 7.0):
             want = bs_perturbative6(omega0, a * omega0).shift
             got = bs_shirley_iterative(omega0, a * omega0).shift
@@ -203,15 +232,14 @@ class TestEvaluationCounts:
 
     @pytest.mark.parametrize("a", [1e-3, 0.1, 1.0, 6.0, 21.0, 100.0])
     def test_chrw(self, monkeypatch, a):
-        points, xi_calls, xi_calls_at_point = [], [], []
-        stationarity, solve_xi = resonance._chrw_stationarity, resonance.solve_xi
+        points, xi_calls = [], []
+        stationarity, solve_xi = resonance._chrw_stationarity, chrw.solve_xi
 
         def recording_stationarity(a):
             f = stationarity(a)
 
             def g(t):
                 points.append(t)
-                xi_calls_at_point.append(len(xi_calls))
                 return f(t)
 
             return g
@@ -221,13 +249,13 @@ class TestEvaluationCounts:
             return solve_xi(*args, **kwargs)
 
         monkeypatch.setattr(resonance, "_chrw_stationarity", recording_stationarity)
-        monkeypatch.setattr(resonance, "solve_xi", counting_solve_xi)
+        monkeypatch.setattr(chrw, "solve_xi", counting_solve_xi)
         r = bs_chrw(1.0, a)
         assert len(set(points)) == len(points) == r.iterations
-        # the fixed point is closed-form along the root search: one xi
-        # solve for the bracket, none per evaluation or for the residual
-        assert len(xi_calls) <= 1
-        assert len(set(xi_calls_at_point)) == 1
+        # the fixed point is closed-form along the root search and the
+        # bracket is the shift bracket: no xi solve at all
+        assert xi_calls == []
+        assert not hasattr(resonance, "solve_xi")
 
     @pytest.mark.parametrize("a", [1e-3, 0.1, 1.0, 6.0, 21.0, 100.0])
     def test_floquet(self, monkeypatch, a):
@@ -261,11 +289,6 @@ class TestEvaluationCounts:
         r = bs_shirley_iterative(1.0, a)
         assert len(set(points)) == len(points) == r.iterations
         assert 0 < r.iterations <= 10
-
-
-# the 17 amplitudes of one pass of the benchmark's shift-sweep workload (seed 803)
-SWEEP_AMPLITUDES = [1e-3, 1e-2, 0.1] + [row[0] for row in SHIFT_TABLE]
-SWEEP_AMPLITUDES += [1.245997, 10.670036, 16.946573, 50.0, 100.0]
 
 
 class TestSeededRoot:
@@ -421,11 +444,16 @@ class TestTrivialAndDispatch:
                 route(omega0, amplitude)
 
     def test_bracket_tolerance_never_underflows(self):
-        # below A ~ 1e-292 the bracket-scaled abs_tol underflows to 0, which
-        # Tolerance refuses; the floor is the smallest subnormal and leaves
-        # every positive product as it was
-        assert resonance._relative_tol(0.0, 1e-300).abs_tol == math.ulp(0.0)
-        for width in (1e-290, 1.0, 1e300):
+        # abs_tol = eps^2 w min(1, w) for the bracket width w; below
+        # w ~ 1e-146 it underflows to 0, which Tolerance refuses.  The floor
+        # is the smallest subnormal and leaves every positive product as it
+        # was
+        for width in (1e-300, 1e-290, 1e-150):
+            assert resonance._relative_tol(0.0, width).abs_tol == math.ulp(0.0)
+        for width in (1e-140, 1e-20, 0.5):
+            tol = resonance._relative_tol(-width, 0.0)
+            assert tol.abs_tol == resonance._BRACKET_ABS_SCALE * width * width
+        for width in (1.0, 1e300):
             tol = resonance._relative_tol(-width, 0.0)
             assert tol.abs_tol == resonance._BRACKET_ABS_SCALE * width
         assert bs_chrw(1.0, 1e-300).shift == 0.0
