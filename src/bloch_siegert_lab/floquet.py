@@ -35,11 +35,16 @@ _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def default_truncation(params: ModelParams) -> int:
+    """The Fourier cutoff _truncation(A, omega) of a chain at params."""
+    return _truncation(params.amplitude, params.omega)
+
+
+def _truncation(amplitude: float, omega: float) -> int:
     """Fourier cutoff N = ceil(A/omega) + 10.  Floquet components fall off
     like J_l(A/2omega), so N leaves at least A/2omega + 10 blocks of tail;
     against N + 30 (omega/omega0 in [0.1, 10], A/omega0 <= 50) q moved by
     at most 5.4e-14 omega0 and its slope by 1.1e-15."""
-    return int(math.ceil(params.amplitude / params.omega)) + 10
+    return int(math.ceil(amplitude / omega)) + 10
 
 
 def fold_to_zone(q: float, omega: float) -> float:
@@ -127,24 +132,25 @@ def solve_floquet(params: ModelParams) -> FloquetSolution:
     """
     diag, off = build_floquet_matrix(params)
     n_trunc = len(off) // 2
-    e, vec = _chain_eigensolver()(diag, off, n_trunc)
-    v = vec[n_trunc % 2 :: 2]
+    e, vecs = _chain_eigensolver()(diag, off, n_trunc)
+    v = vecs[n_trunc % 2 :: 2, 0]
     return FloquetSolution(
         params=params,
         n_trunc=n_trunc,
         quasienergy=float(e[0]) + 0.5 * params.omega0,
-        dq_domega0=float(np.add.reduce(v * v)) - 0.5,
+        dq_domega0=float(v @ v) - 0.5,
     )
 
 
 def _chain_eigensolver() -> Callable[..., tuple[np.ndarray, np.ndarray]]:
-    """eig(diag, off, index, count=1): eigenvalues index .. index + count - 1
-    (ascending, from 0) of a symmetric tridiagonal matrix of at least two
-    sites, and the unit eigenvector of the first.
+    """eig(diag, off, index, count=1) -> (w, vecs), unsliced: w[:count] are
+    eigenvalues index .. index + count - 1 (ascending, from 0) of a
+    symmetric tridiagonal matrix of at least two sites, and vecs[:, 0] is
+    the unit eigenvector of the first.
 
     Calls the two LAPACK routines eigh_tridiagonal(select='i') runs, dstebz
     bisection (range 'I', block order, abstol 0) then dstein inverse
-    iteration, with the same arguments, so at count = 1 the results are
+    iteration, with the same arguments, so at count = 1 the eigenpair is
     bitwise the same without its argument checks and driver lookup.  The
     routines are looked up here, once per chain, so that importing the
     package does not load scipy.linalg.
@@ -152,13 +158,13 @@ def _chain_eigensolver() -> Callable[..., tuple[np.ndarray, np.ndarray]]:
     from scipy.linalg.lapack import dstebz, dstein
 
     def eig(diag: np.ndarray, off: np.ndarray, index: int, count: int = 1):
-        m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, index + 1, index + count, 0.0, "B")
+        _, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, index + 1, index + count, 0.0, "B")
         if info != 0:
             raise ConvergenceError(f"dstebz bisection for eigenvalue {index} failed (info={info})")
         vecs, info = dstein(diag, off, w[:1], iblock, isplit)
         if info != 0:
             raise ConvergenceError(f"dstein inverse iteration for eigenvalue {index} failed (info={info})")
-        return w[:m], vecs[:, 0]
+        return w, vecs
 
     return eig
 
@@ -168,18 +174,21 @@ def _chain_slope_fn(a: float, n_trunc: int) -> Callable[..., float | tuple[float
     units of omega0, as a function of the shift s = omega - 1, which
     changes sign at resonance.  slope(s, pair_gap=True) also returns the
     gap E_{N+1} - E_N of the resonant pair, from the same dstebz call.
-    The parts that do not depend on s, the LAPACK lookup included, are
-    built once; a LAPACK failure raises ConvergenceError."""
+    The LAPACK lookup and the diagonal buffer are built once; the eigenpair
+    is bitwise eigh_tridiagonal's, the up-site weight is one BLAS dot, and
+    a LAPACK failure raises ConvergenceError."""
     base, up = _chain_layout(n_trunc)
     off = np.full(2 * n_trunc, 0.25 * a)
     eig = _chain_eigensolver()
+    diag = np.empty_like(base)
+    down = diag[1 - up :: 2]
 
     def slope(s: float, pair_gap: bool = False) -> float | tuple[float, float]:
-        diag = base * (1.0 + s)
-        diag[1 - up :: 2] += s
-        e, vec = eig(diag, off, n_trunc, 2 if pair_gap else 1)
-        v = vec[up::2]
-        value = float(np.add.reduce(v * v)) - 0.5
+        np.multiply(base, 1.0 + s, out=diag)
+        np.add(down, s, out=down)
+        e, vecs = eig(diag, off, n_trunc, 2 if pair_gap else 1)
+        v = vecs[up::2, 0]
+        value = float(v @ v) - 0.5
         return (value, float(e[1] - e[0])) if pair_gap else value
 
     return slope

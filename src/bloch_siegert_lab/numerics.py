@@ -1,16 +1,16 @@
 """Bessel functions and bracketed scalar solvers.
 
 Every J_n in the package comes from scipy.special, through bessel_j and
-bessel_j_sequence here or through scipy.special.jv over an array.  Three
+bessel_j_sequence here or through scipy.special.jv over an array.  Four
 places take J_0 and J_1 from the Cephes scipy.special.j0 and j1 instead,
 an order of magnitude cheaper than the AMOS jv for one argument: the CHRW
 xi equation in chrw, whose grid scan and residual both use j1 so the two
-agree on every sign, the chrw stationarity residual in resonance, and the
-closed-form rates and population_avg in dissipative.  The one value scipy
-does not offer is bessel_j0_minus_1, whose small-argument series keeps
-J_0 - 1 free of cancellation.  The root finder is a plain Brent's method:
-scipy.optimize would do the same work but costs a noticeable import on
-every start-up.
+agree on every sign, the chrw stationarity residual in resonance, the
+closed-form rates and population_avg in dissipative, and
+bessel_j0_minus_1, the one value scipy does not offer, whose series keeps
+J_0 - 1 free of cancellation below 1.  The root finder is a plain Brent's
+method: scipy.optimize would do the same work but costs a noticeable
+import on every start-up.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import jn_zeros, jv
+from scipy.special import j0, jn_zeros, jv
 
 from .errors import ConvergenceError, DomainError, NoSignChangeError
 
@@ -76,18 +76,17 @@ def bessel_j0_minus_1(x: float) -> float:
 
     The renormalized detuning subtracts quantities that agree to O(x^2);
     evaluating J0 - 1 by its own series keeps the difference accurate to
-    machine precision relative to itself rather than to 1.
+    machine precision relative to itself rather than to 1.  J0 is Cephes
+    j0 (a rational form) on 1 <= |x| <= 5 and AMOS jv above, where Cephes'
+    asymptotic form drifts to 4.1e-14 by 1e6 and jv stays within 2e-17.
     """
     if not math.isfinite(x):
         raise DomainError(f"argument must be finite, got {x}")
     ax = abs(x)
     if ax >= 1.0:
-        return bessel_j(0, ax) - 1.0
-    if ax == 0.0:
-        return 0.0
+        return (float(j0(ax)) if ax <= 5.0 else bessel_j(0, ax)) - 1.0
     q = 0.25 * ax * ax
-    term = -q
-    total = term
+    term = total = -q
     for k in range(1, 60):
         term *= -q / ((k + 1.0) * (k + 1.0))
         total += term
@@ -118,10 +117,8 @@ def find_root_bracketed(
     shrunk to rel_tol*|x| + abs_tol.  fa and fb, when given, are f(a) and
     f(b) already evaluated by the caller, and f is not called there again.
     """
-    if fa is None:
-        fa = f(a)
-    if fb is None:
-        fb = f(b)
+    fa = f(a) if fa is None else fa
+    fb = f(b) if fb is None else fb
     if not (math.isfinite(fa) and math.isfinite(fb)):
         raise DomainError(f"f is not finite at the bracket endpoints: f({a})={fa}, f({b})={fb}")
     if fa == 0.0:
@@ -163,11 +160,9 @@ def find_root_bracketed(
                 e = d
                 d = p / q
             else:
-                d = xm
-                e = d
+                d = e = xm
         else:
-            d = xm
-            e = d
+            d = e = xm
         a, fa = b, fb
         if abs(d) > tol1:
             b += d
@@ -197,8 +192,7 @@ def minimize_scalar_bracketed(
         raise DomainError(f"invalid bracket [{a}, {b}]")
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
-    f1 = f(x1)
-    f2 = f(x2)
+    f1, f2 = f(x1), f(x2)
     if not (math.isfinite(f1) and math.isfinite(f2)):
         raise DomainError("f is not finite inside the bracket")
     for _ in range(tol.max_iter):

@@ -34,9 +34,8 @@ from typing import Callable, Optional
 
 from scipy.special import j1 as bessel_j1
 
-from .chrw import ModelParams
 from .errors import DomainError
-from .floquet import _chain_slope_fn, default_truncation
+from .floquet import _chain_slope_fn, _truncation
 from .numerics import (
     Tolerance,
     bessel_j,
@@ -316,9 +315,7 @@ def bs_floquet_numeric(a: float) -> tuple[float, float, int]:
     """
     if a < _FLOQUET_MIN_A:
         raise DomainError(f"Floquet shift unresolved at A/omega0={a:.3g} < {_FLOQUET_MIN_A:g}")
-    s_lo, _ = _shift_bracket(a)
-    bottom = ModelParams(omega0=1.0, amplitude=a, omega=1.0 + s_lo)
-    return _chain_root(a, default_truncation(bottom))
+    return _chain_root(a, _truncation(a, 1.0 + _shift_bracket(a)[0]))
 
 
 def _chain_root(a: float, n_trunc: int) -> tuple[float, float, int]:

@@ -200,10 +200,10 @@ class TestShiftSweep:
         assert body[:4] == [
             "0.1,0.000625097389,0.000625097441,8.26114456e-08,0.000625097389,"
             "8.93572948e-11,,,0.000625097389,1.96806324e-10,",
-            "0.2,0.00250154544,0.00250154873,1.31576887e-06,0.00250154546,"
-            "5.66607346e-09,,,0.00250154541,1.26599803e-08,",
-            "0.3,0.00563271631,0.00563275354,6.61017417e-06,0.00563271667,"
-            "6.3537872e-08,,,0.00563271549,1.45419047e-07,",
+            "0.2,0.00250154544,0.00250154873,1.31576886e-06,0.00250154546,"
+            "5.66606912e-09,,,0.00250154541,1.26599846e-08,",
+            "0.3,0.00563271631,0.00563275354,6.61017418e-06,0.00563271667,"
+            "6.35378782e-08,,,0.00563271549,1.4541904e-07,",
             "0.4,0.0100239145,0.0100241217,2.06652286e-05,0.010023918,"
             "3.49240806e-07,,,0.0100239063,8.26387545e-07,",
         ]

@@ -393,21 +393,33 @@ class TestParityChain:
         assert slope(s_res - 1e-3) < 0.0 < slope(s_res + 1e-3)
         assert abs(slope(s_res)) < 1e-8
 
+    @pytest.mark.parametrize("a, n", [(0.1, 11), (6.0, 17), (21.0, 45)])
+    def test_reused_buffer_carries_no_state(self, a, n):
+        # one closure overwrites its diagonal buffer on every call; called at
+        # interleaved shifts, with and without the pair gap, it must return
+        # bitwise what a fresh closure returns at each of them
+        slope = floquet._chain_slope_fn(a, n)
+        calls = [(0.3 * a, False), (1e-3, True), (0.3 * a, True), (0.0, False), (1e-3, False), (0.3 * a, False)]
+        for s, pair_gap in calls:
+            assert slope(s, pair_gap=pair_gap) == floquet._chain_slope_fn(a, n)(s, pair_gap=pair_gap)
+
     @pytest.mark.parametrize("n", [11, 13, 25, 45, 120])
     @pytest.mark.parametrize(
         "a, s", [(0.1, 0.0), (0.1, 1e-3), (6.0, 1.6), (6.0, 1.7), (21.0, 7.0), (21.0, 8.5)]
     )
     def test_slope_equals_eigh_tridiagonal(self, n, a, s):
         # the direct LAPACK calls are the ones eigh_tridiagonal(select='i')
-        # makes, so the slope must match it bit for bit on both sides of
-        # resonance
+        # makes, so the eigenvector is bitwise the same, and its up-site
+        # weight, summed by the same BLAS dot over the same stride, must
+        # match bit for bit on both sides of resonance
         omega = 1.0 + s
         ls = np.arange(-n, n + 1)
         up = ls % 2 == 0
         diag = np.where(up, ls * omega, (ls - 1) * omega + s)
         off = np.full(2 * n, 0.25 * a)
         _, vec = eigh_tridiagonal(diag, off, select="i", select_range=(n, n))
-        assert floquet._chain_slope_fn(a, n)(s) == float(np.sum(vec[up, 0] ** 2)) - 0.5
+        v = vec[n % 2 :: 2, 0]
+        assert floquet._chain_slope_fn(a, n)(s) == float(v @ v) - 0.5
 
     @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
     def test_lapack_failure_raises_convergence_error(self, monkeypatch, routine):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from bloch_siegert_lab import numerics
 from bloch_siegert_lab.errors import (
     ConvergenceError,
     DomainError,
@@ -99,6 +100,47 @@ class TestBesselJ0Minus1:
 
     def test_even_in_x(self):
         assert bessel_j0_minus_1(-0.37) == bessel_j0_minus_1(0.37)
+
+    def test_cephes_branch_calls_no_amos(self, monkeypatch):
+        # on 1 <= |x| <= 5 J0 comes from Cephes j0 alone, both ends included
+        def no_jv(*args):
+            raise AssertionError("jv called")
+
+        monkeypatch.setattr(numerics, "jv", no_jv)
+        for x in [1.0, 1.5, 2.4048255576957728, 2.672, 4.0, 5.0, -1.0, -3.3, -5.0]:
+            assert bessel_j0_minus_1(x) == float(special.j0(abs(x))) - 1.0
+        with pytest.raises(AssertionError, match="jv called"):
+            bessel_j0_minus_1(5.000000000000001)
+
+    def test_against_40_digit_mpmath(self):
+        # 2 ulp(1) absolute from |x| = 1 up (Cephes to 5, AMOS above), 2 ulp
+        # relative below (the series); measured worst 0.89 ulp (Cephes), 1.30
+        # ulp (AMOS) and 1.29 ulp relative (series) on this grid
+        mp = pytest.importorskip("mpmath")
+        ulp = math.ulp(1.0)
+        xs = [*np.logspace(-8.0, 3.0, 221), *special.jn_zeros(0, 3)]
+        with mp.workdps(40):
+            for x in xs:
+                want = mp.besselj(0, mp.mpf(float(x))) - 1
+                got = bessel_j0_minus_1(float(x))
+                if x >= 1.0:
+                    assert abs(got - want) <= 2.0 * ulp, x
+                else:
+                    assert abs((got - want) / want) <= 2.0 * ulp, x
+
+    @pytest.mark.parametrize("edge", [1.0, 5.0])
+    def test_branches_join(self, edge):
+        # the edge and its two float neighbours, on both branches, and the
+        # step across the edge all lie within 2 ulp(1) of a 40-digit J0 - 1;
+        # measured worst 0.49 ulp at a point and 0.62 ulp on the step
+        mp = pytest.importorskip("mpmath")
+        bound = 2.0 * math.ulp(1.0)
+        xs = (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf))
+        got = [bessel_j0_minus_1(x) for x in xs]
+        with mp.workdps(40):
+            want = [mp.besselj(0, mp.mpf(x)) - 1 for x in xs]
+            assert all(abs(g - w) <= bound for g, w in zip(got, want))
+            assert abs((got[2] - got[0]) - (want[2] - want[0])) <= bound
 
 
 class TestFirstBesselJ0Zero:

@@ -339,7 +339,7 @@ class TestSeededRoutes:
     @pytest.mark.parametrize("omega0", [0.3, 1.0, 7.0])
     def test_same_root_as_unseeded(self, omega0):
         # worst measured on this grid: Floquet 91 eps/a below a = 1 (the
-        # slope's rounding floor) and 7.7 eps from there up, Shirley 10.3 eps
+        # slope's rounding floor) and 8.5 eps from there up, Shirley 10.3 eps
         eps = np.finfo(float).eps
         for a in np.geomspace(1e-6, 1e3, 40):
             a = float(a)
@@ -359,7 +359,7 @@ class TestSeededRoutes:
             assert got == pytest.approx(omega0 * plain[0], rel=20.0 * eps, abs=0.0)
 
     def test_evaluation_budget(self):
-        # seeded, the means are 6.47 (Floquet) and 6.07 (Shirley, which the
+        # seeded, the means are 6.53 (Floquet) and 6.07 (Shirley, which the
         # sweep runs up to A = 21); unseeded they were 8.18 and 6.93
         floquet = [bs_floquet_numeric(1.0, a).iterations for a in SWEEP_AMPLITUDES]
         shirley = [bs_shirley_iterative(1.0, a).iterations for a in SWEEP_AMPLITUDES if a <= 21.0]
