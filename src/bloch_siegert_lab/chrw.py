@@ -189,7 +189,8 @@ def solve_xi(params: ModelParams) -> float:
     hi = i * step if i < n else 1.0
     if r == 0.0:
         return hi
-    return find_root_bracketed(residual, (i - 1) * step, hi, fa=r_lo, fb=r)
+    # the Brent polish runs to abs_tol = rel_tol = 1e-12
+    return find_root_bracketed(residual, (i - 1) * step, hi, 1e-12, 1e-12, fa=r_lo, fb=r)
 
 
 def _theta_from(delta: float, half_a: float) -> float:

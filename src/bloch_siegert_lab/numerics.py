@@ -10,13 +10,13 @@ closed-form rates and population_avg in dissipative, and
 bessel_j0_minus_1, the one value scipy does not offer, whose series keeps
 J_0 - 1 free of cancellation below 1.  The root finder is a plain Brent's
 method: scipy.optimize would do the same work but costs a noticeable
-import on every start-up.
+import on every start-up.  Both bracketed solvers take their stop rules
+as two floats, abs_tol and rel_tol, and share one iteration cap.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -26,31 +26,7 @@ from scipy.special import j0, jn_zeros, jv
 from .errors import ConvergenceError, DomainError, NoSignChangeError
 
 _EPS = float(np.finfo(float).eps)
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Convergence budget shared by the iterative solvers.
-
-    abs_tol and rel_tol enter stopping rules of the form
-    ``width <= rel_tol*|x| + abs_tol`` (and ``|f| <= abs_tol`` for root
-    finding); max_iter bounds the iteration count.
-    """
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0) or not math.isfinite(self.abs_tol):
-            raise ValueError(f"abs_tol must be positive and finite, got {self.abs_tol}")
-        if not (self.rel_tol > 0.0) or not math.isfinite(self.rel_tol):
-            raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-
-
-DEFAULT_TOL = Tolerance()
+_MAX_ITER = 300  # iteration cap of both bracketed solvers; no package solve nears it
 
 
 def bessel_j_sequence(n_max: int, x: float) -> np.ndarray:
@@ -105,7 +81,8 @@ def find_root_bracketed(
     f: Callable[[float], float],
     a: float,
     b: float,
-    tol: Tolerance = DEFAULT_TOL,
+    abs_tol: float,
+    rel_tol: float,
     fa: Optional[float] = None,
     fb: Optional[float] = None,
 ) -> float:
@@ -113,10 +90,14 @@ def find_root_bracketed(
 
     Combines inverse quadratic interpolation and secant steps with a
     bisection fallback, so convergence is guaranteed for any continuous f
-    with f(a)*f(b) <= 0.  Stops when |f| <= abs_tol or the bracket has
-    shrunk to rel_tol*|x| + abs_tol.  fa and fb, when given, are f(a) and
-    f(b) already evaluated by the caller, and f is not called there again.
+    with f(a)*f(b) <= 0.  Stops once |f| <= abs_tol or the bracket is no
+    wider than rel_tol*|x| + abs_tol + 4 eps|x|; abs_tol may be 0, rel_tol
+    must be positive, both finite (ValueError otherwise).  fa and fb, when
+    given, are f(a) and f(b) already evaluated by the caller, and f is not
+    called there again.
     """
+    if not (0.0 <= abs_tol < math.inf and 0.0 < rel_tol < math.inf):
+        raise ValueError(f"need finite abs_tol >= 0 and rel_tol > 0, got {abs_tol}, {rel_tol}")
     fa = f(a) if fa is None else fa
     fb = f(b) if fb is None else fb
     if not (math.isfinite(fa) and math.isfinite(fb)):
@@ -130,16 +111,16 @@ def find_root_bracketed(
 
     c, fc = a, fa
     d = e = b - a
-    for _ in range(tol.max_iter):
+    for _ in range(_MAX_ITER):
         if (fb > 0.0) == (fc > 0.0):
             c, fc = a, fa
             d = e = b - a
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * _EPS * abs(b) + 0.5 * (tol.rel_tol * abs(b) + tol.abs_tol)
+        tol1 = 2.0 * _EPS * abs(b) + 0.5 * (rel_tol * abs(b) + abs_tol)
         xm = 0.5 * (c - b)
-        if abs(xm) <= tol1 or fb == 0.0 or abs(fb) <= tol.abs_tol:
+        if abs(xm) <= tol1 or fb == 0.0 or abs(fb) <= abs_tol:
             return b
         if abs(e) >= tol1 and abs(fa) > abs(fb):
             s = fb / fa
@@ -171,7 +152,7 @@ def find_root_bracketed(
         fb = f(b)
         if not math.isfinite(fb):
             raise DomainError(f"f returned a non-finite value at {b}")
-    raise ConvergenceError(f"root search did not converge in {tol.max_iter} iterations")
+    raise ConvergenceError(f"root search did not converge in {_MAX_ITER} iterations")
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -181,12 +162,14 @@ def minimize_scalar_bracketed(
     f: Callable[[float], float],
     a: float,
     b: float,
-    tol: Tolerance = DEFAULT_TOL,
+    abs_tol: float,
+    rel_tol: float,
 ) -> float:
     """Golden-section minimum of f on [a, b].
 
     Assumes f is unimodal on the bracket; used where a derivative has no
-    clean sign change and only the minimum position is meaningful.
+    clean sign change and only the minimum position is meaningful.  Stops
+    once the bracket is no wider than rel_tol*|midpoint| + abs_tol.
     """
     if not (b > a):
         raise DomainError(f"invalid bracket [{a}, {b}]")
@@ -195,9 +178,9 @@ def minimize_scalar_bracketed(
     f1, f2 = f(x1), f(x2)
     if not (math.isfinite(f1) and math.isfinite(f2)):
         raise DomainError("f is not finite inside the bracket")
-    for _ in range(tol.max_iter):
+    for _ in range(_MAX_ITER):
         mid = 0.5 * (a + b)
-        if (b - a) <= tol.rel_tol * abs(mid) + tol.abs_tol:
+        if (b - a) <= rel_tol * abs(mid) + abs_tol:
             return mid
         if f1 < f2:
             b, x2, f2 = x2, x1, f1
@@ -207,4 +190,4 @@ def minimize_scalar_bracketed(
             a, x1, f1 = x1, x2, f2
             x2 = a + _INVPHI * (b - a)
             f2 = f(x2)
-    raise ConvergenceError(f"minimization did not converge in {tol.max_iter} iterations")
+    raise ConvergenceError(f"minimization did not converge in {_MAX_ITER} iterations")

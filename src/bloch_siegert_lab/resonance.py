@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -37,7 +38,6 @@ from scipy.special import j1 as bessel_j1
 from .errors import DomainError
 from .floquet import _chain_slope_fn, _truncation
 from .numerics import (
-    Tolerance,
     bessel_j,
     bessel_j0_minus_1,
     find_root_bracketed,
@@ -80,41 +80,40 @@ class ShiftResult:
 
 # tight scalar tolerances, in units of omega0 like every route body: the
 # roots are smooth and cheap, so run the bracketing solver to machine
-# width.  The floquet root in the shift variable also stops once |slope|
-# <= abs_tol; without that stop its root at a = 1e-3 takes 14 evaluations
-# instead of 6.  The chrw root in t = a/z - 2 and the shirley root in the
-# shift keep rel_tol but scale abs_tol with their bracket (_relative_tol):
-# at the chrw root t lies between s/2 and s, so the relative rule alone
-# gives the shift to 1e-14 relative.  A fixed |f| stop would not do: the
-# chrw residual is of order a^2 everywhere on the bracket, and |f| <= 1e-18
-# leaves the shirley shift up to 1.5e-11 off (at a = 9.9e-4, of 400
-# points on [1e-6, 0.1]).
-_SHIFT_TOL = Tolerance(abs_tol=1e-18, rel_tol=1e-14, max_iter=300)
+# width, rel_tol = 1e-14 on every route.  The floquet root in the shift
+# variable also stops once |slope| <= _SHIFT_ABS_TOL; without that stop its
+# root at a = 1e-3 takes 14 evaluations instead of 6.  The chrw root in
+# t = a/z - 2 and the shirley root in the shift scale abs_tol with their
+# bracket instead (_relative_tol): at the chrw root t lies between s/2 and
+# s, so the relative rule alone gives the shift to 1e-14 relative.  A fixed
+# |f| stop would not do: the chrw residual is of order a^2 everywhere on
+# the bracket, and |f| <= 1e-18 leaves the shirley shift up to 1.5e-11 off
+# (at a = 9.9e-4, of 400 points on [1e-6, 0.1]).
+_SHIFT_ABS_TOL = 1e-18
 _BRACKET_ABS_SCALE = math.ulp(1.0) ** 2
 _FLOQUET_MIN_A = 1e-8
+# below this a the weak-drive shift (a/4)^2 is not a normal float, which the
+# bracketed routes cannot resolve, so _shift_bracket refuses it
+_NORMAL_SHIFT_MIN_A = 4.0 * math.sqrt(sys.float_info.min)
 # a seed closer than this to the bracket bottom is not used: at the Floquet
 # floor the seeded bracket would lie within a few decades of the 1e-18 stop
 _SEED_MIN_STEP = 1e-14
 
 
-def _relative_tol(lo: float, hi: float) -> Tolerance:
-    """_SHIFT_TOL with abs_tol = eps^2 w min(1, w) for the bracket width w,
-    so that both stops, on the bracket and on |f|, scale with a weak
-    drive's root (~ w) and residual (~ w^2); below w ~ 1e-146 that
-    underflows to 0 and the smallest subnormal takes its place."""
+def _relative_tol(lo: float, hi: float) -> float:
+    """abs_tol = eps^2 w min(1, w) for the bracket width w, so that both
+    stops, on the bracket and on |f|, scale with a weak drive's root (~ w)
+    and residual (~ w^2); below w ~ 1e-146 it is 0, and the relative stop
+    alone ends the search."""
     width = abs(hi - lo)
-    return Tolerance(
-        abs_tol=_BRACKET_ABS_SCALE * width * min(1.0, width) or math.ulp(0.0),
-        rel_tol=_SHIFT_TOL.rel_tol,
-        max_iter=_SHIFT_TOL.max_iter,
-    )
+    return _BRACKET_ABS_SCALE * width * min(1.0, width)
 
 
 def _bracketed_root(
     point: Callable[[float], tuple[float, float]],
     lo: float,
     hi: float,
-    tol: Tolerance,
+    abs_tol: float,
     step: Optional[Callable[[float], tuple[tuple[float, float], float]]] = None,
 ) -> tuple[float, float, int]:
     """Root of the residual of point(x) -> (residual, shift) on [lo, hi].
@@ -140,7 +139,7 @@ def _bracketed_root(
                 lo = x1
             else:
                 hi = x1
-    root = find_root_bracketed(residual, lo, hi, tol)
+    root = find_root_bracketed(residual, lo, hi, abs_tol, 1e-14)
     value, shift = memo[root]
     return shift, abs(value), len(memo)
 
@@ -189,6 +188,11 @@ def _shift_route(method: Method):
 def _shift_bracket(a: float) -> tuple[float, float]:
     # s = omega - 1 runs from just below the strong-drive asymptote (never
     # below the bare resonance) up to a
+    if a < _NORMAL_SHIFT_MIN_A:
+        raise DomainError(
+            f"shift/omega0 ~ (A/4omega0)^2 is not a normal float at A/omega0={a:.3g}"
+            f" < {_NORMAL_SHIFT_MIN_A:.4g}"
+        )
     return max(0.0, 0.9 * a / first_bessel_j0_zero() - 1.0), a
 
 
@@ -335,7 +339,7 @@ def _chain_root(a: float, n_trunc: int) -> tuple[float, float, int]:
         value, gap = slope(s, pair_gap=True)
         return (value, s), s - 2.0 * value * gap
 
-    return _bracketed_root(lambda s: (slope(s), s), s_lo, s_hi, _SHIFT_TOL, step)
+    return _bracketed_root(lambda s: (slope(s), s), s_lo, s_hi, _SHIFT_ABS_TOL, step)
 
 
 _DISPATCH = {

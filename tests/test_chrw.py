@@ -26,8 +26,8 @@ from bloch_siegert_lab.numerics import bessel_j, find_root_bracketed
 
 def _full_scan_xi(p: ModelParams) -> float:
     """Reference xi: the J1 residual on all of np.linspace(0, 1, n + 1),
-    the first upward crossing after xi = 0, then the Brent polish at the
-    default tolerance."""
+    the first upward crossing after xi = 0, then the Brent polish at
+    solve_xi's abs_tol = rel_tol = 1e-12."""
     a, w = p.amplitude, p.omega
     n = max(128, int(8.0 * a / w) + 128)
     grid = np.linspace(0.0, 1.0, n + 1)
@@ -41,7 +41,7 @@ def _full_scan_xi(p: ModelParams) -> float:
     if residual[i] == 0.0:
         return float(grid[i])
     return find_root_bracketed(
-        lambda xi: xi_fixed_point_residual(p, xi), float(grid[i - 1]), float(grid[i])
+        lambda xi: xi_fixed_point_residual(p, xi), float(grid[i - 1]), float(grid[i]), 1e-12, 1e-12
     )
 
 

@@ -486,12 +486,15 @@ class TestExitCodes:
             assert cells[-1] == f"floquet: Floquet shift unresolved at A/omega0={cells[0]} < 1e-08"
 
     def test_underflowing_bracket_tolerance_keeps_the_table(self, capsys):
-        # at A = 1e-300 the bracket-scaled stop of chrw and shirley
-        # underflows; their cells must still be filled
+        # at A = 1e-300 the shift of chrw and shirley is no normal float;
+        # the row stays, their cells are blank, and the diagnostics say why
         code, out = _run(capsys, ["shift-table", "--A", "1e-300"])
         assert code == 0
         cells = out.strip().split("\n")[2].split(",")
-        assert cells[2:4] == ["0", "0"]
+        assert cells[0] == "1e-300" and cells[2:4] == ["", ""]
+        notes = cells[-1].split("; ")
+        assert [n.split(":")[0] for n in notes] == ["floquet", "chrw", "shirley"]
+        assert all("not a normal float" in n for n in notes[1:])
 
     @pytest.mark.parametrize("amp, omega", [("1e19", "1"), ("1.2", "1e-8")])
     def test_oversized_xi_scan_becomes_diagnostic(self, capsys, monkeypatch, amp, omega):

@@ -15,8 +15,6 @@ from bloch_siegert_lab.errors import (
     NoSignChangeError,
 )
 from bloch_siegert_lab.numerics import (
-    DEFAULT_TOL,
-    Tolerance,
     bessel_j,
     bessel_j0_minus_1,
     bessel_j_sequence,
@@ -27,25 +25,37 @@ from bloch_siegert_lab.numerics import (
 
 
 class TestTolerance:
-    def test_defaults(self):
-        assert DEFAULT_TOL.abs_tol == 1e-12
-        assert DEFAULT_TOL.rel_tol == 1e-12
-        assert DEFAULT_TOL.max_iter == 200
+    """find_root_bracketed's abs_tol and rel_tol: plain floats, checked on
+    entry."""
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"abs_tol": 0.0},
+            {"abs_tol": math.inf},
             {"abs_tol": -1e-9},
             {"rel_tol": 0.0},
             {"abs_tol": math.nan},
             {"rel_tol": math.inf},
-            {"max_iter": 0},
+            {"rel_tol": -1e-9},
+            {"rel_tol": math.nan},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x * x - 2.0
+
+        tol = {"abs_tol": 1e-12, "rel_tol": 1e-12, **kwargs}
         with pytest.raises(ValueError):
-            Tolerance(**kwargs)
+            find_root_bracketed(f, 0.0, 2.0, **tol)
+        assert calls == []
+
+    def test_zero_abs_tol_is_accepted(self):
+        # only the relative stop is left, and it still reaches the root
+        root = find_root_bracketed(lambda x: x * x - 2.0, 0.0, 2.0, 0.0, 1e-15)
+        assert root == pytest.approx(math.sqrt(2.0), rel=4e-15, abs=0.0)
 
 
 class TestBesselJ:
@@ -153,7 +163,7 @@ class TestFirstBesselJ0Zero:
 
 class TestFindRootBracketed:
     def test_simple_root(self):
-        root = find_root_bracketed(lambda x: x * x - 2.0, 0.0, 2.0)
+        root = find_root_bracketed(lambda x: x * x - 2.0, 0.0, 2.0, 1e-12, 1e-12)
         assert root == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_seeded_random_cubics(self):
@@ -167,11 +177,11 @@ class TestFindRootBracketed:
             hi = r[2] + rng.uniform(0.1, 2.0)
             if f(lo) == 0.0 or f(hi) == 0.0:
                 continue
-            root = find_root_bracketed(f, lo, hi, Tolerance(1e-14, 1e-14, 200))
+            root = find_root_bracketed(f, lo, hi, 1e-14, 1e-14)
             assert abs(f(root)) <= 1e-10
 
     def test_exact_endpoint_root(self):
-        assert find_root_bracketed(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+        assert find_root_bracketed(lambda x: x - 1.0, 1.0, 3.0, 1e-12, 1e-12) == 1.0
 
     def test_given_endpoint_values_are_not_evaluated_again(self):
         calls = []
@@ -180,29 +190,27 @@ class TestFindRootBracketed:
             calls.append(x)
             return x * x - 2.0
 
-        want = find_root_bracketed(f, 0.0, 2.0)
+        want = find_root_bracketed(f, 0.0, 2.0, 1e-12, 1e-12)
         assert calls[:2] == [0.0, 2.0]
         calls.clear()
-        assert find_root_bracketed(f, 0.0, 2.0, fa=-2.0, fb=2.0) == want
+        assert find_root_bracketed(f, 0.0, 2.0, 1e-12, 1e-12, fa=-2.0, fb=2.0) == want
         assert 0.0 not in calls and 2.0 not in calls
 
     def test_no_sign_change_raises(self):
         with pytest.raises(NoSignChangeError):
-            find_root_bracketed(lambda x: x * x + 1.0, -1.0, 1.0)
+            find_root_bracketed(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-12)
 
     def test_non_finite_endpoint_raises(self):
         with pytest.raises(DomainError):
             find_root_bracketed(
-                lambda x: math.inf if x >= 0.0 else -1.0, -1.0, 1.0
+                lambda x: math.inf if x >= 0.0 else -1.0, -1.0, 1.0, 1e-12, 1e-12
             )
 
-    def test_max_iter_exhaustion_raises(self):
-        with pytest.raises(ConvergenceError):
+    def test_max_iter_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_MAX_ITER", 3)
+        with pytest.raises(ConvergenceError, match="in 3 iterations"):
             find_root_bracketed(
-                lambda x: math.tanh(50.0 * (x - 0.123456789)),
-                0.0,
-                1.0,
-                Tolerance(1e-15, 1e-15, 3),
+                lambda x: math.tanh(50.0 * (x - 0.123456789)), 0.0, 1.0, 1e-15, 1e-15
             )
 
     @given(
@@ -212,26 +220,26 @@ class TestFindRootBracketed:
     @settings(max_examples=200, deadline=None)
     def test_root_inside_bracket(self, center, width):
         f = lambda x: math.atan(x - center)
-        root = find_root_bracketed(f, center - width, center + width)
+        root = find_root_bracketed(f, center - width, center + width, 1e-12, 1e-12)
         assert center - width <= root <= center + width
         assert root == pytest.approx(center, abs=1e-10 + 1e-10 * abs(center))
 
 
 class TestMinimizeScalarBracketed:
     def test_quadratic(self):
-        xmin = minimize_scalar_bracketed(lambda x: (x - 0.7) ** 2, -1.0, 2.0)
+        xmin = minimize_scalar_bracketed(lambda x: (x - 0.7) ** 2, -1.0, 2.0, 1e-12, 1e-12)
         assert xmin == pytest.approx(0.7, abs=1e-7)
 
     def test_quartic_offset(self):
         xmin = minimize_scalar_bracketed(
-            lambda x: (x - 2.0) ** 4 + 3.0, 0.0, 5.0, Tolerance(1e-10, 1e-10, 300)
+            lambda x: (x - 2.0) ** 4 + 3.0, 0.0, 5.0, 1e-10, 1e-10
         )
         assert xmin == pytest.approx(2.0, abs=1e-2)  # quartic floor is flat
 
     def test_cosine_well(self):
-        xmin = minimize_scalar_bracketed(math.cos, 2.0, 4.5)
+        xmin = minimize_scalar_bracketed(math.cos, 2.0, 4.5, 1e-12, 1e-12)
         assert xmin == pytest.approx(math.pi, abs=1e-7)
 
     def test_bad_bracket_raises(self):
         with pytest.raises(DomainError):
-            minimize_scalar_bracketed(lambda x: x * x, 2.0, -1.0)
+            minimize_scalar_bracketed(lambda x: x * x, 2.0, -1.0, 1e-12, 1e-12)

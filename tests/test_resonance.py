@@ -9,7 +9,7 @@ from bloch_siegert_lab import chrw, resonance
 from bloch_siegert_lab.chrw import ModelParams
 from bloch_siegert_lab.errors import DomainError
 from bloch_siegert_lab.floquet import default_truncation
-from bloch_siegert_lab.numerics import Tolerance, first_bessel_j0_zero
+from bloch_siegert_lab.numerics import first_bessel_j0_zero
 from bloch_siegert_lab.resonance import (
     Method,
     ShiftResult,
@@ -295,7 +295,6 @@ class TestSeededRoot:
     """The bracket seeded by one model step at its bottom: the same root as
     plain Brent, each distinct point evaluated once."""
 
-    TOL = Tolerance(abs_tol=1e-18, rel_tol=1e-14, max_iter=300)
 
     def _root(self, x1=None):
         # exp(x) - 2 on [0, 2], root ln 2; step returns the value at the
@@ -307,7 +306,7 @@ class TestSeededRoot:
             return math.exp(x) - 2.0, x
 
         step = None if x1 is None else (lambda x: (point(x), x1))
-        found = resonance._bracketed_root(point, 0.0, 2.0, self.TOL, step)
+        found = resonance._bracketed_root(point, 0.0, 2.0, 1e-18, step)
         return found, calls
 
     def test_plain_root(self):
@@ -346,7 +345,9 @@ class TestSeededRoutes:
             lo, hi = resonance._shift_bracket(a)
             bottom = ModelParams(omega0=1.0, amplitude=a, omega=1.0 + lo)
             slope = resonance._chain_slope_fn(a, default_truncation(bottom))
-            plain = resonance._bracketed_root(lambda s: (slope(s), s), lo, hi, resonance._SHIFT_TOL)
+            plain = resonance._bracketed_root(
+                lambda s: (slope(s), s), lo, hi, resonance._SHIFT_ABS_TOL
+            )
             got = bs_floquet_numeric(omega0, a * omega0).shift
             bound = 180.0 * eps / a if a < 1.0 else 15.0 * eps
             assert got == pytest.approx(omega0 * plain[0], rel=bound, abs=0.0)
@@ -444,20 +445,37 @@ class TestTrivialAndDispatch:
                 route(omega0, amplitude)
 
     def test_bracket_tolerance_never_underflows(self):
-        # abs_tol = eps^2 w min(1, w) for the bracket width w; below
-        # w ~ 1e-146 it underflows to 0, which Tolerance refuses.  The floor
-        # is the smallest subnormal and leaves every positive product as it
-        # was
-        for width in (1e-300, 1e-290, 1e-150):
-            assert resonance._relative_tol(0.0, width).abs_tol == math.ulp(0.0)
-        for width in (1e-140, 1e-20, 0.5):
+        # abs_tol = eps^2 w min(1, w) for the bracket width w, a plain
+        # product: below w ~ 1e-146 it is 0 and the relative stop alone
+        # ends the search.  No route reaches a zero abs_tol with an
+        # underflowed shift: below A/omega0 = 4 sqrt(float min) ~ 5.967e-154
+        # the shift (A/4)^2/omega0 is not a normal float, and the bracketed
+        # routes raise DomainError
+        for width in (1e-300, 1e-290, 1e-150, 1e-147):
+            assert resonance._relative_tol(0.0, width) == 0.0
+        for width in (1e-145, 1e-140, 1e-20, 0.5):
             tol = resonance._relative_tol(-width, 0.0)
-            assert tol.abs_tol == resonance._BRACKET_ABS_SCALE * width * width
+            assert tol == resonance._BRACKET_ABS_SCALE * width * width > 0.0
         for width in (1.0, 1e300):
-            tol = resonance._relative_tol(-width, 0.0)
-            assert tol.abs_tol == resonance._BRACKET_ABS_SCALE * width
-        assert bs_chrw(1.0, 1e-300).shift == 0.0
-        assert bs_shirley_iterative(1.0, 1e-300).shift == 0.0
+            assert resonance._relative_tol(-width, 0.0) == resonance._BRACKET_ABS_SCALE * width
+        for route in (bs_chrw, bs_shirley_iterative):
+            with pytest.raises(DomainError, match="not a normal float"):
+                route(1.0, 1e-300)
+
+    def test_weak_drive_floor(self):
+        # below the floor chrw's residual at the bracket bottom rounds to a
+        # few subnormals of either sign and shirley's shift underflows, so
+        # both must refuse every point; at the floor both return pert6's shift
+        floor = resonance._NORMAL_SHIFT_MIN_A
+        assert floor == pytest.approx(5.967e-154, rel=1e-4)
+        for a in np.geomspace(1e-162, 5.96e-154, 1000):
+            for route in (bs_chrw, bs_shirley_iterative):
+                with pytest.raises(DomainError, match="not a normal float"):
+                    route(1.0, float(a))
+        for omega0 in (0.3, 1.0, 7.0):
+            want = bs_perturbative6(omega0, floor * omega0).shift
+            for route in (bs_chrw, bs_shirley_iterative):
+                assert route(omega0, floor * omega0).shift == pytest.approx(want, rel=1e-15)
 
     @pytest.mark.parametrize(
         "omega0, amplitude",
