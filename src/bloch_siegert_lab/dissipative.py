@@ -6,15 +6,16 @@ swap: the Hamiltonian is static (the dressed splitting rabi_tilde) and the
 dissipator becomes time-dependent through the transformed lowering operator.
 Expanding that operator in drive harmonics and keeping only the co-rotating
 (n + n' = 0) pairs leaves a constant-coefficient master equation whose whole
-content is a rank-4 tensor over the dressed indices, and ultimately six
-scalar rates.  Neumann's addition theorem sums the harmonic products
+content is a real rank-4 tensor over the dressed indices, and ultimately
+six real rates.  Neumann's addition theorem sums the harmonic products
 exactly, so rates gives the six in closed form from J_0, J_1 and J_2 at the
 Bessel argument z and at 2z; lindblad_tensor sums the truncated harmonic
 table term by term and is their independent reference.  Validity
 requires the dressed splitting to dominate the decay (rabi_tilde >>
 kappa).  steady_state solves the dressed Bloch equations for their fixed
 point, and population_avg turns it into the time-averaged lab-frame excited
-population, the paper's population signature.
+population, the paper's population signature.  Only bloch_generator
+(through +-i rabi_tilde) and the steady coherence are complex.
 
 oracle_lindblad integrates the untransformed lab-frame equation directly and
 shares no code with the rate construction; it is the ground truth for
@@ -124,7 +125,7 @@ def _blocks(table: FourierCoefficients) -> np.ndarray:
     # -L+2, ..., L (L = max_order) in that order; n > 0 reads signature +1,
     # n < 0 signature -1 with the raising and lowering weights trading places
     fz = np.concatenate([table.f_z[1, ::-1], table.f_z[0]])
-    stack = np.empty((fz.size, 2, 2), dtype=np.complex128)
+    stack = np.empty((fz.size, 2, 2))
     stack[:, 0, 0] = 0.5 * fz
     stack[:, 0, 1] = 0.5 * np.concatenate([table.f_minus[1, ::-1], table.f_plus[0]])
     stack[:, 1, 0] = 0.5 * np.concatenate([table.f_plus[1, ::-1], table.f_minus[0]])
@@ -141,13 +142,13 @@ def x_coefficients(
     """2x2 block of the n-th harmonic of the transformed sigma_+.
 
     Index order is dressed (+, -).  Even n and |n| beyond the truncation
-    give the zero block.  Entries are real; the dtype is complex for
-    uniformity with the tensor they feed.
+    give the zero block.  The harmonic weights are real, so the block is
+    float64.
     """
     if table is None:
         table = fourier_coefficients(frame, params)
     if n % 2 == 0 or abs(n) > table.max_order:
-        return np.zeros((2, 2), dtype=np.complex128)
+        return np.zeros((2, 2))
     return _blocks(table)[(n + table.max_order) // 2]
 
 
@@ -155,11 +156,10 @@ def lindblad_tensor(frame: ChrwFrame, params: ModelParams) -> np.ndarray:
     """Rank-4 dissipator tensor over dressed indices, co-rotating pairs only.
 
     Element [alpha, beta, mu, nu] multiplies rho_{mu nu} in the equation for
-    rho_{alpha beta}.  Linear in kappa; identically zero without decay.
+    rho_{alpha beta}.  Real, linear in kappa, zero without decay.
     """
-    tensor = np.zeros((2, 2, 2, 2), dtype=np.complex128)
     if params.kappa == 0.0:
-        return tensor
+        return np.zeros((2, 2, 2, 2))
     stack = _blocks(fourier_coefficients(frame, params))
     # with real harmonics the sigma_- blocks are transposes, so the three
     # dissipator contractions reduce to two reusable sums over harmonics
@@ -180,16 +180,16 @@ class RateSet:
 
     gamma_z damps the dressed population difference, gamma_0 sources it,
     gamma_1 couples population to coherence, gamma_2 sources coherence,
-    gamma_minus mixes the two coherences, gamma_plus damps them.  Kept
-    complex; with a real harmonic table they come out real.
+    gamma_minus mixes the two coherences, gamma_plus damps them.  All real;
+    gamma_0 / kappa is the projector bracket population_avg needs.
     """
 
-    gamma_z: complex
-    gamma_0: complex
-    gamma_1: complex
-    gamma_2: complex
-    gamma_minus: complex
-    gamma_plus: complex
+    gamma_z: float
+    gamma_0: float
+    gamma_1: float
+    gamma_2: float
+    gamma_minus: float
+    gamma_plus: float
 
     @classmethod
     def from_tensor(cls, tensor: np.ndarray) -> "RateSet":
@@ -235,12 +235,12 @@ def rates(frame: ChrwFrame, params: ModelParams) -> RateSet:
     delta_delta = (4.0 - m + y2) / 4.0
     x0, x1 = float(j0(z)), float(j1(z))
     return RateSet(
-        gamma_z=complex(0.5 * kappa * (sigma_sigma + delta_delta)),
-        gamma_0=complex(kappa * (c * x0 + s * x1)),
-        gamma_1=complex(-0.5 * kappa * u_sigma),
-        gamma_2=complex(0.5 * kappa * (s * x0 - c * x1)),
-        gamma_minus=complex(0.25 * kappa * (delta_delta - sigma_sigma)),
-        gamma_plus=complex(kappa * (2.0 * uu + 0.25 * (sigma_sigma + delta_delta))),
+        gamma_z=0.5 * kappa * (sigma_sigma + delta_delta),
+        gamma_0=kappa * (c * x0 + s * x1),
+        gamma_1=-0.5 * kappa * u_sigma,
+        gamma_2=0.5 * kappa * (s * x0 - c * x1),
+        gamma_minus=0.25 * kappa * (delta_delta - sigma_sigma),
+        gamma_plus=kappa * (2.0 * uu + 0.25 * (sigma_sigma + delta_delta)),
     )
 
 
@@ -274,7 +274,8 @@ class SteadyState:
 
 
 def steady_state(rate_set: RateSet, rabi_tilde: float) -> SteadyState:
-    """Closed-form fixed point of the dressed Bloch equations."""
+    """Closed-form fixed point of the dressed Bloch equations; refuses a
+    vanishing denominator (DegenerateInputError), as at kappa = 0."""
     g0 = rate_set.gamma_0
     g1 = rate_set.gamma_1
     g2 = rate_set.gamma_2
@@ -293,23 +294,18 @@ def steady_state(rate_set: RateSet, rabi_tilde: float) -> SteadyState:
         )
     sz = (-r2 * g0 - 4.0 * g1 * g2 * (gm - gp) + g0 * (gm * gm - gp * gp)) / denom
     splus = (1j * rabi_tilde - gm + gp) * (g0 * g1 - g2 * gz) / denom
-    if abs(sz.imag) > 1e-9 * max(1.0, abs(sz.real)):
-        raise DegenerateInputError(
-            f"steady population difference came out complex ({sz}); rate set is unphysical"
-        )
-    return SteadyState(sz_ss=float(sz.real), splus_ss=complex(splus))
+    return SteadyState(sz_ss=float(sz), splus_ss=complex(splus))
 
 
 def population_avg(frame: ChrwFrame, params: ModelParams, rate_set: RateSet) -> float:
     """Time-averaged lab-frame excited population in steady state.
 
-    Only the zeroth harmonic of the projector map survives the average, so
-    the result needs nothing beyond the steady population difference.
+    Only the zeroth harmonic of the projector map survives the average; its
+    bracket cos 2theta J_0(z) + sin 2theta J_1(z) is gamma_0 / kappa, read
+    from the rates after steady_state has refused kappa = 0.
     """
     ss = steady_state(rate_set, frame.rabi_tilde)
-    z = bessel_argument(params, frame)
-    bracket = frame.cos_2theta * float(j0(z)) + frame.sin_2theta * float(j1(z))
-    return 0.5 * (1.0 + ss.sz_ss * bracket)
+    return 0.5 * (1.0 + ss.sz_ss * (rate_set.gamma_0 / params.kappa))
 
 
 # DOP853 tolerances of oracle_lindblad; its Bloch-ball check allows 2e-10

@@ -1,17 +1,17 @@
 """Bessel functions and bracketed scalar solvers.
 
 Every J_n in the package comes from scipy.special, through bessel_j and
-bessel_j_sequence here or through scipy.special.jv over an array.  Four
-places take J_0 and J_1 from the Cephes scipy.special.j0 and j1 instead,
-an order of magnitude cheaper than the AMOS jv for one argument: the CHRW
-xi equation in chrw, whose grid scan and residual both use j1 so the two
-agree on every sign, the chrw stationarity residual in resonance, the
-closed-form rates and population_avg in dissipative, and
-bessel_j0_minus_1, the one value scipy does not offer, whose series keeps
-J_0 - 1 free of cancellation below 1.  The root finder is a plain Brent's
-method: scipy.optimize would do the same work but costs a noticeable
-import on every start-up.  Both bracketed solvers take their stop rules
-as two floats, abs_tol and rel_tol, and share one iteration cap.
+bessel_j_sequence here (bessel_j below 2**-26 excepted) or through
+scipy.special.jv over an array.  Four places take J_0 and J_1 from the
+Cephes scipy.special.j0 and j1 instead, an order of magnitude cheaper than
+the AMOS jv for one argument: the CHRW xi equation in chrw, whose grid
+scan and residual both use j1 so the two agree on every sign, the chrw
+stationarity residual in resonance, the closed-form rates in dissipative,
+and bessel_j0_minus_1, the one value scipy does not offer, whose series
+keeps J_0 - 1 free of cancellation below 1.  The root finder is a plain
+Brent's method: scipy.optimize would do the same work but costs a
+noticeable import on every start-up.  Both bracketed solvers take their
+stop rules as two floats, abs_tol and rel_tol, and share one iteration cap.
 """
 
 from __future__ import annotations
@@ -39,11 +39,16 @@ def bessel_j_sequence(n_max: int, x: float) -> np.ndarray:
 
 
 def bessel_j(n: int, x: float) -> float:
-    """Bessel function of the first kind J_n(x) for integer n >= 0."""
+    """Bessel function of the first kind J_n(x) for integer n >= 0.
+
+    Below |x| = 2**-26, where AMOS jv(2, x) falls to 0 under 1.77e-152,
+    the series' leading term (x/2)^n / n! is exact to rounding."""
     if n != int(n) or n < 0:
         raise DomainError(f"order must be a nonnegative integer, got {n}")
     if not math.isfinite(x):
         raise DomainError(f"argument must be finite, got {x}")
+    if abs(x) < 2.0**-26:
+        return (0.5 * x) ** int(n) / math.factorial(int(n))
     return float(jv(int(n), x))
 
 

@@ -1,6 +1,7 @@
 """Transformed-frame dissipator: harmonics, rates, steady state, lab-frame oracle."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -261,9 +262,16 @@ class TestLindbladTensor:
         assert abs(0.5 * (t[1, 0, 0, 0] - t[1, 0, 1, 1]) - t[0, 0, 0, 1]) < 1e-18
 
     def test_entries_real(self):
+        # the harmonic weights are real, so the blocks and the tensor are
+        # built in float64 and the rates read from it are floats
         fr = build_frame(P_STRONG)
         tensor = lindblad_tensor(fr, P_STRONG)
-        assert np.max(np.abs(tensor.imag)) < 1e-19 * P_STRONG.kappa
+        assert tensor.dtype == np.float64
+        assert x_coefficients(fr, P_STRONG, 1).dtype == np.float64
+        zero = lindblad_tensor(fr, dataclasses.replace(P_STRONG, kappa=0.0))
+        assert zero.dtype == np.float64
+        rs = RateSet.from_tensor(tensor)
+        assert all(isinstance(getattr(rs, f.name), float) for f in dataclasses.fields(RateSet))
 
 
 class TestRates:
@@ -288,15 +296,27 @@ class TestRates:
 
     def test_gamma0_tracks_projector_bracket(self):
         # the population source is the decay rate times the same Bessel
-        # bracket that maps dressed inversion to lab population; the exact
-        # tensor keeps them aligned to a small fraction of kappa
-        for w in (1.0, 1.0006, 1.002):
-            p = ModelParams(omega0=1.0, amplitude=0.1, omega=w, kappa=2e-3)
-            fr = build_frame(p)
-            rs = rates(fr, p)
-            z = bessel_argument(p, fr)
-            bracket = fr.cos_2theta * bessel_j(0, z) + fr.sin_2theta * bessel_j(1, z)
-            assert abs(rs.gamma_0.real - p.kappa * bracket) < 1e-3 * p.kappa
+        # bracket that maps dressed inversion to lab population, which
+        # population_avg reads back as gamma_0 / kappa.  Here the bracket
+        # takes AMOS J_0 and J_1, rates Cephes; over A/omega0 in [1e-4, 16]
+        # the measured worst was 4.3e-16 kappa on 9,327 points of both frames
+        checked = 0
+        for omega0 in (0.3, 1.0, 7.0):
+            for amp in omega0 * np.geomspace(1e-4, 16.0, 30):
+                res = bs_chrw(omega0, amp).omega_res
+                for w, mode in itertools.product(
+                    (0.9 * omega0, omega0, res, 1.1 * omega0), (FrameMode.CHRW, FrameMode.RWA)
+                ):
+                    p = ModelParams(omega0=omega0, amplitude=amp, omega=w, kappa=2e-3)
+                    try:
+                        fr = build_frame(p, mode=mode)
+                    except NoSignChangeError:
+                        continue  # inside a negative lobe of J1 the frame does not exist
+                    z = bessel_argument(p, fr)
+                    bracket = fr.cos_2theta * bessel_j(0, z) + fr.sin_2theta * bessel_j(1, z)
+                    assert abs(rates(fr, p).gamma_0 - p.kappa * bracket) < 1.2e-15 * p.kappa
+                    checked += 1
+        assert checked >= 650
 
     def test_gamma0_changes_sign_at_resonance(self):
         # the population source crosses zero exactly where the shifted
@@ -307,7 +327,7 @@ class TestRates:
         for w in (res.omega_res - 2e-5, res.omega_res + 2e-5):
             p = ModelParams(omega0=1.0, amplitude=0.1, omega=w, kappa=2e-3)
             fr = build_frame(p)
-            vals.append(rates(fr, p).gamma_0.real)
+            vals.append(rates(fr, p).gamma_0)
         assert vals[0] * vals[1] < 0.0
 
     @pytest.mark.parametrize("mode", [FrameMode.CHRW, FrameMode.RWA])
@@ -362,7 +382,7 @@ class TestRates:
         for p in (P_STRONG, P_STRONGEST):
             for mode in (FrameMode.CHRW, FrameMode.RWA):
                 fr = build_frame(p, mode=mode)
-                assert rates(fr, p).gamma_z.real > 0.0
+                assert rates(fr, p).gamma_z > 0.0
 
     def test_closed_sums_vanish_without_decay(self):
         for amp in (0.1, 15.0):
@@ -372,6 +392,12 @@ class TestRates:
                 getattr(rs, name) == 0.0
                 for name in ("gamma_z", "gamma_0", "gamma_1", "gamma_2", "gamma_minus", "gamma_plus")
             )
+
+    def test_rates_are_floats(self):
+        for mode in (FrameMode.CHRW, FrameMode.RWA):
+            fr = build_frame(P_STRONG, mode=mode)
+            rs = rates(fr, P_STRONG)
+            assert all(type(getattr(rs, f.name)) is float for f in dataclasses.fields(RateSet))
 
     def test_from_tensor_roundtrip(self):
         fr = build_frame(P_STRONG)
@@ -415,10 +441,10 @@ class TestSteadyState:
         fr = build_frame(p)
         rs = rates(fr, p)
         ss = steady_state(rs, fr.rabi_tilde)
-        assert ss.sz_ss == pytest.approx(-(rs.gamma_0 / rs.gamma_z).real, rel=1e-3)
+        assert ss.sz_ss == pytest.approx(-rs.gamma_0 / rs.gamma_z, rel=1e-3)
 
     def test_degenerate_rates_raise(self):
-        zero = RateSet(0j, 0j, 0j, 0j, 0j, 0j)
+        zero = RateSet(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         with pytest.raises(DegenerateInputError):
             steady_state(zero, 0.5)
 
@@ -442,6 +468,21 @@ class TestPopulation:
         closed = population_avg(fr, p, rates(fr, p))
         exact = periodic_steady_state(p)
         assert abs(closed - exact) / exact < 4.6e-3
+
+    def test_bracket_read_from_gamma0(self, monkeypatch):
+        # the projector bracket is gamma_0 / kappa, so the average takes no
+        # Bessel value and no Bessel argument of its own
+        p = ModelParams(omega0=1.0, amplitude=0.5, omega=1.02, kappa=2e-3)
+        fr = build_frame(p)
+        rs = rates(fr, p)
+        sz = steady_state(rs, fr.rabi_tilde).sz_ss
+
+        def forbidden(*args):
+            raise AssertionError("population_avg evaluated a Bessel function")
+
+        for name in ("j0", "j1", "bessel_j", "bessel_j_sequence", "bessel_argument"):
+            monkeypatch.setattr(dissipative, name, forbidden)
+        assert population_avg(fr, p, rs) == 0.5 * (1.0 + sz * (rs.gamma_0 / p.kappa))
 
     def test_average_bounded_by_half(self):
         # the steady inversion always opposes the projector bracket, so the

@@ -1,6 +1,7 @@
 """Special functions and scalar solvers against scipy and frozen values."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -76,6 +77,25 @@ class TestBesselJ:
             bessel_j(2, math.nan)
         with pytest.raises(DomainError):
             bessel_j(2, math.inf)
+
+    def test_leading_term_at_tiny_argument_against_mpmath(self):
+        # below |x| = 2**-26 J_n is its leading term (x/2)^n / n!; AMOS
+        # jv(2, x) is 0 under 1.77e-152.  1 ulp(1) relative where J_n is
+        # a normal float, 2 ulp(0) absolute where it is subnormal; measured
+        # worst 0.69 ulp(1) and 1 ulp(0) on this grid
+        mp = pytest.importorskip("mpmath")
+        xs = np.geomspace(1e-300, 0.999 * 2.0**-26, 400)
+        xs = [*xs, *(-xs[::7])]
+        with mp.workdps(40):
+            for n in range(4):
+                for x in xs:
+                    got = bessel_j(n, float(x))
+                    want = mp.besselj(n, mp.mpf(float(x)))
+                    if abs(want) >= sys.float_info.min:
+                        assert abs((got - want) / want) <= math.ulp(1.0), (n, x)
+                    else:
+                        assert abs(got - want) <= 2.0 * math.ulp(0.0), (n, x)
+        assert bessel_j(2, 1e-160) > 0.0
 
     @given(st.floats(min_value=1e-8, max_value=50.0), st.integers(min_value=1, max_value=15))
     @settings(max_examples=200, deadline=None)

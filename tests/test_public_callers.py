@@ -1,10 +1,10 @@
 """Every exported name has a caller besides its own definition and tests.
 
-The sources under src/, scripts/ and bench/ are read with `ast`; nothing
-there is imported or executed.  A name counts as used where the code reads
-it (a bare name or an attribute) outside its own definition, or where a
-bench/ file spells it as a string, since the benchmark looks functions up
-by name.  The package `__init__` only re-exports, so it is not read.  No
+The sources under src/ and scripts/ are read with `ast`; nothing there is
+imported or executed.  A name counts as used where the code reads it (a
+bare name or an attribute) outside its own definition.  The benchmark is
+not read: a name that only the benchmark looks up by string is not
+exported.  The package `__init__` only re-exports, so it is not read.  No
 export is exempt: a reference implementation that only tests need lives in
 the tests.
 """
@@ -21,8 +21,7 @@ def _sources():
     pkg = ROOT / "src" / "bloch_siegert_lab"
     files = [f for f in sorted(pkg.glob("*.py")) if f.name != "__init__.py"]
     files += sorted((ROOT / "scripts").glob("*.py"))
-    files += [f for f in sorted((ROOT / "bench").glob("*.py")) if not f.name.startswith("test_")]
-    assert len(files) >= 12, files  # the scan cannot pass vacuously
+    assert len(files) >= 11, files  # the scan cannot pass vacuously
     return files
 
 
@@ -30,8 +29,7 @@ class _Uses(ast.NodeVisitor):
     """Names read in one module, skipping reads inside the definition that
     binds the same name (a recursive call or a self-reference)."""
 
-    def __init__(self, strings: bool):
-        self.strings = strings
+    def __init__(self):
         self.used = set()
         self.inside = []
 
@@ -54,15 +52,11 @@ class _Uses(ast.NodeVisitor):
         self._use(node.attr)
         self.generic_visit(node)
 
-    def visit_Constant(self, node):
-        if self.strings and isinstance(node.value, str):
-            self._use(node.value)
-
 
 def _used_names():
     used = set()
     for path in _sources():
-        visitor = _Uses(strings=path.parent.name == "bench")
+        visitor = _Uses()
         visitor.visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
         used |= visitor.used
     return used

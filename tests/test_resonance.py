@@ -113,6 +113,18 @@ class TestChrw:
         want = bs_perturbative6(omega0, a).shift
         assert bs_chrw(omega0, a).shift == pytest.approx(want, rel=1e-14, abs=0.0)
 
+    def test_just_above_the_normal_shift_floor(self):
+        # AMOS jv(2, z) is 0 under z = 1.77e-152, which leaves the residual at
+        # the bracket bottom (z = A/2omega0) as rounding noise: with jv, 26 of
+        # these 12,000 points raise NoSignChangeError.  bessel_j's leading
+        # term keeps every point on pert6; measured worst 9.8e-16 relative
+        floor = resonance._NORMAL_SHIFT_MIN_A
+        for omega0 in (0.3, 1.0, 7.0):
+            for ratio in np.geomspace(floor, 3.54e-152, 4000):
+                a = float(ratio) * omega0
+                want = bs_perturbative6(omega0, a).shift
+                assert bs_chrw(omega0, a).shift == pytest.approx(want, rel=1e-14, abs=0.0)
+
     def test_residual_changes_sign_on_the_shift_bracket(self):
         # the root in t = a/z - 2 is bracketed by the shift bracket itself.
         # At the top, s(t) >= t; at the bottom the root keeps at least
