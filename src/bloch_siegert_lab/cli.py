@@ -359,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("population", parents=[common, drive],
                        help="time-averaged excited population vs pump frequency")
-    p.add_argument("--kappa", type=_non_negative, default=2e-3, action=_Given,
-                   help="bare decay rate of the excited state, >= 0 (default 2e-3)")
+    p.add_argument("--kappa", type=_positive, default=2e-3, action=_Given,
+                   help="bare decay rate of the excited state, > 0 (default 2e-3)")
     p.add_argument("--omega-range", dest="omegas", type=_positive_range, default="0.995:1.005:0.0001",
                    action=_Given, metavar="LO:HI:STEP", help="pump grid (default %(default)s)")
     p.set_defaults(run=cmd_population)

@@ -5,11 +5,11 @@ sigma_x is mapped onto the static block-tridiagonal Floquet matrix in the
 basis |gamma, l> (gamma the bare level, l the Fourier index): diagonal blocks
 (omega0/2) sigma_z + l*omega*I, off-diagonal blocks (A/4) sigma_x between
 adjacent l.  That matrix splits into two tridiagonal parity chains with
-mirrored spectra, and one of them is the only Floquet eigensolver here: it
-gives the resonant quasienergy pair, their omega0-derivative (which gives
-the time-averaged transition probability FloquetSolution.pbar) and their
-gap.  The eigenphases of the one-period propagator are the independent
-oracle for the quasienergies, and the period map of the damped lab-frame
+mirrored spectra; one of them, solved by _chain for solve_floquet and the
+Floquet shift alike, is the only Floquet eigensolver here: it gives the
+resonant quasienergy pair, their omega0-derivative (which gives the
+time-averaged transition probability FloquetSolution.pbar) and their gap.
+The eigenphases of the one-period propagator are the independent oracle for the quasienergies, and the period map of the damped lab-frame
 Bloch equation gives the exact periodic steady state; both take the RK4
 prefix products of _period_maps with period_steps(params) steps.
 """
@@ -123,75 +123,53 @@ class FloquetSolution:
 
 
 def solve_floquet(params: ModelParams) -> FloquetSolution:
-    """Eigenpair N of the parity chain of build_floquet_matrix: the
-    quasienergy and its slope.
+    """Eigenpair N of the parity chain cut at N = default_truncation(params):
+    the quasienergy and its slope.
 
     A tridiagonal matrix with nonzero off-diagonals has no crossings, so
     eigenvalue N is always the lower member of the resonant pair and needs
     no tracking.
     """
-    diag, off = build_floquet_matrix(params)
-    n_trunc = len(off) // 2
-    e, vecs = _chain_eigensolver()(diag, off, n_trunc)
-    v = vecs[n_trunc % 2 :: 2, 0]
-    return FloquetSolution(
-        params=params,
-        n_trunc=n_trunc,
-        quasienergy=float(e[0]) + 0.5 * params.omega0,
-        dq_domega0=float(v @ v) - 0.5,
-    )
+    n_trunc = default_truncation(params)
+    w, slope = _chain(params.amplitude, n_trunc)(params.omega, params.omega - params.omega0)
+    return FloquetSolution(params, n_trunc, float(w[0]) + 0.5 * params.omega0, slope)
 
 
-def _chain_eigensolver() -> Callable[..., tuple[np.ndarray, np.ndarray]]:
-    """eig(diag, off, index, count=1) -> (w, vecs), unsliced: w[:count] are
-    eigenvalues index .. index + count - 1 (ascending, from 0) of a
-    symmetric tridiagonal matrix of at least two sites, and vecs[:, 0] is
-    the unit eigenvector of the first.
+def _chain(amplitude: float, n_trunc: int) -> Callable[..., tuple[np.ndarray, float]]:
+    """The parity-chain eigensolver: solve(omega, s, count=1) -> (w, slope)
+    on the chain of 2 n_trunc + 1 sites (n_trunc >= 1) at drive amplitude
+    A, diagonal base*omega plus s = omega - omega0 on the down sites.  w is
+    unsliced: w[:count] are eigenvalues N .. N + count - 1 (ascending, from
+    0), and slope, the up-site weight minus 1/2 by one BLAS dot, is
+    dq/domega0 of eigenvalue N.
 
-    Calls the two LAPACK routines eigh_tridiagonal(select='i') runs, dstebz
-    bisection (range 'I', block order, abstol 0) then dstein inverse
-    iteration, with the same arguments, so at count = 1 the eigenpair is
-    bitwise the same without its argument checks and driver lookup.  The
-    routines are looked up here, once per chain, so that importing the
-    package does not load scipy.linalg.
+    dstebz bisection (range 'I', block order, abstol 0) then dstein inverse
+    iteration are the calls eigh_tridiagonal(select='i') makes, so at
+    count = 1 the eigenpair is bitwise its own; a LAPACK failure raises
+    ConvergenceError.  The routines, off-diagonal and diagonal buffer are
+    set up once per chain, here, so importing the package does not load
+    scipy.linalg.
     """
     from scipy.linalg.lapack import dstebz, dstein
 
-    def eig(diag: np.ndarray, off: np.ndarray, index: int, count: int = 1):
-        _, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, index + 1, index + count, 0.0, "B")
-        if info != 0:
-            raise ConvergenceError(f"dstebz bisection for eigenvalue {index} failed (info={info})")
-        vecs, info = dstein(diag, off, w[:1], iblock, isplit)
-        if info != 0:
-            raise ConvergenceError(f"dstein inverse iteration for eigenvalue {index} failed (info={info})")
-        return w, vecs
-
-    return eig
-
-
-def _chain_slope_fn(a: float, n_trunc: int) -> Callable[..., float | tuple[float, float]]:
-    """solve_floquet's dq/domega0 on a chain of n_trunc >= 1 at A = a, in
-    units of omega0, as a function of the shift s = omega - 1, which
-    changes sign at resonance.  slope(s, pair_gap=True) also returns the
-    gap E_{N+1} - E_N of the resonant pair, from the same dstebz call.
-    The LAPACK lookup and the diagonal buffer are built once; the eigenpair
-    is bitwise eigh_tridiagonal's, the up-site weight is one BLAS dot, and
-    a LAPACK failure raises ConvergenceError."""
     base, up = _chain_layout(n_trunc)
-    off = np.full(2 * n_trunc, 0.25 * a)
-    eig = _chain_eigensolver()
+    off = np.full(2 * n_trunc, 0.25 * amplitude)
     diag = np.empty_like(base)
     down = diag[1 - up :: 2]
 
-    def slope(s: float, pair_gap: bool = False) -> float | tuple[float, float]:
-        np.multiply(base, 1.0 + s, out=diag)
+    def solve(omega: float, s: float, count: int = 1) -> tuple[np.ndarray, float]:
+        np.multiply(base, omega, out=diag)
         np.add(down, s, out=down)
-        e, vecs = eig(diag, off, n_trunc, 2 if pair_gap else 1)
+        _, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, n_trunc + 1, n_trunc + count, 0.0, "B")
+        if info != 0:
+            raise ConvergenceError(f"dstebz bisection for eigenvalue {n_trunc} failed (info={info})")
+        vecs, info = dstein(diag, off, w[:1], iblock, isplit)
+        if info != 0:
+            raise ConvergenceError(f"dstein inverse iteration for eigenvalue {n_trunc} failed (info={info})")
         v = vecs[up::2, 0]
-        value = float(v @ v) - 0.5
-        return (value, float(e[1] - e[0])) if pair_gap else value
+        return w, float(v @ v) - 0.5
 
-    return slope
+    return solve
 
 
 def branch_gap(params: ModelParams) -> float:

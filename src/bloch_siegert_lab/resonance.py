@@ -5,8 +5,8 @@ time-averaged transition probability at fixed drive amplitude.  Routes:
 
 * chrw        -- stationarity of the squared counter-rotating hybridized
                  Rabi frequency with respect to omega0,
-* floquet     -- sign change of d q / d omega0 on the resonant branch of one
-                 tridiagonal parity chain of the Floquet matrix,
+* floquet     -- sign change of d q / d omega0 on the resonant branch of
+                 solve_floquet's tridiagonal parity chain (floquet._chain),
 * shirley     -- bracketed root of the sixth-order quasienergy crossing
                  condition,
 * pert6       -- closed sixth-order series in A/4,
@@ -36,7 +36,7 @@ from typing import Callable, Optional
 from scipy.special import j1 as bessel_j1
 
 from .errors import DomainError
-from .floquet import _chain_slope_fn, _truncation
+from .floquet import _chain, _truncation
 from .numerics import (
     bessel_j,
     bessel_j0_minus_1,
@@ -308,11 +308,11 @@ def bs_floquet_numeric(a: float) -> tuple[float, float, int]:
     """Resonance from the Floquet spectrum: the root of dq/domega0.
 
     At resonance the resonant quasienergy branch is stationary in omega0.
-    Its slope, taken from eigenvector weights on one parity chain of the
-    Floquet matrix, changes sign there, so the shift s = omega - 1 is one
-    Brent root on the shift bracket, with the truncation frozen at its
-    lower end so the slope stays smooth, and the bracket closed first by
-    the resonant pair's own two-level step (_chain_root): about 7 chain
+    Its slope, taken from eigenvector weights on solve_floquet's parity
+    chain (floquet._chain), changes sign there, so the shift s = omega - 1
+    is one Brent root on the shift bracket, with the truncation frozen at
+    its lower end so the slope stays smooth, and the bracket closed first
+    by the resonant pair's own two-level step (_chain_root): about 7 chain
     solves per shift instead of 9.  Below a = 1e-8 (_FLOQUET_MIN_A)
     the shift (a/4)^2 nears the stop, which returns 0 from 1.8e-9 down, so
     DomainError is raised there.
@@ -323,23 +323,24 @@ def bs_floquet_numeric(a: float) -> tuple[float, float, int]:
 
 
 def _chain_root(a: float, n_trunc: int) -> tuple[float, float, int]:
-    """bs_floquet_numeric's root on a parity chain of n_trunc, in units of
-    omega0.
+    """bs_floquet_numeric's root on solve = _chain(a, n_trunc), in units of
+    omega0: the slope of solve(1 + s, s), solve_floquet's chain at omega0 = 1.
 
-    The first solve, at the bracket bottom, also gives the gap E_{N+1} -
-    E_N of the resonant pair.  An isolated pair with coupling a/4 and
-    detuning s - s* has slope (s - s*)/(2 gap) on its lower branch, so
-    s1 = s - 2 slope gap, its exact root, seeds the bracket.  The seed
-    comes from the chain alone, not from the methods it judges.
+    The first solve, at the bracket bottom, takes count = 2, so it also
+    gives the gap E_{N+1} - E_N of the resonant pair.  An isolated pair
+    with coupling a/4 and detuning s - s* has slope (s - s*)/(2 gap) on its
+    lower branch, so s1 = s - 2 slope gap, its exact root, seeds the
+    bracket.  The seed comes from the chain alone, not from the methods it
+    judges.
     """
     s_lo, s_hi = _shift_bracket(a)
-    slope = _chain_slope_fn(a, n_trunc)
+    solve = _chain(a, n_trunc)
 
     def step(s: float) -> tuple[tuple[float, float], float]:
-        value, gap = slope(s, pair_gap=True)
-        return (value, s), s - 2.0 * value * gap
+        w, slope = solve(1.0 + s, s, 2)
+        return (slope, s), s - 2.0 * slope * float(w[1] - w[0])
 
-    return _bracketed_root(lambda s: (slope(s), s), s_lo, s_hi, _SHIFT_ABS_TOL, step)
+    return _bracketed_root(lambda s: (solve(1.0 + s, s)[1], s), s_lo, s_hi, _SHIFT_ABS_TOL, step)
 
 
 _DISPATCH = {

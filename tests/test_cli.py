@@ -424,6 +424,8 @@ class TestExitCodes:
             # a given value divided by --omega0 must keep its flag's rule
             ["spectrum", "--omega", "1e-300", "--omega0", "1e300"],
             ["population", "--A", "1e300", "--omega0", "1e-300", "--omega-range", "1e-300:1e-300:1"],
+            # the steady state needs decay, as the spectrum does
+            ["population", "--kappa", "0"],
         ],
     )
     def test_bad_arguments_exit_two(self, argv, capsys):

@@ -377,31 +377,38 @@ class TestParityChain:
     @pytest.mark.parametrize("a, w", [(0.5, 1.0), (0.5, 1.02), (3.5, 1.7), (8.0, 3.0), (6.0, 2.5)])
     def test_slope_matches_dense_matrix(self, a, w):
         # the full matrix's strongest-l0 branch may sit on either chain, so
-        # only the magnitude of the slope is shared; the root finder's slope
-        # and solve_floquet read the same eigenpair
+        # only the magnitude of the slope is shared; the shift route's call
+        # and solve_floquet run the same chain, so they read the same bits
         p = ModelParams(omega0=1.0, amplitude=a, omega=w)
         n = default_truncation(p)
-        slope = floquet._chain_slope_fn(a, n)(w - 1.0)
+        s = w - 1.0
+        slope = floquet._chain(a, n)(1.0 + s, s)[1]
         assert abs(slope) == pytest.approx(abs(_dense_solve(p, n)[2]), abs=1e-12)
-        assert slope == pytest.approx(solve_floquet(p).dq_domega0, abs=1e-12)
+        assert slope == solve_floquet(p).dq_domega0
 
     def test_slope_changes_sign_at_resonance(self):
         # frozen Floquet shift at A = 6
         s_res = 1.6418085520328152
         n = default_truncation(ModelParams(omega0=1.0, amplitude=6.0, omega=1.0 + s_res))
-        slope = floquet._chain_slope_fn(6.0, n)
+        solve = floquet._chain(6.0, n)
+
+        def slope(s):
+            return solve(1.0 + s, s)[1]
+
         assert slope(s_res - 1e-3) < 0.0 < slope(s_res + 1e-3)
         assert abs(slope(s_res)) < 1e-8
 
     @pytest.mark.parametrize("a, n", [(0.1, 11), (6.0, 17), (21.0, 45)])
     def test_reused_buffer_carries_no_state(self, a, n):
         # one closure overwrites its diagonal buffer on every call; called at
-        # interleaved shifts, with and without the pair gap, it must return
-        # bitwise what a fresh closure returns at each of them
-        slope = floquet._chain_slope_fn(a, n)
-        calls = [(0.3 * a, False), (1e-3, True), (0.3 * a, True), (0.0, False), (1e-3, False), (0.3 * a, False)]
-        for s, pair_gap in calls:
-            assert slope(s, pair_gap=pair_gap) == floquet._chain_slope_fn(a, n)(s, pair_gap=pair_gap)
+        # interleaved shifts, with one eigenvalue and with the pair, it must
+        # return bitwise what a fresh closure returns at each of them
+        solve = floquet._chain(a, n)
+        calls = [(0.3 * a, 1), (1e-3, 2), (0.3 * a, 2), (0.0, 1), (1e-3, 1), (0.3 * a, 1)]
+        for s, count in calls:
+            w, slope = solve(1.0 + s, s, count)
+            fresh_w, fresh_slope = floquet._chain(a, n)(1.0 + s, s, count)
+            assert (list(w[:count]), slope) == (list(fresh_w[:count]), fresh_slope)
 
     @pytest.mark.parametrize("n", [11, 13, 25, 45, 120])
     @pytest.mark.parametrize(
@@ -419,11 +426,12 @@ class TestParityChain:
         off = np.full(2 * n, 0.25 * a)
         _, vec = eigh_tridiagonal(diag, off, select="i", select_range=(n, n))
         v = vec[n % 2 :: 2, 0]
-        assert floquet._chain_slope_fn(a, n)(s) == float(v @ v) - 0.5
+        assert floquet._chain(a, n)(omega, s)[1] == float(v @ v) - 0.5
 
     @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
     def test_lapack_failure_raises_convergence_error(self, monkeypatch, routine):
-        # the chain looks its routines up in scipy.linalg.lapack when it is built
+        # the chain looks its routines up in scipy.linalg.lapack when it is
+        # built, and solve_floquet and the shift share its one check
         real = getattr(lapack, routine)
 
         def failing(*args):
@@ -431,8 +439,14 @@ class TestParityChain:
             return (*out, 1)
 
         monkeypatch.setattr(lapack, routine, failing)
-        with pytest.raises(ConvergenceError, match=routine):
-            floquet._chain_slope_fn(6.0, 25)(1.6)
+        callers = [
+            lambda: floquet._chain(6.0, 25)(2.6, 1.6),
+            lambda: solve_floquet(ModelParams(omega0=1.0, amplitude=6.0, omega=2.6)),
+            lambda: bs_floquet_numeric(1.0, 6.0),
+        ]
+        for caller in callers:
+            with pytest.raises(ConvergenceError, match=routine):
+                caller()
 
 
 def _solve_ivp_population(params: ModelParams) -> float:

@@ -30,9 +30,9 @@ def test_import_leaves_integrate_and_optimize_unloaded():
 
 
 def test_linalg_loaded_only_by_the_parity_chain():
-    # dstebz and dstein are looked up when a chain is built, so neither the
-    # import nor a population or a spectrum loads scipy.linalg; a Floquet
-    # shift does, which keeps the check from passing vacuously
+    # dstebz and dstein are looked up when floquet._chain builds a chain, so
+    # neither the import nor a population or a spectrum loads scipy.linalg;
+    # a Floquet shift does, which keeps the check from passing vacuously
     unloaded = "assert 'scipy.linalg' not in sys.modules; "
     statement = (
         "import numpy as np; import bloch_siegert_lab as b; " + unloaded

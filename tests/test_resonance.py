@@ -272,18 +272,18 @@ class TestEvaluationCounts:
     @pytest.mark.parametrize("a", [1e-3, 0.1, 1.0, 6.0, 21.0, 100.0])
     def test_floquet(self, monkeypatch, a):
         points = []
-        slope_fn = resonance._chain_slope_fn
+        chain = resonance._chain
 
-        def counting_slope_fn(*args):
-            slope = slope_fn(*args)
+        def counting_chain(*args):
+            solve = chain(*args)
 
-            def g(s, pair_gap=False):
+            def g(omega, s, count=1):
                 points.append(s)
-                return slope(s, pair_gap)
+                return solve(omega, s, count)
 
             return g
 
-        monkeypatch.setattr(resonance, "_chain_slope_fn", counting_slope_fn)
+        monkeypatch.setattr(resonance, "_chain", counting_chain)
         r = bs_floquet_numeric(1.0, a)
         assert len(set(points)) == len(points) == r.iterations
         assert r.residual < 1e-9
@@ -356,9 +356,9 @@ class TestSeededRoutes:
             a = float(a)
             lo, hi = resonance._shift_bracket(a)
             bottom = ModelParams(omega0=1.0, amplitude=a, omega=1.0 + lo)
-            slope = resonance._chain_slope_fn(a, default_truncation(bottom))
+            solve = resonance._chain(a, default_truncation(bottom))
             plain = resonance._bracketed_root(
-                lambda s: (slope(s), s), lo, hi, resonance._SHIFT_ABS_TOL
+                lambda s: (solve(1.0 + s, s)[1], s), lo, hi, resonance._SHIFT_ABS_TOL
             )
             got = bs_floquet_numeric(omega0, a * omega0).shift
             bound = 180.0 * eps / a if a < 1.0 else 15.0 * eps
