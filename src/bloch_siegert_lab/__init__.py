@@ -33,7 +33,6 @@ from .errors import (
     DegenerateInputError,
     DomainError,
     GridError,
-    NonUnitaryError,
     NoSignChangeError,
     PoleError,
     ValidityWarning,
@@ -88,7 +87,6 @@ __all__ = [
     "Method",
     "ModelParams",
     "NoSignChangeError",
-    "NonUnitaryError",
     "PoleError",
     "ShiftResult",
     "ValidityWarning",

@@ -21,10 +21,6 @@ class DegenerateInputError(BslError, ValueError):
     """Inputs degenerate to the point that the requested quantity is undefined."""
 
 
-class NonUnitaryError(BslError):
-    """A propagator drifted measurably away from unitarity."""
-
-
 class GridError(BslError, ValueError):
     """A frequency grid violates the symmetry/uniformity a routine requires."""
 

@@ -85,6 +85,17 @@ def test_population_outside_weak_damping_fails(monkeypatch):
     assert "rabi_tilde / kappa" in result.detail
 
 
+def test_monodromy_gap_off_by_ten_tolerances_fails(monkeypatch):
+    # both monodromy checks read the one gap function, so one defect of
+    # ten times the bound must fail each of them
+    gap_of = validation.monodromy_gap
+    monkeypatch.setattr(
+        validation, "monodromy_gap", lambda params: gap_of(params) + 10.0 * validation.MONODROMY_TOL
+    )
+    assert not validation.floquet_convergence().ok
+    assert not validation.monodromy_vs_matrix().ok
+
+
 def test_rate_off_by_2e15_kappa_fails(monkeypatch):
     # the measured worst is 4.5e-16 kappa; a closed form off by a few
     # roundings in one rate must not pass
