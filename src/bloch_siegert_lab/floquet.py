@@ -129,17 +129,19 @@ def solve_floquet(params: ModelParams) -> FloquetSolution:
 
 
 def _chain(amplitude: float, n_trunc: int) -> Callable[..., tuple[np.ndarray, float]]:
-    """The parity-chain eigensolver: solve(omega, s, count=1) -> (w, slope)
-    on the chain of 2 n_trunc + 1 sites (n_trunc >= 1) at drive amplitude
-    A, diagonal base*omega plus s = omega - omega0 on the down sites.  w is
-    unsliced: w[:count] are eigenvalues N .. N + count - 1 (ascending, from
-    0), and slope, the up-site weight minus 1/2 by one BLAS dot, is
-    dq/domega0 of eigenvalue N.
+    """The parity-chain eigensolver: solve(omega, s, count=1, abstol=0.0) ->
+    (w, slope) on the chain of 2 n_trunc + 1 sites (n_trunc >= 1) at drive
+    amplitude A, diagonal base*omega plus s = omega - omega0 on the down
+    sites.  w is unsliced: w[:count] are eigenvalues N .. N + count - 1
+    (ascending, from 0), and slope, the up-site weight minus 1/2 by one
+    BLAS dot, is dq/domega0 of eigenvalue N.
 
-    dstebz bisection (range 'I', block order, abstol 0) then dstein inverse
+    dstebz bisection (range 'I', block order, abstol) then dstein inverse
     iteration are the calls eigh_tridiagonal(select='i') makes, so at
-    count = 1 the eigenpair is bitwise its own; a LAPACK failure raises
-    ConvergenceError.  The routines, off-diagonal and diagonal buffer are
+    count = 1 and abstol 0 (to the last ulp) the eigenpair is bitwise its
+    own.  abstol > 0 stops bisecting at that width, for a caller that reads
+    only the slope: the vector's error falls like (abstol/gap)^k over k
+    inverse iterations.  A LAPACK failure raises ConvergenceError.  The routines, off-diagonal and diagonal buffer are
     set up once per chain, here, so importing the package does not load
     scipy.linalg.
     """
@@ -150,10 +152,10 @@ def _chain(amplitude: float, n_trunc: int) -> Callable[..., tuple[np.ndarray, fl
     diag = np.empty_like(base)
     down = diag[1 - up :: 2]
 
-    def solve(omega: float, s: float, count: int = 1) -> tuple[np.ndarray, float]:
+    def solve(omega: float, s: float, count: int = 1, abstol: float = 0.0) -> tuple[np.ndarray, float]:
         np.multiply(base, omega, out=diag)
         np.add(down, s, out=down)
-        _, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, n_trunc + 1, n_trunc + count, 0.0, "B")
+        _, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, n_trunc + 1, n_trunc + count, abstol, "B")
         if info != 0:
             raise ConvergenceError(f"dstebz bisection for eigenvalue {n_trunc} failed (info={info})")
         vecs, info = dstein(diag, off, w[:1], iblock, isplit)

@@ -22,7 +22,8 @@ memoised Brent driver (_bracketed_root), and none solves the xi fixed
 point.  floquet and shirley seed it with one model step from the bracket
 bottom (the resonant pair's two-level root, one step of the crossing
 condition's fixed-point map), whose sign closes the bracket before Brent
-starts; chrw runs it on the plain bracket.
+starts; chrw runs it on the plain bracket.  floquet's Brent steps bisect
+only to _CHAIN_ABSTOL_GAP of the pair gap, its seed to the last ulp.
 """
 
 from __future__ import annotations
@@ -98,6 +99,11 @@ _NORMAL_SHIFT_MIN_A = 4.0 * math.sqrt(sys.float_info.min)
 # a seed closer than this to the bracket bottom is not used: at the Floquet
 # floor the seeded bracket would lie within a few decades of the 1e-18 stop
 _SEED_MIN_STEP = 1e-14
+# the Floquet root's Brent steps read only the slope, so they bisect
+# eigenvalue N to this fraction of the pair's gap, not to the last ulp.  The
+# root keeps within 7.6e-15 of full bisection on A/omega0 in [0.5, 1e3] and
+# 2.9e-12 of pert6 on [1e-3, 1e-2], as full bisection does (1e-6: 5.7e-12)
+_CHAIN_ABSTOL_GAP = 1e-7
 
 
 def _relative_tol(lo: float, hi: float) -> float:
@@ -319,28 +325,31 @@ def bs_floquet_numeric(a: float) -> tuple[float, float, int]:
     """
     if a < _FLOQUET_MIN_A:
         raise DomainError(f"Floquet shift unresolved at A/omega0={a:.3g} < {_FLOQUET_MIN_A:g}")
-    return _chain_root(a, _truncation(a, 1.0 + _shift_bracket(a)[0]))
+    return _chain_root(a)
 
 
-def _chain_root(a: float, n_trunc: int) -> tuple[float, float, int]:
+def _chain_root(a: float, n_trunc: Optional[int] = None) -> tuple[float, float, int]:
     """bs_floquet_numeric's root on solve = _chain(a, n_trunc), in units of
     omega0: the slope of solve(1 + s, s), solve_floquet's chain at omega0 = 1.
+    n_trunc defaults to the truncation at the bracket bottom.
 
-    The first solve, at the bracket bottom, takes count = 2, so it also
-    gives the gap E_{N+1} - E_N of the resonant pair.  An isolated pair
-    with coupling a/4 and detuning s - s* has slope (s - s*)/(2 gap) on its
-    lower branch, so s1 = s - 2 slope gap, its exact root, seeds the
-    bracket.  The seed comes from the chain alone, not from the methods it
-    judges.
+    The first solve, at the bracket bottom, takes count = 2 and bisects to
+    the last ulp, so it also gives the gap E_{N+1} - E_N of the resonant
+    pair.  An isolated pair with coupling a/4 and detuning s - s* has slope
+    (s - s*)/(2 gap) on its lower branch, so s1 = s - 2 slope gap, its exact
+    root, seeds the bracket.  Every later solve reads only the slope, so it
+    bisects eigenvalue N only to _CHAIN_ABSTOL_GAP times that gap.  The seed
+    comes from the chain alone, not from the methods it judges.
     """
     s_lo, s_hi = _shift_bracket(a)
-    solve = _chain(a, n_trunc)
-
-    def step(s: float) -> tuple[tuple[float, float], float]:
-        w, slope = solve(1.0 + s, s, 2)
-        return (slope, s), s - 2.0 * slope * float(w[1] - w[0])
-
-    return _bracketed_root(lambda s: (solve(1.0 + s, s)[1], s), s_lo, s_hi, _SHIFT_ABS_TOL, step)
+    solve = _chain(a, _truncation(a, 1.0 + s_lo) if n_trunc is None else n_trunc)
+    w, slope = solve(1.0 + s_lo, s_lo, 2)
+    gap = float(w[1] - w[0])
+    seed = (slope, s_lo), s_lo - 2.0 * slope * gap
+    abstol = _CHAIN_ABSTOL_GAP * gap
+    return _bracketed_root(
+        lambda s: (solve(1.0 + s, s, 1, abstol)[1], s), s_lo, s_hi, _SHIFT_ABS_TOL, lambda _: seed
+    )
 
 
 _DISPATCH = {

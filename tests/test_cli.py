@@ -198,14 +198,14 @@ class TestShiftSweep:
         body = out.strip().split("\n")[2:]
         assert len(body) == 210
         assert body[:4] == [
-            "0.1,0.000625097389,0.000625097441,8.26114456e-08,0.000625097389,"
-            "8.93572948e-11,,,0.000625097389,1.96806324e-10,",
-            "0.2,0.00250154544,0.00250154873,1.31576886e-06,0.00250154546,"
-            "5.66606912e-09,,,0.00250154541,1.26599846e-08,",
-            "0.3,0.00563271631,0.00563275354,6.61017418e-06,0.00563271667,"
-            "6.35378782e-08,,,0.00563271549,1.4541904e-07,",
+            "0.1,0.000625097389,0.000625097441,8.26114544e-08,0.000625097389,"
+            "8.93661406e-11,,,0.000625097389,1.96797478e-10,",
+            "0.2,0.00250154544,0.00250154873,1.31576887e-06,0.00250154546,"
+            "5.66607797e-09,,,0.00250154541,1.26599758e-08,",
+            "0.3,0.00563271631,0.00563275354,6.61017419e-06,0.00563271667,"
+            "6.35378839e-08,,,0.00563271549,1.45419035e-07,",
             "0.4,0.0100239145,0.0100241217,2.06652286e-05,0.010023918,"
-            "3.49240806e-07,,,0.0100239063,8.26387545e-07,",
+            "3.49240805e-07,,,0.0100239063,8.26387547e-07,",
         ]
         assert body[-1] == (
             "21,7.77403527,7.76947387,0.000586747008,7.70549193,0.00881695718,"

@@ -363,14 +363,42 @@ class TestParityChain:
     @pytest.mark.parametrize("a, n", [(0.1, 11), (6.0, 17), (21.0, 45)])
     def test_reused_buffer_carries_no_state(self, a, n):
         # one closure overwrites its diagonal buffer on every call; called at
-        # interleaved shifts, with one eigenvalue and with the pair, it must
-        # return bitwise what a fresh closure returns at each of them
+        # interleaved shifts, with one eigenvalue and with the pair, bisected
+        # to the last ulp and stopped early, it must return bitwise what a
+        # fresh closure returns at each of them
         solve = floquet._chain(a, n)
-        calls = [(0.3 * a, 1), (1e-3, 2), (0.3 * a, 2), (0.0, 1), (1e-3, 1), (0.3 * a, 1)]
-        for s, count in calls:
-            w, slope = solve(1.0 + s, s, count)
-            fresh_w, fresh_slope = floquet._chain(a, n)(1.0 + s, s, count)
+        tol = 1e-7 * a
+        calls = [
+            (0.3 * a, 1, 0.0),
+            (1e-3, 2, 0.0),
+            (0.3 * a, 1, tol),
+            (0.3 * a, 2, 0.0),
+            (0.0, 1, tol),
+            (1e-3, 1, 0.0),
+            (1e-3, 1, tol),
+            (0.0, 2, 1e3 * tol),
+            (0.3 * a, 1, 0.0),
+        ]
+        for s, count, abstol in calls:
+            w, slope = solve(1.0 + s, s, count, abstol)
+            fresh_w, fresh_slope = floquet._chain(a, n)(1.0 + s, s, count, abstol)
             assert (list(w[:count]), slope) == (list(fresh_w[:count]), fresh_slope)
+
+    @pytest.mark.parametrize(
+        "a, s",
+        [(0.1, 0.0), (0.1, 1e-3), (1.0, 0.06), (6.0, 1.6), (6.0, 1.7), (21.0, 7.0), (21.0, 8.5), (100.0, 40.0)],
+    )
+    def test_abstol_stops_bisection_early(self, a, s):
+        # at abstol = 1e-7 of the pair's gap, eigenvalue N moves off its
+        # full bisection by less than abstol, and the slope from its
+        # eigenvector by rounding only: at most 3.3e-16 here
+        n = default_truncation(ModelParams(omega0=1.0, amplitude=a, omega=1.0 + s))
+        solve = floquet._chain(a, n)
+        w, slope = solve(1.0 + s, s, 2)
+        e0, abstol = float(w[0]), 1e-7 * float(w[1] - w[0])
+        w, coarse = solve(1.0 + s, s, 1, abstol)
+        assert 0.0 < abs(float(w[0]) - e0) <= abstol
+        assert coarse == pytest.approx(slope, rel=0.0, abs=6.6e-16)
 
     @pytest.mark.parametrize("n", [11, 13, 25, 45, 120])
     @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Shift extraction: five routes, frozen cross-checked values, dispatch."""
 
+import functools
 import math
 
 import numpy as np
@@ -200,6 +201,43 @@ class TestFloquetNumeric:
             want = bs_perturbative6(omega0, amp).shift
             assert bs_floquet_numeric(omega0, amp).shift == pytest.approx(want, rel=4.7e-7, abs=0.0)
 
+    @staticmethod
+    def _root_on_full_bisection(a):
+        # bs_floquet_numeric's seeded root in units of omega0, built here on
+        # the same chain with every solve bisected to the last ulp (abstol 0)
+        lo, hi = resonance._shift_bracket(a)
+        bottom = ModelParams(omega0=1.0, amplitude=a, omega=1.0 + lo)
+        solve = resonance._chain(a, default_truncation(bottom))
+        w, slope = solve(1.0 + lo, lo, 2)
+        seed = (slope, lo), lo - 2.0 * slope * float(w[1] - w[0])
+        return resonance._bracketed_root(
+            lambda s: (solve(1.0 + s, s)[1], s), lo, hi, resonance._SHIFT_ABS_TOL, lambda _: seed
+        )[0]
+
+    def test_early_stopped_bisection_keeps_the_root(self):
+        # the Brent-step solves stop bisecting at _CHAIN_ABSTOL_GAP (1e-7) of
+        # the pair's gap.  Against the root on full bisection the worst here
+        # is 7.6e-15 relative, within the Brent stop of 1e-14; at 1e-4 of
+        # the gap it read 1.3e-11
+        for omega0 in (0.3, 1.0, 7.0):
+            for a in np.geomspace(0.5, 1e3, 40):
+                a = float(a)
+                want = omega0 * self._root_on_full_bisection(a)
+                got = bs_floquet_numeric(omega0, a * omega0).shift
+                assert got == pytest.approx(want, rel=1.5e-14, abs=0.0)
+
+    def test_early_stopped_bisection_keeps_the_series(self):
+        # below a = 1e-2 the series is exact to rounding, and the shift sits
+        # on the slope's rounding floor.  Worst here 2.9e-12 relative, as on
+        # full bisection; stopping at 1e-6 of the gap read 5.7e-12, at 1e-5
+        # 9.5e-12
+        for omega0 in (0.3, 1.0, 7.0):
+            for a in np.geomspace(1e-3, 1e-2, 40):
+                amp = float(a) * omega0
+                want = bs_perturbative6(omega0, amp).shift
+                got = bs_floquet_numeric(omega0, amp).shift
+                assert got == pytest.approx(want, rel=3.6e-12, abs=0.0)
+
 
 class TestShirley:
     @pytest.mark.parametrize("a, want", [(a, sh) for a, _, _, sh, _ in SHIFT_TABLE])
@@ -237,6 +275,57 @@ class TestShirley:
                 assert got == pytest.approx(want, rel=1.75e-2, abs=0.0)
 
 
+# upper edges of the decade bands of A/omega0 in TestAccuracyEnvelope
+_ENVELOPE_EDGES = (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3)
+
+
+@functools.lru_cache(maxsize=None)
+def _envelope_references():
+    # (omega0, A/omega0, band index, reference shift) on 40 log-spaced
+    # A/omega0 in [1e-6, 1e3]: pert6 in the first band, where the Floquet
+    # root sits on its rounding floor (2.9e-12 relative at 1e-3), Floquet
+    # above
+    points = []
+    for omega0 in (0.3, 1.0, 7.0):
+        for ratio in np.geomspace(1e-6, 1e3, 40):
+            ratio = float(ratio)
+            band = int(np.searchsorted(_ENVELOPE_EDGES, ratio * (1.0 - 1e-12)))
+            reference = bs_perturbative6 if band == 0 else bs_floquet_numeric
+            points.append((omega0, ratio, band, reference(omega0, ratio * omega0).shift))
+    return tuple(points)
+
+
+class TestAccuracyEnvelope:
+    """Each method's relative error against the reference, band by band of
+    A/omega0, from its domain's lower end up.  Each bound is twice the
+    worst measured on its band, cut to two digits; None marks a band the
+    method does not reach."""
+
+    @pytest.mark.parametrize(
+        "method, lowest, bounds",
+        [
+            (bs_chrw, 0.0, (3.8e-15, 7.9e-12, 4.0e-8, 1.4e-3, 2.1e-2, 1.4e-3, 6.2e-5)),
+            # pert6 is the reference in the first band
+            (bs_perturbative6, 0.0, (None, 2.8e-12, 4.6e-11, 4.4e-4, 66.0, 2.2e6, 1.2e12)),
+            # the strong-drive branch opens at the crossover A = j01 omega0
+            (bs_asymptotic, first_bessel_j0_zero(), (None,) * 4 + (1.1, 2.4e-2, 3.0e-4)),
+        ],
+    )
+    def test_band(self, method, lowest, bounds):
+        for omega0, ratio, band, want in _envelope_references():
+            if ratio <= lowest or bounds[band] is None:
+                continue
+            got = method(omega0, ratio * omega0).shift
+            assert got == pytest.approx(want, rel=bounds[band], abs=0.0), (omega0, ratio)
+
+    def test_asymptotic_blank_below_its_crossover(self):
+        # the strong-drive branch opens at A = j01 omega0: below it the
+        # route returns a shift <= 0, which the CLI leaves blank
+        j01 = first_bessel_j0_zero()
+        for omega0, ratio, _, _ in _envelope_references():
+            assert (bs_asymptotic(omega0, ratio * omega0).shift > 0.0) == (ratio > j01)
+
+
 class TestEvaluationCounts:
     """Each root-found shift evaluates its function once per distinct point
     of its variable: the bracket ends and the residual at the root are
@@ -271,15 +360,19 @@ class TestEvaluationCounts:
 
     @pytest.mark.parametrize("a", [1e-3, 0.1, 1.0, 6.0, 21.0, 100.0])
     def test_floquet(self, monkeypatch, a):
-        points = []
+        # the seed solve takes the pair at abstol 0, and every later solve
+        # one eigenvalue at _CHAIN_ABSTOL_GAP times the pair's gap there
+        points, calls = [], []
         chain = resonance._chain
 
         def counting_chain(*args):
             solve = chain(*args)
 
-            def g(omega, s, count=1):
+            def g(omega, s, count=1, abstol=0.0):
                 points.append(s)
-                return solve(omega, s, count)
+                w, slope = solve(omega, s, count, abstol)
+                calls.append((count, abstol, list(w[:count])))
+                return w, slope
 
             return g
 
@@ -287,6 +380,10 @@ class TestEvaluationCounts:
         r = bs_floquet_numeric(1.0, a)
         assert len(set(points)) == len(points) == r.iterations
         assert r.residual < 1e-9
+        (count, abstol, (e0, e1)), rest = calls[0], calls[1:]
+        assert (count, abstol) == (2, 0.0)
+        want = (1, resonance._CHAIN_ABSTOL_GAP * (e1 - e0))
+        assert rest and all((c, t) == want and want[1] > 0.0 for c, t, _ in rest)
 
     @pytest.mark.parametrize("a", [1e-6, 0.1, 1.0, 6.0, 21.0, 100.0])
     def test_shirley(self, monkeypatch, a):
@@ -372,8 +469,9 @@ class TestSeededRoutes:
             assert got == pytest.approx(omega0 * plain[0], rel=20.0 * eps, abs=0.0)
 
     def test_evaluation_budget(self):
-        # seeded, the means are 6.53 (Floquet) and 6.07 (Shirley, which the
-        # sweep runs up to A = 21); unseeded they were 8.18 and 6.93
+        # seeded, the means are 6.41 (Floquet; 6.53 with every solve bisected
+        # to the last ulp) and 6.07 (Shirley, which the sweep runs up to
+        # A = 21); unseeded they were 8.18 and 6.93
         floquet = [bs_floquet_numeric(1.0, a).iterations for a in SWEEP_AMPLITUDES]
         shirley = [bs_shirley_iterative(1.0, a).iterations for a in SWEEP_AMPLITUDES if a <= 21.0]
         assert len(floquet) == 17 and len(shirley) == 15
