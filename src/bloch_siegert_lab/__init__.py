@@ -15,7 +15,6 @@ from .chrw import (
     xi_fixed_point_residual,
 )
 from .dissipative import (
-    FourierCoefficients,
     RateSet,
     SteadyState,
     bloch_generator,
@@ -25,7 +24,6 @@ from .dissipative import (
     population_avg,
     rates,
     steady_state,
-    truncation_order,
 )
 from .errors import (
     BslError,
@@ -91,7 +89,6 @@ __all__ = [
     "ShiftResult",
     "ValidityWarning",
     "FloquetSolution",
-    "FourierCoefficients",
     "RateSet",
     "SpectrumTrace",
     "SteadyState",
@@ -129,6 +126,5 @@ __all__ = [
     "solve_xi",
     "spectrum",
     "steady_state",
-    "truncation_order",
     "__version__",
 ]

@@ -90,12 +90,13 @@ class ChrwFrame:
         return math.sin(2.0 * self.theta)
 
 
-def xi_fixed_point_residual(params: ModelParams, xi: float) -> float:
+def xi_fixed_point_residual(params: ModelParams, xi):
     """Residual J1(A xi/omega) - (A/2 omega0)(1 - xi) of the xi equation,
     in units of omega0, so that solve_xi's stop |f| <= abs_tol does not
-    depend on the unit of frequency."""
+    depend on the unit of frequency.  Elementwise: xi may be a number or
+    an array, and each array value is bitwise the number's."""
     a = params.amplitude
-    return float(j1(a * xi / params.omega)) - 0.5 * (a / params.omega0) * (1.0 - xi)
+    return j1(a * xi / params.omega) - 0.5 * (a / params.omega0) * (1.0 - xi)
 
 
 # grid samples solve_xi takes one by one before it scans the rest as an array
@@ -141,9 +142,9 @@ def solve_xi(params: ModelParams) -> float:
     # < 0.  Nor below 1 - 2 max|J1| omega0/A, where the line alone outweighs J1;
     # past A = 2 max|J1| (omega + omega0) that bound is the higher.  The scan
     # starts one step below floor(n * bound) for the larger bound, a margin
-    # of order A/n.  It uses j1, as the residual does, so an array sample is
-    # bitwise the scalar one and the polish can take both bracket-end values
-    # from it
+    # of order A/n.  The array scan evaluates the same residual, so an array
+    # sample is bitwise the scalar one and the polish can take both
+    # bracket-end values from it
     span = 8.0 * a / w
     if not span < _MAX_GRID:
         raise DomainError(f"xi grid of 8 A/omega = {span:.3g} steps is too fine at A={a}, omega={w}")
@@ -151,7 +152,7 @@ def solve_xi(params: ModelParams) -> float:
     step = 1.0 / n
 
     def residual(xi: float) -> float:
-        return xi_fixed_point_residual(params, xi)
+        return float(xi_fixed_point_residual(params, xi))
 
     # the crossing is usually a few steps above the start: walk the first
     # samples one by one, then scan the rest of the grid, which ends at 1.0,
@@ -178,7 +179,7 @@ def solve_xi(params: ModelParams) -> float:
             )
         tail = np.arange(head, n + 1) * step
         tail[-1] = 1.0
-        values = j1(a * tail / w) - 0.5 * (a / w0) * (1.0 - tail)
+        values = xi_fixed_point_residual(params, tail)
         j = int(np.argmax(values >= 0.0))
         if values[j] < 0.0:
             raise NoSignChangeError(

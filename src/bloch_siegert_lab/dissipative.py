@@ -7,10 +7,13 @@ dissipator becomes time-dependent through the transformed lowering operator.
 Expanding that operator in drive harmonics and keeping only the co-rotating
 (n + n' = 0) pairs leaves a constant-coefficient master equation whose whole
 content is a real rank-4 tensor over the dressed indices, and ultimately
-six real rates.  Neumann's addition theorem sums the harmonic products
-exactly, so rates gives the six in closed form from J_0, J_1 and J_2 at the
-Bessel argument z and at 2z; lindblad_tensor sums the truncated harmonic
-table term by term and is their independent reference.  Validity
+six real rates.  The harmonics have one form, fourier_coefficients' stack
+of 2x2 blocks for n = -L, ..., L, cut by the one three-orders truncation
+routine that spectrum's sideband cap also calls.  Neumann's addition
+theorem sums the harmonic products exactly, so rates gives the six in
+closed form from J_0, J_1 and J_2 at the Bessel argument z and at 2z;
+lindblad_tensor contracts the truncated block stack term by term and is
+their independent reference.  Validity
 requires the dressed splitting to dominate the decay (rabi_tilde >>
 kappa).  steady_state solves the dressed Bloch equations for their fixed
 point, and population_avg turns it into the time-averaged lab-frame excited
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy.special import j0, j1
@@ -48,40 +51,27 @@ def truncation_order(z: float) -> int:
     once three consecutive orders are negligible.  Capped because arguments
     this large (z ~ 50) sit far outside the frame's validity anyway.
     """
-    return _first_clear_order(bessel_j_sequence(TRUNCATION_CAP + 1, abs(z)), TRUNCATION_CAP)
+    return _truncation_rule(abs(z), TRUNCATION_CAP)[0]
 
 
-def _first_clear_order(j: np.ndarray, cap: int) -> int:
-    """truncation_order's rule on the orders up to an odd cap: the smallest
-    odd L <= cap with |J_{L-1}|, |J_L|, |J_{L+1}| all below TRUNCATION_EPS,
-    else cap, from j = [J_0(z), ..., J_{cap+1}(z)]."""
+def _truncation_rule(z: float, n: int) -> Tuple[int, np.ndarray]:
+    """truncation_order's rule on the odd orders up to c = min(n, TRUNCATION_CAP)
+    for odd n: the smallest odd L <= c with |J_{L-1}|, |J_L|, |J_{L+1}| all
+    below TRUNCATION_EPS, else c, and j = [J_0(z), ..., J_{c+1}(z)], the
+    Bessel values every harmonic weight up to c reads."""
+    cap = min(n, TRUNCATION_CAP)
+    j = bessel_j_sequence(cap + 1, z)
     a = np.abs(j).tolist()
     for order in range(1, cap, 2):
         if max(a[order - 1], a[order], a[order + 1]) < TRUNCATION_EPS:
-            return order
-    return cap
-
-
-@dataclass(frozen=True)
-class FourierCoefficients:
-    """Harmonic coefficients of the transformed raising operator.
-
-    Each map is a real array indexed [sign, harmonic]: row 0 holds
-    signature +1 and row 1 signature -1, column k holds the odd harmonic
-    l = 2k + 1.  max_order is the truncation: every l beyond it
-    contributes below TRUNCATION_EPS.
-    """
-
-    max_order: int
-    f_plus: np.ndarray
-    f_minus: np.ndarray
-    f_z: np.ndarray
+            return order, j
+    return cap, j
 
 
 def _harmonic_weights(frame: ChrwFrame, l, j, s) -> Tuple:
     # (f_plus, f_minus, f_z) of odd harmonic l and signature s = +-1, from
     # j = [J_0(z), J_1(z), ...] reaching order l + 1; elementwise, so l may
-    # be an array of harmonics and s a column of signatures
+    # be an array of harmonics and s an array of signatures
     delta_l1 = (l == 1) * 1.0
     j_lm1 = j[l - 1]
     j_l = j[l]
@@ -96,60 +86,53 @@ def _harmonic_weights(frame: ChrwFrame, l, j, s) -> Tuple:
     return f_p, f_m, f_z
 
 
-def fourier_f(frame: ChrwFrame, params: ModelParams, l: int, sign: int) -> Tuple[float, float, float]:
-    """(f_plus, f_minus, f_z) for one odd harmonic l and signature sign.
+def fourier_f(frame: ChrwFrame, params: ModelParams, l: int) -> Tuple[float, float, float]:
+    """(f_plus, f_minus, f_z) for one odd harmonic l > 0.
 
     The three numbers are the weights of the dressed raising, lowering, and
-    population operators in the l-th harmonic of the transformed sigma_+.
+    population operators in the l-th harmonic of the transformed sigma_+;
+    fourier_coefficients holds them, and those of -l, as its blocks.
     """
     if l < 1 or l % 2 == 0:
         raise ValueError(f"harmonic index must be positive odd, got {l}")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
     j = bessel_j_sequence(l + 1, bessel_argument(params, frame)).tolist()
-    return _harmonic_weights(frame, l, j, float(sign))
+    return _harmonic_weights(frame, l, j, 1.0)
 
 
-def fourier_coefficients(frame: ChrwFrame, params: ModelParams) -> FourierCoefficients:
-    """Tabulate the harmonic weights over all odd l up to the truncation order."""
-    z = bessel_argument(params, frame)
-    l_max = truncation_order(z)
-    l = np.arange(1, l_max + 1, 2)
-    signs = np.array([[1.0], [-1.0]])
-    f_p, f_m, f_z = _harmonic_weights(frame, l, bessel_j_sequence(l_max + 1, z), signs)
-    return FourierCoefficients(max_order=l_max, f_plus=f_p, f_minus=f_m, f_z=f_z)
+def fourier_coefficients(frame: ChrwFrame, params: ModelParams) -> np.ndarray:
+    """The 2x2 harmonic blocks [[f_z, upper], [lower, -f_z]] / 2 of the
+    transformed sigma_+ for n = -L, -L+2, ..., L, in that order, with L =
+    truncation_order(z): every harmonic beyond L contributes below
+    TRUNCATION_EPS.
 
-
-def _blocks(table: FourierCoefficients) -> np.ndarray:
-    # 2x2 harmonic blocks [[f_z, upper], [lower, -f_z]] / 2 for n = -L,
-    # -L+2, ..., L (L = max_order) in that order; n > 0 reads signature +1,
-    # n < 0 signature -1 with the raising and lowering weights trading places
-    fz = np.concatenate([table.f_z[1, ::-1], table.f_z[0]])
-    stack = np.empty((fz.size, 2, 2))
-    stack[:, 0, 0] = 0.5 * fz
-    stack[:, 0, 1] = 0.5 * np.concatenate([table.f_minus[1, ::-1], table.f_plus[0]])
-    stack[:, 1, 0] = 0.5 * np.concatenate([table.f_plus[1, ::-1], table.f_minus[0]])
-    stack[:, 1, 1] = -0.5 * fz
+    Harmonic n has signature sign(n) at l = |n|; n > 0 puts the lowering
+    weight f_minus in the lower corner, n < 0 trades raising and lowering
+    places.  The weights are real, so the stack is float64.
+    """
+    l_max, j = _truncation_rule(bessel_argument(params, frame), TRUNCATION_CAP)
+    n = np.arange(-l_max, l_max + 1, 2)
+    positive = n > 0
+    f_p, f_m, f_z = _harmonic_weights(frame, np.abs(n), j, np.where(positive, 1.0, -1.0))
+    stack = np.empty((n.size, 2, 2))
+    stack[:, 0, 0] = 0.5 * f_z
+    stack[:, 0, 1] = 0.5 * np.where(positive, f_p, f_m)
+    stack[:, 1, 0] = 0.5 * np.where(positive, f_m, f_p)
+    stack[:, 1, 1] = -0.5 * f_z
     return stack
 
 
-def x_coefficients(
-    frame: ChrwFrame,
-    params: ModelParams,
-    n: int,
-    table: Optional[FourierCoefficients] = None,
-) -> np.ndarray:
+def x_coefficients(frame: ChrwFrame, params: ModelParams, n: int) -> np.ndarray:
     """2x2 block of the n-th harmonic of the transformed sigma_+.
 
     Index order is dressed (+, -).  Even n and |n| beyond the truncation
     give the zero block.  The harmonic weights are real, so the block is
     float64.
     """
-    if table is None:
-        table = fourier_coefficients(frame, params)
-    if n % 2 == 0 or abs(n) > table.max_order:
+    stack = fourier_coefficients(frame, params)
+    l_max = len(stack) - 1
+    if n % 2 == 0 or abs(n) > l_max:
         return np.zeros((2, 2))
-    return _blocks(table)[(n + table.max_order) // 2]
+    return stack[(n + l_max) // 2]
 
 
 def lindblad_tensor(frame: ChrwFrame, params: ModelParams) -> np.ndarray:
@@ -160,7 +143,7 @@ def lindblad_tensor(frame: ChrwFrame, params: ModelParams) -> np.ndarray:
     """
     if params.kappa == 0.0:
         return np.zeros((2, 2, 2, 2))
-    stack = _blocks(fourier_coefficients(frame, params))
+    stack = fourier_coefficients(frame, params)
     # with real harmonics the sigma_- blocks are transposes, so the three
     # dissipator contractions reduce to two reusable sums over harmonics
     gram = np.einsum("kal,kml->am", stack, stack)

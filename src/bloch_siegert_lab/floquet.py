@@ -27,14 +27,10 @@ from .chrw import ModelParams
 from .errors import ConvergenceError, DegenerateInputError, DomainError
 
 
-def default_truncation(params: ModelParams) -> int:
-    """The Fourier cutoff _truncation(A, omega) of a chain at params."""
-    return _truncation(params.amplitude, params.omega)
-
-
-def _truncation(amplitude: float, omega: float) -> int:
-    """Fourier cutoff N = ceil(A/omega) + 10.  Floquet components fall off
-    like J_l(A/2omega), so N leaves at least A/2omega + 10 blocks of tail;
+def default_truncation(amplitude: float, omega: float) -> int:
+    """Fourier cutoff N = ceil(A/omega) + 10 of the parity chain at drive
+    amplitude A and frequency omega.  Floquet components fall off like
+    J_l(A/2omega), so N leaves at least A/2omega + 10 blocks of tail;
     against N + 30 (omega/omega0 in [0.1, 10], A/omega0 <= 50) q moved by
     at most 5.4e-14 omega0 and its slope by 1.1e-15."""
     return int(math.ceil(amplitude / omega)) + 10
@@ -66,8 +62,8 @@ def _chain_layout(n_trunc: int) -> tuple[np.ndarray, int]:
 
 
 def build_floquet_matrix(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of the parity chain, 2N + 1 sites with
-    N = default_truncation(params).
+    """Diagonal and off-diagonal of the parity chain at params, 2N + 1
+    sites with N = default_truncation(A, omega).
 
     The Floquet matrix in the basis |gamma, l> has diagonal
     (omega0/2) sigma_z + l*omega and couples |up,l> only to |down,l+-1>
@@ -77,7 +73,7 @@ def build_floquet_matrix(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     up sites and (l-1)*omega + s on down sites, s = omega - omega0, so the
     resonant pair |up,0>, |down,1> is detuned by exactly s.
     """
-    n_trunc = default_truncation(params)
+    n_trunc = default_truncation(params.amplitude, params.omega)
     base, up = _chain_layout(n_trunc)
     diag = base * params.omega
     diag[1 - up :: 2] += params.omega - params.omega0
@@ -116,14 +112,14 @@ class FloquetSolution:
 
 
 def solve_floquet(params: ModelParams) -> FloquetSolution:
-    """Eigenpair N of the parity chain cut at N = default_truncation(params):
+    """Eigenpair N of the parity chain cut at N = default_truncation(A, omega):
     the quasienergy and its slope.
 
     A tridiagonal matrix with nonzero off-diagonals has no crossings, so
     eigenvalue N is always the lower member of the resonant pair and needs
     no tracking.
     """
-    n_trunc = default_truncation(params)
+    n_trunc = default_truncation(params.amplitude, params.omega)
     w, slope = _chain(params.amplitude, n_trunc)(params.omega, params.omega - params.omega0)
     return FloquetSolution(params, n_trunc, float(w[0]) + 0.5 * params.omega0, slope)
 

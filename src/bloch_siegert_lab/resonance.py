@@ -19,11 +19,13 @@ reject bad inputs with ValueError, give the zero shift at A = 0 and are
 solved in units of omega0, as functions of A/omega0 alone, in one place
 (_shift_route); chrw, floquet and shirley share one bracket and one
 memoised Brent driver (_bracketed_root), and none solves the xi fixed
-point.  floquet and shirley seed it with one model step from the bracket
-bottom (the resonant pair's two-level root, one step of the crossing
-condition's fixed-point map), whose sign closes the bracket before Brent
-starts; chrw runs it on the plain bracket.  floquet's Brent steps bisect
-only to _CHAIN_ABSTOL_GAP of the pair gap, its seed to the last ulp.
+point.  floquet and shirley hand it a seed, the value at the bracket
+bottom and one model step from there (the resonant pair's two-level root,
+one step of the crossing condition's fixed-point map), whose sign closes
+the bracket before Brent starts; chrw runs it on the plain bracket.
+floquet sizes its chain by floquet.default_truncation at the bracket
+bottom; its Brent steps bisect only to _CHAIN_ABSTOL_GAP of the pair gap,
+its seed solve to the last ulp.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Callable, Optional
 from scipy.special import j1 as bessel_j1
 
 from .errors import DomainError
-from .floquet import _chain, _truncation
+from .floquet import _chain, default_truncation
 from .numerics import (
     bessel_j,
     bessel_j0_minus_1,
@@ -120,16 +122,17 @@ def _bracketed_root(
     lo: float,
     hi: float,
     abs_tol: float,
-    step: Optional[Callable[[float], tuple[tuple[float, float], float]]] = None,
+    seed: Optional[tuple[tuple[float, float], float]] = None,
 ) -> tuple[float, float, int]:
     """Root of the residual of point(x) -> (residual, shift) on [lo, hi].
 
     Returns (shift, |residual|, iterations) at the root.  point is
     memoised, so no point is evaluated twice, the value at the root costs
-    nothing, and iterations counts distinct points.  step, when given,
-    returns point(lo) and a trial point x1 from one model step at lo.  If
-    x1 lies in (lo + _SEED_MIN_STEP, hi), the sign of the residual there
-    closes the bracket as [lo, x1] or [x1, hi] before Brent starts.
+    nothing, and iterations counts distinct points.  seed, when given, is
+    (point(lo), x1): the value at lo and a trial point x1 from one model
+    step at lo.  If x1 lies in (lo + _SEED_MIN_STEP, hi), the sign of the
+    residual there closes the bracket as [lo, x1] or [x1, hi] before Brent
+    starts.
     """
     memo: dict[float, tuple[float, float]] = {}
 
@@ -138,8 +141,8 @@ def _bracketed_root(
             memo[x] = point(x)
         return memo[x][0]
 
-    if step is not None:
-        memo[lo], x1 = step(lo)
+    if seed is not None:
+        memo[lo], x1 = seed
         if lo + _SEED_MIN_STEP < x1 < hi:
             if (residual(x1) > 0.0) == (memo[lo][0] > 0.0):
                 lo = x1
@@ -301,12 +304,12 @@ def bs_shirley_iterative(a: float) -> tuple[float, float, int]:
     """
     s_lo, s_hi = _shift_bracket(a)
 
-    def step(shift: float) -> tuple[tuple[float, float], float]:
-        # the defect rhs(s) - s at s, and the next iterate rhs(s)
-        rhs = _shirley_shift_rhs(a, shift)
-        return (rhs - shift, shift), rhs
+    def defect(shift: float) -> tuple[float, float]:
+        return _shirley_shift_rhs(a, shift) - shift, shift
 
-    return _bracketed_root(lambda s: step(s)[0], s_lo, s_hi, _relative_tol(s_lo, s_hi), step)
+    s1 = _shirley_shift_rhs(a, s_lo)
+    seed = (s1 - s_lo, s_lo), s1
+    return _bracketed_root(defect, s_lo, s_hi, _relative_tol(s_lo, s_hi), seed)
 
 
 @_shift_route(Method.FLOQUET)
@@ -315,41 +318,31 @@ def bs_floquet_numeric(a: float) -> tuple[float, float, int]:
 
     At resonance the resonant quasienergy branch is stationary in omega0.
     Its slope, taken from eigenvector weights on solve_floquet's parity
-    chain (floquet._chain), changes sign there, so the shift s = omega - 1
-    is one Brent root on the shift bracket, with the truncation frozen at
-    its lower end so the slope stays smooth, and the bracket closed first
-    by the resonant pair's own two-level step (_chain_root): about 7 chain
-    solves per shift instead of 9.  Below a = 1e-8 (_FLOQUET_MIN_A)
-    the shift (a/4)^2 nears the stop, which returns 0 from 1.8e-9 down, so
-    DomainError is raised there.
-    """
-    if a < _FLOQUET_MIN_A:
-        raise DomainError(f"Floquet shift unresolved at A/omega0={a:.3g} < {_FLOQUET_MIN_A:g}")
-    return _chain_root(a)
-
-
-def _chain_root(a: float, n_trunc: Optional[int] = None) -> tuple[float, float, int]:
-    """bs_floquet_numeric's root on solve = _chain(a, n_trunc), in units of
-    omega0: the slope of solve(1 + s, s), solve_floquet's chain at omega0 = 1.
-    n_trunc defaults to the truncation at the bracket bottom.
+    chain at omega0 = 1 (floquet._chain), changes sign there, so the shift
+    s = omega - 1 is one Brent root of the slope of solve(1 + s, s) on the
+    shift bracket, with the truncation frozen at its lower end so the slope
+    stays smooth.  Below a = 1e-8 (_FLOQUET_MIN_A) the shift (a/4)^2 nears
+    the stop, which returns 0 from 1.8e-9 down, so DomainError is raised
+    there.
 
     The first solve, at the bracket bottom, takes count = 2 and bisects to
     the last ulp, so it also gives the gap E_{N+1} - E_N of the resonant
     pair.  An isolated pair with coupling a/4 and detuning s - s* has slope
     (s - s*)/(2 gap) on its lower branch, so s1 = s - 2 slope gap, its exact
-    root, seeds the bracket.  Every later solve reads only the slope, so it
-    bisects eigenvalue N only to _CHAIN_ABSTOL_GAP times that gap.  The seed
-    comes from the chain alone, not from the methods it judges.
+    root, seeds the bracket: about 7 chain solves per shift instead of 9.
+    Every later solve reads only the slope, so it bisects eigenvalue N only
+    to _CHAIN_ABSTOL_GAP times that gap.  The seed comes from the chain
+    alone, not from the methods it judges.
     """
+    if a < _FLOQUET_MIN_A:
+        raise DomainError(f"Floquet shift unresolved at A/omega0={a:.3g} < {_FLOQUET_MIN_A:g}")
     s_lo, s_hi = _shift_bracket(a)
-    solve = _chain(a, _truncation(a, 1.0 + s_lo) if n_trunc is None else n_trunc)
+    solve = _chain(a, default_truncation(a, 1.0 + s_lo))
     w, slope = solve(1.0 + s_lo, s_lo, 2)
     gap = float(w[1] - w[0])
     seed = (slope, s_lo), s_lo - 2.0 * slope * gap
     abstol = _CHAIN_ABSTOL_GAP * gap
-    return _bracketed_root(
-        lambda s: (solve(1.0 + s, s, 1, abstol)[1], s), s_lo, s_hi, _SHIFT_ABS_TOL, lambda _: seed
-    )
+    return _bracketed_root(lambda s: (solve(1.0 + s, s, 1, abstol)[1], s), s_lo, s_hi, _SHIFT_ABS_TOL, seed)
 
 
 _DISPATCH = {

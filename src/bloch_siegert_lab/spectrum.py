@@ -8,7 +8,9 @@ initial data and no source term.  The Laplace-domain solution is a trio of
 rational functions g_+/g_-/g_z sharing one cubic denominator, their
 coefficients read off the adjugate of the dressed generator; the spectrum
 sums their weighted real parts over the odd sideband families, the n-th
-family centered at n times the pump frequency.  Each family's weights are
+family centered at n times the pump frequency, up to the cap that
+dissipative's truncation routine puts on them; the same call returns the
+Bessel values their weights read.  Each family's weights are
 applied to the numerator coefficients first, so a trace evaluates one
 rational per family.  Its probe points sit on the imaginary axis, p = iw,
 where the real cubic splits into (c0 - c2 w^2) + i w (c1 - w^2) and the
@@ -28,18 +30,16 @@ import numpy as np
 
 from .chrw import ChrwFrame, FrameMode, ModelParams, bessel_argument, build_frame
 from .dissipative import (
-    TRUNCATION_CAP,
     RateSet,
     SteadyState,
-    _first_clear_order,
     _harmonic_weights,
+    _truncation_rule,
     bloch_generator,
     fourier_f,
     rates,
     steady_state,
 )
 from .errors import GridError, PoleError, ValidityWarning
-from .numerics import bessel_j_sequence
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def initial_conditions(
     and the sideband family disappears.  The harmonic's weights are the
     positive-signature ones of the transformed raising operator.
     """
-    return tuple(complex(v) for v in _commutator_seed(fourier_f(frame, params, n, 1), steady))
+    return tuple(complex(v) for v in _commutator_seed(fourier_f(frame, params, n), steady))
 
 
 def _commutator_seed(weights: Tuple, steady: SteadyState) -> Tuple:
@@ -185,18 +185,6 @@ def laplace_g(
     return g_plus, g_minus, g_z
 
 
-def _sideband_cap(n: int, z: float) -> Tuple[int, np.ndarray]:
-    """min(n, truncation_order(z)) for odd n, and [J_0(z), ..., J_{c+1}(z)]
-    with c = min(n, TRUNCATION_CAP).
-
-    truncation_order's rule runs on the orders up to c only, on the Bessel
-    values the trace's weights need anyway.
-    """
-    cap = min(n, TRUNCATION_CAP)
-    j = bessel_j_sequence(cap + 1, z)
-    return _first_clear_order(j, cap), j
-
-
 def default_sideband_count(nu_max: float, omega: float) -> int:
     """Smallest odd harmonic count whose families cover frequencies up to
     nu_max; spectrum caps it by truncation_order's rule."""
@@ -257,7 +245,7 @@ def spectrum(
         n_max = default_sideband_count(nu_hi, params.omega)
     elif n_max < 1 or n_max % 2 == 0:
         raise ValueError(f"n_max must be positive odd, got {n_max}")
-    n_max, j = _sideband_cap(n_max, bessel_argument(params, frame))
+    n_max, j = _truncation_rule(bessel_argument(params, frame), n_max)
     if nu_hi > (n_max + 2) * params.omega:
         raise ValueError(
             f"nu_grid extends to {nu_hi:.4g}, beyond the coverage "

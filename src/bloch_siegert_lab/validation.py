@@ -150,7 +150,7 @@ def spectrum_vs_resolvent(quick: bool = False) -> CheckResult:
             p = 1j * (n * params.omega - nu)
             seed = np.array(initial_conditions(frame, params, steady, n))
             g = np.linalg.solve(p[:, None, None] * np.eye(3) - generator, seed[:, None])
-            f_p, f_m, f_z = fourier_f(frame, params, n, 1)
+            f_p, f_m, f_z = fourier_f(frame, params, n)
             exact += 0.25 * (g[:, :, 0] @ np.array([f_m, f_p, f_z])).real
         errs.append(np.max(np.abs(trace.values - exact / np.max(np.abs(exact)))))
     return CheckResult(_worst(errs), RESOLVENT_TOL, "worst |trace - resolvent| / peak")

@@ -86,6 +86,22 @@ class TestSolveXi:
                 p = ModelParams(omega0=w0, amplitude=float(a), omega=w)
                 assert _xi_or_message(p, solve_xi) == _xi_or_message(p, _full_scan_xi)
 
+    @pytest.mark.parametrize("a", np.logspace(-6, 3, 37))
+    def test_array_residual_is_bitwise_scalar(self, a):
+        # solve_xi scans its tail with the residual over an array and walks
+        # and polishes with it on numbers; on every sample of the scan grid
+        # k/n (the last one 1.0) of test_bitwise_equal_to_full_scan's points
+        # the two must agree to the bit, or the bracket could move
+        for w0 in (0.3, 1.0, 7.0):
+            for w in (0.3, 0.9, 1.0, 1.0 + a * a / 16.0, 1.0 + a):
+                p = ModelParams(omega0=w0, amplitude=float(a), omega=w)
+                n = max(128, int(8.0 * a / w) + 128)
+                grid = np.arange(n + 1) * (1.0 / n)
+                grid[-1] = 1.0
+                values = xi_fixed_point_residual(p, grid)
+                scalars = [float(xi_fixed_point_residual(p, xi)) for xi in grid.tolist()]
+                assert values.tolist() == scalars
+
     def test_strong_drive_scan_starts_above_xi_star(self, monkeypatch):
         # at A = 8, omega = omega0 the J1 bound 1 - 2 max|J1|/A = 0.85 lies
         # above xi* = 1/2, and Landau's bound at its argument x = 8 * 0.85,
@@ -125,14 +141,15 @@ class TestSolveXi:
         "a, evaluations", [(7.2, 20), (8.0, 17), (9.9, 16), (13.5, 16), (15.0, 10), (16.2, 14)]
     )
     def test_strong_drive_walk_is_short(self, monkeypatch, a, evaluations):
-        # residual evaluations of one solve at omega = omega0, walk and
-        # Brent polish together; from the J1 bound alone they were 27, 25,
-        # 25, 25, 19 and 22
+        # scalar residual evaluations of one solve at omega = omega0, walk
+        # and Brent polish together; from the J1 bound alone they were 27,
+        # 25, 25, 25, 19 and 22.  A tail scan is one more call, on an array
         p = ModelParams(omega0=1.0, amplitude=a, omega=1.0)
         seen = []
 
         def recorded(params, xi):
-            seen.append(xi)
+            if np.ndim(xi) == 0:
+                seen.append(xi)
             return xi_fixed_point_residual(params, xi)
 
         monkeypatch.setattr(chrw, "xi_fixed_point_residual", recorded)

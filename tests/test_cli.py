@@ -358,7 +358,7 @@ class TestValidate:
         # the resonance routes keep their own reference to the rule, so
         # table-regression still passes
         for n in (1, 2):
-            monkeypatch.setattr(floquet, "default_truncation", lambda params, n=n: n)
+            monkeypatch.setattr(floquet, "default_truncation", lambda amplitude, omega, n=n: n)
             code, out = _run(capsys, ["validate", "--quick"])
             assert code == 1
             assert "FAIL floquet-convergence" in out

@@ -41,10 +41,18 @@ from bloch_siegert_lab.resonance import bs_chrw
 P_STRONG = ModelParams(omega0=1.0, amplitude=1.0, omega=1.063268, kappa=2e-3)
 
 # a much stronger drive pumped at omega0: Bessel argument z ~ 14.6 and
-# truncation L = 43, where every harmonic table column carries weight
+# truncation L = 43, where every harmonic block carries weight
 P_STRONGEST = ModelParams(omega0=1.0, amplitude=15.0, omega=1.0, kappa=2e-3)
 
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+
+
+def _weights(block, n):
+    """(f_plus, f_minus, f_z) read off the 2x2 block of harmonic n: upper
+    corner f_plus for n > 0, where n < 0 trades raising and lowering."""
+    upper, lower = 2.0 * block[0, 1], 2.0 * block[1, 0]
+    f_p, f_m = (upper, lower) if n > 0 else (lower, upper)
+    return f_p, f_m, 2.0 * block[0, 0]
 
 
 def _dressed_kets(frame):
@@ -119,63 +127,63 @@ class TestTruncationOrder:
 class TestFourierF:
     def test_frozen_pins_strong_drive(self):
         fr = build_frame(P_STRONG)
-        got = fourier_f(fr, P_STRONG, 1, 1)
+        got = fourier_f(fr, P_STRONG, 1)
         want = (-0.9778363153632563, 0.9922331609316308, 0.9847082911771802)
         np.testing.assert_allclose(got, want, atol=1e-13)
-        got = fourier_f(fr, P_STRONG, 1, -1)
+        got = _weights(x_coefficients(fr, P_STRONG, -1), -1)
         want = (0.22716120328066086, 0.2570917269857733, -0.016288392442662315)
         np.testing.assert_allclose(got, want, atol=1e-13)
-        got = fourier_f(fr, P_STRONG, 3, 1)
+        got = fourier_f(fr, P_STRONG, 3)
         want = (-0.013578699090366393, 0.016200702294192848, 0.014882307321283284)
         np.testing.assert_allclose(got, want, atol=1e-13)
 
     def test_table_shape(self):
         fr = build_frame(P_STRONG)
-        table = fourier_coefficients(fr, P_STRONG)
-        assert table.max_order == 13
+        stack = fourier_coefficients(fr, P_STRONG)
+        assert len(stack) - 1 == 13
         assert bessel_argument(P_STRONG, fr) == pytest.approx(0.4918022766296485, abs=1e-12)
-        # rows: signature +1, -1; columns: l = 1, 3, ..., 13
-        for weights in (table.f_plus, table.f_minus, table.f_z):
-            assert weights.shape == (2, 7)
+        # one float64 2x2 block per harmonic n = -13, -11, ..., 13
+        assert stack.shape == (14, 2, 2) and stack.dtype == np.float64
 
     def test_table_matches_single_harmonics_at_strong_drive(self):
         fr = build_frame(P_STRONGEST)
-        table = fourier_coefficients(fr, P_STRONGEST)
-        assert table.max_order == 43
+        stack = fourier_coefficients(fr, P_STRONGEST)
+        l_max = len(stack) - 1
+        assert l_max == 43
         assert bessel_argument(P_STRONGEST, fr) == pytest.approx(14.6, abs=1e-3)
-        for l in range(1, table.max_order + 1, 2):
-            for row, sign in enumerate((1, -1)):
-                k = (l - 1) // 2
-                want = (table.f_plus[row, k], table.f_minus[row, k], table.f_z[row, k])
-                assert fourier_f(fr, P_STRONGEST, l, sign) == want, (l, sign)
+        for n in range(-l_max, l_max + 1, 2):
+            block = stack[(n + l_max) // 2]
+            assert np.array_equal(x_coefficients(fr, P_STRONGEST, n), block), n
+            if n > 0:
+                assert fourier_f(fr, P_STRONGEST, n) == _weights(block, n), n
 
-    @pytest.mark.parametrize("l,sign", [(0, 1), (2, 1), (-1, 1), (1, 0), (1, 2)])
-    def test_rejects_bad_indices(self, l, sign):
+    @pytest.mark.parametrize("l", [0, 2, -1])
+    def test_rejects_bad_indices(self, l):
         fr = build_frame(P_STRONG)
         with pytest.raises(ValueError):
-            fourier_f(fr, P_STRONG, l, sign)
+            fourier_f(fr, P_STRONG, l)
 
     def test_sign_flip_is_negation_above_one(self):
         # the Kronecker delta only enters at l = 1; beyond it the two
         # signatures are exact negatives of each other
         fr = build_frame(P_STRONG)
         for l in (3, 5, 7):
-            plus = np.array(fourier_f(fr, P_STRONG, l, 1))
-            minus = np.array(fourier_f(fr, P_STRONG, l, -1))
+            plus = np.array(fourier_f(fr, P_STRONG, l))
+            minus = np.array(_weights(x_coefficients(fr, P_STRONG, -l), -l))
             np.testing.assert_allclose(minus, -plus, atol=1e-16)
 
     def test_rwa_limit(self):
-        # no kick (z = 0): only the l = 1, sign = +1 triple survives and
-        # reduces to the textbook dressed-operator weights
+        # no kick (z = 0): only the n = +1 triple survives and reduces to
+        # the textbook dressed-operator weights; n = -1 vanishes
         p = ModelParams(omega0=1.0, amplitude=0.3, omega=1.1, kappa=1e-3)
         fr = build_frame(p, mode=FrameMode.RWA)
         th = fr.theta
         np.testing.assert_allclose(
-            fourier_f(fr, p, 1, 1),
+            fourier_f(fr, p, 1),
             (-2.0 * math.cos(th) ** 2, 2.0 * math.sin(th) ** 2, math.sin(2 * th)),
             atol=1e-15,
         )
-        np.testing.assert_allclose(fourier_f(fr, p, 1, -1), (0.0, 0.0, 0.0), atol=1e-15)
+        np.testing.assert_allclose(_weights(x_coefficients(fr, p, -1), -1), (0.0, 0.0, 0.0), atol=1e-15)
 
 
 class TestXCoefficients:
@@ -200,23 +208,23 @@ class TestXCoefficients:
         # summing the harmonic series back up must reproduce the operator
         # pointwise in time, including well outside the first period
         fr = build_frame(P_STRONG)
-        table = fourier_coefficients(fr, P_STRONG)
+        l_max = len(fourier_coefficients(fr, P_STRONG)) - 1
         period = 2.0 * math.pi / P_STRONG.omega
         rng = np.random.default_rng(7)
         for t in rng.uniform(0.0, 3.0 * period, 6):
             total = np.zeros((2, 2), dtype=complex)
-            for n in range(-table.max_order, table.max_order + 1):
+            for n in range(-l_max, l_max + 1):
                 if n % 2 != 0:
-                    total += x_coefficients(fr, P_STRONG, n, table=table) * np.exp(
+                    total += x_coefficients(fr, P_STRONG, n) * np.exp(
                         1j * n * P_STRONG.omega * t
                     )
             np.testing.assert_allclose(total, _transformed_operator(P_STRONG, fr, t), atol=1e-8)
 
     def test_even_and_out_of_range_blocks_vanish(self):
         fr = build_frame(P_STRONG)
-        table = fourier_coefficients(fr, P_STRONG)
-        for n in (0, 2, -6, table.max_order + 2, -(table.max_order + 2)):
-            assert np.all(x_coefficients(fr, P_STRONG, n, table=table) == 0.0)
+        l_max = len(fourier_coefficients(fr, P_STRONG)) - 1
+        for n in (0, 2, -6, l_max + 2, -(l_max + 2)):
+            assert np.all(x_coefficients(fr, P_STRONG, n) == 0.0)
 
     def test_rwa_single_block(self):
         p = ModelParams(omega0=1.0, amplitude=0.3, omega=1.1, kappa=1e-3)
@@ -378,6 +386,7 @@ class TestRates:
             raise AssertionError("rates built the harmonic table")
 
         monkeypatch.setattr(dissipative, "truncation_order", forbidden)
+        monkeypatch.setattr(dissipative, "_truncation_rule", forbidden)
         monkeypatch.setattr(dissipative, "bessel_j_sequence", forbidden)
         for p in (P_STRONG, P_STRONGEST):
             for mode in (FrameMode.CHRW, FrameMode.RWA):

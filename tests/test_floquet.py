@@ -84,8 +84,8 @@ class TestMatrixStructure:
         np.testing.assert_array_equal(off, np.full(22, 0.3))  # A/4
 
     def test_default_truncation_scales_with_drive(self):
-        assert default_truncation(ModelParams(omega0=1.0, amplitude=0.1, omega=1.0)) == 11
-        assert default_truncation(ModelParams(omega0=1.0, amplitude=40.0, omega=2.0)) == 30
+        assert default_truncation(0.1, 1.0) == 11
+        assert default_truncation(40.0, 2.0) == 30
 
 
 class TestBrillouinReplication:
@@ -109,25 +109,29 @@ class TestBrillouinReplication:
 
     @pytest.mark.parametrize("a_rel", [0.1, 1.0, 3.2, 6.0, 21.0, 100.0, 1000.0])
     @pytest.mark.parametrize("omega0", [0.3, 1.0, 7.0])
-    def test_shift_converged_on_default_chain(self, omega0, a_rel):
-        # bs_floquet_numeric's seeded Brent root, in units of omega0, on the
-        # chain sized at the bracket bottom, against the same root on a chain 10
-        # blocks longer.  There A/omega <= j01/0.9, so the chain has at most
-        # 27 sites.  Worst relative difference: 1.1e-14 below A/omega0 =
-        # 3.2 (rounding and the Brent stop), 3.5e-16 from there up
+    def test_shift_converged_on_default_chain(self, omega0, a_rel, monkeypatch):
+        # bs_floquet_numeric's seeded Brent root on the chain sized at the
+        # bracket bottom, against the same root on a chain 10 blocks longer.
+        # There A/omega <= j01/0.9, so the chain has at most 27 sites.
+        # Worst relative difference: 1.1e-14 below A/omega0 = 3.2 (rounding
+        # and the Brent stop), 3.5e-16 from there up
         amp = a_rel * omega0
         a = amp / omega0
         lo, hi = resonance._shift_bracket(a)
-        n = default_truncation(ModelParams(omega0=1.0, amplitude=a, omega=1.0 + lo))
+        n = default_truncation(a, 1.0 + lo)
         assert 2 * n + 1 <= 27
+        sizes = []
 
-        def root(n_trunc):
-            return omega0 * resonance._chain_root(a, n_trunc)[0]
+        def longer(amplitude, omega):
+            sizes.append(default_truncation(amplitude, omega) + 10)
+            return sizes[-1]
 
-        shift = root(n)
-        assert shift == bs_floquet_numeric(omega0, amp).shift
+        shift = bs_floquet_numeric(omega0, amp).shift
+        monkeypatch.setattr(resonance, "default_truncation", longer)
+        longer_shift = bs_floquet_numeric(omega0, amp).shift
+        assert sizes == [n + 10]
         bound = 2e-14 if a_rel < 3.2 else 2e-15
-        assert abs(shift - root(n + 10)) <= bound * shift
+        assert abs(shift - longer_shift) <= bound * shift
 
 
 class TestSolveFloquet:
@@ -342,7 +346,7 @@ class TestParityChain:
         # only the magnitude of the slope is shared; the shift route's call
         # and solve_floquet run the same chain, so they read the same bits
         p = ModelParams(omega0=1.0, amplitude=a, omega=w)
-        n = default_truncation(p)
+        n = default_truncation(p.amplitude, p.omega)
         s = w - 1.0
         slope = floquet._chain(a, n)(1.0 + s, s)[1]
         assert abs(slope) == pytest.approx(abs(_dense_solve(p, n)[2]), abs=1e-12)
@@ -351,7 +355,7 @@ class TestParityChain:
     def test_slope_changes_sign_at_resonance(self):
         # frozen Floquet shift at A = 6
         s_res = 1.6418085520328152
-        n = default_truncation(ModelParams(omega0=1.0, amplitude=6.0, omega=1.0 + s_res))
+        n = default_truncation(6.0, 1.0 + s_res)
         solve = floquet._chain(6.0, n)
 
         def slope(s):
@@ -392,7 +396,7 @@ class TestParityChain:
         # at abstol = 1e-7 of the pair's gap, eigenvalue N moves off its
         # full bisection by less than abstol, and the slope from its
         # eigenvector by rounding only: at most 3.3e-16 here
-        n = default_truncation(ModelParams(omega0=1.0, amplitude=a, omega=1.0 + s))
+        n = default_truncation(a, 1.0 + s)
         solve = floquet._chain(a, n)
         w, slope = solve(1.0 + s, s, 2)
         e0, abstol = float(w[0]), 1e-7 * float(w[1] - w[0])

@@ -1,4 +1,5 @@
-"""Every exported name has a caller besides its own definition and tests.
+"""Every exported name has a caller besides its own definition and tests,
+and every parameter with a default is set by some caller.
 
 The sources under src/ and scripts/ are read with `ast`; nothing there is
 imported or executed.  A name counts as used where the code reads it (a
@@ -6,7 +7,10 @@ bare name or an attribute) outside its own definition.  The benchmark is
 not read: a name that only the benchmark looks up by string is not
 exported.  The package `__init__` only re-exports, so it is not read.  No
 export is exempt: a reference implementation that only tests need lives in
-the tests.
+the tests.  Likewise a parameter with a default that only tests set is a
+second form of its function; the only exemptions are the entry points'
+`main(argv)` and argparse's `Action.__call__(..., option_string)` protocol,
+whose callers live outside the sources.
 """
 
 import ast
@@ -65,3 +69,76 @@ def _used_names():
 def test_every_export_has_a_caller():
     used = _used_names()
     assert sorted(set(bloch_siegert_lab.__all__) - used) == []
+
+
+# (function name, parameter) set only from outside the sources
+_ENTRY_POINTS = {("main", "argv"), ("__call__", "option_string")}
+
+
+def _defaulted(tree):
+    """(qualified name, function name, positional index or None, parameter)
+    of every parameter with a default; the index counts from the first
+    argument a caller passes, so a method's self is not counted."""
+    found = []
+
+    def visit(node, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                bound = in_class and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod" for d in child.decorator_list
+                )
+                first = len(positional) - len(args.defaults)
+                for k, arg in enumerate(positional[first:], start=first):
+                    found.append((prefix + child.name, child.name, k - bound, arg.arg))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        found.append((prefix + child.name, child.name, None, arg.arg))
+                visit(child, f"{prefix}{child.name}.", False)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", True)
+            else:
+                visit(child, prefix, in_class)
+
+    visit(tree, "", False)
+    return found
+
+
+def _calls(tree):
+    """(called name, positional count, keywords) of every call; a starred
+    argument counts as every position, a ** argument as every keyword."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        count = float("inf") if starred else len(node.args)
+        keywords = {k.arg for k in node.keywords}
+        found.append((name, count, keywords))
+    return found
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    defaulted, calls = [], []
+    for path in _sources():
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        defaulted += [(f"{path.stem}.{qual}", *rest) for qual, *rest in _defaulted(tree)]
+        calls += _calls(tree)
+    assert len(defaulted) >= 5  # the scan cannot pass vacuously
+
+    def is_set(fname, index, param):
+        return any(
+            name == fname
+            and (param in keywords or None in keywords or (index is not None and count > index))
+            for name, count, keywords in calls
+        )
+
+    unset = sorted(
+        f"{qual}.{param}"
+        for qual, fname, index, param in defaulted
+        if (fname, param) not in _ENTRY_POINTS and not is_set(fname, index, param)
+    )
+    assert unset == []

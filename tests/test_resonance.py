@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from bloch_siegert_lab import chrw, resonance
-from bloch_siegert_lab.chrw import ModelParams
 from bloch_siegert_lab.errors import DomainError
 from bloch_siegert_lab.floquet import default_truncation
 from bloch_siegert_lab.numerics import first_bessel_j0_zero
@@ -206,12 +205,11 @@ class TestFloquetNumeric:
         # bs_floquet_numeric's seeded root in units of omega0, built here on
         # the same chain with every solve bisected to the last ulp (abstol 0)
         lo, hi = resonance._shift_bracket(a)
-        bottom = ModelParams(omega0=1.0, amplitude=a, omega=1.0 + lo)
-        solve = resonance._chain(a, default_truncation(bottom))
+        solve = resonance._chain(a, default_truncation(a, 1.0 + lo))
         w, slope = solve(1.0 + lo, lo, 2)
         seed = (slope, lo), lo - 2.0 * slope * float(w[1] - w[0])
         return resonance._bracketed_root(
-            lambda s: (solve(1.0 + s, s)[1], s), lo, hi, resonance._SHIFT_ABS_TOL, lambda _: seed
+            lambda s: (solve(1.0 + s, s)[1], s), lo, hi, resonance._SHIFT_ABS_TOL, seed
         )[0]
 
     def test_early_stopped_bisection_keeps_the_root(self):
@@ -406,7 +404,7 @@ class TestSeededRoot:
 
 
     def _root(self, x1=None):
-        # exp(x) - 2 on [0, 2], root ln 2; step returns the value at the
+        # exp(x) - 2 on [0, 2], root ln 2; the seed is the value at the
         # bottom and the trial point x1
         calls = []
 
@@ -414,8 +412,8 @@ class TestSeededRoot:
             calls.append(x)
             return math.exp(x) - 2.0, x
 
-        step = None if x1 is None else (lambda x: (point(x), x1))
-        found = resonance._bracketed_root(point, 0.0, 2.0, 1e-18, step)
+        seed = None if x1 is None else (point(0.0), x1)
+        found = resonance._bracketed_root(point, 0.0, 2.0, 1e-18, seed)
         return found, calls
 
     def test_plain_root(self):
@@ -452,8 +450,7 @@ class TestSeededRoutes:
         for a in np.geomspace(1e-6, 1e3, 40):
             a = float(a)
             lo, hi = resonance._shift_bracket(a)
-            bottom = ModelParams(omega0=1.0, amplitude=a, omega=1.0 + lo)
-            solve = resonance._chain(a, default_truncation(bottom))
+            solve = resonance._chain(a, default_truncation(a, 1.0 + lo))
             plain = resonance._bracketed_root(
                 lambda s: (solve(1.0 + s, s)[1], s), lo, hi, resonance._SHIFT_ABS_TOL
             )

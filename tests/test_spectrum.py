@@ -11,6 +11,7 @@ from bloch_siegert_lab.chrw import FrameMode, ModelParams, bessel_argument, buil
 from bloch_siegert_lab.dissipative import (
     RateSet,
     SteadyState,
+    _truncation_rule,
     bloch_generator,
     fourier_f,
     rates,
@@ -25,7 +26,6 @@ from bloch_siegert_lab.spectrum import (
     _check_axis_poles,
     _pole_bound,
     _response_coefficients,
-    _sideband_cap,
     asymmetry_metric,
     default_probe_grid,
     default_sideband_count,
@@ -55,7 +55,7 @@ def _kernel_sum(params, mode, grid, n_max):
     ss = steady_state(rs, fr.rabi_tilde)
     total = np.zeros_like(grid)
     for n in range(1, n_max + 1, 2):
-        f_p, f_m, f_z = fourier_f(fr, params, n, 1)
+        f_p, f_m, f_z = fourier_f(fr, params, n)
         init = initial_conditions(fr, params, ss, n)
         g_plus, g_minus, g_z = laplace_g(rs, fr.rabi_tilde, init, -1j * (grid - n * params.omega))
         total += 0.25 * np.real(f_p * g_minus + f_m * g_plus + f_z * g_z)
@@ -74,11 +74,11 @@ class TestChatCoefficients:
         fr = build_frame(p, mode=FrameMode.RWA)
         th = fr.theta
         np.testing.assert_allclose(
-            fourier_f(fr, p, 1, 1),
+            fourier_f(fr, p, 1),
             (-2.0 * math.cos(th) ** 2, 2.0 * math.sin(th) ** 2, math.sin(2 * th)),
             atol=1e-15,
         )
-        np.testing.assert_allclose(fourier_f(fr, p, 3, 1), (0.0, 0.0, 0.0), atol=1e-15)
+        np.testing.assert_allclose(fourier_f(fr, p, 3), (0.0, 0.0, 0.0), atol=1e-15)
 
 
 class TestInitialConditions:
@@ -88,7 +88,7 @@ class TestInitialConditions:
         # three components as matrix elements
         p, fr, rs, ss = _resonant_point()
         for n in (1, 3):
-            f_p, f_m, f_z = fourier_f(fr, p, n, 1)
+            f_p, f_m, f_z = fourier_f(fr, p, n)
             c_hat = np.array([[f_z, f_p], [f_m, -f_z]], dtype=complex)
             rho = np.array(
                 [
@@ -256,7 +256,7 @@ class TestExtendedPrecision:
         ss = steady_state(rs, fr.rabi_tilde)
         m, _ = bloch_generator(rs, fr.rabi_tilde)
         families = [
-            (n, fourier_f(fr, p, n, 1), initial_conditions(fr, p, ss, n))
+            (n, fourier_f(fr, p, n), initial_conditions(fr, p, ss, n))
             for n in range(1, tr.n_max + 1, 2)
         ]
         with mp.workdps(40):
@@ -411,13 +411,14 @@ class TestSpectrum:
                 assert np.max(np.abs(tr.values - expected)) <= 4e-14
 
     def test_sideband_cap_is_truncation_rule(self):
-        # the cap reads truncation_order's three-orders rule off the Bessel
-        # values the trace needs anyway; it binds at small z (truncation
-        # order 3 near z = 0) and at TRUNCATION_CAP for z = 50
+        # the cap is truncation_order's three-orders rule, the one routine
+        # that also returns the Bessel values the trace needs anyway; it
+        # binds at small z (truncation order 3 near z = 0) and at
+        # TRUNCATION_CAP for z = 50
         for z in np.concatenate([[0.0], np.geomspace(1e-3, 50.0, 61)]):
             full = bessel_j_sequence(70, z)
             for n in (*range(1, 66, 2), 99):
-                n_max, j = _sideband_cap(n, z)
+                n_max, j = _truncation_rule(z, n)
                 assert n_max == min(n, truncation_order(z)), (z, n)
                 assert np.array_equal(j, full[: j.size]) and j.size >= n_max + 2
         p = ModelParams(omega0=1.0, amplitude=0.3, omega=1.0, kappa=2e-3)
