@@ -9,7 +9,6 @@ from .chrw import (
     ChrwFrame,
     FrameMode,
     ModelParams,
-    bessel_argument,
     build_frame,
     solve_xi,
     xi_fixed_point_residual,
@@ -93,7 +92,6 @@ __all__ = [
     "SpectrumTrace",
     "SteadyState",
     "asymmetry_metric",
-    "bessel_argument",
     "bessel_j",
     "bessel_j0_minus_1",
     "bessel_j_sequence",

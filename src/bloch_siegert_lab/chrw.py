@@ -69,12 +69,14 @@ class ModelParams:
 class ChrwFrame:
     """Static transformed-frame quantities.
 
-    delta_tilde = omega0 J0(A xi/omega) - omega, a_tilde = 2A(1-xi),
-    rabi_tilde = sqrt(delta_tilde^2 + a_tilde^2/4), and theta the dressing
-    angle with tan(theta) = (rabi_tilde - delta_tilde)/(a_tilde/2).
+    z = A xi/omega is the argument of every Bessel factor of the frame (0
+    in the RWA and at A = 0), delta_tilde = omega0 J0(z) - omega, a_tilde =
+    2A(1-xi), rabi_tilde = sqrt(delta_tilde^2 + a_tilde^2/4), and theta the
+    dressing angle with tan(theta) = (rabi_tilde - delta_tilde)/(a_tilde/2).
     """
 
     xi: float
+    z: float
     a_tilde: float
     delta_tilde: float
     rabi_tilde: float
@@ -188,15 +190,13 @@ def solve_xi(params: ModelParams) -> float:
         r_lo = float(values[j - 1]) if j else r
         i, r = head + j, float(values[j])
     hi = i * step if i < n else 1.0
-    if r == 0.0:
-        return hi
-    # the Brent polish runs to abs_tol = rel_tol = 1e-12
+    # the Brent polish runs to abs_tol = rel_tol = 1e-12; it returns hi
+    # itself where the sample there is an exact root
     return find_root_bracketed(residual, (i - 1) * step, hi, 1e-12, 1e-12, fa=r_lo, fb=r)
 
 
-def _theta_from(delta: float, half_a: float) -> float:
+def _theta_from(delta: float, half_a: float, rabi: float) -> float:
     if half_a > 0.0:
-        rabi = math.hypot(delta, half_a)
         return math.atan2(rabi - delta, half_a)
     # a_tilde = 0: dressing collapses onto the poles; resonant limit is pi/4
     if delta > 0.0:
@@ -214,31 +214,24 @@ def build_frame(params: ModelParams, mode: FrameMode = FrameMode.CHRW) -> ChrwFr
     delta_tilde = omega0 - omega and a_tilde = A.
     """
     w0, a, w = params.omega0, params.amplitude, params.omega
-    if mode is FrameMode.RWA:
-        xi = 0.0
-        delta = w0 - w
-        a_tilde = a
-    else:
-        if a == 0.0:
-            xi = w / (w + w0)
-            delta = w0 - w
-            a_tilde = 0.0
-        else:
-            xi = solve_xi(params)
-            z = a * xi / w
-            # J0(z)*omega0 - omega, with the J0-1 series keeping the near-
-            # resonant cancellation at full precision
-            delta = bessel_j0_minus_1(z) * w0 + (w0 - w)
-            a_tilde = 2.0 * a * (1.0 - xi)
+    # the RWA values; the undriven CHRW frame replaces xi and a_tilde
+    xi = z = 0.0
+    delta = w0 - w
+    a_tilde = a
+    if mode is FrameMode.CHRW and a == 0.0:
+        xi = w / (w + w0)
+        a_tilde = 0.0
+    elif mode is FrameMode.CHRW:
+        xi = solve_xi(params)
+        z = a * xi / w
+        # J0(z)*omega0 - omega, with the J0-1 series keeping the near-
+        # resonant cancellation at full precision
+        delta = bessel_j0_minus_1(z) * w0 + (w0 - w)
+        a_tilde = 2.0 * a * (1.0 - xi)
     half_a = 0.5 * a_tilde
     rabi = math.hypot(delta, half_a)
-    theta = _theta_from(delta, half_a)
+    theta = _theta_from(delta, half_a, rabi)
     return ChrwFrame(
-        xi=xi, a_tilde=a_tilde, delta_tilde=delta, rabi_tilde=rabi, theta=theta, mode=mode
+        xi=xi, z=z, a_tilde=a_tilde, delta_tilde=delta, rabi_tilde=rabi, theta=theta, mode=mode
     )
-
-
-def bessel_argument(params: ModelParams, frame: ChrwFrame) -> float:
-    """Argument A*xi/omega entering every Bessel factor of the frame."""
-    return params.amplitude * frame.xi / params.omega
 

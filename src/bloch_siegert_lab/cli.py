@@ -173,42 +173,45 @@ def _grid_note(grid: np.ndarray) -> str:
     return f"{_num(float(grid[0]))}:{_num(float(grid[-1]))}:{_num(step)}"
 
 
-def _shift_or_blank(method: Method, amp: float, notes: List[str]) -> Optional[float]:
-    """Shift by one method at amp, or None where its cells stay blank.
+def _shift_row(amp: float, methods: Sequence[Method]) -> Tuple[List[Optional[float]], str]:
+    """The Floquet reference and each method's shift at amp, then the
+    diagnostics column; None where a shift's cells stay blank.
 
-    A BslError blanks the cells and adds a note for the diagnostics column.
-    An asymptotic shift <= 0 is blank without a note: below the crossover
-    the strong-drive branch has not opened yet, as the blank in the
-    paper's table shows.
+    A BslError blanks the cells and adds a note, Floquet's first.  An
+    asymptotic shift <= 0 is blank without a note: below the crossover the
+    strong-drive branch has not opened yet, as the blank in the paper's
+    table shows.
     """
-    try:
-        shift = resonance_shift(method, 1.0, amp).shift
-    except BslError as exc:
-        notes.append(f"{method.value}: {exc}")
-        return None
-    if method is Method.ASYMPTOTIC and shift <= 0.0:
-        return None
-    return shift
+    shifts: List[Optional[float]] = []
+    notes: List[str] = []
+    for method in (Method.FLOQUET, *methods):
+        try:
+            shift = resonance_shift(method, 1.0, amp).shift
+        except BslError as exc:
+            notes.append(f"{method.value}: {exc}")
+            shift = None
+        if method is Method.ASYMPTOTIC and shift is not None and shift <= 0.0:
+            shift = None
+        shifts.append(shift)
+    return shifts, "; ".join(notes)
+
+
+def _cell(shift: Optional[float]) -> str:
+    return "" if shift is None else _num(shift)
 
 
 def cmd_shift_table(args: argparse.Namespace) -> Tuple[str, int]:
     """Resonance shifts by all methods over a drive-amplitude grid."""
     amps = np.array(TABLE_GRID) if args.amps is None else args.amps
-
-    def row(amp: float) -> List[str]:
-        cells = [_num(amp)]
-        notes: List[str] = []
-        for method in _METHOD_ORDER:
-            shift = _shift_or_blank(method, amp, notes)
-            cells.append("" if shift is None else _num(shift))
-        cells.append("; ".join(notes))
-        return cells
-
+    rows = []
+    for amp in map(float, amps):
+        shifts, notes = _shift_row(amp, _METHOD_ORDER[1:])
+        rows.append([_num(amp), *map(_cell, shifts), notes])
     return _table(
         args,
         f"A-grid={_grid_note(amps)}",
         ["a_over_omega0", "floquet", "chrw", "shirley", "asymptotic", "perturbative", "diagnostics"],
-        [row(float(a)) for a in amps],
+        rows,
     )
 
 
@@ -216,28 +219,19 @@ def cmd_shift_sweep(args: argparse.Namespace) -> Tuple[str, int]:
     """Dense shift curves with per-method deviation from the numerical result."""
     amps = _parse_range("0.1:21:0.1") if args.amps is None else args.amps
     methods = [m for m in _METHOD_ORDER[1:] if args.method in ("all", m.value)]
-
-    def row(amp: float) -> List[str]:
-        cells = [_num(amp)]
-        notes: List[str] = []
-        reference = _shift_or_blank(Method.FLOQUET, amp, notes)
-        cells.append("" if reference is None else _num(reference))
-        for method in methods:
-            shift = _shift_or_blank(method, amp, notes)
-            if shift is None:
-                cells.extend(["", ""])
-            elif reference is None or reference == 0.0:
-                cells.extend([_num(shift), ""])
-            else:
-                cells.extend([_num(shift), _num(abs(shift - reference) / reference)])
-        cells.append("; ".join(notes))
-        return cells
-
+    rows = []
+    for amp in map(float, amps):
+        (reference, *shifts), notes = _shift_row(amp, methods)
+        cells = [_num(amp), _cell(reference)]
+        for shift in shifts:
+            blank = shift is None or reference is None or reference == 0.0
+            cells.extend([_cell(shift), "" if blank else _num(abs(shift - reference) / reference)])
+        rows.append(cells + [notes])
     columns = ["a_over_omega0", "shift_floquet"]
     for method in methods:
         columns.extend([f"shift_{method.value}", f"dev_{method.value}"])
     columns.append("diagnostics")
-    return _table(args, f"A-grid={_grid_note(amps)}", columns, [row(float(a)) for a in amps])
+    return _table(args, f"A-grid={_grid_note(amps)}", columns, rows)
 
 
 def cmd_population(args: argparse.Namespace) -> Tuple[str, int]:
@@ -245,10 +239,6 @@ def cmd_population(args: argparse.Namespace) -> Tuple[str, int]:
     amp, mode = args.A, FrameMode(args.mode)
 
     def row(w: float) -> List[str]:
-        if amp == 0.0:
-            # no drive: the atom relaxes to the ground state and the dressed
-            # reduction (which needs a finite splitting) is not consulted
-            return [_num(w), _num(0.0), ""]
         try:
             params = ModelParams(omega0=1.0, amplitude=amp, omega=w, kappa=args.kappa)
             frame = build_frame(params, mode=mode)
@@ -336,6 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="drive amplitude (default 0.1)")
     drive.add_argument("--mode", choices=("chrw", "rwa"), default="chrw",
                        help="chrw frame, or rwa with xi = 0 (default chrw)")
+    drive.add_argument("--kappa", type=_positive, default=2e-3, action=_Given,
+                       help="bare decay rate of the excited state, > 0 (default 2e-3)")
 
     parser = argparse.ArgumentParser(
         prog="bsl",
@@ -359,16 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("population", parents=[common, drive],
                        help="time-averaged excited population vs pump frequency")
-    p.add_argument("--kappa", type=_positive, default=2e-3, action=_Given,
-                   help="bare decay rate of the excited state, > 0 (default 2e-3)")
     p.add_argument("--omega-range", dest="omegas", type=_positive_range, default="0.995:1.005:0.0001",
                    action=_Given, metavar="LO:HI:STEP", help="pump grid (default %(default)s)")
     p.set_defaults(run=cmd_population)
 
     p = sub.add_parser("spectrum", parents=[common, drive], help="probe absorption trace at one pump setting")
     p.add_argument("--omega", type=_positive, default=1.0, action=_Given, help="pump frequency (default 1)")
-    p.add_argument("--kappa", type=_positive, default=2e-3, action=_Given,
-                   help="bare decay rate of the excited state, > 0 (default 2e-3)")
     p.add_argument("--nu-range", dest="nus", type=_positive_range, action=_Given, metavar="LO:HI:STEP",
                    help="probe grid (default: 1101 points over the pump +- 2.2 dressed splittings)")
     p.add_argument("--n-max", type=_odd_positive,

@@ -15,7 +15,7 @@ closed form from J_0, J_1 and J_2 at the Bessel argument z and at 2z;
 lindblad_tensor contracts the truncated block stack term by term and is
 their independent reference.  Validity
 requires the dressed splitting to dominate the decay (rabi_tilde >>
-kappa).  steady_state solves the dressed Bloch equations for their fixed
+kappa); population_avg refuses rabi_tilde < SECULAR_RATIO kappa.  steady_state solves the dressed Bloch equations for their fixed
 point, and population_avg turns it into the time-averaged lab-frame excited
 population, the paper's population signature.  Only bloch_generator
 (through +-i rabi_tilde) and the steady coherence are complex.
@@ -34,12 +34,15 @@ from typing import Tuple
 import numpy as np
 from scipy.special import j0, j1
 
-from .chrw import ChrwFrame, ModelParams, bessel_argument
-from .errors import ConvergenceError, DegenerateInputError
+from .chrw import ChrwFrame, ModelParams
+from .errors import ConvergenceError, DegenerateInputError, DomainError
 from .numerics import bessel_j, bessel_j0_minus_1, bessel_j_sequence
 
 TRUNCATION_EPS = 1e-14
 TRUNCATION_CAP = 61
+# the co-rotating reduction needs rabi_tilde >> kappa: population_avg
+# refuses a dressed splitting below this many kappa, spectrum warns there
+SECULAR_RATIO = 10.0
 
 
 def truncation_order(z: float) -> int:
@@ -95,7 +98,7 @@ def fourier_f(frame: ChrwFrame, params: ModelParams, l: int) -> Tuple[float, flo
     """
     if l < 1 or l % 2 == 0:
         raise ValueError(f"harmonic index must be positive odd, got {l}")
-    j = bessel_j_sequence(l + 1, bessel_argument(params, frame)).tolist()
+    j = bessel_j_sequence(l + 1, frame.z).tolist()
     return _harmonic_weights(frame, l, j, 1.0)
 
 
@@ -109,7 +112,7 @@ def fourier_coefficients(frame: ChrwFrame, params: ModelParams) -> np.ndarray:
     weight f_minus in the lower corner, n < 0 trades raising and lowering
     places.  The weights are real, so the stack is float64.
     """
-    l_max, j = _truncation_rule(bessel_argument(params, frame), TRUNCATION_CAP)
+    l_max, j = _truncation_rule(frame.z, TRUNCATION_CAP)
     n = np.arange(-l_max, l_max + 1, 2)
     positive = n > 0
     f_p, f_m, f_z = _harmonic_weights(frame, np.abs(n), j, np.where(positive, 1.0, -1.0))
@@ -139,10 +142,9 @@ def lindblad_tensor(frame: ChrwFrame, params: ModelParams) -> np.ndarray:
     """Rank-4 dissipator tensor over dressed indices, co-rotating pairs only.
 
     Element [alpha, beta, mu, nu] multiplies rho_{mu nu} in the equation for
-    rho_{alpha beta}.  Real, linear in kappa, zero without decay.
+    rho_{alpha beta}.  Real, linear in kappa, zero without decay (the kappa
+    factor zeroes the contracted stack).
     """
-    if params.kappa == 0.0:
-        return np.zeros((2, 2, 2, 2))
     stack = fourier_coefficients(frame, params)
     # with real harmonics the sigma_- blocks are transposes, so the three
     # dissipator contractions reduce to two reusable sums over harmonics
@@ -195,7 +197,7 @@ def rates(frame: ChrwFrame, params: ModelParams) -> RateSet:
     so no harmonic table is built.  lindblad_tensor sums the truncated table
     term by term and is the reference this is checked against.
     """
-    z = bessel_argument(params, frame)
+    z = frame.z
     kappa, s, c = params.kappa, frame.sin_2theta, frame.cos_2theta
     # The rates are kappa times gamma_z = pp + qq, gamma_0 = pp - qq,
     # gamma_1 = -(up + uq) / 2, gamma_2 = uq - up, gamma_minus = -pq and
@@ -285,8 +287,18 @@ def population_avg(frame: ChrwFrame, params: ModelParams, rate_set: RateSet) -> 
 
     Only the zeroth harmonic of the projector map survives the average; its
     bracket cos 2theta J_0(z) + sin 2theta J_1(z) is gamma_0 / kappa, read
-    from the rates after steady_state has refused kappa = 0.
+    from the rates after steady_state has refused kappa = 0.  Undriven (A =
+    0) the atom relaxes to its ground state and the result is exactly 0.
+
+    The closed form drops terms of order (kappa / rabi_tilde)^2: at the CHRW
+    resonance it reads 1/2 whatever the drive, a relative error of
+    (kappa / rabi_tilde)^2 / 2 against the exact periodic steady state.  A
+    dressed splitting below SECULAR_RATIO kappa raises DomainError.
     """
+    if params.amplitude == 0.0:
+        return 0.0
+    if frame.rabi_tilde < SECULAR_RATIO * params.kappa:
+        raise DomainError(f"dressed splitting {frame.rabi_tilde:.3g} is below {SECULAR_RATIO:g} kappa")
     ss = steady_state(rate_set, frame.rabi_tilde)
     return 0.5 * (1.0 + ss.sz_ss * (rate_set.gamma_0 / params.kappa))
 

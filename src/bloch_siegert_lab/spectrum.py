@@ -28,8 +28,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .chrw import ChrwFrame, FrameMode, ModelParams, bessel_argument, build_frame
+from .chrw import ChrwFrame, FrameMode, ModelParams, build_frame
 from .dissipative import (
+    SECULAR_RATIO,
     RateSet,
     SteadyState,
     _harmonic_weights,
@@ -234,7 +235,7 @@ def spectrum(
     if nu_lo <= 0.0:
         raise ValueError("nu_grid must be strictly positive")
     frame = build_frame(params, mode=mode)
-    if frame.rabi_tilde < 10.0 * params.kappa:
+    if frame.rabi_tilde < SECULAR_RATIO * params.kappa:
         warnings.warn(
             f"dressed splitting {frame.rabi_tilde:.3g} is not large against "
             f"kappa = {params.kappa:.3g}; the sideband decomposition degrades here",
@@ -245,7 +246,7 @@ def spectrum(
         n_max = default_sideband_count(nu_hi, params.omega)
     elif n_max < 1 or n_max % 2 == 0:
         raise ValueError(f"n_max must be positive odd, got {n_max}")
-    n_max, j = _truncation_rule(bessel_argument(params, frame), n_max)
+    n_max, j = _truncation_rule(frame.z, n_max)
     if nu_hi > (n_max + 2) * params.omega:
         raise ValueError(
             f"nu_grid extends to {nu_hi:.4g}, beyond the coverage "

@@ -109,20 +109,21 @@ def table_regression(quick: bool = False) -> CheckResult:
     return CheckResult(_worst(errs), TABLE_TOL, "worst |shift - reference|")
 
 
+def _gap_check(points: Tuple[Tuple[float, float], ...], detail: str) -> CheckResult:
+    """Worst |parity-chain gap - monodromy gap| over (A, omega) points."""
+    params = [ModelParams(omega0=1.0, amplitude=amp, omega=w) for amp, w in points]
+    errs = [abs(branch_gap(p) - monodromy_gap(p)) for p in params]
+    return CheckResult(_worst(errs), MONODROMY_TOL, detail)
+
+
 def floquet_convergence() -> CheckResult:
     """Truncated parity-chain gap against the monodromy gap at A = 10."""
-    params = ModelParams(omega0=1.0, amplitude=10.0, omega=1.0)
-    diff = abs(branch_gap(params) - monodromy_gap(params))
-    return CheckResult(diff, MONODROMY_TOL, "default truncation: |matrix gap - monodromy gap|")
+    return _gap_check(((10.0, 1.0),), "default truncation: |matrix gap - monodromy gap|")
 
 
 def monodromy_vs_matrix() -> CheckResult:
     """Parity-chain gap against the monodromy gap at three drive points."""
-    errs = []
-    for amp, w in ((1.0, 1.0), (4.0, 1.5), (8.0, 2.0)):
-        params = ModelParams(omega0=1.0, amplitude=amp, omega=w)
-        errs.append(abs(branch_gap(params) - monodromy_gap(params)))
-    return CheckResult(_worst(errs), MONODROMY_TOL, "worst |matrix gap - monodromy gap|")
+    return _gap_check(((1.0, 1.0), (4.0, 1.5), (8.0, 2.0)), "worst |matrix gap - monodromy gap|")
 
 
 def spectrum_vs_resolvent(quick: bool = False) -> CheckResult:

@@ -15,7 +15,6 @@ from bloch_siegert_lab.chrw import (
     _LANDAU,
     FrameMode,
     ModelParams,
-    bessel_argument,
     build_frame,
     solve_xi,
     xi_fixed_point_residual,
@@ -272,6 +271,14 @@ class TestSolveXi:
 
 
 class TestBuildFrame:
+    def test_bessel_argument_stored_on_frame(self):
+        # z is A xi / omega bitwise, and 0.0 where xi is pinned (RWA) or A = 0
+        for mode in FrameMode:
+            for a, w in [(0.0, 1.0), (0.0, 0.7), (0.3, 1.0), (2.0, 1.4), (8.0, 3.3)]:
+                p = ModelParams(omega0=1.0, amplitude=a, omega=w)
+                fr = build_frame(p, mode=mode)
+                assert fr.z.hex() == (a * fr.xi / w).hex()
+
     def test_frozen_frame_at_unit_point(self):
         # omega0 = A = omega = 1, values frozen from the dev solve
         fr = build_frame(ModelParams(omega0=1.0, amplitude=1.0, omega=1.0))
@@ -287,7 +294,7 @@ class TestBuildFrame:
         for a, w in [(0.3, 1.0), (2.0, 1.4), (8.0, 3.3)]:
             p = ModelParams(omega0=1.0, amplitude=a, omega=w)
             fr = build_frame(p)
-            z = bessel_argument(p, fr)
+            z = fr.z
             assert fr.a_tilde == pytest.approx(4.0 * bessel_j(1, z), rel=1e-11)
 
     def test_angle_identities(self):
@@ -321,7 +328,7 @@ class TestBuildFrame:
         # Reference value from the 60-digit route.
         p = ModelParams(omega0=1.0, amplitude=0.05, omega=1.0 + 1e-8)
         fr = build_frame(p)
-        z = bessel_argument(p, fr)
+        z = fr.z
         want = (-z * z / 4.0) * (1.0 - z * z / 16.0) - 1e-8
         assert fr.delta_tilde == pytest.approx(want, rel=1e-9)
 

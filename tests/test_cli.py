@@ -212,6 +212,19 @@ class TestShiftSweep:
             "7.73244212,0.00535026413,-22684.5398,2918.98776,"
         )
 
+    def test_shift_cells_match_shift_table(self, capsys):
+        # both commands print the same shift cells and diagnostics for one
+        # amplitude, blanks included: every root-found route fails at
+        # 1e-300, the asymptotic branch is closed at 0.5, shirley and pert6
+        # overflow at 9.5e51
+        for amp in ("1e-300", "0.5", "6", "9.5e51"):
+            _, table = _run(capsys, ["shift-table", "--A", amp])
+            _, sweep = _run(capsys, ["shift-sweep", "--A", amp])
+            t = table.strip().split("\n")[2].split(",")
+            s = sweep.strip().split("\n")[2].split(",")
+            # the sweep follows each method's shift with its deviation
+            assert t == s[:2] + s[2:10:2] + s[10:]
+
     def test_single_method_selection(self, capsys):
         code, out = _run(capsys, ["shift-sweep", "--A", "1", "--method", "chrw"])
         assert code == 0
@@ -260,6 +273,12 @@ class TestPopulation:
         assert code == 0
         for line in out.strip().split("\n")[2:]:
             assert line.split(",")[1] == "0"
+
+    def test_below_secular_ratio_is_blank_with_diagnostic(self, capsys):
+        # A = 0.001 on resonance: the dressed splitting is kappa / 4
+        code, out = _run(capsys, ["population", "--A", "0.001", "--omega-range", "1:1:1"])
+        assert code == 0
+        assert out.strip().split("\n")[2] == "1,,dressed splitting 0.0005 is below 10 kappa"
 
 
 class TestSpectrum:

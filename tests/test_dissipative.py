@@ -14,10 +14,10 @@ from bloch_siegert_lab import dissipative
 from bloch_siegert_lab.chrw import (
     FrameMode,
     ModelParams,
-    bessel_argument,
     build_frame,
 )
 from bloch_siegert_lab.dissipative import (
+    SECULAR_RATIO,
     TRUNCATION_CAP,
     RateSet,
     bloch_generator,
@@ -31,7 +31,7 @@ from bloch_siegert_lab.dissipative import (
     truncation_order,
     x_coefficients,
 )
-from bloch_siegert_lab.errors import DegenerateInputError, NoSignChangeError
+from bloch_siegert_lab.errors import DegenerateInputError, DomainError, NoSignChangeError
 from bloch_siegert_lab.floquet import periodic_steady_state
 from bloch_siegert_lab.numerics import bessel_j
 from bloch_siegert_lab.resonance import bs_chrw
@@ -66,7 +66,7 @@ def _dressed_kets(frame):
 def _frame_unitary(params, frame, t):
     """Rotation-times-kick unitary taking lab states to the transformed
     frame at time t; the identity at t = 0."""
-    phi = 0.5 * bessel_argument(params, frame) * math.sin(params.omega * t)
+    phi = 0.5 * frame.z * math.sin(params.omega * t)
     half = 0.5 * params.omega * t
     rot = np.diag([np.exp(1j * half), np.exp(-1j * half)])
     kick = np.array(
@@ -141,7 +141,7 @@ class TestFourierF:
         fr = build_frame(P_STRONG)
         stack = fourier_coefficients(fr, P_STRONG)
         assert len(stack) - 1 == 13
-        assert bessel_argument(P_STRONG, fr) == pytest.approx(0.4918022766296485, abs=1e-12)
+        assert fr.z == pytest.approx(0.4918022766296485, abs=1e-12)
         # one float64 2x2 block per harmonic n = -13, -11, ..., 13
         assert stack.shape == (14, 2, 2) and stack.dtype == np.float64
 
@@ -150,7 +150,7 @@ class TestFourierF:
         stack = fourier_coefficients(fr, P_STRONGEST)
         l_max = len(stack) - 1
         assert l_max == 43
-        assert bessel_argument(P_STRONGEST, fr) == pytest.approx(14.6, abs=1e-3)
+        assert fr.z == pytest.approx(14.6, abs=1e-3)
         for n in range(-l_max, l_max + 1, 2):
             block = stack[(n + l_max) // 2]
             assert np.array_equal(x_coefficients(fr, P_STRONGEST, n), block), n
@@ -320,7 +320,7 @@ class TestRates:
                         fr = build_frame(p, mode=mode)
                     except NoSignChangeError:
                         continue  # inside a negative lobe of J1 the frame does not exist
-                    z = bessel_argument(p, fr)
+                    z = fr.z
                     bracket = fr.cos_2theta * bessel_j(0, z) + fr.sin_2theta * bessel_j(1, z)
                     assert abs(rates(fr, p).gamma_0 - p.kappa * bracket) < 1.2e-15 * p.kappa
                     checked += 1
@@ -478,6 +478,37 @@ class TestPopulation:
         exact = periodic_steady_state(p)
         assert abs(closed - exact) / exact < 4.6e-3
 
+    def test_undriven_atom_stays_in_ground_state(self):
+        # without drive the closed form would read 1/2 at omega = omega0 and
+        # +-1e-16 elsewhere; the undriven limit is exactly 0 in both frames
+        for mode in FrameMode:
+            for w in (0.995, 0.9999, 1.0, 1.0001, 1.005):
+                p = ModelParams(omega0=1.0, amplitude=0.0, omega=w, kappa=2e-3)
+                fr = build_frame(p, mode=mode)
+                assert population_avg(fr, p, rates(fr, p)) == 0.0
+
+    def test_error_at_resonance_is_half_squared_decay_ratio(self):
+        # at its CHRW resonance the closed form reads 1/2 whatever the drive,
+        # a relative error of (kappa / rabi_tilde)^2 / 2 against the exact
+        # steady state; A = 0.05 sits at 12.5 kappa, above the refusal bound
+        for amp in (0.05, 0.1):
+            p = ModelParams(omega0=1.0, amplitude=amp, omega=bs_chrw(1.0, amp).omega_res, kappa=2e-3)
+            fr = build_frame(p)
+            closed = population_avg(fr, p, rates(fr, p))
+            exact = periodic_steady_state(p)
+            predicted = 0.5 * (p.kappa / fr.rabi_tilde) ** 2
+            assert abs((closed - exact) / exact - predicted) < 1e-2 * predicted
+
+    def test_refuses_splitting_below_secular_ratio(self):
+        # A = 0.001 on resonance: rabi_tilde = kappa / 4, where the closed
+        # form's 1/2 is 9 times the exact 0.0556
+        for w in (1.0, bs_chrw(1.0, 1e-3).omega_res):
+            p = ModelParams(omega0=1.0, amplitude=1e-3, omega=w, kappa=2e-3)
+            fr = build_frame(p)
+            assert fr.rabi_tilde < SECULAR_RATIO * p.kappa
+            with pytest.raises(DomainError, match="below 10 kappa"):
+                population_avg(fr, p, rates(fr, p))
+
     def test_bracket_read_from_gamma0(self, monkeypatch):
         # the projector bracket is gamma_0 / kappa, so the average takes no
         # Bessel value and no Bessel argument of its own
@@ -489,7 +520,7 @@ class TestPopulation:
         def forbidden(*args):
             raise AssertionError("population_avg evaluated a Bessel function")
 
-        for name in ("j0", "j1", "bessel_j", "bessel_j_sequence", "bessel_argument"):
+        for name in ("j0", "j1", "bessel_j", "bessel_j_sequence"):
             monkeypatch.setattr(dissipative, name, forbidden)
         assert population_avg(fr, p, rs) == 0.5 * (1.0 + sz * (rs.gamma_0 / p.kappa))
 

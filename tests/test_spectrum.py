@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from bloch_siegert_lab.chrw import FrameMode, ModelParams, bessel_argument, build_frame
+from bloch_siegert_lab.chrw import FrameMode, ModelParams, build_frame
 from bloch_siegert_lab.dissipative import (
     RateSet,
     SteadyState,
@@ -422,7 +422,7 @@ class TestSpectrum:
                 assert n_max == min(n, truncation_order(z)), (z, n)
                 assert np.array_equal(j, full[: j.size]) and j.size >= n_max + 2
         p = ModelParams(omega0=1.0, amplitude=0.3, omega=1.0, kappa=2e-3)
-        z = bessel_argument(p, build_frame(p))
+        z = build_frame(p).z
         grid = _trace_grid(1.0, build_frame(p).rabi_tilde)
         for n in (1, 3, 51):
             assert spectrum(p, grid, n_max=n).n_max == min(n, truncation_order(z))
