@@ -89,8 +89,8 @@ def _harmonic_weights(frame: ChrwFrame, l, j, s) -> Tuple:
     return f_p, f_m, f_z
 
 
-def fourier_f(frame: ChrwFrame, params: ModelParams, l: int) -> Tuple[float, float, float]:
-    """(f_plus, f_minus, f_z) for one odd harmonic l > 0.
+def fourier_f(frame: ChrwFrame, l: int) -> Tuple[float, float, float]:
+    """(f_plus, f_minus, f_z) for one odd harmonic l > 0 at frame.z.
 
     The three numbers are the weights of the dressed raising, lowering, and
     population operators in the l-th harmonic of the transformed sigma_+;
@@ -102,10 +102,10 @@ def fourier_f(frame: ChrwFrame, params: ModelParams, l: int) -> Tuple[float, flo
     return _harmonic_weights(frame, l, j, 1.0)
 
 
-def fourier_coefficients(frame: ChrwFrame, params: ModelParams) -> np.ndarray:
+def fourier_coefficients(frame: ChrwFrame) -> np.ndarray:
     """The 2x2 harmonic blocks [[f_z, upper], [lower, -f_z]] / 2 of the
     transformed sigma_+ for n = -L, -L+2, ..., L, in that order, with L =
-    truncation_order(z): every harmonic beyond L contributes below
+    truncation_order(frame.z): every harmonic beyond L contributes below
     TRUNCATION_EPS.
 
     Harmonic n has signature sign(n) at l = |n|; n > 0 puts the lowering
@@ -124,14 +124,14 @@ def fourier_coefficients(frame: ChrwFrame, params: ModelParams) -> np.ndarray:
     return stack
 
 
-def x_coefficients(frame: ChrwFrame, params: ModelParams, n: int) -> np.ndarray:
+def x_coefficients(frame: ChrwFrame, n: int) -> np.ndarray:
     """2x2 block of the n-th harmonic of the transformed sigma_+.
 
     Index order is dressed (+, -).  Even n and |n| beyond the truncation
     give the zero block.  The harmonic weights are real, so the block is
     float64.
     """
-    stack = fourier_coefficients(frame, params)
+    stack = fourier_coefficients(frame)
     l_max = len(stack) - 1
     if n % 2 == 0 or abs(n) > l_max:
         return np.zeros((2, 2))
@@ -145,7 +145,7 @@ def lindblad_tensor(frame: ChrwFrame, params: ModelParams) -> np.ndarray:
     rho_{alpha beta}.  Real, linear in kappa, zero without decay (the kappa
     factor zeroes the contracted stack).
     """
-    stack = fourier_coefficients(frame, params)
+    stack = fourier_coefficients(frame)
     # with real harmonics the sigma_- blocks are transposes, so the three
     # dissipator contractions reduce to two reusable sums over harmonics
     gram = np.einsum("kal,kml->am", stack, stack)

@@ -174,12 +174,12 @@ def branch_gap(params: ModelParams) -> float:
 # fraction over Fourier blocks
 def period_steps(params: ModelParams) -> int:
     """Magnus steps per drive period, n = max(2000, ceil(300 max(A, omega0)/omega)),
-    so A h and omega0 h stay <= 2 pi/300 for the step h = T/n.  Above 2**17
-    steps (about 32 MB of 2 x 2 products) it raises DomainError before
-    anything is allocated."""
+    so A h and omega0 h stay <= 2 pi/300 for the step h = T/n.  Above 2**19
+    steps (U(T) there takes about 0.2 s and 100 MB) it raises DomainError
+    before anything is allocated."""
     steps = 300.0 * max(params.amplitude, params.omega0) / params.omega
-    if steps > 2**17:
-        raise DomainError(f"period map needs {steps:.3g} steps, above the cap of 2**17")
+    if steps > 2**19:
+        raise DomainError(f"period map needs {steps:.3g} steps, above the cap of 2**19")
     return max(2000, math.ceil(steps))
 
 
@@ -205,25 +205,25 @@ def _magnus_steps(params: ModelParams) -> np.ndarray:
     return np.stack([diag, off, -off.conj(), diag.conj()], axis=-1).reshape(n_steps, 2, 2)
 
 
-def _ordered_products(maps: np.ndarray) -> np.ndarray:
-    """Prefix products out[k] = maps[k] @ ... @ maps[0] of a stack of any
-    length: pair neighbours, recurse on the half-length stack, then fill in
-    the even entries with one batched product (about 2n products in all).
-    """
-    if len(maps) == 1:
-        return maps
-    out = maps.copy()
-    out[1::2] = _ordered_products(maps[1::2] @ maps[:-1:2])
-    out[2::2] = maps[2::2] @ out[1:-1:2]
-    return out
-
-
 def propagator_samples(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Times and propagators U(t_k) on one drive period, t_k = k*T/period_steps,
-    the prefix products of the Magnus steps."""
-    us = np.concatenate([np.eye(2, dtype=complex)[None], _ordered_products(_magnus_steps(params))])
+    the Magnus steps multiplied in sequence."""
+    us = np.concatenate([np.eye(2, dtype=complex)[None], _magnus_steps(params)])
+    for k in range(1, len(us)):
+        us[k] = us[k] @ us[k - 1]
     ts = np.linspace(0.0, 2.0 * math.pi / params.omega, len(us))
     return ts, us
+
+
+def _period_map(params: ModelParams) -> np.ndarray:
+    """U(T), the product of the Magnus steps by pairwise halving: multiply
+    neighbours, carry an odd last step into the next round, and repeat until
+    one matrix is left, so no prefix is kept."""
+    u = _magnus_steps(params)
+    while len(u) > 1:
+        pairs = u[1::2] @ u[:-1:2]
+        u = np.concatenate([pairs, u[-1:]]) if len(u) % 2 else pairs
+    return u[0]
 
 
 def monodromy_quasienergies(params: ModelParams) -> tuple[float, float]:
@@ -232,7 +232,7 @@ def monodromy_quasienergies(params: ModelParams) -> tuple[float, float]:
     U(T) eigenvalues exp(-i q T) give q = -arg(lambda)/T, folded into the
     first zone.
     """
-    lam = np.linalg.eigvals(_ordered_products(_magnus_steps(params))[-1])
+    lam = np.linalg.eigvals(_period_map(params))
     period = 2.0 * math.pi / params.omega
     qs = sorted(fold_to_zone(float(-np.angle(x) / period), params.omega) for x in lam)
     return qs[0], qs[1]

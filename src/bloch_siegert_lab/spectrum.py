@@ -58,17 +58,16 @@ class SpectrumTrace:
     n_max: int
 
 
-def initial_conditions(
-    frame: ChrwFrame, params: ModelParams, steady: SteadyState, n: int
-) -> Tuple[complex, complex, complex]:
-    """(x0, y0, z0) seeding the n-th sideband response.
+def initial_conditions(frame: ChrwFrame, steady: SteadyState, n: int) -> Tuple[complex, complex, complex]:
+    """(x0, y0, z0) seeding the n-th sideband response of frame in its
+    steady state.
 
     Encodes the commutator of the n-th harmonic operator with the steady
     state: a saturated steady state (all components zero) gives zero weight
     and the sideband family disappears.  The harmonic's weights are the
     positive-signature ones of the transformed raising operator.
     """
-    return tuple(complex(v) for v in _commutator_seed(fourier_f(frame, params, n), steady))
+    return tuple(complex(v) for v in _commutator_seed(fourier_f(frame, n), steady))
 
 
 def _commutator_seed(weights: Tuple, steady: SteadyState) -> Tuple:

@@ -9,7 +9,7 @@ a NaN fails.  The package's __init__ does not import this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable, List, Tuple
 
 import numpy as np
@@ -92,6 +92,11 @@ class CheckResult:
         return f"{self.detail} = {self.value:.3e} (tol {self.bound:.2g})"
 
 
+def _pumped(amp: float) -> ModelParams:
+    """Drive amp at omega0 = 1, pumped at its CHRW resonance, decay POPULATION_KAPPA."""
+    return ModelParams(omega0=1.0, amplitude=amp, omega=bs_chrw(1.0, amp).omega_res, kappa=POPULATION_KAPPA)
+
+
 def _worst(errs: List[float]) -> float:
     """Largest error; np.max, unlike max(), lets one NaN through to fail the check."""
     return float(np.max(errs))
@@ -137,9 +142,7 @@ def spectrum_vs_resolvent(quick: bool = False) -> CheckResult:
     """
     errs = []
     for amp, mode in RESOLVENT_QUICK if quick else RESOLVENT_CASES:
-        params = ModelParams(
-            omega0=1.0, amplitude=amp, omega=bs_chrw(1.0, amp).omega_res, kappa=POPULATION_KAPPA
-        )
+        params = _pumped(amp)
         frame = build_frame(params, mode=mode)
         nu = default_probe_grid(params.omega, frame.rabi_tilde, 1101)
         trace = spectrum(params, nu, mode=mode)
@@ -149,9 +152,9 @@ def spectrum_vs_resolvent(quick: bool = False) -> CheckResult:
         exact = np.zeros_like(nu)
         for n in range(1, trace.n_max + 1, 2):
             p = 1j * (n * params.omega - nu)
-            seed = np.array(initial_conditions(frame, params, steady, n))
+            seed = np.array(initial_conditions(frame, steady, n))
             g = np.linalg.solve(p[:, None, None] * np.eye(3) - generator, seed[:, None])
-            f_p, f_m, f_z = fourier_f(frame, params, n)
+            f_p, f_m, f_z = fourier_f(frame, n)
             exact += 0.25 * (g[:, :, 0] @ np.array([f_m, f_p, f_z])).real
         errs.append(np.max(np.abs(trace.values - exact / np.max(np.abs(exact)))))
     return CheckResult(_worst(errs), RESOLVENT_TOL, "worst |trace - resolvent| / peak")
@@ -165,14 +168,10 @@ def lindblad_oracle() -> CheckResult:
     """
     errs = []
     for amp in POPULATION_AMPLITUDES:
-        params = ModelParams(
-            omega0=1.0, amplitude=amp, omega=bs_chrw(1.0, amp).omega_res, kappa=POPULATION_KAPPA
-        )
+        params = _pumped(amp)
         frame = build_frame(params)
         if not frame.rabi_tilde / params.kappa >= 20.0:
-            return CheckResult(
-                math.inf, POPULATION_TOL, f"A = {amp:g}: rabi_tilde / kappa below 20"
-            )
+            return CheckResult(math.inf, POPULATION_TOL, f"A = {amp:g}: rabi_tilde / kappa below 20")
         closed = population_avg(frame, params, rates(frame, params))
         exact = periodic_steady_state(params)
         errs.append(abs(closed - exact) / exact)
@@ -188,8 +187,8 @@ def rates_vs_tensor() -> CheckResult:
     """
     errs = []
     for amp in RATES_AMPLITUDES:
-        for omega in (1.0, bs_chrw(1.0, amp).omega_res):
-            params = ModelParams(omega0=1.0, amplitude=amp, omega=omega, kappa=POPULATION_KAPPA)
+        pumped = _pumped(amp)
+        for params in (replace(pumped, omega=1.0), pumped):
             frame = build_frame(params)
             closed = rates(frame, params)
             tensor = RateSet.from_tensor(lindblad_tensor(frame, params))

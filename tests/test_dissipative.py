@@ -127,19 +127,19 @@ class TestTruncationOrder:
 class TestFourierF:
     def test_frozen_pins_strong_drive(self):
         fr = build_frame(P_STRONG)
-        got = fourier_f(fr, P_STRONG, 1)
+        got = fourier_f(fr, 1)
         want = (-0.9778363153632563, 0.9922331609316308, 0.9847082911771802)
         np.testing.assert_allclose(got, want, atol=1e-13)
-        got = _weights(x_coefficients(fr, P_STRONG, -1), -1)
+        got = _weights(x_coefficients(fr, -1), -1)
         want = (0.22716120328066086, 0.2570917269857733, -0.016288392442662315)
         np.testing.assert_allclose(got, want, atol=1e-13)
-        got = fourier_f(fr, P_STRONG, 3)
+        got = fourier_f(fr, 3)
         want = (-0.013578699090366393, 0.016200702294192848, 0.014882307321283284)
         np.testing.assert_allclose(got, want, atol=1e-13)
 
     def test_table_shape(self):
         fr = build_frame(P_STRONG)
-        stack = fourier_coefficients(fr, P_STRONG)
+        stack = fourier_coefficients(fr)
         assert len(stack) - 1 == 13
         assert fr.z == pytest.approx(0.4918022766296485, abs=1e-12)
         # one float64 2x2 block per harmonic n = -13, -11, ..., 13
@@ -147,29 +147,29 @@ class TestFourierF:
 
     def test_table_matches_single_harmonics_at_strong_drive(self):
         fr = build_frame(P_STRONGEST)
-        stack = fourier_coefficients(fr, P_STRONGEST)
+        stack = fourier_coefficients(fr)
         l_max = len(stack) - 1
         assert l_max == 43
         assert fr.z == pytest.approx(14.6, abs=1e-3)
         for n in range(-l_max, l_max + 1, 2):
             block = stack[(n + l_max) // 2]
-            assert np.array_equal(x_coefficients(fr, P_STRONGEST, n), block), n
+            assert np.array_equal(x_coefficients(fr, n), block), n
             if n > 0:
-                assert fourier_f(fr, P_STRONGEST, n) == _weights(block, n), n
+                assert fourier_f(fr, n) == _weights(block, n), n
 
     @pytest.mark.parametrize("l", [0, 2, -1])
     def test_rejects_bad_indices(self, l):
         fr = build_frame(P_STRONG)
         with pytest.raises(ValueError):
-            fourier_f(fr, P_STRONG, l)
+            fourier_f(fr, l)
 
     def test_sign_flip_is_negation_above_one(self):
         # the Kronecker delta only enters at l = 1; beyond it the two
         # signatures are exact negatives of each other
         fr = build_frame(P_STRONG)
         for l in (3, 5, 7):
-            plus = np.array(fourier_f(fr, P_STRONG, l))
-            minus = np.array(_weights(x_coefficients(fr, P_STRONG, -l), -l))
+            plus = np.array(fourier_f(fr, l))
+            minus = np.array(_weights(x_coefficients(fr, -l), -l))
             np.testing.assert_allclose(minus, -plus, atol=1e-16)
 
     def test_rwa_limit(self):
@@ -179,11 +179,11 @@ class TestFourierF:
         fr = build_frame(p, mode=FrameMode.RWA)
         th = fr.theta
         np.testing.assert_allclose(
-            fourier_f(fr, p, 1),
+            fourier_f(fr, 1),
             (-2.0 * math.cos(th) ** 2, 2.0 * math.sin(th) ** 2, math.sin(2 * th)),
             atol=1e-15,
         )
-        np.testing.assert_allclose(_weights(x_coefficients(fr, p, -1), -1), (0.0, 0.0, 0.0), atol=1e-15)
+        np.testing.assert_allclose(_weights(x_coefficients(fr, -1), -1), (0.0, 0.0, 0.0), atol=1e-15)
 
 
 class TestXCoefficients:
@@ -200,7 +200,7 @@ class TestXCoefficients:
             fr = build_frame(params)
             ts, ops = _operator_samples(params, fr)
             for n in harmonics:
-                block = x_coefficients(fr, params, n)
+                block = x_coefficients(fr, n)
                 oracle = _harmonic_integral(params, ts, ops, n)
                 np.testing.assert_allclose(block, oracle, atol=1e-10, err_msg=f"n={n}")
 
@@ -208,23 +208,23 @@ class TestXCoefficients:
         # summing the harmonic series back up must reproduce the operator
         # pointwise in time, including well outside the first period
         fr = build_frame(P_STRONG)
-        l_max = len(fourier_coefficients(fr, P_STRONG)) - 1
+        l_max = len(fourier_coefficients(fr)) - 1
         period = 2.0 * math.pi / P_STRONG.omega
         rng = np.random.default_rng(7)
         for t in rng.uniform(0.0, 3.0 * period, 6):
             total = np.zeros((2, 2), dtype=complex)
             for n in range(-l_max, l_max + 1):
                 if n % 2 != 0:
-                    total += x_coefficients(fr, P_STRONG, n) * np.exp(
+                    total += x_coefficients(fr, n) * np.exp(
                         1j * n * P_STRONG.omega * t
                     )
             np.testing.assert_allclose(total, _transformed_operator(P_STRONG, fr, t), atol=1e-8)
 
     def test_even_and_out_of_range_blocks_vanish(self):
         fr = build_frame(P_STRONG)
-        l_max = len(fourier_coefficients(fr, P_STRONG)) - 1
+        l_max = len(fourier_coefficients(fr)) - 1
         for n in (0, 2, -6, l_max + 2, -(l_max + 2)):
-            assert np.all(x_coefficients(fr, P_STRONG, n) == 0.0)
+            assert np.all(x_coefficients(fr, n) == 0.0)
 
     def test_rwa_single_block(self):
         p = ModelParams(omega0=1.0, amplitude=0.3, omega=1.1, kappa=1e-3)
@@ -236,9 +236,9 @@ class TestXCoefficients:
                 [math.sin(th) ** 2, -0.5 * math.sin(2 * th)],
             ]
         )
-        np.testing.assert_allclose(x_coefficients(fr, p, 1), want, atol=1e-15)
-        assert np.all(x_coefficients(fr, p, -1) == 0.0)
-        assert np.all(x_coefficients(fr, p, 3) == 0.0)
+        np.testing.assert_allclose(x_coefficients(fr, 1), want, atol=1e-15)
+        assert np.all(x_coefficients(fr, -1) == 0.0)
+        assert np.all(x_coefficients(fr, 3) == 0.0)
 
 
 class TestLindbladTensor:
@@ -275,7 +275,7 @@ class TestLindbladTensor:
         fr = build_frame(P_STRONG)
         tensor = lindblad_tensor(fr, P_STRONG)
         assert tensor.dtype == np.float64
-        assert x_coefficients(fr, P_STRONG, 1).dtype == np.float64
+        assert x_coefficients(fr, 1).dtype == np.float64
         zero = lindblad_tensor(fr, dataclasses.replace(P_STRONG, kappa=0.0))
         assert zero.dtype == np.float64
         rs = RateSet.from_tensor(tensor)

@@ -183,9 +183,9 @@ class TestMonodromy:
         assert monodromy_gap(p) == pytest.approx(0.3437222803458882, abs=5e-9)
 
     def test_propagator_stays_unitary(self):
-        # every sample; the odd step count runs the odd-length products.
-        # Each Magnus step is unitary to rounding, and the measured worst
-        # defect of the products is 3.64e-14 (A = 8)
+        # every sample of the sequential product, at an even and an odd
+        # step count.  Each Magnus step is unitary to rounding, and the
+        # measured worst defect is 1.22e-14 (A = 8.5)
         for amp, steps in ((8.0, 2182), (8.5, 2319)):
             p = ModelParams(omega0=1.0, amplitude=amp, omega=1.1)
             ts, us = propagator_samples(p)
@@ -197,10 +197,18 @@ class TestMonodromy:
     def test_undriven_period_map_is_exact(self, w):
         # at A = 0 every step is exp(-i omega0 dt sigma_z / 2) in closed
         # form, so U(T) is exp(-i omega0 T sigma_z / 2) up to the rounding
-        # of 2000 products; measured worst 5.44e-14 (omega = 0.7)
+        # of 2000 products; measured worst 2.06e-14 (omega = 1.9)
         ts, us = propagator_samples(ModelParams(omega0=1.0, amplitude=0.0, omega=w))
         phase = np.exp(-0.5j * ts[-1])
         assert np.max(np.abs(us[-1] - np.diag([phase, phase.conjugate()]))) < 1e-13
+
+    def test_halving_matches_sequential_product(self):
+        # U(T) by pairwise halving against the last of the sequential
+        # samples, at an odd step count so an odd last step is carried;
+        # measured 1.09e-14
+        p = ModelParams(omega0=1.0, amplitude=8.5, omega=1.1)
+        assert floquet.period_steps(p) == 2319
+        assert np.max(np.abs(floquet._period_map(p) - propagator_samples(p)[1][-1])) < 2.2e-14
 
     def test_samples_match_adaptive_integration(self):
         # U(t) at the samples nearest a quarter, half and whole period
@@ -232,6 +240,12 @@ class TestMonodromy:
             p = ModelParams(omega0=1.0, amplitude=a, omega=w)
             assert abs(monodromy_gap(p) - branch_gap(p)) < 2.6e-12
 
+    def test_returns_at_thousand_times_omega0(self):
+        # 300,000 steps, under the cap; measured 1.36e-13 from the chain
+        p = ModelParams(omega0=1.0, amplitude=1000.0, omega=1.0)
+        assert floquet.period_steps(p) == 300000
+        assert abs(monodromy_gap(p) - branch_gap(p)) < 2.6e-12
+
 
 class TestPeriodSteps:
     @pytest.mark.parametrize(
@@ -250,7 +264,7 @@ class TestPeriodSteps:
 
     @pytest.mark.parametrize("oracle", [propagator_samples, monodromy_gap])
     def test_oversized_map_refused_before_allocating(self, monkeypatch, oracle):
-        # A = 1000 at omega = 0.1 would need 3e6 steps, over the 2**17 cap
+        # A = 1000 at omega = 0.1 would need 3e6 steps, over the 2**19 cap
         def refuse(*args, **kwargs):
             raise AssertionError("the period map was allocated")
 
@@ -494,7 +508,7 @@ class TestPeriodicSteadyState:
 
     @pytest.mark.parametrize("omega", [1.0, 0.3])
     def test_returns_beyond_the_step_cap(self, omega):
-        # period_steps refuses A/omega above 437; the continued fraction's
+        # period_steps refuses A/omega above 1747; the continued fraction's
         # cost grows with its cutoff and its memory does not, so it has no
         # cap.  A drive this strong leaves the population near saturation
         pbar = periodic_steady_state(ModelParams(omega0=1.0, amplitude=1000.0, omega=omega, kappa=2e-3))

@@ -55,8 +55,8 @@ def _kernel_sum(params, mode, grid, n_max):
     ss = steady_state(rs, fr.rabi_tilde)
     total = np.zeros_like(grid)
     for n in range(1, n_max + 1, 2):
-        f_p, f_m, f_z = fourier_f(fr, params, n)
-        init = initial_conditions(fr, params, ss, n)
+        f_p, f_m, f_z = fourier_f(fr, n)
+        init = initial_conditions(fr, ss, n)
         g_plus, g_minus, g_z = laplace_g(rs, fr.rabi_tilde, init, -1j * (grid - n * params.omega))
         total += 0.25 * np.real(f_p * g_minus + f_m * g_plus + f_z * g_z)
     return total
@@ -74,11 +74,11 @@ class TestChatCoefficients:
         fr = build_frame(p, mode=FrameMode.RWA)
         th = fr.theta
         np.testing.assert_allclose(
-            fourier_f(fr, p, 1),
+            fourier_f(fr, 1),
             (-2.0 * math.cos(th) ** 2, 2.0 * math.sin(th) ** 2, math.sin(2 * th)),
             atol=1e-15,
         )
-        np.testing.assert_allclose(fourier_f(fr, p, 3), (0.0, 0.0, 0.0), atol=1e-15)
+        np.testing.assert_allclose(fourier_f(fr, 3), (0.0, 0.0, 0.0), atol=1e-15)
 
 
 class TestInitialConditions:
@@ -88,7 +88,7 @@ class TestInitialConditions:
         # three components as matrix elements
         p, fr, rs, ss = _resonant_point()
         for n in (1, 3):
-            f_p, f_m, f_z = fourier_f(fr, p, n)
+            f_p, f_m, f_z = fourier_f(fr, n)
             c_hat = np.array([[f_z, f_p], [f_m, -f_z]], dtype=complex)
             rho = np.array(
                 [
@@ -98,14 +98,14 @@ class TestInitialConditions:
                 dtype=complex,
             )
             k = c_hat @ rho - rho @ c_hat
-            x0, y0, z0 = initial_conditions(fr, p, ss, n)
+            x0, y0, z0 = initial_conditions(fr, ss, n)
             assert x0 == pytest.approx(k[1, 0], abs=1e-14)
             assert y0 == pytest.approx(k[0, 1], abs=1e-14)
             assert z0 == pytest.approx(k[0, 0] - k[1, 1], abs=1e-14)
 
     def test_frozen_pins_at_resonance(self):
         p, fr, rs, ss = _resonant_point()
-        x0, y0, z0 = initial_conditions(fr, p, ss, 1)
+        x0, y0, z0 = initial_conditions(fr, ss, 1)
         assert x0 == pytest.approx(0.0008072818107224809 + 0.03995552917574686j, abs=1e-12)
         assert y0 == pytest.approx(-0.0007916882539772084 + 0.03995552917574686j, abs=1e-12)
         assert z0 == pytest.approx(0.0015989699950172001 - 6.239147974235193e-07j, abs=1e-12)
@@ -113,7 +113,7 @@ class TestInitialConditions:
     def test_saturated_state_gives_no_seed(self):
         p, fr, rs, ss = _resonant_point()
         flat = type(ss)(sz_ss=0.0, splus_ss=0.0 + 0.0j)
-        assert initial_conditions(fr, p, flat, 1) == (0.0, 0.0, 0.0)
+        assert initial_conditions(fr, flat, 1) == (0.0, 0.0, 0.0)
 
 
 class TestResponseDenominator:
@@ -149,7 +149,7 @@ class TestLaplaceG:
     def test_against_linear_solve(self):
         p, fr, rs, ss = _resonant_point()
         m, _ = bloch_generator(rs, fr.rabi_tilde)
-        init = initial_conditions(fr, p, ss, 1)
+        init = initial_conditions(fr, ss, 1)
         rng = np.random.default_rng(42)
         for _ in range(30):
             pv = complex(rng.normal(scale=0.1), rng.normal(scale=0.5))
@@ -159,7 +159,7 @@ class TestLaplaceG:
 
     def test_vectorized_matches_scalar(self):
         p, fr, rs, ss = _resonant_point()
-        init = initial_conditions(fr, p, ss, 1)
+        init = initial_conditions(fr, ss, 1)
         ps = np.array([0.01 + 0.3j, 0.02 - 0.1j, 0.005 + 0.0j])
         gv = laplace_g(rs, fr.rabi_tilde, init, ps)
         for i, pv in enumerate(ps):
@@ -170,7 +170,7 @@ class TestLaplaceG:
     def test_initial_value_theorem(self):
         # p g(p) -> y(0) as p -> infinity along the real axis
         p, fr, rs, ss = _resonant_point()
-        init = initial_conditions(fr, p, ss, 1)
+        init = initial_conditions(fr, ss, 1)
         big = 1e8 + 0.0j
         g = np.array(laplace_g(rs, fr.rabi_tilde, init, big))
         np.testing.assert_allclose(big * g, np.array(init), rtol=1e-6)
@@ -200,7 +200,7 @@ class TestQuadratureOracle:
         # more than 2 sqrt(steps) products.  Measured: 3.3e-11 of the peak
         # on the lines, 2.1e-10 between them
         p, fr, rs, ss = _resonant_point()
-        init = initial_conditions(fr, p, ss, 1)
+        init = initial_conditions(fr, ss, 1)
         m, _ = bloch_generator(rs, fr.rabi_tilde)
         dt = 0.25
         steps = 2 * math.ceil(12.5 / (dt * min(rs.gamma_plus.real, rs.gamma_z.real)))
@@ -256,7 +256,7 @@ class TestExtendedPrecision:
         ss = steady_state(rs, fr.rabi_tilde)
         m, _ = bloch_generator(rs, fr.rabi_tilde)
         families = [
-            (n, fourier_f(fr, p, n), initial_conditions(fr, p, ss, n))
+            (n, fourier_f(fr, n), initial_conditions(fr, ss, n))
             for n in range(1, tr.n_max + 1, 2)
         ]
         with mp.workdps(40):

@@ -139,8 +139,8 @@ def test_trace_at_conjugated_probe_fails(monkeypatch):
         steady = steady_state(rate_set, frame.rabi_tilde)
         values = np.zeros_like(nu)
         for n in range(1, trace.n_max + 1, 2):
-            f_p, f_m, f_z = fourier_f(frame, params, n)
-            init = initial_conditions(frame, params, steady, n)
+            f_p, f_m, f_z = fourier_f(frame, n)
+            init = initial_conditions(frame, steady, n)
             g_plus, g_minus, g_z = laplace_g(
                 rate_set, frame.rabi_tilde, init, 1j * (nu - n * params.omega)
             )
