@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from . import __version__, validation
 from .chrw import FrameMode, ModelParams, build_frame
 from .dissipative import population_avg, rates
-from .errors import BslError
+from .errors import BslError, ValidityWarning
 from .resonance import Method, resonance_shift
 from .spectrum import asymmetry_metric, default_probe_grid, spectrum
 
@@ -269,12 +270,16 @@ def cmd_spectrum(args: argparse.Namespace) -> Tuple[str, int]:
                 f"the default probe window, pump +- 2.2 dressed splittings, is empty "
                 f"(splitting {_num(frame.rabi_tilde)}); give the probe grid with --nu-range"
             )
-    trace = spectrum(params, nus, mode=mode, n_max=args.n_max)
+    # a warning is part of the output, as a footer line, not Python's report on stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ValidityWarning)
+        trace = spectrum(params, nus, mode=mode, n_max=args.n_max)
+    footer = [f"# warning: {w.message}" for w in caught]
     try:
         metric = asymmetry_metric(trace, args.omega)
-        footer = f"# asymmetry_metric(center={_num(args.omega)}) = {_num(metric)}"
+        footer.append(f"# asymmetry_metric(center={_num(args.omega)}) = {_num(metric)}")
     except BslError as exc:
-        footer = f"# asymmetry_metric unavailable: {exc}"
+        footer.append(f"# asymmetry_metric unavailable: {exc}")
     return _table(
         args,
         f"A={_num(args.A)}, omega={_num(args.omega)}, "
@@ -283,7 +288,7 @@ def cmd_spectrum(args: argparse.Namespace) -> Tuple[str, int]:
         f"nu-grid={_grid_note(nus)}",
         ["nu", "S"],
         [[_num(float(nu)), _num(float(val))] for nu, val in zip(trace.nu_grid, trace.values)],
-        [footer],
+        footer,
     )
 
 

@@ -321,11 +321,14 @@ def asymmetry_metric(trace: SpectrumTrace, center: float) -> float:
         raise GridError("grid too short to window the sidebands")
     steps = np.diff(nu)
     h = float(nu[-1] - nu[0]) / (nu.size - 1)
-    if h <= 0.0 or steps.max() - h > 1e-9 * h or h - steps.min() > 1e-9 * h:
+    # a grid point is rounded to within an ulp of the largest |nu|, which
+    # outweighs 1e-9 h on a fine grid: allow a few of those ulp as well
+    tol = 1e-9 * h + 4.0 * math.ulp(float(np.abs(nu).max()))
+    if h <= 0.0 or steps.max() - h > tol or h - steps.min() > tol:
         raise GridError("nu_grid must be uniformly spaced")
     offset = (center - nu[0]) / h
     idx_center = round(offset) if math.isfinite(offset) else -1
-    if not 0 <= idx_center < nu.size or abs(nu[idx_center] - center) > 1e-9 * h:
+    if not 0 <= idx_center < nu.size or abs(nu[idx_center] - center) > tol:
         raise GridError(f"center {center} is not a grid point")
     lo = 0.5 * trace.rabi_tilde
     hi = 1.5 * trace.rabi_tilde

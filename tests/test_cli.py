@@ -327,6 +327,28 @@ class TestSpectrum:
         assert body[-1] == "1.43944735,0.000395456407"
         assert lines[-1] == "# asymmetry_metric(center=1) = 0.933022532"
 
+    @pytest.mark.parametrize(
+        "amp, metric", [("1e-5", "0.999967411"), ("1e-6", "0.968452739"), ("1e-7", "0.0280550232")]
+    )
+    def test_weak_drive_default_grid_is_scored(self, capsys, amp, metric):
+        # the default grid's step is about 2e-8 near nu = 1, so linspace's
+        # rounding there outweighs 1e-9 of a step; the grid is still uniform
+        code, out = _run(capsys, ["spectrum", "--A", amp, "--kappa", "1e-12"])
+        assert code == 0
+        assert out.strip().split("\n")[-1] == f"# asymmetry_metric(center=1) = {metric}"
+
+    def test_validity_warning_is_a_footer_line(self, capsys):
+        # below 10 kappa the sideband decomposition degrades: the note is a
+        # footer line above the metric, and stderr stays empty
+        code = main(["spectrum", "--A", "1e-3"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert captured.out.strip().split("\n")[-2] == (
+            "# warning: dressed splitting 0.0005 is not large against kappa = 0.002; "
+            "the sideband decomposition degrades here"
+        )
+
     def test_explicit_grid_without_center_reports_reason(self, capsys):
         # a probe grid that misses the pump frequency cannot be scored; the
         # footer must say why instead of failing the whole trace

@@ -58,6 +58,8 @@ CASES = (
     "spectrum --A 0.4",
     "spectrum --A 1",
     "spectrum --kappa 0.01 --A 0.4 --mode rwa",
+    "spectrum --A 1e-5 --kappa 1e-12",
+    "spectrum --A 1e-3",
     "validate --quick",
     "validate",
     # exit 2: a flag's converter refuses its value
