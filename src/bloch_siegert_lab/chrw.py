@@ -71,8 +71,11 @@ class ChrwFrame:
 
     z = A xi/omega is the argument of every Bessel factor of the frame (0
     in the RWA and at A = 0), delta_tilde = omega0 J0(z) - omega, a_tilde =
-    2A(1-xi), rabi_tilde = sqrt(delta_tilde^2 + a_tilde^2/4), and theta the
-    dressing angle with tan(theta) = (rabi_tilde - delta_tilde)/(a_tilde/2).
+    2A(1-xi) and rabi_tilde = sqrt(delta_tilde^2 + a_tilde^2/4).  The
+    dressing angle theta in [0, pi/2], tan(theta) = (rabi_tilde -
+    delta_tilde)/(a_tilde/2), is held as cos_2theta = delta_tilde/rabi_tilde
+    and sin_2theta = (a_tilde/2)/rabi_tilde; at rabi_tilde = 0 they are
+    (0, 1), the resonant limit theta = pi/4.
     """
 
     xi: float
@@ -80,16 +83,9 @@ class ChrwFrame:
     a_tilde: float
     delta_tilde: float
     rabi_tilde: float
-    theta: float
+    cos_2theta: float
+    sin_2theta: float
     mode: FrameMode
-
-    @property
-    def cos_2theta(self) -> float:
-        return math.cos(2.0 * self.theta)
-
-    @property
-    def sin_2theta(self) -> float:
-        return math.sin(2.0 * self.theta)
 
 
 def xi_fixed_point_residual(params: ModelParams, xi):
@@ -195,17 +191,6 @@ def solve_xi(params: ModelParams) -> float:
     return find_root_bracketed(residual, (i - 1) * step, hi, 1e-12, 1e-12, fa=r_lo, fb=r)
 
 
-def _theta_from(delta: float, half_a: float, rabi: float) -> float:
-    if half_a > 0.0:
-        return math.atan2(rabi - delta, half_a)
-    # a_tilde = 0: dressing collapses onto the poles; resonant limit is pi/4
-    if delta > 0.0:
-        return 0.0
-    if delta < 0.0:
-        return 0.5 * math.pi
-    return 0.25 * math.pi
-
-
 def build_frame(params: ModelParams, mode: FrameMode = FrameMode.CHRW) -> ChrwFrame:
     """Construct the static transformed frame in the requested mode.
 
@@ -230,8 +215,9 @@ def build_frame(params: ModelParams, mode: FrameMode = FrameMode.CHRW) -> ChrwFr
         a_tilde = 2.0 * a * (1.0 - xi)
     half_a = 0.5 * a_tilde
     rabi = math.hypot(delta, half_a)
-    theta = _theta_from(delta, half_a, rabi)
+    cos_2t, sin_2t = (delta / rabi, half_a / rabi) if rabi > 0.0 else (0.0, 1.0)
     return ChrwFrame(
-        xi=xi, z=z, a_tilde=a_tilde, delta_tilde=delta, rabi_tilde=rabi, theta=theta, mode=mode
+        xi=xi, z=z, a_tilde=a_tilde, delta_tilde=delta, rabi_tilde=rabi,
+        cos_2theta=cos_2t, sin_2theta=sin_2t, mode=mode,
     )
 

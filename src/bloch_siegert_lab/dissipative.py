@@ -13,12 +13,13 @@ routine that spectrum's sideband cap also calls.  Neumann's addition
 theorem sums the harmonic products exactly, so rates gives the six in
 closed form from J_0, J_1 and J_2 at the Bessel argument z and at 2z;
 lindblad_tensor contracts the truncated block stack term by term and is
-their independent reference.  Validity
-requires the dressed splitting to dominate the decay (rabi_tilde >>
-kappa); population_avg refuses rabi_tilde < SECULAR_RATIO kappa.  steady_state solves the dressed Bloch equations for their fixed
-point, and population_avg turns it into the time-averaged lab-frame excited
-population, the paper's population signature.  Only bloch_generator
-(through +-i rabi_tilde) and the steady coherence are complex.
+their independent reference.  Validity requires the dressed splitting to
+dominate the decay (rabi_tilde >> kappa); population_avg refuses
+rabi_tilde < SECULAR_RATIO kappa.  steady_state solves the dressed Bloch
+equations for their fixed point, and population_avg turns it into the
+time-averaged lab-frame excited population, the paper's population
+signature.  Only bloch_generator (through +-i rabi_tilde) and the steady
+coherence are complex.
 
 oracle_lindblad integrates the untransformed lab-frame equation directly and
 shares no code with the rate construction; it is the ground truth for
@@ -79,10 +80,10 @@ def _harmonic_weights(frame: ChrwFrame, l, j, s) -> Tuple:
     j_lm1 = j[l - 1]
     j_l = j[l]
     j_lp1 = j[l + 1]
-    cos2 = math.cos(frame.theta) ** 2
-    sin2 = math.sin(frame.theta) ** 2
-    sin_2t = frame.sin_2theta
-    cos_2t = frame.cos_2theta
+    cos_2t, sin_2t = frame.cos_2theta, frame.sin_2theta
+    # cos^2 theta and sin^2 theta
+    cos2 = 0.5 * (1.0 + cos_2t)
+    sin2 = 0.5 * (1.0 - cos_2t)
     f_p = -(delta_l1 + s * j_lm1) * cos2 - s * j_lp1 * sin2 - s * j_l * sin_2t
     f_m = (delta_l1 + s * j_lm1) * sin2 + s * j_lp1 * cos2 - s * j_l * sin_2t
     f_z = 0.5 * (delta_l1 + s * j_lm1 - s * j_lp1) * sin_2t - s * j_l * cos_2t

@@ -137,9 +137,9 @@ def _chain(amplitude: float, n_trunc: int) -> Callable[..., tuple[np.ndarray, fl
     count = 1 and abstol 0 (to the last ulp) the eigenpair is bitwise its
     own.  abstol > 0 stops bisecting at that width, for a caller that reads
     only the slope: the vector's error falls like (abstol/gap)^k over k
-    inverse iterations.  A LAPACK failure raises ConvergenceError.  The routines, off-diagonal and diagonal buffer are
-    set up once per chain, here, so importing the package does not load
-    scipy.linalg.
+    inverse iterations.  A LAPACK failure raises ConvergenceError.  The
+    routines, off-diagonal and diagonal buffer are set up once per chain,
+    here, so importing the package does not load scipy.linalg.
     """
     from scipy.linalg.lapack import dstebz, dstein
 

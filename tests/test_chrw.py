@@ -286,7 +286,8 @@ class TestBuildFrame:
         assert fr.a_tilde == pytest.approx(0.9837776254275494, abs=1e-12)
         assert fr.delta_tilde == pytest.approx(-0.06351019385953659, abs=1e-12)
         assert fr.rabi_tilde == pytest.approx(0.49597192339591445, abs=1e-12)
-        assert fr.theta == pytest.approx(0.8496004400736183, abs=1e-12)
+        theta = 0.5 * math.atan2(fr.sin_2theta, fr.cos_2theta)
+        assert theta == pytest.approx(0.8496004400736183, abs=1e-12)
 
     def test_renormalized_amplitude_dual_form(self):
         # 2 A (1 - xi) must equal 4 omega0 J1(A xi / omega): the fixed
@@ -305,6 +306,37 @@ class TestBuildFrame:
             assert fr.sin_2theta == pytest.approx(
                 0.5 * fr.a_tilde / fr.rabi_tilde, abs=1e-12
             )
+            # tan(theta) = sin 2theta / (1 + cos 2theta), the defining ratio
+            assert fr.sin_2theta / (1.0 + fr.cos_2theta) == pytest.approx(
+                (fr.rabi_tilde - fr.delta_tilde) / (0.5 * fr.a_tilde), rel=1e-12
+            )
+
+    def test_angle_pair_against_extended_precision(self):
+        # cos 2theta = delta/rabi and sin 2theta = (a/2)/rabi at 50 digits,
+        # from the frame's own delta_tilde and a_tilde; exact where the
+        # reference is 0 (RWA on resonance).  Worst measured 1.4e-16
+        # relative, at CHRW A = 1e-3, omega = 1 (35 frames; CHRW at A = 6
+        # has none).  From an atan2 angle, below resonance at weak drive
+        # rabi - delta cancels: 4.0e-7 at CHRW A = 1e-5, omega = 0.53
+        mp = pytest.importorskip("mpmath")
+        checked = 0
+        with mp.workdps(50):
+            for mode in FrameMode:
+                for a in (1e-5, 1e-3, 0.1, 6.0):
+                    for w in (0.53, 0.9, 1.0, 1.1, 1.5):
+                        try:
+                            fr = build_frame(ModelParams(omega0=1.0, amplitude=a, omega=w), mode=mode)
+                        except NoSignChangeError:
+                            continue
+                        delta, half_a = mp.mpf(fr.delta_tilde), mp.mpf(fr.a_tilde) / 2
+                        rabi = mp.sqrt(delta * delta + half_a * half_a)
+                        for got, want in ((fr.cos_2theta, delta / rabi), (fr.sin_2theta, half_a / rabi)):
+                            if want == 0:
+                                assert got == 0.0, (mode, a, w)
+                            else:
+                                assert abs((got - want) / want) <= 2.7e-16, (mode, a, w)
+                        checked += 1
+        assert checked == 35
 
     def test_rwa_mode_is_textbook(self):
         p = ModelParams(omega0=1.0, amplitude=0.4, omega=1.25)
@@ -318,8 +350,17 @@ class TestBuildFrame:
         fr = build_frame(ModelParams(omega0=1.0, amplitude=0.0, omega=1.3))
         assert fr.a_tilde == 0.0
         assert fr.delta_tilde == pytest.approx(-0.3, abs=1e-15)
-        # pure detuning, delta < 0: theta = pi/2
-        assert fr.theta == pytest.approx(0.5 * math.pi, abs=1e-15)
+        # pure detuning, delta < 0: theta = pi/2, exactly
+        assert (fr.cos_2theta, fr.sin_2theta) == (-1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "omega, pair", [(0.7, (1.0, 0.0)), (1.0, (0.0, 1.0))]
+    )
+    def test_undriven_angle_limits(self, omega, pair):
+        # delta > 0: theta = 0; on resonance, rabi_tilde = 0: the limit pi/4
+        for mode in FrameMode:
+            fr = build_frame(ModelParams(omega0=1.0, amplitude=0.0, omega=omega), mode=mode)
+            assert (fr.cos_2theta, fr.sin_2theta) == pair
 
     def test_near_resonance_detuning_free_of_cancellation(self):
         # at omega = omega0(1 + 1e-8) with weak drive the detuning is
@@ -343,7 +384,9 @@ class TestBuildFrame:
         assert fr.rabi_tilde == pytest.approx(
             math.hypot(fr.delta_tilde, 0.5 * fr.a_tilde), rel=1e-12
         )
-        assert 0.0 <= fr.theta <= 0.5 * math.pi
+        # theta in [0, pi/2]
+        assert fr.sin_2theta >= 0.0 and -1.0 <= fr.cos_2theta <= 1.0
+        assert math.hypot(fr.cos_2theta, fr.sin_2theta) == pytest.approx(1.0, abs=4.5e-16)
         assert fr.a_tilde >= 0.0
 
 
@@ -353,7 +396,8 @@ class TestDressedStates:
         # |+~> = cos(theta)|+> + sin(theta)|->, |-~> = sin(theta)|+> - cos(theta)|->
         p = ModelParams(omega0=1.0, amplitude=2.0, omega=1.3)
         fr = build_frame(p)
-        c, s = math.cos(fr.theta), math.sin(fr.theta)
+        theta = 0.5 * math.atan2(fr.sin_2theta, fr.cos_2theta)
+        c, s = math.cos(theta), math.sin(theta)
         up, dn = np.array([c, s]), np.array([s, -c])
         assert np.vdot(up, up) == pytest.approx(1.0, abs=1e-14)
         assert np.vdot(dn, dn) == pytest.approx(1.0, abs=1e-14)

@@ -328,11 +328,13 @@ class TestSpectrum:
         assert lines[-1] == "# asymmetry_metric(center=1) = 0.933022532"
 
     @pytest.mark.parametrize(
-        "amp, metric", [("1e-5", "0.999967411"), ("1e-6", "0.968452739"), ("1e-7", "0.0280550232")]
+        "amp, metric", [("1e-5", "0.999967411"), ("1e-6", "0.968452739"), ("1e-7", "0.0280550234")]
     )
     def test_weak_drive_default_grid_is_scored(self, capsys, amp, metric):
         # the default grid's step is about 2e-8 near nu = 1, so linspace's
-        # rounding there outweighs 1e-9 of a step; the grid is still uniform
+        # rounding there outweighs 1e-9 of a step; the grid is still uniform.
+        # At A = 1e-7 the 50-digit trace of the same closed forms gives
+        # 0.0280550233915
         code, out = _run(capsys, ["spectrum", "--A", amp, "--kappa", "1e-12"])
         assert code == 0
         assert out.strip().split("\n")[-1] == f"# asymmetry_metric(center=1) = {metric}"

@@ -59,7 +59,8 @@ def _dressed_kets(frame):
     """Dressed kets (|+~>, |-~>) in the bare {|+>, |->} basis, from the
     dressing angle: |+~> = cos(theta)|+> + sin(theta)|->, |-~> =
     sin(theta)|+> - cos(theta)|->."""
-    c, s = math.cos(frame.theta), math.sin(frame.theta)
+    theta = 0.5 * math.atan2(frame.sin_2theta, frame.cos_2theta)
+    c, s = math.cos(theta), math.sin(theta)
     return np.array([c, s]), np.array([s, -c])
 
 
@@ -177,7 +178,7 @@ class TestFourierF:
         # the textbook dressed-operator weights; n = -1 vanishes
         p = ModelParams(omega0=1.0, amplitude=0.3, omega=1.1, kappa=1e-3)
         fr = build_frame(p, mode=FrameMode.RWA)
-        th = fr.theta
+        th = 0.5 * math.atan2(fr.sin_2theta, fr.cos_2theta)
         np.testing.assert_allclose(
             fourier_f(fr, 1),
             (-2.0 * math.cos(th) ** 2, 2.0 * math.sin(th) ** 2, math.sin(2 * th)),
@@ -229,7 +230,7 @@ class TestXCoefficients:
     def test_rwa_single_block(self):
         p = ModelParams(omega0=1.0, amplitude=0.3, omega=1.1, kappa=1e-3)
         fr = build_frame(p, mode=FrameMode.RWA)
-        th = fr.theta
+        th = 0.5 * math.atan2(fr.sin_2theta, fr.cos_2theta)
         want = np.array(
             [
                 [0.5 * math.sin(2 * th), -math.cos(th) ** 2],
@@ -290,7 +291,7 @@ class TestRates:
         p = ModelParams(omega0=1.0, amplitude=0.4, omega=1.25, kappa=3e-3)
         fr = build_frame(p, mode=FrameMode.RWA)
         rs = rates(fr, p)
-        th, k = fr.theta, p.kappa
+        th, k = 0.5 * math.atan2(fr.sin_2theta, fr.cos_2theta), p.kappa
         assert rs.gamma_0 == pytest.approx(k * math.cos(2 * th), abs=1e-15)
         assert rs.gamma_z == pytest.approx(
             k * (math.cos(th) ** 4 + math.sin(th) ** 4), abs=1e-15

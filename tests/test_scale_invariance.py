@@ -67,7 +67,8 @@ def test_route_across_float_range(method):
 @pytest.mark.parametrize("point", POINTS)
 def test_build_frame(point):
     # worst measured: xi 2.2e-16, rabi_tilde 3.3e-16, a_tilde 3.4e-16,
-    # delta_tilde 2.8e-15, theta 2.6e-16
+    # delta_tilde 2.8e-15, cos_2theta 2.7e-15 (it follows delta_tilde),
+    # sin_2theta 4.1e-16
     unit = build_frame(_scaled(point, 1.0))
     for omega0 in OMEGA0:
         fr = build_frame(_scaled(point, omega0))
@@ -75,7 +76,8 @@ def test_build_frame(point):
         assert _rel(fr.rabi_tilde / omega0, unit.rabi_tilde) <= 6.6e-16
         assert _rel(fr.a_tilde / omega0, unit.a_tilde) <= 6.8e-16
         assert _rel(fr.delta_tilde / omega0, unit.delta_tilde) <= 5.5e-15
-        assert _rel(fr.theta, unit.theta) <= 5.2e-16
+        assert _rel(fr.cos_2theta, unit.cos_2theta) <= 5.5e-15
+        assert _rel(fr.sin_2theta, unit.sin_2theta) <= 8.2e-16
 
 
 @pytest.mark.parametrize("point", POINTS)

@@ -72,7 +72,7 @@ class TestChatCoefficients:
     def test_rwa_fundamental(self):
         p = ModelParams(omega0=1.0, amplitude=0.3, omega=1.1, kappa=1e-3)
         fr = build_frame(p, mode=FrameMode.RWA)
-        th = fr.theta
+        th = 0.5 * math.atan2(fr.sin_2theta, fr.cos_2theta)
         np.testing.assert_allclose(
             fourier_f(fr, 1),
             (-2.0 * math.cos(th) ** 2, 2.0 * math.sin(th) ** 2, math.sin(2 * th)),
