@@ -321,9 +321,10 @@ def asymmetry_metric(trace: SpectrumTrace, center: float) -> float:
         raise GridError("grid too short to window the sidebands")
     steps = np.diff(nu)
     h = float(nu[-1] - nu[0]) / (nu.size - 1)
-    # a grid point is rounded to within an ulp of the largest |nu|, which
-    # outweighs 1e-9 h on a fine grid: allow a few of those ulp as well
-    tol = 1e-9 * h + 4.0 * math.ulp(float(np.abs(nu).max()))
+    # a grid point is rounded to within an ulp of the largest |nu|, at an
+    # end of a uniform grid, which outweighs 1e-9 h on a fine grid: allow a
+    # few of those ulp as well
+    tol = 1e-9 * h + 4.0 * math.ulp(max(abs(float(nu[0])), abs(float(nu[-1]))))
     if h <= 0.0 or steps.max() - h > tol or h - steps.min() > tol:
         raise GridError("nu_grid must be uniformly spaced")
     offset = (center - nu[0]) / h
