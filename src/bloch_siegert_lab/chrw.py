@@ -23,6 +23,9 @@ from scipy.special import j1
 from .errors import DegenerateInputError, DomainError, NoSignChangeError
 from .numerics import bessel_j0_minus_1, find_root_bracketed
 
+__all__ = ["ChrwFrame", "FrameMode", "ModelParams", "build_frame", "solve_xi",
+    "xi_fixed_point_residual"]
+
 
 class FrameMode(enum.Enum):
     CHRW = "chrw"

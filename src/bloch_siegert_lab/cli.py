@@ -34,14 +34,6 @@ TABLE_GRID = tuple(validation.PAPER_TABLE)
 # largest grid a range flag may ask for
 MAX_GRID_POINTS = 1_000_000
 
-_METHOD_ORDER = (
-    Method.FLOQUET,
-    Method.CHRW,
-    Method.SHIRLEY,
-    Method.ASYMPTOTIC,
-    Method.PERT6,
-)
-
 
 class ConfigError(argparse.ArgumentTypeError):
     """A flag value does not parse or make sense: exit code 2, with the flag named by argparse
@@ -206,7 +198,7 @@ def cmd_shift_table(args: argparse.Namespace) -> Tuple[str, int]:
     amps = np.array(TABLE_GRID) if args.amps is None else args.amps
     rows = []
     for amp in map(float, amps):
-        shifts, notes = _shift_row(amp, _METHOD_ORDER[1:])
+        shifts, notes = _shift_row(amp, tuple(Method)[1:])
         rows.append([_num(amp), *map(_cell, shifts), notes])
     return _table(
         args,
@@ -219,7 +211,7 @@ def cmd_shift_table(args: argparse.Namespace) -> Tuple[str, int]:
 def cmd_shift_sweep(args: argparse.Namespace) -> Tuple[str, int]:
     """Dense shift curves with per-method deviation from the numerical result."""
     amps = _parse_range("0.1:21:0.1") if args.amps is None else args.amps
-    methods = [m for m in _METHOD_ORDER[1:] if args.method in ("all", m.value)]
+    methods = [m for m in tuple(Method)[1:] if args.method in ("all", m.value)]
     rows = []
     for amp in map(float, amps):
         (reference, *shifts), notes = _shift_row(amp, methods)
@@ -348,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shift-sweep", parents=[common, grid], help="dense shift and deviation curves")
     p.add_argument(
         "--method",
-        choices=[m.value for m in _METHOD_ORDER] + ["all"],
+        choices=[m.value for m in Method] + ["all"],
         default="all",
         help="analytic method(s) to compare against the numerical shift",
     )

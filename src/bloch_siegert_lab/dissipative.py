@@ -39,6 +39,9 @@ from .chrw import ChrwFrame, ModelParams
 from .errors import ConvergenceError, DegenerateInputError, DomainError
 from .numerics import bessel_j, bessel_j0_minus_1, bessel_j_sequence
 
+__all__ = ["RateSet", "SteadyState", "bloch_generator", "fourier_coefficients", "fourier_f",
+    "lindblad_tensor", "population_avg", "rates", "steady_state"]
+
 TRUNCATION_EPS = 1e-14
 TRUNCATION_CAP = 61
 # the co-rotating reduction needs rabi_tilde >> kappa: population_avg

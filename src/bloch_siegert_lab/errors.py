@@ -1,5 +1,8 @@
 """Exception and warning types shared across the package."""
 
+__all__ = ["BslError", "ConvergenceError", "DegenerateInputError", "DomainError", "GridError",
+    "NoSignChangeError", "PoleError", "ValidityWarning"]
+
 
 class BslError(Exception):
     """Base class for all package-specific errors."""

@@ -26,6 +26,9 @@ import numpy as np
 from .chrw import ModelParams
 from .errors import ConvergenceError, DegenerateInputError, DomainError
 
+__all__ = ["FloquetSolution", "branch_gap", "circle_gap", "default_truncation", "fold_to_zone",
+    "monodromy_gap", "monodromy_quasienergies", "periodic_steady_state", "solve_floquet"]
+
 
 def default_truncation(amplitude: float, omega: float) -> int:
     """Fourier cutoff N = ceil(A/omega) + 10 of the parity chain at drive

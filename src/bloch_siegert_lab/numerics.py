@@ -25,6 +25,9 @@ from scipy.special import j0, jn_zeros, jv
 
 from .errors import ConvergenceError, DomainError, NoSignChangeError
 
+__all__ = ["bessel_j", "bessel_j0_minus_1", "bessel_j_sequence", "find_root_bracketed",
+    "first_bessel_j0_zero"]
+
 _EPS = float(np.finfo(float).eps)
 _MAX_ITER = 300  # iteration cap of both bracketed solvers; no package solve nears it
 

@@ -17,7 +17,8 @@ All five agree on the leading (A/4)^2/omega0 behaviour; they differ in
 range of validity, which is the point of keeping all of them.  All five
 reject bad inputs with ValueError, give the zero shift at A = 0 and are
 solved in units of omega0, as functions of A/omega0 alone, in one place
-(_shift_route); chrw, floquet and shirley share one bracket and one
+(_shift_route); chrw, floquet and shirley share one bracket, refused
+outside A/omega0 in [_NORMAL_SHIFT_MIN_A, _BRACKETED_MAX_A], and one
 memoised Brent driver (_bracketed_root), and none solves the xi fixed
 point.  floquet and shirley hand it a seed, the value at the bracket
 bottom and one model step from there (the resonant pair's two-level root,
@@ -47,13 +48,18 @@ from .numerics import (
     first_bessel_j0_zero,
 )
 
+__all__ = ["Method", "ShiftResult", "bs_asymptotic", "bs_chrw", "bs_floquet_numeric",
+    "bs_perturbative6", "bs_shirley_iterative", "resonance_shift"]
+
 
 class Method(enum.Enum):
-    CHRW = "chrw"
+    """The five routes, in report order: the numerical reference first."""
+
     FLOQUET = "floquet"
+    CHRW = "chrw"
     SHIRLEY = "shirley"
-    PERT6 = "pert6"
     ASYMPTOTIC = "asymptotic"
+    PERT6 = "pert6"
 
 
 @dataclass(frozen=True)
@@ -98,6 +104,10 @@ _FLOQUET_MIN_A = 1e-8
 # below this a the weak-drive shift (a/4)^2 is not a normal float, which the
 # bracketed routes cannot resolve, so _shift_bracket refuses it
 _NORMAL_SHIFT_MIN_A = 4.0 * math.sqrt(sys.float_info.min)
+# above this a the chains and residuals of the bracketed routes leave the
+# float range: on log scans of [1e100, 1e308] Floquet's first nan falls at
+# a = 1.31e147 and CHRW's at 9.7e153, so _shift_bracket refuses a above it
+_BRACKETED_MAX_A = 1e145
 # a seed closer than this to the bracket bottom is not used: at the Floquet
 # floor the seeded bracket would lie within a few decades of the 1e-18 stop
 _SEED_MIN_STEP = 1e-14
@@ -156,17 +166,20 @@ def _bracketed_root(
 def _shift_route(method: Method):
     """Decorator: the public ShiftResult function of method around a body.
 
-    Bad inputs raise ValueError here and A = 0 is the zero shift.  The
-    body works in units of omega0: it takes a = A/omega0 and returns its
-    closed-form shift/omega0 or the (shift/omega0, residual, iterations)
-    of _bracketed_root, and the shift is multiplied back by omega0 here.
-    At omega0 = 1 both scalings are exact.  An a that overflows to inf or
-    underflows to 0, a float power that overflows in the body (pert6 and
-    shirley past a ~ 1e51) or a non-finite shift raises DomainError.
+    omega0 and A are taken as Python floats first, so a numpy scalar
+    overflows as a float does.  Bad inputs raise ValueError here and A = 0
+    is the zero shift.  The body works in units of omega0: it takes
+    a = A/omega0 and returns its closed-form shift/omega0 or the
+    (shift/omega0, residual, iterations) of _bracketed_root, and the shift
+    is multiplied back by omega0 here.  At omega0 = 1 both scalings are
+    exact.  An a that overflows to inf or underflows to 0, a float power
+    that overflows in the body (pert6 and shirley past a ~ 1e51) or a
+    non-finite shift raises DomainError.
     """
 
     def decorate(body):
         def route(omega0: float, amplitude: float) -> ShiftResult:
+            omega0, amplitude = float(omega0), float(amplitude)
             if not (math.isfinite(omega0) and omega0 > 0.0):
                 raise ValueError(f"omega0 must be positive and finite, got {omega0}")
             if not (math.isfinite(amplitude) and amplitude >= 0.0):
@@ -202,6 +215,8 @@ def _shift_bracket(a: float) -> tuple[float, float]:
             f"shift/omega0 ~ (A/4omega0)^2 is not a normal float at A/omega0={a:.3g}"
             f" < {_NORMAL_SHIFT_MIN_A:.4g}"
         )
+    if a > _BRACKETED_MAX_A:
+        raise DomainError(f"bracketed shift unresolved at A/omega0={a:.3g} > {_BRACKETED_MAX_A:g}")
     return max(0.0, 0.9 * a / first_bessel_j0_zero() - 1.0), a
 
 

@@ -42,6 +42,9 @@ from .dissipative import (
 )
 from .errors import GridError, PoleError, ValidityWarning
 
+__all__ = ["SpectrumTrace", "asymmetry_metric", "default_probe_grid", "default_sideband_count",
+    "initial_conditions", "spectrum"]
+
 
 @dataclass(frozen=True)
 class SpectrumTrace:

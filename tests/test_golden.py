@@ -43,6 +43,7 @@ CASES = (
     "shift-table --A 0",
     "shift-table --A 1e-40",
     "shift-table --A 1",
+    "shift-table --A 1e308",
     "shift-sweep",
     "shift-sweep --method chrw --A-range 0.5:30:0.5",
     "shift-sweep --A 0",

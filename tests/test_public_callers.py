@@ -1,5 +1,6 @@
-"""Every exported name has a caller besides its own definition and tests,
-and every parameter with a default is set by some caller.
+"""Every exported name is declared once, in the module that defines it, has
+a caller besides its own definition and tests, and every parameter with a
+default is set by some caller.
 
 The sources under src/ and scripts/ are read with `ast`; nothing there is
 imported or executed.  A name counts as used where the code reads it (a
@@ -14,6 +15,7 @@ whose callers live outside the sources.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import bloch_siegert_lab
@@ -64,6 +66,48 @@ def _used_names():
         visitor.visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
         used |= visitor.used
     return used
+
+
+# the library modules; each declares its public names in a literal __all__
+_LIBRARY = ("chrw", "dissipative", "errors", "floquet", "numerics", "resonance", "spectrum")
+
+
+def _top_level(module):
+    """(literal __all__ or None, names defined, names imported) at the top
+    level of one library module."""
+    path = ROOT / "src" / "bloch_siegert_lab" / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    exported, defined, imported = None, set(), set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+            defined |= names
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+    return exported, defined, imported
+
+
+def test_each_export_is_declared_once_where_it_is_defined():
+    home = {}
+    for module in _LIBRARY:
+        exported, defined, imported = _top_level(module)
+        assert exported is not None, f"{module} has no literal __all__"
+        assert sorted(set(exported) - defined) == [], f"{module} exports names it does not define"
+        assert sorted(set(exported) & imported) == [], f"{module} exports names it imports"
+        twice = sorted(n for n in exported if n in home or exported.count(n) > 1)
+        assert twice == [], f"{module} declares names declared already"
+        home.update(dict.fromkeys(exported, module))
+    assert sorted(bloch_siegert_lab.__all__) == sorted([*home, "__version__"])
+    # each package name is the defining module's object; the star import of
+    # spectrum binds the function over the submodule of that name
+    for name, module in home.items():
+        defining = importlib.import_module(f"bloch_siegert_lab.{module}")
+        assert getattr(bloch_siegert_lab, name) is getattr(defining, name)
 
 
 def test_every_export_has_a_caller():

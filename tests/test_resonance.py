@@ -522,6 +522,10 @@ class TestTrivialAndDispatch:
         b = bs_chrw(1.0, 3.5)
         assert a.shift == b.shift
 
+    def test_method_report_order(self):
+        # shift-table's columns and shift-sweep's choices follow this order
+        assert [m.value for m in Method] == ["floquet", "chrw", "shirley", "asymptotic", "pert6"]
+
     def test_method_from_string(self):
         assert Method("chrw") is Method.CHRW
         assert Method("pert6") is Method.PERT6
@@ -583,6 +587,39 @@ class TestTrivialAndDispatch:
             want = bs_perturbative6(omega0, floor * omega0).shift
             for route in (bs_chrw, bs_shirley_iterative):
                 assert route(omega0, floor * omega0).shift == pytest.approx(want, rel=1e-15)
+
+    def test_strong_drive_ceiling(self):
+        # above _BRACKETED_MAX_A the bracketed routes' chains and residuals
+        # leave the float range (Floquet's first nan at A/omega0 = 1.31e147),
+        # so each refuses it by name; below it chrw and floquet track the
+        # asymptote and shirley's sixth-order powers overflow (past 2.4e51).
+        # A numpy warning on the way fails the test
+        ceiling = resonance._BRACKETED_MAX_A
+        grid = [*np.geomspace(1e100, 1e308, 400), ceiling, math.nextafter(ceiling, math.inf)]
+        for a in map(float, grid):
+            want = bs_asymptotic(1.0, a).shift
+            for route in (bs_chrw, bs_floquet_numeric, bs_shirley_iterative):
+                if a > ceiling:
+                    with pytest.raises(DomainError, match="unresolved at A/omega0=.* > 1e\\+145"):
+                        route(1.0, a)
+                elif route is bs_shirley_iterative:
+                    with pytest.raises(DomainError, match="float overflow"):
+                        route(1.0, a)
+                else:
+                    assert route(1.0, a).shift == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_numpy_scalar_takes_the_float_path(self, method):
+        # numpy scalars overflow with a RuntimeWarning where floats raise
+        # OverflowError, so the routes convert their inputs first
+        def outcome(omega0, amplitude):
+            try:
+                return resonance_shift(method, omega0, amplitude)
+            except DomainError as exc:
+                return type(exc), str(exc)
+
+        for a in (0.1, 6.0, 1e70, 1e308):
+            assert outcome(np.float64(1.0), np.float64(a)) == outcome(1.0, a)
 
     @pytest.mark.parametrize(
         "omega0, amplitude",
