@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import j1
 
-from .errors import DegenerateInputError, DomainError, NoSignChangeError
+from .errors import DomainError, NoSignChangeError
 from .numerics import bessel_j0_minus_1, find_root_bracketed
 
 __all__ = ["ChrwFrame", "FrameMode", "ModelParams", "build_frame", "solve_xi",
@@ -117,13 +117,11 @@ def solve_xi(params: ModelParams) -> float:
     """Solve the CHRW fixed point for xi on [0, 1].
 
     Returns the smallest root, which continues the weak-drive solution
-    xi = omega/(omega + omega0); for A = 0 that limit must be applied by
-    the caller (build_frame does) and a degenerate-input error is raised.
+    xi = omega/(omega + omega0); at A = 0, where every xi solves the
+    equation, it returns that limit.
 
     Raises
     ------
-    DegenerateInputError
-        if amplitude is zero.
     NoSignChangeError
         if no root can be bracketed inside [0, 1].
     DomainError
@@ -132,7 +130,7 @@ def solve_xi(params: ModelParams) -> float:
     """
     a, w, w0 = params.amplitude, params.omega, params.omega0
     if a == 0.0:
-        raise DegenerateInputError("xi fixed point is undefined at A=0; use xi = omega/(omega+omega0)")
+        return w / (w + w0)
 
     # J1(A xi / omega) oscillates in xi with period 2*pi*omega/A; sample it
     # on the grid np.linspace(0, 1, n + 1), k*(1/n) with the last point 1.0,
@@ -144,16 +142,20 @@ def solve_xi(params: ModelParams) -> float:
     # past A = 2 max|J1| (omega + omega0) that bound is the higher.  The scan
     # starts one step below floor(n * bound) for the larger bound, a margin
     # of order A/n.  The array scan evaluates the same residual, so an array
-    # sample is bitwise the scalar one and the polish can take both
-    # bracket-end values from it
+    # sample is bitwise the scalar one, and the residual's memo hands both
+    # bracket-end values to the polish
     span = 8.0 * a / w
     if not span < _MAX_GRID:
         raise DomainError(f"xi grid of 8 A/omega = {span:.3g} steps is too fine at A={a}, omega={w}")
     n = max(128, int(span) + 128)
     step = 1.0 / n
 
+    memo: dict[float, float] = {}
+
     def residual(xi: float) -> float:
-        return float(xi_fixed_point_residual(params, xi))
+        if xi not in memo:
+            memo[xi] = float(xi_fixed_point_residual(params, xi))
+        return memo[xi]
 
     # the crossing is usually a few steps above the start: walk the first
     # samples one by one, then scan the rest of the grid, which ends at 1.0,
@@ -169,10 +171,10 @@ def solve_xi(params: ModelParams) -> float:
     if x > (_LANDAU / _J1_MAX) ** 3:
         landau = 1.0 - 2.0 * _LANDAU * (w0 / a) / x ** (1.0 / 3.0)
         i = min(max(i, int(n * landau) - 1), head - 1)
-    r_lo, r = None, residual(i * step)
+    r = residual(i * step)
     while r < 0.0 and i + 1 < head:
         i += 1
-        r_lo, r = r, residual(i * step)
+        r = residual(i * step)
     if r < 0.0:
         if n + 1 - head > _MAX_TAIL:
             raise DomainError(
@@ -186,30 +188,29 @@ def solve_xi(params: ModelParams) -> float:
             raise NoSignChangeError(
                 f"xi fixed point not bracketed in [0, 1] for A={a}, omega={w} (residual stays negative)"
             )
-        r_lo = float(values[j - 1]) if j else r
-        i, r = head + j, float(values[j])
+        # the sample below the crossing is the walk's last when j = 0
+        ends = slice(max(j - 1, 0), j + 1)
+        memo.update(zip(tail[ends].tolist(), values[ends].tolist()))
+        i = head + j
     hi = i * step if i < n else 1.0
     # the Brent polish runs to abs_tol = rel_tol = 1e-12; it returns hi
     # itself where the sample there is an exact root
-    return find_root_bracketed(residual, (i - 1) * step, hi, 1e-12, 1e-12, fa=r_lo, fb=r)
+    return find_root_bracketed(residual, (i - 1) * step, hi, 1e-12, 1e-12)
 
 
 def build_frame(params: ModelParams, mode: FrameMode = FrameMode.CHRW) -> ChrwFrame:
     """Construct the static transformed frame in the requested mode.
 
-    CHRW solves the xi fixed point (A=0 falls back to the analytic limit
-    xi = omega/(omega+omega0), where a_tilde = 0); RWA pins xi = 0 so that
-    delta_tilde = omega0 - omega and a_tilde = A.
+    CHRW solves the xi fixed point (at A = 0 solve_xi gives the analytic
+    limit xi = omega/(omega+omega0), and z = a_tilde = 0); RWA pins xi = 0
+    so that delta_tilde = omega0 - omega and a_tilde = A.
     """
     w0, a, w = params.omega0, params.amplitude, params.omega
-    # the RWA values; the undriven CHRW frame replaces xi and a_tilde
+    # the RWA values, which the CHRW frame replaces
     xi = z = 0.0
     delta = w0 - w
     a_tilde = a
-    if mode is FrameMode.CHRW and a == 0.0:
-        xi = w / (w + w0)
-        a_tilde = 0.0
-    elif mode is FrameMode.CHRW:
+    if mode is FrameMode.CHRW:
         xi = solve_xi(params)
         z = a * xi / w
         # J0(z)*omega0 - omega, with the J0-1 series keeping the near-

@@ -98,12 +98,13 @@ def fourier_f(frame: ChrwFrame, l: int) -> Tuple[float, float, float]:
 
     The three numbers are the weights of the dressed raising, lowering, and
     population operators in the l-th harmonic of the transformed sigma_+;
-    fourier_coefficients holds them, and those of -l, as its blocks.
+    fourier_coefficients holds them, and those of -l, as its blocks.  l
+    must be integral and is taken as an int (ValueError otherwise).
     """
-    if l < 1 or l % 2 == 0:
-        raise ValueError(f"harmonic index must be positive odd, got {l}")
+    if not float(l).is_integer() or l < 1 or l % 2 == 0:
+        raise ValueError(f"harmonic index must be a positive odd integer, got {l}")
     j = bessel_j_sequence(l + 1, frame.z).tolist()
-    return _harmonic_weights(frame, l, j, 1.0)
+    return _harmonic_weights(frame, int(l), j, 1.0)
 
 
 def fourier_coefficients(frame: ChrwFrame) -> np.ndarray:
@@ -132,14 +133,17 @@ def x_coefficients(frame: ChrwFrame, n: int) -> np.ndarray:
     """2x2 block of the n-th harmonic of the transformed sigma_+.
 
     Index order is dressed (+, -).  Even n and |n| beyond the truncation
-    give the zero block.  The harmonic weights are real, so the block is
-    float64.
+    give the zero block; n must be integral and is taken as an int
+    (ValueError otherwise).  The harmonic weights are real, so the block
+    is float64.
     """
+    if not float(n).is_integer():
+        raise ValueError(f"harmonic index must be an integer, got {n}")
     stack = fourier_coefficients(frame)
     l_max = len(stack) - 1
     if n % 2 == 0 or abs(n) > l_max:
         return np.zeros((2, 2))
-    return stack[(n + l_max) // 2]
+    return stack[(int(n) + l_max) // 2]
 
 
 def lindblad_tensor(frame: ChrwFrame, params: ModelParams) -> np.ndarray:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.special import j0, jn_zeros, jv
@@ -33,20 +33,22 @@ _MAX_ITER = 300  # iteration cap of both bracketed solvers; no package solve nea
 
 
 def bessel_j_sequence(n_max: int, x: float) -> np.ndarray:
-    """Return ``array([J_0(x), ..., J_{n_max}(x)])`` in one pass."""
-    if n_max < 0:
-        raise DomainError(f"order must be >= 0, got {n_max}")
+    """Return ``array([J_0(x), ..., J_{n_max}(x)])`` in one pass; n_max
+    must be integral, as bessel_j's order, and is taken as an int."""
+    if not float(n_max).is_integer() or n_max < 0:
+        raise DomainError(f"order must be a nonnegative integer, got {n_max}")
     if not math.isfinite(x):
         raise DomainError(f"argument must be finite, got {x}")
-    return jv(np.arange(n_max + 1), x)
+    return jv(np.arange(int(n_max) + 1), x)
 
 
 def bessel_j(n: int, x: float) -> float:
-    """Bessel function of the first kind J_n(x) for integer n >= 0.
+    """Bessel function of the first kind J_n(x) for integral n >= 0, taken
+    as an int (2.0 is order 2; 2.5, nan and inf raise DomainError).
 
     Below |x| = 2**-26, where AMOS jv(2, x) falls to 0 under 1.77e-152,
     the series' leading term (x/2)^n / n! is exact to rounding."""
-    if n != int(n) or n < 0:
+    if not float(n).is_integer() or n < 0:
         raise DomainError(f"order must be a nonnegative integer, got {n}")
     if not math.isfinite(x):
         raise DomainError(f"argument must be finite, got {x}")
@@ -91,8 +93,6 @@ def find_root_bracketed(
     b: float,
     abs_tol: float,
     rel_tol: float,
-    fa: Optional[float] = None,
-    fb: Optional[float] = None,
 ) -> float:
     """Brent's method on a sign-changing bracket [a, b].
 
@@ -100,14 +100,13 @@ def find_root_bracketed(
     bisection fallback, so convergence is guaranteed for any continuous f
     with f(a)*f(b) <= 0.  Stops once |f| <= abs_tol or the bracket is no
     wider than rel_tol*|x| + abs_tol + 4 eps|x|; abs_tol may be 0, rel_tol
-    must be positive, both finite (ValueError otherwise).  fa and fb, when
-    given, are f(a) and f(b) already evaluated by the caller, and f is not
-    called there again.
+    must be positive, both finite (ValueError otherwise).  f is called
+    once at each end first; a caller that already holds those values
+    memoises f.
     """
     if not (0.0 <= abs_tol < math.inf and 0.0 < rel_tol < math.inf):
         raise ValueError(f"need finite abs_tol >= 0 and rel_tol > 0, got {abs_tol}, {rel_tol}")
-    fa = f(a) if fa is None else fa
-    fb = f(b) if fb is None else fb
+    fa, fb = f(a), f(b)
     if not (math.isfinite(fa) and math.isfinite(fb)):
         raise DomainError(f"f is not finite at the bracket endpoints: f({a})={fa}, f({b})={fb}")
     if fa == 0.0:

@@ -169,10 +169,10 @@ def _shift_route(method: Method):
     omega0 and A are taken as Python floats first, so a numpy scalar
     overflows as a float does.  Bad inputs raise ValueError here and A = 0
     is the zero shift.  The body works in units of omega0: it takes
-    a = A/omega0 and returns its closed-form shift/omega0 or the
-    (shift/omega0, residual, iterations) of _bracketed_root, and the shift
-    is multiplied back by omega0 here.  At omega0 = 1 both scalings are
-    exact.  An a that overflows to inf or underflows to 0, a float power
+    a = A/omega0 and returns (shift/omega0, residual, iterations), as
+    _bracketed_root gives them and as a closed form does with (0.0, 0),
+    and the shift is multiplied back by omega0 here.  At omega0 = 1 both
+    scalings are exact.  An a that overflows to inf or underflows to 0, a float power
     that overflows in the body (pert6 and shirley past a ~ 1e51) or a
     non-finite shift raises DomainError.
     """
@@ -190,10 +190,9 @@ def _shift_route(method: Method):
             if not (math.isfinite(a) and a > 0.0):
                 raise DomainError(f"A/omega0 = {amplitude:g}/{omega0:g} leaves the float range")
             try:
-                found = body(a)
+                shift, residual, iterations = body(a)
             except OverflowError as exc:
                 raise DomainError(f"float overflow at A={amplitude:g}") from exc
-            shift, residual, iterations = found if isinstance(found, tuple) else (found, 0.0, 0)
             shift *= omega0
             if not math.isfinite(shift):
                 raise DomainError(f"float overflow at A={amplitude:g}: shift {shift}")
@@ -272,14 +271,14 @@ def bs_chrw(a: float) -> tuple[float, float, int]:
 
 
 @_shift_route(Method.PERT6)
-def bs_perturbative6(a: float) -> float:
+def bs_perturbative6(a: float) -> tuple[float, float, int]:
     """Sixth-order weak-drive series for the resonance frequency."""
     x = 0.25 * a
-    return x * x + x**4 / 4.0 - 35.0 * x**6 / 32.0
+    return x * x + x**4 / 4.0 - 35.0 * x**6 / 32.0, 0.0, 0
 
 
 @_shift_route(Method.ASYMPTOTIC)
-def bs_asymptotic(a: float) -> float:
+def bs_asymptotic(a: float) -> tuple[float, float, int]:
     """Strong-drive limit: the resonance tracks the first zero of J0.
 
     omega_res = A / j01 holds on the strong-drive branch only.  A shift
@@ -287,7 +286,7 @@ def bs_asymptotic(a: float) -> float:
     resonance at or below omega0; `bsl shift-table` and `bsl shift-sweep`
     leave such cells blank.
     """
-    return a / first_bessel_j0_zero() - 1.0
+    return a / first_bessel_j0_zero() - 1.0, 0.0, 0
 
 
 def _shirley_shift_rhs(a: float, shift: float) -> float:
@@ -369,6 +368,9 @@ _DISPATCH = {
 }
 
 
-def resonance_shift(method: Method, omega0: float, amplitude: float) -> ShiftResult:
-    """Dispatch a single shift computation by method tag."""
-    return _DISPATCH[method](omega0, amplitude)
+def resonance_shift(method: Method | str, omega0: float, amplitude: float) -> ShiftResult:
+    """Dispatch a single shift computation by method tag.
+
+    method is a Method or its value string ("chrw", ...); any other value
+    raises ValueError."""
+    return _DISPATCH[Method(method)](omega0, amplitude)

@@ -48,15 +48,13 @@ __all__ = ["SpectrumTrace", "asymmetry_metric", "default_probe_grid", "default_s
 
 @dataclass(frozen=True)
 class SpectrumTrace:
-    """One absorption trace: S over nu_grid, with the context that made it.
-
-    rabi_tilde is the dressed splitting of the frame the trace was built in.
+    """One absorption trace: S over nu_grid, with the dressed splitting
+    rabi_tilde of the frame it was built in (asymmetry_metric's window) and
+    the sideband cap n_max it was summed to.
     """
 
     nu_grid: np.ndarray
     values: np.ndarray
-    params: ModelParams
-    mode: FrameMode
     rabi_tilde: float
     n_max: int
 
@@ -204,7 +202,10 @@ def default_probe_grid(pump: float, rabi_tilde: float, n_points: int) -> np.ndar
     Past a splitting of pump/2.2 the window is narrowed so that its lowest
     point stays at nu = pump/n_points > 0, where spectrum is defined.  A
     zero splitting gives an empty window: every point sits at the pump.
+    n_points < 1 raises ValueError.
     """
+    if n_points < 1:
+        raise ValueError(f"n_points must be >= 1, got {n_points}")
     half = min(2.2 * rabi_tilde, pump * (n_points - 1) / n_points)
     return np.linspace(pump - half, pump + half, n_points)
 
@@ -219,9 +220,10 @@ def spectrum(
 
     Sums the odd sideband families n = 1, 3, ... n_max, each evaluated at
     p = iw with w = n*omega - nu, in real arithmetic: 0.25 Re(N/D) as
-    (Re N Re D + Im N Im D) / |D|^2.  n_max is capped by truncation_order's
-    rule.  Only positive probe frequencies are meaningful here; the
-    counter-propagating terms matter only for nu < 0 and are not summed.
+    (Re N Re D + Im N Im D) / |D|^2.  n_max, a positive odd integer (3.0
+    is taken as 3), is capped by truncation_order's rule.  Only positive
+    probe frequencies are meaningful here; the counter-propagating terms
+    matter only for nu < 0 and are not summed.
     The largest magnitude is scaled to one, since the overall response is
     defined up to the probe strength anyway.
     """
@@ -246,9 +248,9 @@ def spectrum(
         )
     if n_max is None:
         n_max = default_sideband_count(nu_hi, params.omega)
-    elif n_max < 1 or n_max % 2 == 0:
-        raise ValueError(f"n_max must be positive odd, got {n_max}")
-    n_max, j = _truncation_rule(frame.z, n_max)
+    elif not float(n_max).is_integer() or n_max < 1 or n_max % 2 == 0:
+        raise ValueError(f"n_max must be a positive odd integer, got {n_max}")
+    n_max, j = _truncation_rule(frame.z, int(n_max))
     if nu_hi > (n_max + 2) * params.omega:
         raise ValueError(
             f"nu_grid extends to {nu_hi:.4g}, beyond the coverage "
@@ -299,14 +301,7 @@ def spectrum(
     peak = max(float(values.max()), -float(values.min()))
     if peak > 0.0:
         values /= peak
-    return SpectrumTrace(
-        nu_grid=nu,
-        values=values,
-        params=params,
-        mode=mode,
-        rabi_tilde=frame.rabi_tilde,
-        n_max=n_max,
-    )
+    return SpectrumTrace(nu_grid=nu, values=values, rabi_tilde=frame.rabi_tilde, n_max=n_max)
 
 
 def asymmetry_metric(trace: SpectrumTrace, center: float) -> float:

@@ -19,7 +19,7 @@ from bloch_siegert_lab.chrw import (
     solve_xi,
     xi_fixed_point_residual,
 )
-from bloch_siegert_lab.errors import DegenerateInputError, DomainError, NoSignChangeError
+from bloch_siegert_lab.errors import DomainError, NoSignChangeError
 from bloch_siegert_lab.numerics import bessel_j, find_root_bracketed
 
 
@@ -227,9 +227,11 @@ class TestSolveXi:
         p2 = ModelParams(omega0=1.0, amplitude=1e4, omega=1e4 / 2.404826)
         assert 1.0 - solve_xi(p2) == pytest.approx(1.038e-4, rel=1e-2)
 
-    def test_zero_amplitude_raises(self):
-        with pytest.raises(DegenerateInputError):
-            solve_xi(ModelParams(omega0=1.0, amplitude=0.0, omega=1.0))
+    def test_zero_amplitude_gives_weak_drive_limit(self):
+        # every xi solves the undriven equation; solve_xi returns the limit
+        # omega/(omega + omega0) that its weak-drive root continues
+        assert solve_xi(ModelParams(omega0=1.0, amplitude=0.0, omega=1.0)) == 0.5
+        assert solve_xi(ModelParams(omega0=1.0, amplitude=0.0, omega=1.3)) == 1.3 / 2.3
 
     def test_weak_drive_approaches_rwa_partition(self):
         # xi(A) -> omega/(omega + omega0) as A -> 0, quadratically

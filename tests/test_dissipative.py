@@ -164,6 +164,14 @@ class TestFourierF:
         with pytest.raises(ValueError):
             fourier_f(fr, l)
 
+    def test_index_must_be_integral(self):
+        # an integral float is taken as an int; any other value is refused
+        fr = build_frame(P_STRONG)
+        assert fourier_f(fr, 3.0) == fourier_f(fr, 3)
+        for bad in (1.5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                fourier_f(fr, bad)
+
     def test_sign_flip_is_negation_above_one(self):
         # the Kronecker delta only enters at l = 1; beyond it the two
         # signatures are exact negatives of each other
@@ -240,6 +248,15 @@ class TestXCoefficients:
         np.testing.assert_allclose(x_coefficients(fr, 1), want, atol=1e-15)
         assert np.all(x_coefficients(fr, -1) == 0.0)
         assert np.all(x_coefficients(fr, 3) == 0.0)
+
+    def test_index_must_be_integral(self):
+        # an integral float is taken as an int; any other value is refused
+        fr = build_frame(P_STRONG)
+        assert np.array_equal(x_coefficients(fr, 1.0), x_coefficients(fr, 1))
+        assert np.array_equal(x_coefficients(fr, -3.0), x_coefficients(fr, -3))
+        for bad in (1.5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                x_coefficients(fr, bad)
 
 
 class TestLindbladTensor:

@@ -186,3 +186,22 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
         if (fname, param) not in _ENTRY_POINTS and not is_set(fname, index, param)
     )
     assert unset == []
+
+
+def test_public_set_is_pinned_and_covers_readme():
+    # 51 names plus __version__, so a name dropped from its module's
+    # __all__ fails here even where no test imports it from the package;
+    # and every name README's Library example imports from the package
+    # resolves there
+    assert len(set(bloch_siegert_lab.__all__)) == len(bloch_siegert_lab.__all__) == 52
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(example))
+        if isinstance(node, ast.ImportFrom) and node.module == "bloch_siegert_lab"
+        for alias in node.names
+    ]
+    assert len(imported) >= 5  # the check cannot pass vacuously
+    for name in imported:
+        assert name in bloch_siegert_lab.__all__ and hasattr(bloch_siegert_lab, name), name

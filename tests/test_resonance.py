@@ -522,6 +522,11 @@ class TestTrivialAndDispatch:
         b = bs_chrw(1.0, 3.5)
         assert a.shift == b.shift
 
+    def test_dispatch_takes_the_value_string(self):
+        assert resonance_shift("chrw", 1.0, 1.0) == resonance_shift(Method.CHRW, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            resonance_shift("euler", 1.0, 1.0)
+
     def test_method_report_order(self):
         # shift-table's columns and shift-sweep's choices follow this order
         assert [m.value for m in Method] == ["floquet", "chrw", "shirley", "asymptotic", "pert6"]

@@ -110,6 +110,12 @@ class TestInitialConditions:
         assert y0 == pytest.approx(-0.0007916882539772084 + 0.03995552917574686j, abs=1e-12)
         assert z0 == pytest.approx(0.0015989699950172001 - 6.239147974235193e-07j, abs=1e-12)
 
+    def test_index_must_be_integral(self):
+        p, fr, rs, ss = _resonant_point()
+        assert initial_conditions(fr, ss, 3.0) == initial_conditions(fr, ss, 3)
+        with pytest.raises(ValueError):
+            initial_conditions(fr, ss, 1.5)
+
     def test_saturated_state_gives_no_seed(self):
         p, fr, rs, ss = _resonant_point()
         flat = type(ss)(sz_ss=0.0, splus_ss=0.0 + 0.0j)
@@ -303,6 +309,21 @@ class TestSpectrum:
             spectrum(p, grid, n_max=2)
         with pytest.raises(ValueError, match="coverage"):
             spectrum(p, np.linspace(0.9, 4.0, 21), n_max=1)
+
+    def test_integral_float_sideband_count(self):
+        p = ModelParams(omega0=1.0, amplitude=0.1, omega=1.0, kappa=2e-3)
+        grid = np.linspace(0.9, 1.1, 21)
+        got, want = spectrum(p, grid, n_max=3.0), spectrum(p, grid, n_max=3)
+        assert got.n_max == want.n_max == 3 and type(got.n_max) is int
+        assert got.values.tobytes() == want.values.tobytes()
+        for bad in (2.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="odd integer"):
+                spectrum(p, grid, n_max=bad)
+
+    @pytest.mark.parametrize("n_points", [0, -3])
+    def test_probe_grid_needs_a_point(self, n_points):
+        with pytest.raises(ValueError, match="n_points"):
+            default_probe_grid(1.0, 0.05, n_points)
 
     def test_warns_when_splitting_small(self):
         p = ModelParams(omega0=1.0, amplitude=1e-3, omega=1.0, kappa=2e-3)
@@ -509,8 +530,6 @@ class TestAsymmetryMetric:
         return SpectrumTrace(
             nu_grid=nu,
             values=values,
-            params=params,
-            mode=FrameMode.CHRW,
             rabi_tilde=build_frame(params, mode=FrameMode.CHRW).rabi_tilde,
             n_max=1,
         )
